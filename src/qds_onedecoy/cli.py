@@ -58,22 +58,29 @@ def _emit(text: str, out_path: str | None) -> None:
             fp.write(text)
 
 
+def _report(config, counts_by_link, pc, ch, budget, L: int | None = None):
+    """Security report at ``L``, or at the smallest L meeting the target.
+
+    Solving and reporting share the configured test-sample size.
+    """
+    if L is None:
+        L = min_signature_length(
+            counts_by_link, pc, ch, budget, config.alpha, config.eps,
+            config.target_psec, k_test=config.k_test,
+        ).L
+    return block_report(
+        counts_by_link, pc, ch, budget, config.alpha, config.eps, L,
+        k_test=config.k_test,
+    )
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     counts_by_link, distance_km, n_pulses = read_counts(args.counts)
     pc = config.pulse_config(n_pulses=n_pulses)
     ch = config.channel(distance_km)
     budget = config.budget()
-    if args.block_length is not None:
-        L = args.block_length
-    else:
-        L = min_signature_length(
-            counts_by_link, pc, budget, config.alpha, config.eps, config.target_psec
-        )
-    report = block_report(
-        counts_by_link, pc, ch, budget, config.alpha, config.eps, L,
-        k_test=config.k_test,
-    )
+    report = _report(config, counts_by_link, pc, ch, budget, args.block_length)
     _emit(format_report(report, distance_km=distance_km, budget=budget), args.out)
     return 0
 
@@ -95,13 +102,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ch = config.channel(args.distance)
     budget = config.budget()
     counts_by_link = _counts_for_simulation(pc, ch, args.sampled, seed)
-    L = min_signature_length(
-        counts_by_link, pc, budget, config.alpha, config.eps, config.target_psec
-    )
-    report = block_report(
-        counts_by_link, pc, ch, budget, config.alpha, config.eps, L,
-        k_test=config.k_test,
-    )
+    report = _report(config, counts_by_link, pc, ch, budget)
+    L = report.L
     text = format_report(report, distance_km=args.distance, budget=budget)
 
     # end-to-end messaging demo at the solved block length; bit-level keys
@@ -190,13 +192,8 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
     ch = config.channel(args.distance)
     budget = config.budget()
     counts_by_link = _counts_for_simulation(pc, ch, sampled=False, seed=seed)
-    L = min_signature_length(
-        counts_by_link, pc, budget, config.alpha, config.eps, config.target_psec
-    )
-    report = block_report(
-        counts_by_link, pc, ch, budget, config.alpha, config.eps, L,
-        k_test=config.k_test,
-    )
+    report = _report(config, counts_by_link, pc, ch, budget)
+    L = report.L
     session = ProtocolSession(pc, ch, L, seed=seed, k_test=report.k_test)
     session.run_distribution()
     print(f"distance_km: {args.distance:g}")

@@ -87,10 +87,8 @@ class EpsilonBudget:
 class FiniteKeyEstimates:
     """Bounds certified for one block (or the whole pool when L = pool size).
 
-    ``e_upper`` is the test-sample bound on the key error rate; it is
-    attached by the security layer, which knows the test sample, and is
-    NaN until then.  ``saturated`` marks blocks whose X-basis sample was
-    too thin to certify a phase error rate below 1/2.
+    ``saturated`` marks blocks whose X-basis sample was too thin to
+    certify a phase error rate below 1/2.
     """
 
     s_z1_lower: float
@@ -98,7 +96,6 @@ class FiniteKeyEstimates:
     s_z0_upper: float
     s_x1_lower: float
     v_x1_upper: float
-    e_upper: float = math.nan
     saturated: bool = False
 
 

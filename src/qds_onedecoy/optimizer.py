@@ -22,9 +22,7 @@ from .security import (
     Infeasible,
     InfeasibleTarget,
     SecurityReport,
-    block_report,
     min_signature_length,
-    DEFAULT_TEST_FRACTION,
 )
 
 __all__ = [
@@ -97,7 +95,6 @@ def evaluate(
     alpha: float,
     eps: float,
     target_psec: float,
-    test_fraction: float = DEFAULT_TEST_FRACTION,
 ) -> EvalResult | None:
     """Rate at the smallest feasible block length, or None when infeasible.
 
@@ -108,18 +105,18 @@ def evaluate(
     counts = expected_statistics(pc, ch)
     counts_by_link = {"bob_alice": counts, "charlie_alice": counts}
     try:
-        L = min_signature_length(
-            counts_by_link, pc, budget, alpha, eps, target_psec, test_fraction
-        )
-        report = block_report(
-            counts_by_link, pc, ch, budget, alpha, eps, L,
-            k_test=max(1, round(test_fraction * L)),
+        report = min_signature_length(
+            counts_by_link, pc, ch, budget, alpha, eps, target_psec
         )
     except InfeasibleTarget:
         raise
     except Infeasible:
         return None
-    return EvalResult(params=pc, rate=report.rate_bits_per_s, L=L, report=report)
+    return EvalResult(params=pc, rate=report.rate_bits_per_s, L=report.L, report=report)
+
+
+def _param_key(params: Mapping[str, float]) -> tuple[float, ...]:
+    return tuple(round(params[n], 12) for n in PARAM_NAMES)
 
 
 def _tiebreak_key(params: Mapping[str, float]) -> tuple[float, ...]:
@@ -155,7 +152,7 @@ def maximize(
         nonlocal evaluations, n_feasible
         if params["nu"] >= params["mu"]:
             return None
-        key = tuple(round(params[n], 12) for n in PARAM_NAMES)
+        key = _param_key(params)
         if key in cache:
             return cache[key]
         value = objective(dict(params))
@@ -214,21 +211,20 @@ def optimize(
     eps: float,
     target_psec: float,
     n_pulses: float,
-    test_fraction: float = DEFAULT_TEST_FRACTION,
 ) -> OptimizeResult:
     """Best source settings for one channel under one security target."""
     results: dict[tuple[float, ...], EvalResult] = {}
 
     def objective(params: dict[str, float]) -> float | None:
         pc = PulseConfig(n_pulses=n_pulses, **params)
-        res = evaluate(pc, ch, budget, alpha, eps, target_psec, test_fraction)
+        res = evaluate(pc, ch, budget, alpha, eps, target_psec)
         if res is None:
             return None
-        results[tuple(round(params[n], 12) for n in PARAM_NAMES)] = res
+        results[_param_key(params)] = res
         return res.rate
 
     best_params, _, evaluations, n_feasible = maximize(space, objective)
     if best_params is None:
         return OptimizeResult(best=None, evaluations=evaluations, n_feasible=0)
-    best = results[tuple(round(best_params[n], 12) for n in PARAM_NAMES)]
+    best = results[_param_key(best_params)]
     return OptimizeResult(best=best, evaluations=evaluations, n_feasible=n_feasible)

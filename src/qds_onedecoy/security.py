@@ -206,30 +206,32 @@ def merge_block_estimates(
     )
 
 
-def _resolve_k(L: int, k_test: int | None) -> int:
-    if k_test is not None:
-        if not 1 <= k_test:
-            raise ValueError(f"test sample size must be at least 1, got {k_test}")
-        return k_test
-    return max(1, round(DEFAULT_TEST_FRACTION * L))
-
-
-def _block_security(
+def block_report(
     counts_by_link: Mapping[str, ObservedCounts],
     pc: PulseConfig,
+    ch: ChannelParams,
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
     L: int,
-    k_test: int | None,
-    test_errors_by_link: Mapping[str, float] | None,
-):
-    """Shared core: estimates, thresholds and the three bounds at one L."""
+    k_test: int | None = None,
+    test_errors_by_link: Mapping[str, float] | None = None,
+) -> SecurityReport:
+    """Full security report for a fixed block length.
+
+    The test sample is ``k_test`` bits, or 5% of L when None.  Without
+    ``test_errors_by_link`` each link's test errors are those expected
+    from its pool error rate.  Raises ``Infeasible`` when the block
+    cannot be certified.
+    """
     if not counts_by_link:
         raise ValueError("at least one link is required")
     if L < 2 or L % 2 != 0:
         raise ValueError(f"block length must be an even integer >= 2, got {L}")
-    k = _resolve_k(L, k_test)
+    if k_test is None:
+        k_test = max(1, round(DEFAULT_TEST_FRACTION * L))
+    elif k_test < 1:
+        raise ValueError(f"test sample size must be at least 1, got {k_test}")
     per_link: dict[str, FiniteKeyEstimates] = {}
     test_errors: dict[str, float] = {}
     for link, counts in counts_by_link.items():
@@ -243,9 +245,9 @@ def _block_security(
             test_errors[link] = test_errors_by_link[link]
         else:
             # expected errors on a k-bit test sample drawn from the pool
-            test_errors[link] = k * counts.m_total("Z") / pool
+            test_errors[link] = k_test * counts.m_total("Z") / pool
     merged = merge_block_estimates(per_link)
-    e_upper = observed_error_upper(test_errors, k, L, budget.eps_pe)
+    e_upper = observed_error_upper(test_errors, k_test, L, budget.eps_pe)
     p_e = solve_p_e(merged.s_z1_lower, L, merged.phi_z1_upper)
     if merged.saturated or p_e <= e_upper:
         raise Infeasible(
@@ -258,28 +260,10 @@ def _block_security(
     rep_raw = p_repudiation_raw(th, L)
     eps_forge = epsilon_f(alpha, L, merged.s_z1_lower, merged.phi_z1_upper, th.s_upsilon, eps)
     forge_raw = p_forge_raw(alpha, eps_forge, budget.eps_pe)
-    return k, merged, e_upper, p_e, th, robust, rep_raw, eps_forge, forge_raw
-
-
-def block_report(
-    counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig,
-    ch: ChannelParams,
-    budget: EpsilonBudget,
-    alpha: float,
-    eps: float,
-    L: int,
-    k_test: int | None = None,
-    test_errors_by_link: Mapping[str, float] | None = None,
-) -> SecurityReport:
-    """Full security report for a fixed block length."""
-    k, merged, e_upper, p_e, th, robust, rep_raw, eps_forge, forge_raw = _block_security(
-        counts_by_link, pc, budget, alpha, eps, L, k_test, test_errors_by_link
-    )
     time_s, rate = signature_time_and_rate(L, counts_by_link, pc, ch)
     return SecurityReport(
         L=L,
-        k_test=k,
+        k_test=k_test,
         e_upper=e_upper,
         p_e=p_e,
         thresholds=th,
@@ -296,44 +280,23 @@ def block_report(
     )
 
 
-def _meets_target(
-    counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig,
-    budget: EpsilonBudget,
-    alpha: float,
-    eps: float,
-    L: int,
-    target_psec: float,
-    test_fraction: float,
-) -> bool:
-    try:
-        k = max(1, round(test_fraction * L))
-        with warnings.catch_warnings():
-            # probing short blocks routinely produces vacuous estimates;
-            # the probe result, not a warning, is the signal here
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _, _, _, _, _, robust, rep_raw, _, forge_raw = _block_security(
-                counts_by_link, pc, budget, alpha, eps, L, k, None
-            )
-    except Infeasible:
-        return False
-    return p_sec(robust, min(1.0, rep_raw), min(1.0, forge_raw)) <= target_psec
-
-
 def min_signature_length(
     counts_by_link: Mapping[str, ObservedCounts],
     pc: PulseConfig,
+    ch: ChannelParams,
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
     target_psec: float,
-    test_fraction: float = DEFAULT_TEST_FRACTION,
-) -> int:
-    """Smallest even block length whose security level meets ``target_psec``.
+    k_test: int | None = None,
+) -> SecurityReport:
+    """Report at the smallest even block length that meets ``target_psec``.
 
-    The test sample scales with the probed length (k = test_fraction * L).
-    Feasibility is monotone in L: longer blocks shrink every finite-size
-    penalty, so the answer is found by bisection over even lengths.
+    Every probe is a ``block_report`` under the same test-sample rule
+    (``k_test`` bits, or 5% of the probed length when None), and the
+    report of the solved length is returned.  Feasibility is monotone in
+    L: longer blocks shrink every finite-size penalty, so the answer is
+    found by bisection over even lengths.
     """
     floor = 10.0 * budget.eps_pe
     if target_psec < floor:
@@ -346,27 +309,36 @@ def min_signature_length(
     if hi < 2:
         raise Infeasible("sifted pool is empty")
 
-    def ok(L: int) -> bool:
-        return _meets_target(
-            counts_by_link, pc, budget, alpha, eps, L, target_psec, test_fraction
-        )
+    def probe(L: int) -> SecurityReport | None:
+        try:
+            report = block_report(counts_by_link, pc, ch, budget, alpha, eps, L, k_test)
+        except Infeasible:
+            return None
+        return report if report.p_sec <= target_psec else None
 
-    if not ok(hi):
-        raise Infeasible(
-            f"no block length up to the pool size {hi} reaches the target "
-            f"{target_psec:.3g}"
-        )
-    lo = 2
-    if ok(lo):
-        return lo
-    while hi - lo > 2:
-        mid = (lo + hi) // 2
-        mid -= mid % 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    with warnings.catch_warnings():
+        # probing short blocks routinely produces vacuous estimates;
+        # the probe result, not a warning, is the signal here
+        warnings.simplefilter("ignore", RuntimeWarning)
+        best = probe(hi)
+        if best is None:
+            raise Infeasible(
+                f"no block length up to the pool size {hi} reaches the target "
+                f"{target_psec:.3g}"
+            )
+        lo = 2
+        shortest = probe(lo)
+        if shortest is not None:
+            return shortest
+        while hi - lo > 2:
+            mid = (lo + hi) // 2
+            mid -= mid % 2
+            report = probe(mid)
+            if report is None:
+                lo = mid
+            else:
+                hi, best = mid, report
+    return best
 
 
 def link_signature_time(

@@ -107,6 +107,27 @@ class TestEstimate:
         assert rc == 3
         assert capsys.readouterr().err.startswith("infeasible:")
 
+    def test_configured_test_sample_governs_the_solve(self, capsys, tmp_path):
+        # the block length is solved under the same k_test the report uses,
+        # so the printed report meets the target
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pathlib.Path(DEVICE_CFG).read_text() + "k_test = 3000\n")
+        rc = main(["estimate", "--config", str(cfg), "--counts", MODEL_103])
+        assert rc == 0
+        parsed = _parse_report(capsys.readouterr().out)
+        assert int(parsed["test_sample"]) == 3000
+        assert int(parsed["block_length"]) == 94362
+        assert float(parsed["p_sec"]) <= 1e-4
+
+    def test_tiny_test_sample_is_exit_3(self, capsys, tmp_path):
+        # a 10-bit test sample leaves a Serfling term above 0.78 at every
+        # length, so no block is feasible
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pathlib.Path(DEVICE_CFG).read_text() + "k_test = 10\n")
+        rc = main(["estimate", "--config", str(cfg), "--counts", MODEL_103])
+        assert rc == 3
+        assert "no block length up to the pool size" in capsys.readouterr().err
+
     def test_target_below_floor_is_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

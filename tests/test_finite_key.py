@@ -251,7 +251,6 @@ class TestEstimateAndBlockScale:
         assert not est.saturated
         assert 0.0 < est.phi_z1_upper < 0.5
         assert est.s_z1_lower > 0.0
-        assert math.isnan(est.e_upper)
 
     def test_starved_pool_saturates_instead_of_raising(self):
         pc = make_pc()

@@ -180,13 +180,16 @@ class TestMinSignatureLength:
     def test_target_below_floor_rejected(self):
         pc, ch, cbl, budget = paper_scale_setup()
         with pytest.raises(InfeasibleTarget):
-            min_signature_length(cbl, pc, budget, 1e-5, 1e-10, target_psec=1e-6)
+            min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-6)
 
     def test_solved_length_is_minimal_and_even(self):
         pc, ch, cbl, budget = paper_scale_setup()
-        L = min_signature_length(cbl, pc, budget, 1e-5, 1e-10, target_psec=1e-4)
+        solved = min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4)
+        L = solved.L
         assert L % 2 == 0
         report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L)
+        # the solver returns the very report it certified
+        assert solved == report
         assert report.p_sec <= 1e-4
         # two steps shorter must fail the target (minimality)
         shorter = L - 2
@@ -196,20 +199,27 @@ class TestMinSignatureLength:
         except Infeasible:
             pass
 
-    def test_matches_linear_scan_on_coarse_grid(self):
+    @pytest.mark.parametrize("k_test", [None, 3000, 6000])
+    def test_matches_linear_scan_on_coarse_grid(self, k_test):
         # independent check: the bisection result brackets the first
-        # feasible point of a descending coarse scan
+        # feasible point of a descending coarse scan, under the same
+        # test-sample rule the report uses
         pc, ch, cbl, budget = paper_scale_setup()
-        L = min_signature_length(cbl, pc, budget, 1e-5, 1e-10, target_psec=1e-4)
+        solved = min_signature_length(
+            cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4, k_test=k_test
+        )
+        L = solved.L
+        if k_test is not None:
+            assert solved.k_test == k_test
 
         def feasible(length):
             try:
-                return (
-                    block_report(cbl, pc, ch, budget, 1e-5, 1e-10, length).p_sec
-                    <= 1e-4
+                report = block_report(
+                    cbl, pc, ch, budget, 1e-5, 1e-10, length, k_test=k_test
                 )
             except Infeasible:
                 return False
+            return report.p_sec <= 1e-4
 
         assert feasible(L)
         assert not feasible(L - 2)
@@ -217,7 +227,7 @@ class TestMinSignatureLength:
     def test_unreachable_target_raises(self):
         pc, ch, cbl, budget = paper_scale_setup(distance_km=500.0)
         with pytest.raises(Infeasible):
-            min_signature_length(cbl, pc, budget, 1e-5, 1e-10, target_psec=1e-4)
+            min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4)
 
 
 class TestSignatureTime:
@@ -254,7 +264,7 @@ class TestSignatureTime:
 class TestBlockReport:
     def test_report_is_consistent(self):
         pc, ch, cbl, budget = paper_scale_setup()
-        L = min_signature_length(cbl, pc, budget, 1e-5, 1e-10, target_psec=1e-4)
+        L = min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4).L
         report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L)
         assert report.p_sec == max(
             report.p_robust, report.p_repudiation, report.p_forge
