@@ -36,6 +36,14 @@ INTENSITIES = ("mu", "nu")
 DESK_SCALE_MAX_PULSES = 100_000_000
 
 
+def _require_finite(settings: object) -> None:
+    """Reject NaN and infinite fields, which one-sided range checks let through."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PulseConfig:
     """Source-side settings: intensities, their mix, basis biases, pulse budget."""
@@ -48,6 +56,7 @@ class PulseConfig:
     n_pulses: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 <= self.nu < self.mu:
             raise ValueError(
                 f"intensities must satisfy 0 <= nu < mu, got mu={self.mu}, nu={self.nu}"
@@ -97,6 +106,7 @@ class ChannelParams:
     duty_cycle: float = 0.86
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.distance_km < 0:
             raise ValueError(f"distance must be non-negative, got {self.distance_km}")
         if self.fiber_loss_db_per_km < 0 or self.rx_loss_db < 0:

@@ -14,6 +14,7 @@ infeasible request or protocol failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -58,18 +59,18 @@ def _emit(text: str, out_path: str | None) -> None:
             fp.write(text)
 
 
-def _report(config, counts_by_link, pc, ch, budget, L: int | None = None):
+def _report(config, counts_by_link, pc, ch, L: int | None = None):
     """Security report at ``L``, or at the smallest L meeting the target.
 
     Solving and reporting share the configured test-sample size.
     """
     if L is None:
         L = min_signature_length(
-            counts_by_link, pc, ch, budget, config.alpha, config.eps,
+            counts_by_link, pc, ch, config.budget, config.alpha, config.eps,
             config.target_psec, k_test=config.k_test,
         ).L
     return block_report(
-        counts_by_link, pc, ch, budget, config.alpha, config.eps, L,
+        counts_by_link, pc, ch, config.budget, config.alpha, config.eps, L,
         k_test=config.k_test,
     )
 
@@ -79,9 +80,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     counts_by_link, distance_km, n_pulses = read_counts(args.counts)
     pc = config.pulse_config(n_pulses=n_pulses)
     ch = config.channel(distance_km)
-    budget = config.budget()
-    report = _report(config, counts_by_link, pc, ch, budget, args.block_length)
-    _emit(format_report(report, distance_km=distance_km, budget=budget), args.out)
+    report = _report(config, counts_by_link, pc, ch, args.block_length)
+    _emit(format_report(report, distance_km=distance_km, budget=config.budget), args.out)
     return 0
 
 
@@ -100,11 +100,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else config.seed
     pc = config.pulse_config()
     ch = config.channel(args.distance)
-    budget = config.budget()
     counts_by_link = _counts_for_simulation(pc, ch, args.sampled, seed)
-    report = _report(config, counts_by_link, pc, ch, budget)
+    report = _report(config, counts_by_link, pc, ch)
     L = report.L
-    text = format_report(report, distance_km=args.distance, budget=budget)
+    text = format_report(report, distance_km=args.distance, budget=config.budget)
 
     # end-to-end messaging demo at the solved block length; bit-level keys
     # when the pulse budget is desk scale and the pool can afford both
@@ -134,13 +133,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_rate_curve(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    flags = {"--from": args.km_from, "--to": args.km_to, "--step": args.km_step}
+    for flag, value in flags.items():
+        if not math.isfinite(value):
+            raise FileFormatError(f"{flag} must be finite, got {value:g}")
     if args.km_step <= 0:
         raise FileFormatError(f"--step must be positive, got {args.km_step:g}")
     if args.km_from > args.km_to:
         raise FileFormatError(
             f"--from {args.km_from:g} exceeds --to {args.km_to:g}"
         )
-    budget = config.budget()
     space = SearchSpace(grid_points=args.grid_points)
     rows = []
     # half-open sweep: --from is included, --to is not; --from equal to
@@ -149,8 +151,8 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
     for distance in distances:
         ch = config.channel(float(distance))
         result = optimize(
-            space, ch, budget, config.alpha, config.eps, config.target_psec,
-            n_pulses=config.n_pulses,
+            space, ch, config.budget, config.alpha, config.eps, config.target_psec,
+            n_pulses=config.source.n_pulses,
         )
         if result.best is None:
             rows.append(
@@ -190,9 +192,8 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
             f"{DESK_SCALE_MAX_PULSES:.0e}, got {pc.n_pulses:.3g}"
         )
     ch = config.channel(args.distance)
-    budget = config.budget()
     counts_by_link = _counts_for_simulation(pc, ch, sampled=False, seed=seed)
-    report = _report(config, counts_by_link, pc, ch, budget)
+    report = _report(config, counts_by_link, pc, ch)
     L = report.L
     session = ProtocolSession(pc, ch, L, seed=seed, k_test=report.k_test)
     session.run_distribution()

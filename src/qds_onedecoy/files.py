@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .channel import BASES, INTENSITIES, ChannelParams, ObservedCounts, PulseConfig
-from .finite_key import EpsilonBudget
+from .finite_key import BOUND_APPLICATIONS, EpsilonBudget
 from .security import SecurityReport
 
 __all__ = [
@@ -36,6 +37,13 @@ _COUNTS_COLUMNS = ["link", "basis", "intensity", "n", "m"]
 
 class FileFormatError(ValueError):
     """An interchange file does not parse or fails a consistency check."""
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def write_counts(
@@ -73,10 +81,10 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
                     )
                 key, _, value = item.partition("=")
                 try:
-                    preamble[key.strip()] = float(value)
+                    preamble[key.strip()] = _finite(value)
                 except ValueError as exc:
                     raise FileFormatError(
-                        f"{path}: preamble value for {key.strip()!r} is not a number"
+                        f"{path}: preamble value for {key.strip()!r} is not a finite number"
                     ) from exc
             elif stripped:
                 body.append(line)
@@ -106,10 +114,10 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
                 f"got {intensity!r}"
             )
         try:
-            n = float(row["n"])
-            m = float(row["m"])
+            n = _finite(row["n"])
+            m = _finite(row["m"])
         except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: row {idx}: n and m must be numbers") from exc
+            raise FileFormatError(f"{path}: row {idx}: n and m must be finite numbers") from exc
         field = f"{basis.lower()}_{intensity}"
         link_cells = cells.setdefault(link, {})
         if f"n_{field}" in link_cells:
@@ -143,23 +151,11 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
 
 @dataclass(frozen=True)
 class Config:
-    """One flat run configuration: source, receiver, channel and analysis."""
+    """Run configuration: source, link (all but its distance), budget, analysis."""
 
-    mu: float
-    nu: float
-    p_mu: float
-    p_z_tx: float
-    p_z_rx: float
-    n_pulses: float
-    fiber_loss_db_per_km: float
-    rx_loss_db: float
-    det_efficiency: float
-    dark_count_rate_hz: float
-    gate_window_s: float
-    misalignment: float
-    clock_hz: float
-    duty_cycle: float
-    eps_pe: float
+    source: PulseConfig
+    link: ChannelParams
+    budget: EpsilonBudget
     alpha: float
     eps: float
     target_psec: float
@@ -167,40 +163,28 @@ class Config:
     seed: int = 0
 
     def pulse_config(self, n_pulses: float | None = None) -> PulseConfig:
-        return PulseConfig(
-            mu=self.mu,
-            nu=self.nu,
-            p_mu=self.p_mu,
-            p_z_tx=self.p_z_tx,
-            p_z_rx=self.p_z_rx,
-            n_pulses=self.n_pulses if n_pulses is None else n_pulses,
-        )
+        return self.source if n_pulses is None else replace(self.source, n_pulses=n_pulses)
 
     def channel(self, distance_km: float) -> ChannelParams:
-        return ChannelParams(
-            distance_km=distance_km,
-            fiber_loss_db_per_km=self.fiber_loss_db_per_km,
-            rx_loss_db=self.rx_loss_db,
-            det_efficiency=self.det_efficiency,
-            dark_count_rate_hz=self.dark_count_rate_hz,
-            gate_window_s=self.gate_window_s,
-            misalignment=self.misalignment,
-            clock_hz=self.clock_hz,
-            duty_cycle=self.duty_cycle,
-        )
-
-    def budget(self) -> EpsilonBudget:
-        return EpsilonBudget(eps_pe=self.eps_pe)
+        return replace(self.link, distance_km=distance_km)
 
 
+# each flat key feeds the dataclass that declares it; the distance is
+# given per command and the three objects are not keys themselves
+_NOT_KEYS = {"distance_km", "source", "link", "budget"}
+_CONFIG_KEYS = [
+    f.name
+    for cls in (PulseConfig, ChannelParams, EpsilonBudget, Config)
+    for f in fields(cls)
+    if f.name not in _NOT_KEYS
+]
 _OPTIONAL_KEYS = {"k_test", "seed"}
 _INT_KEYS = {"k_test", "seed"}
 
 
 def read_config(path: str) -> Config:
-    """Parse a flat key = value configuration file."""
-    known = {f.name for f in fields(Config)}
-    values: dict[str, object] = {}
+    """Parse a flat key = value configuration file, validating every value at load."""
+    values: dict[str, float] = {}
     with open(path) as fp:
         for lineno, raw in enumerate(fp, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -213,24 +197,33 @@ def read_config(path: str) -> Config:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in known:
+            if key not in _CONFIG_KEYS:
                 raise FileFormatError(
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    f"{', '.join(sorted(known))}"
+                    f"{', '.join(sorted(_CONFIG_KEYS))}"
                 )
             if key in values:
                 raise FileFormatError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = int(value) if key in _INT_KEYS else float(value)
+                values[key] = int(value) if key in _INT_KEYS else _finite(value)
             except ValueError as exc:
                 raise FileFormatError(
                     f"{path}:{lineno}: value for {key!r} is not a number: {value!r}"
                 ) from exc
-    missing = known - _OPTIONAL_KEYS - set(values)
+    missing = set(_CONFIG_KEYS) - _OPTIONAL_KEYS - set(values)
     if missing:
         raise FileFormatError(f"{path}: missing required keys: {sorted(missing)}")
+
+    def pick(cls: type) -> dict[str, float]:
+        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
     try:
-        return Config(**values)  # type: ignore[arg-type]
+        return Config(
+            source=PulseConfig(**pick(PulseConfig)),
+            link=ChannelParams(distance_km=0.0, **pick(ChannelParams)),
+            budget=EpsilonBudget(**pick(EpsilonBudget)),
+            **pick(Config),  # type: ignore[arg-type]
+        )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -272,10 +265,10 @@ def format_report(
     ]
     if budget is not None:
         lines.append(
-            f"epsilon_budget: {len(budget.uses)} bounds at eps_pe={budget.eps_pe:g} "
+            f"epsilon_budget: {len(BOUND_APPLICATIONS)} bounds at eps_pe={budget.eps_pe:g} "
             f"(total {budget.total:g})"
         )
-        lines.append("epsilon_uses: " + " ".join(budget.uses))
+        lines.append("epsilon_uses: " + " ".join(BOUND_APPLICATIONS))
     return "\n".join(lines) + "\n"
 
 

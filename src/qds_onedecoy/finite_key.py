@@ -60,27 +60,19 @@ class EstimationError(Exception):
 class EpsilonBudget:
     """Failure-probability budget of the estimation chain.
 
-    ``eps_pe`` is charged once per named application; the overall
-    parameter-estimation failure probability is ``len(uses) * eps_pe``.
-    The canonical chain makes exactly ten applications.
+    ``eps_pe`` is charged once per entry of ``BOUND_APPLICATIONS``; the
+    overall parameter-estimation failure probability is ``total``.
     """
 
     eps_pe: float
-    uses: tuple[str, ...] = BOUND_APPLICATIONS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_pe <= 1.0:
             raise ValueError(f"eps_pe must lie in (0, 1], got {self.eps_pe}")
-        if len(self.uses) != 10:
-            raise ValueError(
-                f"the estimation chain consumes exactly 10 bounds, got {len(self.uses)}"
-            )
-        if len(set(self.uses)) != len(self.uses):
-            raise ValueError("bound applications must be distinct")
 
     @property
     def total(self) -> float:
-        return len(self.uses) * self.eps_pe
+        return len(BOUND_APPLICATIONS) * self.eps_pe
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .channel import (
     expected_statistics,
     sample_statistics,
 )
-from .security import Thresholds
+from .security import DEFAULT_TEST_FRACTION, Thresholds
 
 __all__ = [
     "LINKS",
@@ -315,7 +315,7 @@ class ProtocolSession:
         self.ch = ch
         self.L = int(L)
         self.seed = int(seed)
-        self.k_test = k_test if k_test is not None else max(1, round(0.05 * L))
+        self.k_test = k_test if k_test is not None else max(1, round(DEFAULT_TEST_FRACTION * L))
         self.qber_override = qber
         if synthetic is None:
             self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES

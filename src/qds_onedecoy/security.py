@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .channel import ChannelParams, ObservedCounts, PulseConfig
 from .finite_key import (
+    BOUND_APPLICATIONS,
     EpsilonBudget,
     FiniteKeyEstimates,
     block_scale,
@@ -171,8 +172,8 @@ def epsilon_f(
 
 
 def p_forge_raw(alpha: float, eps_forge: float, eps_pe: float) -> float:
-    """Unclamped forging bound alpha + eps_F + 10 eps_PE."""
-    return alpha + eps_forge + 10.0 * eps_pe
+    """Unclamped forging bound alpha + eps_F + 10 eps_PE (one eps_PE per bound)."""
+    return alpha + eps_forge + len(BOUND_APPLICATIONS) * eps_pe
 
 
 def p_forge(alpha: float, eps_forge: float, eps_pe: float) -> float:
@@ -298,11 +299,10 @@ def min_signature_length(
     L: longer blocks shrink every finite-size penalty, so the answer is
     found by bisection over even lengths.
     """
-    floor = 10.0 * budget.eps_pe
-    if target_psec < floor:
+    if target_psec < budget.total:
         raise InfeasibleTarget(
             f"target {target_psec:.3g} is below the estimation floor "
-            f"10*eps_pe = {floor:.3g}"
+            f"{len(BOUND_APPLICATIONS)}*eps_pe = {budget.total:.3g}"
         )
     pool = min(c.n_total("Z") for c in counts_by_link.values())
     hi = int(pool) // 2 * 2

@@ -223,6 +223,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChannelParams(distance_km=10.0, **{**TYPICAL, "duty_cycle": 0.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, value):
+        valid = [make_pc(), ChannelParams(distance_km=10.0, **TYPICAL)]
+        for settings in valid:
+            for f in dataclasses.fields(settings):
+                with pytest.raises(ValueError, match=f"{f.name} must be finite"):
+                    dataclasses.replace(settings, **{f.name: value})
+
     def test_channel_params_frozen(self):
         ch = ChannelParams(distance_km=10.0, **TYPICAL)
         with pytest.raises(dataclasses.FrozenInstanceError):

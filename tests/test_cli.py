@@ -245,6 +245,47 @@ class TestRateCurve:
         assert rc == 2
 
 
+DEVICE_TEXT = pathlib.Path(DEVICE_CFG).read_text()
+MODEL_TEXT = pathlib.Path(MODEL_103).read_text()
+BAD_FILES = {
+    "mu_below_nu.cfg": DEVICE_TEXT.replace("mu = 0.6", "mu = 0.1", 1),
+    "inf_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = inf"),
+    "nan_distance.csv": MODEL_TEXT.replace("# distance_km=103.0", "# distance_km=nan"),
+    "nan_cell.csv": MODEL_TEXT.replace("3214787465.832061", "nan", 1),
+}
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("argv, named", [
+        # rate-curve never builds the configured source, so only loading catches it
+        (["rate-curve", "--config", "{tmp}/mu_below_nu.cfg", "--to", "20"],
+         "mu_below_nu.cfg: intensities must satisfy 0 <= nu < mu"),
+        (["estimate", "--config", "{tmp}/inf_pulses.cfg", "--counts", MODEL_103],
+         "'n_pulses'"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/nan_distance.csv"],
+         "'distance_km' is not a finite number"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/nan_cell.csv"],
+         "row 2: n and m must be finite numbers"),
+        (["simulate", "--config", DEVICE_CFG, "--distance", "nan"], "distance_km"),
+        (["demo-sign", "--config", DESK_CFG, "--distance", "inf"], "distance_km"),
+        (["rate-curve", "--config", DESK_CFG, "--from", "nan"], "--from"),
+        (["rate-curve", "--config", DESK_CFG, "--to", "inf"], "--to"),
+        (["rate-curve", "--config", DESK_CFG, "--step=-inf"], "--step must be finite"),
+    ], ids=[
+        "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
+        "simulate-nan-distance", "demo-sign-inf-distance", "curve-nan-from", "curve-inf-to",
+        "curve-minus-inf-step",
+    ])
+    def test_is_exit_2_and_named(self, capsys, tmp_path, argv, named):
+        for name, text in BAD_FILES.items():
+            (tmp_path / name).write_text(text)
+        rc = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+
+
 class TestParser:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,11 +1,14 @@
 """Interchange-format tests: counts tables, configs, report text."""
 
 import io
+import pathlib
+import re
 
 import pytest
 
 from qds_onedecoy.channel import ObservedCounts
 from qds_onedecoy.files import (
+    _CONFIG_KEYS,
     CONFIG_ENV_VAR,
     Config,
     FileFormatError,
@@ -124,8 +127,9 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT)
         config = read_config(str(path))
-        assert config.mu == 0.6
-        assert config.n_pulses == 2e12
+        assert config.source.mu == 0.6
+        assert config.source.n_pulses == 2e12
+        assert config.link.duty_cycle == 0.86
         assert config.seed == 7
         assert config.k_test is None
         pc = config.pulse_config()
@@ -133,7 +137,29 @@ class TestConfig:
         ch = config.channel(103.0)
         assert ch.distance_km == 103.0
         assert ch.duty_cycle == 0.86
-        assert config.budget().eps_pe == 5e-6
+        assert config.budget.eps_pe == 5e-6
+
+    def test_invalid_source_rejected_at_load(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("mu = 0.6", "mu = 0.1", 1))
+        with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: .*nu < mu"):
+            read_config(str(path))
+
+    def test_distance_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT + "distance_km = 10\n")
+        with pytest.raises(FileFormatError, match="unknown key 'distance_km'"):
+            read_config(str(path))
+
+    def test_readme_lists_every_key(self):
+        # the README's key table is the user-facing copy of the key set
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration keys", 1)[1].split("```")[1]
+        documented = set()
+        for line in block.splitlines():
+            if line and not line.startswith((" ", "#")):
+                documented.update(re.split(r"\s{2,}", line)[0].split(", "))
+        assert documented == set(_CONFIG_KEYS)
 
     def test_unknown_key_lists_valid_ones(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from qds_onedecoy.channel import ChannelParams, PulseConfig
+from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.protocol import (
     HalfKey,
     PoolExhausted,
@@ -29,7 +30,7 @@ from qds_onedecoy.protocol import (
     symmetrize,
     verify,
 )
-from qds_onedecoy.security import Thresholds
+from qds_onedecoy.security import Thresholds, block_report
 
 DESK_PC = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8, n_pulses=2e6)
 DESK_CH = ChannelParams(distance_km=2.0)
@@ -270,6 +271,17 @@ class TestSession:
         session.run_distribution()
         result = session.run_messaging(1, self.relaxed_thresholds())
         assert result.bob_accept
+
+    def test_default_test_sample_matches_block_report(self):
+        # 5% of 89530 is 4476.5, which round-half-even takes down to 4476
+        pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.85, p_z_rx=0.85, n_pulses=2e12)
+        ch = ChannelParams(distance_km=103.0)
+        counts = expected_statistics(pc, ch)
+        report = block_report(
+            {"bob_alice": counts, "charlie_alice": counts}, pc, ch,
+            EpsilonBudget(eps_pe=5e-6), 1e-5, 1e-10, 89530,
+        )
+        assert ProtocolSession(pc, ch, 89530).k_test == report.k_test == 4476
 
     def test_transcript_replays_identically(self):
         def transcript_text(seed):
