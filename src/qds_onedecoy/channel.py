@@ -11,7 +11,8 @@ or as one sampled realisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,6 +71,20 @@ class PulseConfig:
         if self.n_pulses < 1:
             raise ValueError(f"n_pulses must be at least 1, got {self.n_pulses}")
 
+    @classmethod
+    def stack(cls, configs: Sequence["PulseConfig"]) -> "PulseConfig":
+        """One config whose fields are (len(configs), 1) arrays, for the batched bound chain.
+
+        Row i holds ``configs[i]``; the trailing axis broadcasts over block
+        lengths.  Each config was validated when it was made, so the stack
+        is not validated again.
+        """
+        stacked = object.__new__(cls)
+        for f in fields(cls):
+            column = np.array([getattr(c, f.name) for c in configs], dtype=float)[:, None]
+            object.__setattr__(stacked, f.name, column)
+        return stacked
+
     def intensity(self, name: str) -> tuple[float, float]:
         """Return (photon number, emission probability) for 'mu' or 'nu'."""
         if name == "mu":
@@ -123,53 +138,91 @@ class ChannelParams:
             raise ValueError(f"duty cycle must lie in (0, 1], got {self.duty_cycle}")
 
 
-@dataclass(frozen=True)
+#: Cell names in the order of ``ObservedCounts``'s arguments.
+_CELL_NAMES = tuple(
+    f"{kind}_{basis.lower()}_{intensity}"
+    for basis in BASES
+    for intensity in INTENSITIES
+    for kind in "nm"
+)
+#: Index of a basis in ``ObservedCounts.cells``; ``BASES`` selects both.
+_BASIS_INDEX = {"Z": 0, "X": 1, BASES: slice(None)}
+_INTENSITY_INDEX = {"mu": 0, "nu": 1}
+
+
 class ObservedCounts:
     """Sifted detections ``n`` and errors ``m`` per (basis, intensity) cell.
 
-    Values may be integers (one sampled run) or reals (expectations or
-    rescaled blocks); every cell must satisfy 0 <= m <= n.
+    The counts are one float array ``cells`` of shape (2, 2, 2, ...):
+    basis (Z, X), intensity (mu, nu), then n and m.  Values may be
+    integers (one sampled run) or reals (expectations or rescaled
+    blocks); every cell must satisfy 0 <= m <= n.  Trailing axes, which
+    only ``scaled`` and ``from_cells`` create, hold a batch: the accessors
+    then return arrays over it.  An accessor given ``BASES`` for the
+    basis returns both bases along a new leading axis.
     """
 
-    n_z_mu: float
-    m_z_mu: float
-    n_z_nu: float
-    m_z_nu: float
-    n_x_mu: float
-    m_x_mu: float
-    n_x_nu: float
-    m_x_nu: float
+    __slots__ = ("cells",)
 
-    def __post_init__(self) -> None:
-        for basis in BASES:
-            for intensity in INTENSITIES:
-                n = self.n(basis, intensity)
-                m = self.m(basis, intensity)
-                if n < 0 or m < 0 or m > n:
-                    raise ValueError(
-                        f"cell ({basis}, {intensity}) must satisfy 0 <= m <= n, "
-                        f"got n={n}, m={m}"
-                    )
+    def __init__(
+        self,
+        n_z_mu: float, m_z_mu: float, n_z_nu: float, m_z_nu: float,
+        n_x_mu: float, m_x_mu: float, n_x_nu: float, m_x_nu: float,
+    ) -> None:
+        values = (n_z_mu, m_z_mu, n_z_nu, m_z_nu, n_x_mu, m_x_mu, n_x_nu, m_x_nu)
+        for cell in range(4):
+            n, m = values[2 * cell], values[2 * cell + 1]
+            if n < 0 or m < 0 or m > n:
+                raise ValueError(
+                    f"cell ({BASES[cell // 2]}, {INTENSITIES[cell % 2]}) must satisfy "
+                    f"0 <= m <= n, got n={n}, m={m}"
+                )
+        cells = np.array(values, dtype=float).reshape(2, 2, 2)
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
 
-    def n(self, basis: str, intensity: str) -> float:
-        return getattr(self, f"n_{basis.lower()}_{intensity}")
+    @classmethod
+    def from_cells(cls, cells: np.ndarray) -> "ObservedCounts":
+        """Counts over an array of shape (2, 2, 2, ...) derived from valid counts."""
+        counts = object.__new__(cls)
+        object.__setattr__(counts, "cells", cells)
+        return counts
 
-    def m(self, basis: str, intensity: str) -> float:
-        return getattr(self, f"m_{basis.lower()}_{intensity}")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ObservedCounts is immutable")
 
-    def n_total(self, basis: str) -> float:
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ObservedCounts):
+            return NotImplemented
+        return bool(np.array_equal(self.cells, other.cells))
+
+    def __hash__(self) -> int:
+        return hash(self.cells.tobytes())
+
+    def __repr__(self) -> str:
+        if self.cells.ndim > 3:
+            return f"ObservedCounts(batch of shape {self.cells.shape[3:]})"
+        values = ", ".join(f"{k}={v:g}" for k, v in zip(_CELL_NAMES, self.cells.ravel()))
+        return f"ObservedCounts({values})"
+
+    def n(self, basis: str, intensity: str) -> float | np.ndarray:
+        return self.cells[_BASIS_INDEX[basis], _INTENSITY_INDEX[intensity], 0]
+
+    def m(self, basis: str, intensity: str) -> float | np.ndarray:
+        return self.cells[_BASIS_INDEX[basis], _INTENSITY_INDEX[intensity], 1]
+
+    def n_total(self, basis: str) -> float | np.ndarray:
         return self.n(basis, "mu") + self.n(basis, "nu")
 
-    def m_total(self, basis: str) -> float:
+    def m_total(self, basis: str) -> float | np.ndarray:
         return self.m(basis, "mu") + self.m(basis, "nu")
 
-    def scaled(self, factor: float) -> "ObservedCounts":
-        """Return a copy with every cell multiplied by ``factor``."""
-        if factor < 0:
+    def scaled(self, factor: float | np.ndarray) -> "ObservedCounts":
+        """Every cell multiplied by ``factor``, a float or an array over the batch axes."""
+        factor = np.asarray(factor, dtype=float)
+        if (factor < 0).any():
             raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return replace(
-            self, **{f.name: getattr(self, f.name) * factor for f in fields(self)}
-        )
+        return ObservedCounts.from_cells(self.cells * factor)
 
 
 def total_efficiency(ch: ChannelParams) -> float:

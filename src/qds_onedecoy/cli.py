@@ -65,10 +65,12 @@ def _report(config, counts_by_link, pc, ch, L: int | None = None):
     Solving and reporting share the configured test-sample size.
     """
     if L is None:
-        L = min_signature_length(
-            counts_by_link, pc, ch, config.budget, config.alpha, config.eps,
+        [L] = min_signature_length(
+            [(counts_by_link, pc)], config.budget, config.alpha, config.eps,
             config.target_psec, k_test=config.k_test,
-        ).L
+        )
+        if isinstance(L, Infeasible):
+            raise L
     return block_report(
         counts_by_link, pc, ch, config.budget, config.alpha, config.eps, L,
         k_test=config.k_test,

@@ -162,6 +162,14 @@ class Config:
     k_test: int | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("alpha", "eps", "target_psec"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie strictly inside (0, 1), got {value:g}")
+        if self.k_test is not None and self.k_test < 1:
+            raise ValueError(f"k_test must be at least 1, got {self.k_test}")
+
     def pulse_config(self, n_pulses: float | None = None) -> PulseConfig:
         return self.source if n_pulses is None else replace(self.source, n_pulses=n_pulses)
 

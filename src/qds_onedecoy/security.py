@@ -10,10 +10,11 @@ into signing time.
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .channel import ChannelParams, ObservedCounts, PulseConfig
 from .finite_key import (
@@ -48,6 +49,11 @@ __all__ = [
 
 #: Default test-sample fraction of the block length.
 DEFAULT_TEST_FRACTION = 0.05
+#: Block lengths one round of the lockstep solver may evaluate, summed over
+#: the settings it is still bisecting.  A round costs mostly its fixed numpy
+#: overhead up to a few hundred lengths (255 cost about 1.3 times one), so
+#: this buys one setting 8 bisection steps a round.
+SOLVER_LANES = 256
 
 
 class Infeasible(Exception):
@@ -67,7 +73,12 @@ class Thresholds:
     s_upsilon: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.s_alpha < self.s_upsilon < 0.5:
+        a, u = self.s_alpha, self.s_upsilon
+        if not (
+            np.minimum.reduce(a, axis=None) > 0.0
+            and np.minimum.reduce(u - a, axis=None) > 0.0
+            and np.maximum.reduce(u, axis=None) < 0.5
+        ):
             raise ValueError(
                 "thresholds must satisfy 0 < s_alpha < s_upsilon < 1/2, got "
                 f"s_alpha={self.s_alpha}, s_upsilon={self.s_upsilon}"
@@ -101,7 +112,9 @@ class SecurityReport:
     epsilon_forge: float
 
 
-def solve_p_e(s_z1: float, L: int, phi_z1: float) -> float:
+def solve_p_e(
+    s_z1: float | np.ndarray, L: int | np.ndarray, phi_z1: float | np.ndarray
+) -> float | np.ndarray:
     """Largest tolerable key error rate p_E for an L-bit block.
 
     Solves  h(p_E) = min(1, 2 s_z1 / L * (1 - h(phi_z1)))  on the
@@ -109,23 +122,24 @@ def solve_p_e(s_z1: float, L: int, phi_z1: float) -> float:
     (no certified single-photon content) yields p_E = 0, which marks the
     block infeasible to every caller that needs a positive margin.
     """
-    if L <= 0:
+    if np.minimum.reduce(L, axis=None) <= 0:
         raise ValueError(f"block length must be positive, got {L}")
-    if s_z1 < 0:
+    if np.minimum.reduce(s_z1, axis=None) < 0:
         raise ValueError(f"single-photon count must be non-negative, got {s_z1}")
     rhs = 2.0 * (s_z1 / L) * (1.0 - binary_entropy(phi_z1))
-    rhs = min(1.0, max(0.0, rhs))
-    return binary_entropy_inverse(rhs)
+    return binary_entropy_inverse(np.minimum(1.0, np.maximum(0.0, rhs)))
 
 
-def thresholds_from_rates(e_upper: float, p_e: float) -> Thresholds:
+def thresholds_from_rates(
+    e_upper: float | np.ndarray, p_e: float | np.ndarray
+) -> Thresholds:
     """Place the two thresholds at even thirds between E_upper and p_E."""
-    if p_e <= e_upper:
-        raise Infeasible(
-            f"no threshold margin: tolerable error rate {p_e:.6g} does not exceed "
-            f"the observed error bound {e_upper:.6g}"
-        )
     gap = p_e - e_upper
+    if np.minimum.reduce(gap, axis=None) <= 0.0:
+        raise Infeasible(
+            f"no threshold margin: tolerable error rate {p_e} does not exceed "
+            f"the observed error bound {e_upper}"
+        )
     return Thresholds(s_alpha=e_upper + gap / 3.0, s_upsilon=e_upper + 2.0 * gap / 3.0)
 
 
@@ -134,20 +148,25 @@ def p_robust(eps_pe: float) -> float:
     return min(1.0, 2.0 * eps_pe)
 
 
-def p_repudiation_raw(th: Thresholds, L: int) -> float:
+def p_repudiation_raw(th: Thresholds, L: int | np.ndarray) -> float | np.ndarray:
     """Unclamped repudiation bound 2 exp(-(s_upsilon - s_alpha)^2 L / 4)."""
-    if L <= 0:
+    if np.minimum.reduce(L, axis=None) <= 0:
         raise ValueError(f"block length must be positive, got {L}")
-    return 2.0 * math.exp(-((th.s_upsilon - th.s_alpha) ** 2) * L / 4.0)
+    return 2.0 * np.exp(-((th.s_upsilon - th.s_alpha) ** 2) * L / 4.0)
 
 
-def p_repudiation(th: Thresholds, L: int) -> float:
-    return min(1.0, p_repudiation_raw(th, L))
+def p_repudiation(th: Thresholds, L: int | np.ndarray) -> float | np.ndarray:
+    return np.minimum(1.0, p_repudiation_raw(th, L))
 
 
 def epsilon_f(
-    alpha: float, L: int, s_z1: float, phi_z1: float, s_upsilon: float, eps: float
-) -> float:
+    alpha: float,
+    L: int | np.ndarray,
+    s_z1: float | np.ndarray,
+    phi_z1: float | np.ndarray,
+    s_upsilon: float | np.ndarray,
+    eps: float,
+) -> float | np.ndarray:
     """Forger's success term (2^(-L/2 * margin) + eps) / alpha.
 
     The margin is the certified min-entropy rate of the block,
@@ -157,54 +176,130 @@ def epsilon_f(
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if L <= 0:
+    if eps < 0.0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
+    if np.minimum.reduce(L, axis=None) <= 0:
         raise ValueError(f"block length must be positive, got {L}")
     margin = 2.0 * (s_z1 / L) * (1.0 - binary_entropy(phi_z1)) - binary_entropy(s_upsilon)
     exponent = 0.5 * L * margin
-    if exponent < -1074.0:
-        term = math.inf
-    else:
-        try:
-            term = 2.0 ** (-exponent)
-        except OverflowError:
-            term = math.inf
-    return (term + eps) / alpha
+    # 2^-exponent is finite exactly where exponent > -1024
+    finite = exponent > -1024.0
+    term = np.where(finite, np.exp2(-np.where(finite, exponent, 0.0)), np.inf)
+    with np.errstate(over="ignore"):  # a finite but huge term divides out to inf
+        return ((term + eps) / alpha)[()]
 
 
-def p_forge_raw(alpha: float, eps_forge: float, eps_pe: float) -> float:
+def p_forge_raw(
+    alpha: float, eps_forge: float | np.ndarray, eps_pe: float
+) -> float | np.ndarray:
     """Unclamped forging bound alpha + eps_F + 10 eps_PE (one eps_PE per bound)."""
     return alpha + eps_forge + len(BOUND_APPLICATIONS) * eps_pe
 
 
-def p_forge(alpha: float, eps_forge: float, eps_pe: float) -> float:
-    return min(1.0, p_forge_raw(alpha, eps_forge, eps_pe))
+def p_forge(
+    alpha: float, eps_forge: float | np.ndarray, eps_pe: float
+) -> float | np.ndarray:
+    return np.minimum(1.0, p_forge_raw(alpha, eps_forge, eps_pe))
 
 
-def p_sec(robust: float, repudiation: float, forge: float) -> float:
+def p_sec(
+    robust: float | np.ndarray, repudiation: float | np.ndarray, forge: float | np.ndarray
+) -> float | np.ndarray:
     """Overall security level: the worst of the three failure bounds."""
-    return max(robust, repudiation, forge)
+    return np.maximum(np.maximum(robust, repudiation), forge)
 
 
-def merge_block_estimates(
-    per_link: Mapping[str, FiniteKeyEstimates],
-) -> FiniteKeyEstimates:
+def merge_block_estimates(per_link: FiniteKeyEstimates) -> FiniteKeyEstimates:
     """Worst-case combination across links.
 
-    The signature bundle interleaves both links' keys, so the certified
-    single-photon content is the smallest and the phase error rate the
-    largest over links.  Saturation on any link saturates the merge.
+    ``per_link`` holds each link's estimates along the first axis of its
+    fields.  The signature bundle interleaves both links' keys, so the
+    certified single-photon content is the smallest and the phase error
+    rate the largest over links.  Saturation or a vacuous bound on any
+    link carries over to the merge.
     """
-    if not per_link:
+    if len(per_link.s_z1_lower) == 0:
         raise ValueError("at least one link is required")
-    ests = list(per_link.values())
     return FiniteKeyEstimates(
-        s_z1_lower=min(e.s_z1_lower for e in ests),
-        phi_z1_upper=max(e.phi_z1_upper for e in ests),
-        s_z0_upper=max(e.s_z0_upper for e in ests),
-        s_x1_lower=min(e.s_x1_lower for e in ests),
-        v_x1_upper=max(e.v_x1_upper for e in ests),
-        saturated=any(e.saturated for e in ests),
+        s_z1_lower=per_link.s_z1_lower.min(axis=0),
+        phi_z1_upper=per_link.phi_z1_upper.max(axis=0),
+        s_z0_upper=per_link.s_z0_upper.max(axis=0),
+        s_x1_lower=per_link.s_x1_lower.min(axis=0),
+        v_x1_upper=per_link.v_x1_upper.max(axis=0),
+        saturated=per_link.saturated.any(axis=0),
+        vacuous=per_link.vacuous.any(axis=0),
     )
+
+
+class _Chain(NamedTuple):
+    """Every bound of the analysis over a batch; see ``_bound_chain``."""
+
+    estimates: FiniteKeyEstimates
+    e_upper: np.ndarray
+    p_e: np.ndarray
+    certified: np.ndarray
+    thresholds: Thresholds
+    p_repudiation_raw: np.ndarray
+    epsilon_forge: np.ndarray
+    p_forge_raw: np.ndarray
+    p_sec: np.ndarray
+
+
+def _bound_chain(
+    counts: ObservedCounts,
+    pc: PulseConfig,
+    budget: EpsilonBudget,
+    alpha: float,
+    eps: float,
+    L: np.ndarray,
+    k: int | np.ndarray,
+    test_errors_by_link: Mapping,
+) -> _Chain:
+    """The bound chain at block lengths ``L``, evaluated for a whole batch.
+
+    ``counts`` holds pool-scale counts with batch axes (links, settings,
+    1), one entry per distinct link; ``pc`` (a config or a
+    ``PulseConfig.stack``), ``L``, the test-sample size ``k`` and each
+    link's test errors broadcast against its last two (settings x block
+    lengths in the solver).  Where
+    a block is not ``certified`` (saturated, or no margin between the
+    error bound and the tolerable rate) the thresholds and failure terms
+    are computed from placeholder rates and mean nothing.
+    """
+    est = merge_block_estimates(block_scale(counts, pc, budget, L, counts.n_total("Z")))
+    e_upper = observed_error_upper(test_errors_by_link, k, L, budget.eps_pe)
+    p_e = solve_p_e(est.s_z1_lower, L, est.phi_z1_upper)
+    certified = ~est.saturated & (p_e > e_upper)
+    th = thresholds_from_rates(
+        np.where(certified, e_upper, 0.0), np.where(certified, p_e, 0.25)
+    )
+    rep_raw = p_repudiation_raw(th, L)
+    eps_forge = epsilon_f(alpha, L, est.s_z1_lower, est.phi_z1_upper, th.s_upsilon, eps)
+    forge_raw = p_forge_raw(alpha, eps_forge, budget.eps_pe)
+    security = p_sec(
+        p_robust(budget.eps_pe), np.minimum(1.0, rep_raw), np.minimum(1.0, forge_raw)
+    )
+    return _Chain(est, e_upper, p_e, certified, th, rep_raw, eps_forge, forge_raw, security)
+
+
+def _stack_links(counts_per_setting: Sequence[Mapping[str, ObservedCounts]]) -> ObservedCounts:
+    """Counts with batch axes (links, settings, 1) for ``_bound_chain``.
+
+    A counts object that several links share is estimated once; settings
+    with fewer distinct links repeat their first, which leaves every
+    worst-link bound unchanged.
+    """
+    distinct = []
+    for counts_by_link in counts_per_setting:
+        if not counts_by_link:
+            raise ValueError("at least one link is required")
+        distinct.append(list({id(c): c for c in counts_by_link.values()}.values()))
+    width = max(len(links) for links in distinct)
+    cells = [
+        [links[j].cells if j < len(links) else links[0].cells for links in distinct]
+        for j in range(width)
+    ]
+    return ObservedCounts.from_cells(np.moveaxis(np.array(cells), (0, 1), (3, 4))[..., None])
 
 
 def block_report(
@@ -220,7 +315,8 @@ def block_report(
 ) -> SecurityReport:
     """Full security report for a fixed block length.
 
-    The test sample is ``k_test`` bits, or 5% of L when None.  Without
+    The bound chain the solver bisects, evaluated at one L.  The test
+    sample is ``k_test`` bits, or 5% of L when None.  Without
     ``test_errors_by_link`` each link's test errors are those expected
     from its pool error rate.  Raises ``Infeasible`` when the block
     cannot be certified.
@@ -233,7 +329,6 @@ def block_report(
         k_test = max(1, round(DEFAULT_TEST_FRACTION * L))
     elif k_test < 1:
         raise ValueError(f"test sample size must be at least 1, got {k_test}")
-    per_link: dict[str, FiniteKeyEstimates] = {}
     test_errors: dict[str, float] = {}
     for link, counts in counts_by_link.items():
         pool = counts.n_total("Z")
@@ -241,104 +336,175 @@ def block_report(
             raise Infeasible(
                 f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
             )
-        per_link[link] = block_scale(counts, pc, budget, L, pool)
         if test_errors_by_link is not None:
             test_errors[link] = test_errors_by_link[link]
         else:
             # expected errors on a k-bit test sample drawn from the pool
             test_errors[link] = k_test * counts.m_total("Z") / pool
-    merged = merge_block_estimates(per_link)
-    e_upper = observed_error_upper(test_errors, k_test, L, budget.eps_pe)
-    p_e = solve_p_e(merged.s_z1_lower, L, merged.phi_z1_upper)
-    if merged.saturated or p_e <= e_upper:
+    chain = _bound_chain(
+        _stack_links([counts_by_link]), pc, budget, alpha, eps,
+        np.array([[L]]), k_test, test_errors,
+    )
+    merged = FiniteKeyEstimates(
+        *(getattr(chain.estimates, f.name).item() for f in fields(FiniteKeyEstimates))
+    )
+    e_upper, p_e = chain.e_upper.item(), chain.p_e.item()
+    if not chain.certified.item():
         raise Infeasible(
             f"block of length {L} cannot be certified: tolerable rate "
             f"{p_e:.6g} vs observed bound {e_upper:.6g}"
             + (" (phase error saturated)" if merged.saturated else "")
         )
-    th = thresholds_from_rates(e_upper, p_e)
-    robust = p_robust(budget.eps_pe)
-    rep_raw = p_repudiation_raw(th, L)
-    eps_forge = epsilon_f(alpha, L, merged.s_z1_lower, merged.phi_z1_upper, th.s_upsilon, eps)
-    forge_raw = p_forge_raw(alpha, eps_forge, budget.eps_pe)
+    rep_raw, forge_raw = chain.p_repudiation_raw.item(), chain.p_forge_raw.item()
     time_s, rate = signature_time_and_rate(L, counts_by_link, pc, ch)
     return SecurityReport(
         L=L,
         k_test=k_test,
         e_upper=e_upper,
         p_e=p_e,
-        thresholds=th,
-        p_robust=robust,
+        thresholds=Thresholds(
+            chain.thresholds.s_alpha.item(), chain.thresholds.s_upsilon.item()
+        ),
+        p_robust=p_robust(budget.eps_pe),
         p_repudiation=min(1.0, rep_raw),
         p_forge=min(1.0, forge_raw),
-        p_sec=p_sec(robust, min(1.0, rep_raw), min(1.0, forge_raw)),
+        p_sec=chain.p_sec.item(),
         time_per_bit_s=time_s,
         rate_bits_per_s=rate,
         estimates=merged,
         p_repudiation_raw=rep_raw,
         p_forge_raw=forge_raw,
-        epsilon_forge=eps_forge,
+        epsilon_forge=chain.epsilon_forge.item(),
     )
 
 
+def _bisection_tree(
+    lo: np.ndarray, hi: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every even midpoint the bisection of each (lo, hi) can probe in ``depth`` steps.
+
+    Returns the midpoints, shape (len(lo), 2**depth - 1), level by level,
+    and the (lo, hi) each path ends on, shape (len(lo), 2**depth).  Level
+    j holds 2**j nodes; node p of level j has children p (its midpoint was
+    feasible, so hi moves down to it) and p + 2**j (infeasible, lo moves
+    up) on level j + 1.  An interval one step wide (hi = lo + 2) is where
+    the bisection stops; its midpoint is lo, and both its children repeat
+    it, whatever the probe there yields.
+    """
+    # in units of two, the bisection of even lengths is plain integer bisection
+    lo, hi = lo[:, None] // 2, hi[:, None] // 2
+    levels = []
+    for _ in range(depth):
+        mid = (lo + hi) // 2
+        levels.append(mid)
+        lo, hi = (
+            np.concatenate([lo, mid], axis=1),
+            np.concatenate([np.maximum(mid, lo + 1), hi], axis=1),
+        )
+    return 2 * np.concatenate(levels, axis=1), 2 * lo, 2 * hi
+
+
 def min_signature_length(
-    counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig,
-    ch: ChannelParams,
+    settings: Sequence[tuple[Mapping[str, ObservedCounts], PulseConfig]],
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
     target_psec: float,
     k_test: int | None = None,
-) -> SecurityReport:
-    """Report at the smallest even block length that meets ``target_psec``.
+) -> list[int | Infeasible]:
+    """Smallest even block length meeting ``target_psec``, for a batch of settings.
 
-    Every probe is a ``block_report`` under the same test-sample rule
-    (``k_test`` bits, or 5% of the probed length when None), and the
-    report of the solved length is returned.  Feasibility is monotone in
-    L: longer blocks shrink every finite-size penalty, so the answer is
-    found by bisection over even lengths.
+    ``settings`` holds (counts_by_link, pc) pairs.  Each entry of the
+    result is the solved L, or the ``Infeasible`` error saying why there
+    is none; it is returned, not raised, so one hopeless setting does not
+    stop the batch.  A length is feasible when ``block_report`` certifies
+    it under the same test-sample rule (``k_test`` bits, or 5% of the
+    length when None) with p_sec <= target_psec.
+
+    Feasibility is monotone in L (longer blocks shrink every finite-size
+    penalty), so each setting is bisected over even lengths: the largest
+    its pool affords first, then 2, then even midpoints.  The settings
+    advance in lockstep.  Each round takes, for every active setting,
+    every midpoint its next d steps could probe (2**d - 1 lengths),
+    evaluates them all in one call of the bound chain, then moves every
+    setting d steps; d is the largest depth at which the round fits
+    ``SOLVER_LANES`` lengths, and no more than the widest remaining
+    interval needs.  Each setting thus probes exactly the lengths a
+    one-at-a-time bisection would, and ends on the same L.
     """
     if target_psec < budget.total:
         raise InfeasibleTarget(
             f"target {target_psec:.3g} is below the estimation floor "
             f"{len(BOUND_APPLICATIONS)}*eps_pe = {budget.total:.3g}"
         )
-    pool = min(c.n_total("Z") for c in counts_by_link.values())
-    hi = int(pool) // 2 * 2
-    if hi < 2:
-        raise Infeasible("sifted pool is empty")
+    if k_test is not None and k_test < 1:
+        raise ValueError(f"test sample size must be at least 1, got {k_test}")
+    counts = _stack_links([counts_by_link for counts_by_link, _ in settings])
+    pcs = [pc for _, pc in settings]
+    m_z, pool = counts.m_total("Z"), counts.n_total("Z")
+    hi = pool.min(axis=0)[:, 0].astype(np.int64) // 2 * 2
+    lo = np.full_like(hi, 2)
+    # settings never made active keep this verdict
+    results: list[int | Infeasible] = [
+        Infeasible("sifted pool is empty") for _ in settings
+    ]
 
-    def probe(L: int) -> SecurityReport | None:
-        try:
-            report = block_report(counts_by_link, pc, ch, budget, alpha, eps, L, k_test)
-        except Infeasible:
-            return None
-        return report if report.p_sec <= target_psec else None
+    def feasible(rows: np.ndarray, L: np.ndarray) -> np.ndarray:
+        if k_test is None:
+            k = np.maximum(1.0, np.rint(DEFAULT_TEST_FRACTION * L))
+        else:
+            k = k_test
+        # expected errors on a k-bit test sample drawn from each pool
+        errors = k * m_z[:, rows] / pool[:, rows]
+        # one setting's config broadcasts as it is, and its terms stay scalar
+        if len(rows) == 1:
+            source = pcs[rows[0]]
+        else:
+            source = PulseConfig.stack([pcs[i] for i in rows])
+        chain = _bound_chain(
+            ObservedCounts.from_cells(counts.cells[:, :, :, :, rows]), source,
+            budget, alpha, eps, L, k, dict(enumerate(errors)),
+        )
+        return chain.certified & (chain.p_sec <= target_psec)
 
-    with warnings.catch_warnings():
-        # probing short blocks routinely produces vacuous estimates;
-        # the probe result, not a warning, is the signal here
-        warnings.simplefilter("ignore", RuntimeWarning)
-        best = probe(hi)
-        if best is None:
-            raise Infeasible(
-                f"no block length up to the pool size {hi} reaches the target "
-                f"{target_psec:.3g}"
-            )
-        lo = 2
-        shortest = probe(lo)
-        if shortest is not None:
-            return shortest
-        while hi - lo > 2:
-            mid = (lo + hi) // 2
-            mid -= mid % 2
-            report = probe(mid)
-            if report is None:
-                lo = mid
-            else:
-                hi, best = mid, report
-    return best
+    active = np.flatnonzero(hi >= 2)
+    first = True
+    while active.size:
+        # the deepest tree that fits the lanes, but no deeper than the widest
+        # interval needs: w units of two take ceil(log2(w)) more steps
+        widest = int((hi[active] - lo[active]).max()) // 2
+        depth = max(1, min((SOLVER_LANES // active.size + 1).bit_length() - 1,
+                           (widest - 1).bit_length()))
+        tree, ends_lo, ends_hi = _bisection_tree(lo[active], hi[active], depth)
+        if first:
+            # the bisection probes the longest block, then 2, then the tree
+            ok = feasible(active, np.concatenate(
+                [hi[active, None], lo[active, None], tree], axis=1
+            ))
+            for row in active[~ok[:, 0]]:
+                results[row] = Infeasible(
+                    f"no block length up to the pool size {hi[row]} reaches the "
+                    f"target {target_psec:.3g}"
+                )
+            for row in active[ok[:, 0] & ok[:, 1]]:
+                results[row] = 2
+            keep = ok[:, 0] & ~ok[:, 1]
+            active, ok = active[keep], ok[keep, 2:]
+            ends_lo, ends_hi = ends_lo[keep], ends_hi[keep]
+            first = False
+        else:
+            ok = feasible(active, tree)
+        lanes = np.arange(active.size)
+        end = np.zeros(active.size, dtype=np.int64)
+        for level in range(depth):
+            width = 2**level
+            end += width * ~ok[lanes, width - 1 + end]
+        lo[active], hi[active] = ends_lo[lanes, end], ends_hi[lanes, end]
+        done = hi[active] - lo[active] <= 2
+        for row in active[done]:
+            results[row] = int(hi[row])
+        active = active[~done]
+    return results
 
 
 def link_signature_time(
@@ -352,7 +518,7 @@ def link_signature_time(
     """
     if L <= 0:
         raise ValueError(f"block length must be positive, got {L}")
-    y = counts.n_total("Z") / pc.n_pulses
+    y = float(counts.n_total("Z")) / pc.n_pulses
     if y <= 0.0:
         raise Infeasible("link produced no sifted detections")
     return 2.0 * L / (ch.clock_hz * y)

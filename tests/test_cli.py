@@ -1,5 +1,7 @@
 """End-to-end command line coverage, exercised in process through main()."""
 
+import csv
+import io
 import json
 import pathlib
 import subprocess
@@ -227,6 +229,23 @@ class TestRateCurve:
             assert rates[0] >= rates[1] > 0.0
         assert all(flag in ("true", "false") for flag in flags)
 
+    def test_matches_recorded_curve(self, capsys):
+        # rate_curve_grid2.csv was written by the sequential one-setting
+        # bisection that the batched solver replaced: every solve must land
+        # on the same L, with rates and p_sec equal to within 1e-9
+        rc = main(["rate-curve", "--config", DEVICE_CFG, "--grid-points", "2",
+                   "--from", "0", "--to", "300", "--step", "50"])
+        assert rc == 0
+        got = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        with open(DATA / "rate_curve_grid2.csv", newline="") as fp:
+            want = list(csv.DictReader(fp))
+        assert [(row["distance_km"], row["L"], row["feasible"]) for row in got] == [
+            (row["distance_km"], row["L"], row["feasible"]) for row in want
+        ]
+        for g, w in zip(got, want):
+            for key in ("rate_bits_per_s", "p_sec"):
+                assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9, abs=0.0)
+
     def test_empty_range_is_header_only(self, capsys):
         rc = main(["rate-curve", "--config", DESK_CFG, "--from", "5",
                    "--to", "5", "--step", "10"])
@@ -252,6 +271,10 @@ BAD_FILES = {
     "inf_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = inf"),
     "nan_distance.csv": MODEL_TEXT.replace("# distance_km=103.0", "# distance_km=nan"),
     "nan_cell.csv": MODEL_TEXT.replace("3214787465.832061", "nan", 1),
+    "negative_eps.cfg": DEVICE_TEXT.replace("eps = 1e-10", "eps = -1e-3"),
+    "zero_alpha.cfg": DEVICE_TEXT.replace("alpha = 1e-5", "alpha = 0"),
+    "huge_target.cfg": DEVICE_TEXT.replace("target_psec = 1e-4", "target_psec = 5"),
+    "zero_k_test.cfg": DEVICE_TEXT + "k_test = 0\n",
 }
 
 
@@ -271,10 +294,19 @@ class TestBadValues:
         (["rate-curve", "--config", DESK_CFG, "--from", "nan"], "--from"),
         (["rate-curve", "--config", DESK_CFG, "--to", "inf"], "--to"),
         (["rate-curve", "--config", DESK_CFG, "--step=-inf"], "--step must be finite"),
+        (["estimate", "--config", "{tmp}/negative_eps.cfg", "--counts", MODEL_103],
+         "negative_eps.cfg: eps must lie strictly inside (0, 1)"),
+        (["estimate", "--config", "{tmp}/zero_alpha.cfg", "--counts", MODEL_103],
+         "zero_alpha.cfg: alpha must lie strictly inside (0, 1)"),
+        (["estimate", "--config", "{tmp}/huge_target.cfg", "--counts", MODEL_103],
+         "huge_target.cfg: target_psec must lie strictly inside (0, 1)"),
+        (["simulate", "--config", "{tmp}/zero_k_test.cfg", "--distance", "50"],
+         "zero_k_test.cfg: k_test must be at least 1"),
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
         "simulate-nan-distance", "demo-sign-inf-distance", "curve-nan-from", "curve-inf-to",
-        "curve-minus-inf-step",
+        "curve-minus-inf-step", "config-negative-eps", "config-zero-alpha",
+        "config-target-above-one", "config-zero-k-test",
     ])
     def test_is_exit_2_and_named(self, capsys, tmp_path, argv, named):
         for name, text in BAD_FILES.items():

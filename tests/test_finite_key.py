@@ -150,11 +150,14 @@ class TestSinglePhotonLower:
         bounded = single_photon_lower(counts, "Z", pc, EpsilonBudget(eps_pe=1e-5))
         assert bounded < point
 
-    def test_vacuous_statistics_return_zero_with_warning(self):
+    def test_vacuous_statistics_return_zero_and_flag(self):
         pc = make_pc()
-        counts = make_counts(n_z_mu=50, m_z_mu=5, n_z_nu=3, m_z_nu=1)
-        with pytest.warns(RuntimeWarning):
-            assert single_photon_lower(counts, "Z", pc, EpsilonBudget(eps_pe=1e-5)) == 0.0
+        counts = make_counts(n_z_mu=50, m_z_mu=5, n_z_nu=3, m_z_nu=1,
+                             n_x_mu=1e6, m_x_mu=1e3, n_x_nu=5e5, m_x_nu=500)
+        budget = EpsilonBudget(eps_pe=1e-5)
+        assert single_photon_lower(counts, "Z", pc, budget) == 0.0
+        assert single_photon_lower(counts, "X", pc, budget) > 0.0
+        assert estimate_counts(counts, pc, budget).vacuous
 
     def test_empty_basis_returns_zero(self):
         pc = make_pc()
@@ -241,6 +244,7 @@ class TestEstimateAndBlockScale:
         pc, counts = self.healthy_counts()
         est = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1e-5))
         assert not est.saturated
+        assert not est.vacuous
         assert 0.0 < est.phi_z1_upper < 0.5
         assert est.s_z1_lower > 0.0
 
@@ -248,8 +252,8 @@ class TestEstimateAndBlockScale:
         pc = make_pc()
         counts = make_counts(n_z_mu=40, m_z_mu=2, n_z_nu=10, m_z_nu=1,
                              n_x_mu=4, m_x_mu=0, n_x_nu=1, m_x_nu=0)
-        with pytest.warns(RuntimeWarning):
-            est = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1e-5))
+        est = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1e-5))
+        assert est.vacuous
         assert est.saturated
         assert est.phi_z1_upper == 0.5
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qds_onedecoy.channel import ChannelParams, PulseConfig
+from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.optimizer import (
     PARAM_NAMES,
@@ -11,17 +11,25 @@ from qds_onedecoy.optimizer import (
     maximize,
     optimize,
 )
-from qds_onedecoy.security import InfeasibleTarget
+from qds_onedecoy.security import InfeasibleTarget, block_report
 
 # analytic maximiser placed inside every box used below
 PEAK = {"mu": 0.55, "nu": 0.17, "p_mu": 0.72, "p_z_tx": 0.81, "p_z_rx": 0.66}
 
 
-def concave_objective(params):
+def concave_value(params):
     value = 1.0
     for name in PARAM_NAMES:
         value -= (params[name] - PEAK[name]) ** 2
     return value
+
+
+def batched(value):
+    """The batch objective ``maximize`` takes, from a one-point function."""
+    return lambda batch: [value(params) for params in batch]
+
+
+concave_objective = batched(concave_value)
 
 
 class TestMaximize:
@@ -56,7 +64,7 @@ class TestMaximize:
 
     def test_all_infeasible_returns_none(self):
         space = SearchSpace(grid_points=2)
-        best, value, evaluations, n_feasible = maximize(space, lambda p: None)
+        best, value, evaluations, n_feasible = maximize(space, batched(lambda p: None))
         assert best is None
         assert n_feasible == 0
         assert evaluations > 0
@@ -64,9 +72,9 @@ class TestMaximize:
     def test_respects_intensity_ordering(self):
         seen = []
 
-        def spy(params):
-            seen.append(params)
-            return concave_objective(params)
+        def spy(batch):
+            seen.extend(batch)
+            return concave_objective(batch)
 
         space = SearchSpace(mu=(0.2, 0.5), nu=(0.1, 0.45), grid_points=3)
         maximize(space, spy)
@@ -75,7 +83,7 @@ class TestMaximize:
     def test_deterministic_tie_break_prefers_dim_source(self):
         # flat objective: every feasible point ties at 0
         space = SearchSpace(grid_points=3)
-        best, _, _, _ = maximize(space, lambda p: 0.0)
+        best, _, _, _ = maximize(space, batched(lambda p: 0.0))
         assert best["mu"] == space.mu[0]
         assert best["nu"] == space.nu[0]
         assert best["p_mu"] == space.p_mu[1]
@@ -108,7 +116,11 @@ class TestEvaluate:
         assert result is not None
         assert result.rate > 0.0
         assert result.L % 2 == 0
-        assert result.report.p_sec <= 5e-2
+        counts = expected_statistics(pc, DESK_CH)
+        report = block_report({"bob_alice": counts, "charlie_alice": counts}, pc,
+                              DESK_CH, DESK_BUDGET, 1e-3, 1e-10, result.L)
+        assert report.p_sec <= 5e-2
+        assert report.rate_bits_per_s == result.rate
 
     def test_hopeless_point_returns_none(self):
         pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,

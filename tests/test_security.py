@@ -6,12 +6,14 @@ points; the solver is cross-checked against a brute-force linear scan.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+from qds_onedecoy.channel import ChannelParams, ObservedCounts, PulseConfig, expected_statistics
 from qds_onedecoy.finite_key import EpsilonBudget, FiniteKeyEstimates
+from qds_onedecoy.optimizer import SearchSpace
 from qds_onedecoy.security import (
     Infeasible,
     InfeasibleTarget,
@@ -139,6 +141,10 @@ class TestProbabilityBounds:
         assert val == math.inf
         assert p_forge(1e-5, val, 1e-5) == 1.0
 
+    def test_epsilon_f_rejects_negative_eps(self):
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            epsilon_f(1e-5, 50000, 20000.0, 0.02, 0.1, -1e-3)
+
     def test_forge_floor(self):
         assert p_forge(1e-5, 0.0, 1e-5) == pytest.approx(1.1e-4)
 
@@ -148,24 +154,25 @@ class TestProbabilityBounds:
 
 class TestMerge:
     def test_worst_case_selection(self):
-        a = FiniteKeyEstimates(
-            s_z1_lower=100.0, phi_z1_upper=0.02, s_z0_upper=5.0,
-            s_x1_lower=50.0, v_x1_upper=1.0,
+        # bob_alice, charlie_alice along the first axis
+        per_link = FiniteKeyEstimates(
+            s_z1_lower=np.array([100.0, 80.0]), phi_z1_upper=np.array([0.02, 0.03]),
+            s_z0_upper=np.array([5.0, 9.0]), s_x1_lower=np.array([50.0, 60.0]),
+            v_x1_upper=np.array([1.0, 2.0]), saturated=np.array([False, True]),
+            vacuous=np.array([False, False]),
         )
-        b = FiniteKeyEstimates(
-            s_z1_lower=80.0, phi_z1_upper=0.03, s_z0_upper=9.0,
-            s_x1_lower=60.0, v_x1_upper=2.0, saturated=True,
-        )
-        merged = merge_block_estimates({"bob_alice": a, "charlie_alice": b})
+        merged = merge_block_estimates(per_link)
         assert merged.s_z1_lower == 80.0
         assert merged.phi_z1_upper == 0.03
         assert merged.s_z0_upper == 9.0
         assert merged.s_x1_lower == 50.0
         assert merged.saturated
+        assert not merged.vacuous
 
     def test_requires_a_link(self):
+        empty = np.array([])
         with pytest.raises(ValueError):
-            merge_block_estimates({})
+            merge_block_estimates(FiniteKeyEstimates(empty, empty, empty, empty, empty))
 
 
 def paper_scale_setup(distance_km=103.0, eps_pe=5e-6):
@@ -176,20 +183,30 @@ def paper_scale_setup(distance_km=103.0, eps_pe=5e-6):
     return pc, ch, cbl, EpsilonBudget(eps_pe=eps_pe)
 
 
+def solve_one(cbl, pc, budget, target_psec=1e-4, k_test=None):
+    [L] = min_signature_length([(cbl, pc)], budget, 1e-5, 1e-10, target_psec, k_test=k_test)
+    return L
+
+
+def certifies(cbl, pc, ch, budget, L, k_test=None, target_psec=1e-4):
+    try:
+        report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L, k_test=k_test)
+    except Infeasible:
+        return False
+    return report.p_sec <= target_psec
+
+
 class TestMinSignatureLength:
     def test_target_below_floor_rejected(self):
         pc, ch, cbl, budget = paper_scale_setup()
         with pytest.raises(InfeasibleTarget):
-            min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-6)
+            solve_one(cbl, pc, budget, target_psec=1e-6)
 
     def test_solved_length_is_minimal_and_even(self):
         pc, ch, cbl, budget = paper_scale_setup()
-        solved = min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4)
-        L = solved.L
+        L = solve_one(cbl, pc, budget)
         assert L % 2 == 0
         report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L)
-        # the solver returns the very report it certified
-        assert solved == report
         assert report.p_sec <= 1e-4
         # two steps shorter must fail the target (minimality)
         shorter = L - 2
@@ -205,29 +222,71 @@ class TestMinSignatureLength:
         # feasible point of a descending coarse scan, under the same
         # test-sample rule the report uses
         pc, ch, cbl, budget = paper_scale_setup()
-        solved = min_signature_length(
-            cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4, k_test=k_test
-        )
-        L = solved.L
-        if k_test is not None:
-            assert solved.k_test == k_test
+        L = solve_one(cbl, pc, budget, k_test=k_test)
+        assert certifies(cbl, pc, ch, budget, L, k_test)
+        assert not certifies(cbl, pc, ch, budget, L - 2, k_test)
 
-        def feasible(length):
-            try:
-                report = block_report(
-                    cbl, pc, ch, budget, 1e-5, 1e-10, length, k_test=k_test
-                )
-            except Infeasible:
-                return False
-            return report.p_sec <= 1e-4
-
-        assert feasible(L)
-        assert not feasible(L - 2)
-
-    def test_unreachable_target_raises(self):
+    def test_unreachable_target_is_infeasible(self):
         pc, ch, cbl, budget = paper_scale_setup(distance_km=500.0)
-        with pytest.raises(Infeasible):
-            min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4)
+        result = solve_one(cbl, pc, budget)
+        assert isinstance(result, Infeasible)
+        assert "no block length up to the pool size" in str(result)
+
+    def test_empty_pool_is_infeasible(self):
+        pc, ch, cbl, budget = paper_scale_setup()
+        dead = ObservedCounts(1, 0, 0, 0, 1, 0, 0, 0)
+        result = solve_one({"bob_alice": cbl["bob_alice"], "charlie_alice": dead}, pc, budget)
+        assert isinstance(result, Infeasible)
+        assert "sifted pool is empty" in str(result)
+
+
+SPACE = SearchSpace()
+#: A source setting drawn from the default search box, nu below mu.
+settings_in_space = st.builds(
+    lambda mu, nu_share, p_mu, p_z_tx, p_z_rx: PulseConfig(
+        mu=mu, nu=SPACE.nu[0] + nu_share * (min(SPACE.nu[1], mu) - SPACE.nu[0]),
+        p_mu=p_mu, p_z_tx=p_z_tx, p_z_rx=p_z_rx, n_pulses=2e12,
+    ),
+    st.floats(*SPACE.mu), st.floats(0.0, 0.999), st.floats(*SPACE.p_mu),
+    st.floats(*SPACE.p_z_tx), st.floats(*SPACE.p_z_rx),
+)
+
+
+class TestLockstepSolver:
+    """The batched solver against one-setting solves and the report's own verdict."""
+
+    @given(
+        st.lists(st.tuples(settings_in_space, st.floats(0.0, 300.0)), min_size=2, max_size=6),
+        st.sampled_from([None, 3000]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_one_at_a_time(self, points, k_test):
+        budget = EpsilonBudget(eps_pe=5e-6)
+        batch = []
+        for pc, km in points:
+            counts = expected_statistics(pc, ChannelParams(distance_km=km))
+            batch.append(({"bob_alice": counts, "charlie_alice": counts}, pc))
+        together = min_signature_length(batch, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
+        alone = [solve_one(cbl, pc, budget, k_test=k_test) for cbl, pc in batch]
+        assert [str(r) if isinstance(r, Infeasible) else r for r in together] == [
+            str(r) if isinstance(r, Infeasible) else r for r in alone
+        ]
+
+    @given(settings_in_space, st.floats(0.0, 300.0), st.sampled_from([None, 3000]))
+    @settings(max_examples=25, deadline=None)
+    def test_solved_length_is_feasible_and_minimal(self, pc, km, k_test):
+        budget = EpsilonBudget(eps_pe=5e-6)
+        ch = ChannelParams(distance_km=km)
+        counts = expected_statistics(pc, ch)
+        cbl = {"bob_alice": counts, "charlie_alice": counts}
+        L = solve_one(cbl, pc, budget, k_test=k_test)
+        if isinstance(L, Infeasible):
+            pool = int(counts.n_total("Z")) // 2 * 2
+            assert not certifies(cbl, pc, ch, budget, pool, k_test)
+            return
+        assert certifies(cbl, pc, ch, budget, L, k_test)
+        if L > 2:
+            assert not certifies(cbl, pc, ch, budget, L - 2, k_test)
 
 
 class TestSignatureTime:
@@ -264,7 +323,7 @@ class TestSignatureTime:
 class TestBlockReport:
     def test_report_is_consistent(self):
         pc, ch, cbl, budget = paper_scale_setup()
-        L = min_signature_length(cbl, pc, ch, budget, 1e-5, 1e-10, target_psec=1e-4).L
+        L = solve_one(cbl, pc, budget)
         report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L)
         assert report.p_sec == max(
             report.p_robust, report.p_repudiation, report.p_forge

@@ -7,6 +7,7 @@ digits, independently of the float implementation under test.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,33 @@ def mp_entropy(x):
     if x == 0 or x == 1:
         return mp.mpf(0)
     return -x * mp.log(x, 2) - (1 - x) * mp.log(1 - x, 2)
+
+
+def mp_entropy_inverse(y):
+    """Root of h(x) = y on [0, 1/2] at 50 digits, by a bracketing solver."""
+    y = mp.mpf(y)
+    if y == 0:
+        return mp.mpf(0)
+    if y == 1:
+        return mp.mpf(0.5)
+    return mp.findroot(lambda x: mp_entropy(x) - y, (mp.mpf(10) ** -40, mp.mpf(0.5)),
+                       solver="illinois")
+
+
+def bisection_inverse(y):
+    """The 42-step float bisection that Newton's method replaced, kept as a reference."""
+    if y == 0.0:
+        return 0.0
+    if y == 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if binary_entropy(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestBinaryEntropy:
@@ -74,6 +102,16 @@ class TestBinaryEntropyInverse:
     def test_domain(self):
         with pytest.raises(ValueError):
             binary_entropy_inverse(1.5)
+
+    def test_array_meets_both_references(self):
+        ys = np.concatenate([[0.0, 1.0], np.geomspace(1e-12, 0.999, 300)])
+        xs = binary_entropy_inverse(ys)
+        assert xs.shape == ys.shape
+        assert np.max(np.abs(binary_entropy(xs) - ys)) < 1e-10
+        exact = np.array([float(mp_entropy_inverse(y)) for y in ys])
+        assert np.max(np.abs(xs - exact)) < 1e-13
+        bisected = np.array([bisection_inverse(y) for y in ys])
+        assert np.max(np.abs(xs - bisected)) < 1e-13
 
 
 class TestHoeffdingDelta:
