@@ -14,12 +14,13 @@ infeasible request or protocol failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 import numpy as np
 
-from .channel import DESK_SCALE_MAX_PULSES, expected_statistics, sample_statistics
+from .channel import DESK_SCALE_MAX_PULSES, sample_statistics
 from .files import (
     FileFormatError,
     default_config_path,
@@ -29,7 +30,7 @@ from .files import (
     write_rate_curve,
 )
 from .optimizer import SearchSpace, optimize
-from .protocol import LINKS, ProtocolError, ProtocolSession, rng_stream
+from .protocol import LINKS, ProtocolError, ProtocolSession, model_links, rng_stream
 from .security import Infeasible, block_report, min_signature_length
 
 __all__ = ["main"]
@@ -50,6 +51,15 @@ def _load_config(args: argparse.Namespace):
             "no configuration: pass --config or set the QDS_CONFIG environment variable"
         )
     return read_config(path)
+
+
+def _seed(args: argparse.Namespace, config) -> int:
+    """The ``--seed`` flag when given, else the configured seed."""
+    if args.seed is None:
+        return config.seed
+    if args.seed < 0:
+        raise FileFormatError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -87,22 +97,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _counts_for_simulation(pc, ch, sampled: bool, seed: int):
-    if sampled:
-        return {
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    seed = _seed(args, config)
+    pc = config.pulse_config()
+    ch = config.channel(args.distance)
+    if args.sampled:
+        counts_by_link = {
             link: sample_statistics(pc, ch, rng_stream(seed, link, "counts"))
             for link in LINKS
         }
-    expected = expected_statistics(pc, ch)
-    return {link: expected for link in LINKS}
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    seed = args.seed if args.seed is not None else config.seed
-    pc = config.pulse_config()
-    ch = config.channel(args.distance)
-    counts_by_link = _counts_for_simulation(pc, ch, args.sampled, seed)
+    else:
+        counts_by_link = model_links(pc, ch)
     report = _report(config, counts_by_link, pc, ch)
     L = report.L
     text = format_report(report, distance_km=args.distance, budget=config.budget)
@@ -186,7 +192,7 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
 
 def cmd_demo_sign(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    seed = args.seed if args.seed is not None else config.seed
+    seed = _seed(args, config)
     pc = config.pulse_config()
     if pc.n_pulses > DESK_SCALE_MAX_PULSES:
         raise FileFormatError(
@@ -194,7 +200,7 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
             f"{DESK_SCALE_MAX_PULSES:.0e}, got {pc.n_pulses:.3g}"
         )
     ch = config.channel(args.distance)
-    counts_by_link = _counts_for_simulation(pc, ch, sampled=False, seed=seed)
+    counts_by_link = model_links(pc, ch)
     report = _report(config, counts_by_link, pc, ch)
     L = report.L
     session = ProtocolSession(pc, ch, L, seed=seed, k_test=report.k_test)
@@ -230,7 +236,9 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="qds",
         description="Finite-size analysis and simulation of three-party "

@@ -169,6 +169,8 @@ class Config:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {value:g}")
         if self.k_test is not None and self.k_test < 1:
             raise ValueError(f"k_test must be at least 1, got {self.k_test}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def pulse_config(self, n_pulses: float | None = None) -> PulseConfig:
         return self.source if n_pulses is None else replace(self.source, n_pulses=n_pulses)

@@ -16,8 +16,8 @@ block lengths in one call.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -224,32 +224,23 @@ def phase_error_upper(
 
 
 def observed_error_upper(
-    test_errors_by_link: Mapping[str, float | np.ndarray],
+    test_errors: Sequence[float] | np.ndarray,
     k: int | np.ndarray,
     L: int | np.ndarray,
     eps_pe: float,
 ) -> float | np.ndarray:
     """Worst-link bound on the signing-key error rate from the test samples.
 
-    ``test_errors_by_link`` maps link name to the error count observed on
-    its k-bit test sample.  Each link's rate is lifted with the
+    ``test_errors`` holds, along its first axis, each link's error count
+    on its k-bit test sample.  Each link's rate is lifted with the
     without-replacement tail bound and the maximum is returned, since the
     signature uses both links' keys.  Error counts, ``k`` and ``L`` may
-    be arrays over a batch.
+    carry further axes over a batch.
     """
-    if not test_errors_by_link:
+    errors = np.asarray(test_errors, dtype=float)
+    if len(errors) == 0:
         raise ValueError("at least one link is required")
-    bounds = []
-    for link, errors in test_errors_by_link.items():
-        if not (
-            np.minimum.reduce(errors, axis=None) >= 0.0
-            and np.maximum.reduce(errors - k, axis=None) <= 0.0
-        ):
-            raise ValueError(
-                f"link {link!r}: test errors must lie in [0, k], got {errors} with k={k}"
-            )
-        bounds.append(serfling_error_upper(errors / k, L, k, eps_pe))
-    return np.maximum.reduce(bounds)[()]
+    return serfling_error_upper(errors / k, L, k, eps_pe).max(axis=0)[()]
 
 
 def estimate_counts(

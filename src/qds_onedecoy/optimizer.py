@@ -17,8 +17,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .channel import ChannelParams, ObservedCounts, PulseConfig, expected_statistics
+from .channel import ChannelParams, PulseConfig
 from .finite_key import EpsilonBudget
+from .protocol import model_links
 from .security import (
     Infeasible,
     SecurityReport,
@@ -94,29 +95,22 @@ class OptimizeResult:
     n_feasible: int
 
 
-def _model_links(pc: PulseConfig, ch: ChannelParams) -> dict[str, ObservedCounts]:
-    # both recipient links are modelled identically: one counts object serves both
-    counts = expected_statistics(pc, ch)
-    return {"bob_alice": counts, "charlie_alice": counts}
-
-
 def evaluate(
-    pcs: PulseConfig | Sequence[PulseConfig],
+    pcs: Sequence[PulseConfig],
     ch: ChannelParams,
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
     target_psec: float,
-) -> EvalResult | None | list[EvalResult | None]:
-    """Rate at the smallest feasible block length, or None when infeasible.
+) -> list[EvalResult | None]:
+    """Rate at the smallest feasible block length, or None when infeasible,
+    for each source setting; the settings are solved as one batch.
 
-    Takes one source setting, or a sequence of them solved as one batch
-    (then returns a list).  The rate is that of ``block_report`` at the
-    solved L.  A target below the structural floor is a configuration
-    error and propagates instead of reading as infeasible.
+    The rate is that of ``block_report`` at the solved L.  A target below
+    the structural floor is a configuration error and propagates instead
+    of reading as infeasible.
     """
-    batch = [pcs] if isinstance(pcs, PulseConfig) else list(pcs)
-    settings = [(_model_links(pc, ch), pc) for pc in batch]
+    settings = [(model_links(pc, ch), pc) for pc in pcs]
     solved = min_signature_length(settings, budget, alpha, eps, target_psec)
     results: list[EvalResult | None] = []
     for (counts_by_link, pc), L in zip(settings, solved):
@@ -125,7 +119,7 @@ def evaluate(
         else:
             _, rate = signature_time_and_rate(L, counts_by_link, pc, ch)
             results.append(EvalResult(params=pc, rate=rate, L=L))
-    return results[0] if isinstance(pcs, PulseConfig) else results
+    return results
 
 
 def _param_key(params: Mapping[str, float]) -> tuple[float, ...]:
@@ -251,7 +245,7 @@ def optimize(
         return OptimizeResult(best=None, evaluations=evaluations, n_feasible=0)
     best = results[_param_key(best_params)]
     report = block_report(
-        _model_links(best.params, ch), best.params, ch, budget, alpha, eps, best.L
+        model_links(best.params, ch), best.params, ch, budget, alpha, eps, best.L
     )
     return OptimizeResult(
         best=replace(best, report=report), evaluations=evaluations, n_feasible=n_feasible

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import IO, Mapping
 
@@ -34,11 +34,10 @@ from .channel import (
     expected_statistics,
     sample_statistics,
 )
-from .security import DEFAULT_TEST_FRACTION, Thresholds
+from .security import Thresholds, k_test_for
 
 __all__ = [
     "LINKS",
-    "Role",
     "Phase",
     "ProtocolError",
     "ProtocolAbort",
@@ -49,6 +48,7 @@ __all__ = [
     "SignatureBundle",
     "KgpResult",
     "MessagingResult",
+    "model_links",
     "rng_stream",
     "run_kgp",
     "symmetrize",
@@ -64,19 +64,12 @@ __all__ = [
 LINKS = ("bob_alice", "charlie_alice")
 
 
-class Role(str, Enum):
-    ALICE = "alice"
-    BOB = "bob"
-    CHARLIE = "charlie"
-
-
 class Phase(Enum):
+    """Where a session stands: signing needs a ready pool."""
+
     IDLE = "idle"
     DISTRIBUTION = "distribution"
     POOL_READY = "pool_ready"
-    SIGNED = "signed"
-    VERIFIED = "verified"
-    ABORTED = "aborted"
 
 
 class ProtocolError(Exception):
@@ -151,9 +144,13 @@ class MessagingResult:
     message_bit: int
     bob_accept: bool
     charlie_accept: bool | None
-    aborted: bool
     bob_mismatches: tuple[int, int]
     charlie_mismatches: tuple[int, int] | None
+
+
+def model_links(pc: PulseConfig, ch: ChannelParams) -> dict[str, ObservedCounts]:
+    """Both links modelled alike: each name maps to one shared expected counts object."""
+    return dict.fromkeys(LINKS, expected_statistics(pc, ch))
 
 
 def rng_stream(seed: int, *labels: str) -> np.random.Generator:
@@ -239,13 +236,13 @@ def symmetrize(
         raise ProtocolError(f"block length must be an even integer >= 2, got {L}")
     half = L // 2
 
-    def split(bits: np.ndarray, rng: np.random.Generator) -> tuple[HalfKey, HalfKey]:
+    def split(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         forward = np.sort(rng.choice(L, size=half, replace=False))
         keep = np.setdiff1d(np.arange(L), forward, assume_unique=True)
         return keep, forward
 
-    bob_keep, bob_forward = split(bob_bits, rng_bob)
-    charlie_keep, charlie_forward = split(charlie_bits, rng_charlie)
+    bob_keep, bob_forward = split(rng_bob)
+    charlie_keep, charlie_forward = split(rng_charlie)
     bob_sym = SymmetrizedKey(
         own=HalfKey("bob_alice", bob_keep, bob_bits[bob_keep]),
         received=HalfKey("charlie_alice", charlie_forward, charlie_bits[charlie_forward]),
@@ -315,45 +312,31 @@ class ProtocolSession:
         self.ch = ch
         self.L = int(L)
         self.seed = int(seed)
-        self.k_test = k_test if k_test is not None else max(1, round(DEFAULT_TEST_FRACTION * L))
+        self.k_test = k_test_for(L, k_test)
         self.qber_override = qber
         if synthetic is None:
             self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES
         else:
             self.bit_mode = not synthetic
-        self.phases: dict[Role, Phase] = {r: Phase.IDLE for r in Role}
+        self.phase = Phase.IDLE
         self.transcript: list[ClassicalMessage] = []
         self.kgp_results: dict[str, KgpResult] = {}
         self._signing_keys: dict[tuple[int, str], np.ndarray] = {}
         self._blocks: dict[tuple[int, str], np.ndarray] = {}
-        self._symmetrized: dict[tuple[int, Role], SymmetrizedKey] = {}
+        self._symmetrized: dict[tuple[int, str], SymmetrizedKey] = {}
         self._consumed: set[int] = set()
-        self._seq = 0
 
     # -- classical channel -------------------------------------------------
 
     def _send(self, kind: str, sender: str, receiver: str, payload: object) -> None:
         self.transcript.append(
-            ClassicalMessage(self._seq, kind, sender, receiver, _digest(payload))
+            ClassicalMessage(len(self.transcript), kind, sender, receiver, _digest(payload))
         )
-        self._seq += 1
 
     def export_transcript(self, fp: IO[str]) -> None:
         """Write the transcript as one JSON object per line."""
         for msg in self.transcript:
-            fp.write(
-                json.dumps(
-                    {
-                        "seq": msg.seq,
-                        "kind": msg.kind,
-                        "sender": msg.sender,
-                        "receiver": msg.receiver,
-                        "digest": msg.digest,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fp.write(json.dumps(asdict(msg), sort_keys=True) + "\n")
 
     # -- distribution stage ------------------------------------------------
 
@@ -389,10 +372,9 @@ class ProtocolSession:
             self._signing_keys[(m, link)] = rx[sl]
 
     def run_distribution(self) -> None:
-        for role in Role:
-            if self.phases[role] is not Phase.IDLE:
-                raise ProtocolError(f"{role.value} is not idle; distribution already ran")
-            self.phases[role] = Phase.DISTRIBUTION
+        if self.phase is not Phase.IDLE:
+            raise ProtocolError(f"session is {self.phase.value}; distribution already ran")
+        self.phase = Phase.DISTRIBUTION
         self._link_blocks("bob_alice", "bob")
         self._link_blocks("charlie_alice", "charlie")
         for m in (0, 1):
@@ -402,8 +384,8 @@ class ProtocolSession:
                 rng_stream(self.seed, "bob", "symmetrize", str(m)),
                 rng_stream(self.seed, "charlie", "symmetrize", str(m)),
             )
-            self._symmetrized[(m, Role.BOB)] = bob_sym
-            self._symmetrized[(m, Role.CHARLIE)] = charlie_sym
+            self._symmetrized[(m, "bob")] = bob_sym
+            self._symmetrized[(m, "charlie")] = charlie_sym
             self._send(
                 "symmetrization_forward", "bob", "charlie",
                 {"m": m, "positions": charlie_sym.received.positions.tolist()},
@@ -412,8 +394,7 @@ class ProtocolSession:
                 "symmetrization_forward", "charlie", "bob",
                 {"m": m, "positions": bob_sym.received.positions.tolist()},
             )
-        for role in Role:
-            self.phases[role] = Phase.POOL_READY
+        self.phase = Phase.POOL_READY
 
     # -- messaging stage ---------------------------------------------------
 
@@ -421,9 +402,9 @@ class ProtocolSession:
         """Alice declares her measured keys for one message value."""
         if message_bit not in (0, 1):
             raise ValueError(f"message bit must be 0 or 1, got {message_bit}")
-        if self.phases[Role.ALICE] not in (Phase.POOL_READY, Phase.SIGNED):
+        if self.phase is not Phase.POOL_READY:
             raise ProtocolError(
-                f"cannot sign in phase {self.phases[Role.ALICE].value}; run distribution first"
+                f"cannot sign in phase {self.phase.value}; run distribution first"
             )
         if message_bit in self._consumed:
             raise PoolExhausted(
@@ -434,7 +415,6 @@ class ProtocolSession:
             message_bit=message_bit,
             keys={link: self._signing_keys[(message_bit, link)] for link in LINKS},
         )
-        self.phases[Role.ALICE] = Phase.SIGNED
         self._send(
             "signature", "alice", "bob",
             {"m": message_bit, "keys": {k: v.tolist() for k, v in bundle.keys.items()}},
@@ -449,18 +429,15 @@ class ProtocolSession:
         """
         bundle = self.sign(message_bit)
         bob_ok, b_own, b_recv = verify(
-            bundle, self._symmetrized[(message_bit, Role.BOB)], th.s_alpha
+            bundle, self._symmetrized[(message_bit, "bob")], th.s_alpha
         )
         if not bob_ok:
             self._send("reject", "bob", "alice", {"m": message_bit})
             self._send("abort", "bob", "charlie", {"m": message_bit})
-            self.phases[Role.BOB] = Phase.ABORTED
-            self.phases[Role.CHARLIE] = Phase.ABORTED
             return MessagingResult(
                 message_bit=message_bit,
                 bob_accept=False,
                 charlie_accept=None,
-                aborted=True,
                 bob_mismatches=(b_own, b_recv),
                 charlie_mismatches=None,
             )
@@ -470,18 +447,15 @@ class ProtocolSession:
             {"m": message_bit, "keys": {k: v.tolist() for k, v in bundle.keys.items()}},
         )
         charlie_ok, c_own, c_recv = verify(
-            bundle, self._symmetrized[(message_bit, Role.CHARLIE)], th.s_upsilon
+            bundle, self._symmetrized[(message_bit, "charlie")], th.s_upsilon
         )
         verdict = "accept" if charlie_ok else "reject"
         self._send(verdict, "charlie", "alice", {"m": message_bit})
         self._send(verdict, "charlie", "bob", {"m": message_bit})
-        self.phases[Role.BOB] = Phase.VERIFIED
-        self.phases[Role.CHARLIE] = Phase.VERIFIED
         return MessagingResult(
             message_bit=message_bit,
             bob_accept=True,
             charlie_accept=charlie_ok,
-            aborted=False,
             bob_mismatches=(b_own, b_recv),
             charlie_mismatches=(c_own, c_recv),
         )
@@ -550,6 +524,9 @@ def exact_forge_success(L: int, s_upsilon: float) -> float:
     j_max = _strictly_below(s_upsilon * half)
     if j_max < 0:
         return 0.0
-    j_max = min(j_max, half)
-    total = sum(math.comb(half, j) for j in range(j_max + 1))
+    # C(half, j) by the exact recurrence C(half, j+1) = C(half, j) (half-j) / (j+1)
+    total, term = 0, 1
+    for j in range(min(j_max, half) + 1):
+        total += term
+        term = term * (half - j) // (j + 1)
     return total / 2**half

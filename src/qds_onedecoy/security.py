@@ -42,12 +42,12 @@ __all__ = [
     "p_sec",
     "merge_block_estimates",
     "block_report",
+    "k_test_for",
     "min_signature_length",
-    "link_signature_time",
     "signature_time_and_rate",
 ]
 
-#: Default test-sample fraction of the block length.
+#: Default test-sample fraction of the block length; see ``k_test_for``.
 DEFAULT_TEST_FRACTION = 0.05
 #: Block lengths one round of the lockstep solver may evaluate, summed over
 #: the settings it is still bisecting.  A round costs mostly its fixed numpy
@@ -62,6 +62,20 @@ class Infeasible(Exception):
 
 class InfeasibleTarget(Infeasible):
     """The target failure probability is below the structural floor."""
+
+
+def k_test_for(L: int | np.ndarray, k_test: int | None = None) -> int | np.ndarray:
+    """Test-sample size for an L-bit block: ``k_test`` bits when given,
+    else 5% of L rounded half-to-even, and at least 1.
+
+    An array of lengths gives an array of (float) sizes.
+    """
+    if k_test is not None:
+        if k_test < 1:
+            raise ValueError(f"test sample size must be at least 1, got {k_test}")
+        return k_test
+    k = np.maximum(1.0, np.rint(DEFAULT_TEST_FRACTION * L))
+    return int(k) if np.ndim(k) == 0 else k
 
 
 @dataclass(frozen=True)
@@ -253,21 +267,23 @@ def _bound_chain(
     eps: float,
     L: np.ndarray,
     k: int | np.ndarray,
-    test_errors_by_link: Mapping,
 ) -> _Chain:
     """The bound chain at block lengths ``L``, evaluated for a whole batch.
 
     ``counts`` holds pool-scale counts with batch axes (links, settings,
     1), one entry per distinct link; ``pc`` (a config or a
-    ``PulseConfig.stack``), ``L``, the test-sample size ``k`` and each
-    link's test errors broadcast against its last two (settings x block
-    lengths in the solver).  Where
+    ``PulseConfig.stack``), ``L`` and the test-sample size ``k`` broadcast
+    against its last two (settings x block lengths in the solver).  Each
+    link's test errors are those expected on a k-bit sample drawn from
+    its pool.  Where
     a block is not ``certified`` (saturated, or no margin between the
     error bound and the tolerable rate) the thresholds and failure terms
     are computed from placeholder rates and mean nothing.
     """
-    est = merge_block_estimates(block_scale(counts, pc, budget, L, counts.n_total("Z")))
-    e_upper = observed_error_upper(test_errors_by_link, k, L, budget.eps_pe)
+    pool = counts.n_total("Z")
+    est = merge_block_estimates(block_scale(counts, pc, budget, L, pool))
+    test_errors = k * counts.m_total("Z") / pool
+    e_upper = observed_error_upper(test_errors, k, L, budget.eps_pe)
     p_e = solve_p_e(est.s_z1_lower, L, est.phi_z1_upper)
     certified = ~est.saturated & (p_e > e_upper)
     th = thresholds_from_rates(
@@ -311,39 +327,24 @@ def block_report(
     eps: float,
     L: int,
     k_test: int | None = None,
-    test_errors_by_link: Mapping[str, float] | None = None,
 ) -> SecurityReport:
     """Full security report for a fixed block length.
 
-    The bound chain the solver bisects, evaluated at one L.  The test
-    sample is ``k_test`` bits, or 5% of L when None.  Without
-    ``test_errors_by_link`` each link's test errors are those expected
-    from its pool error rate.  Raises ``Infeasible`` when the block
-    cannot be certified.
+    The bound chain the solver bisects, evaluated at one L, with the
+    test sample ``k_test_for(L, k_test)``.  Raises ``Infeasible`` when
+    the block cannot be certified.
     """
-    if not counts_by_link:
-        raise ValueError("at least one link is required")
     if L < 2 or L % 2 != 0:
         raise ValueError(f"block length must be an even integer >= 2, got {L}")
-    if k_test is None:
-        k_test = max(1, round(DEFAULT_TEST_FRACTION * L))
-    elif k_test < 1:
-        raise ValueError(f"test sample size must be at least 1, got {k_test}")
-    test_errors: dict[str, float] = {}
+    k_test = k_test_for(L, k_test)
     for link, counts in counts_by_link.items():
         pool = counts.n_total("Z")
         if L > pool:
             raise Infeasible(
                 f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
             )
-        if test_errors_by_link is not None:
-            test_errors[link] = test_errors_by_link[link]
-        else:
-            # expected errors on a k-bit test sample drawn from the pool
-            test_errors[link] = k_test * counts.m_total("Z") / pool
     chain = _bound_chain(
-        _stack_links([counts_by_link]), pc, budget, alpha, eps,
-        np.array([[L]]), k_test, test_errors,
+        _stack_links([counts_by_link]), pc, budget, alpha, eps, np.array([[L]]), k_test
     )
     merged = FiniteKeyEstimates(
         *(getattr(chain.estimates, f.name).item() for f in fields(FiniteKeyEstimates))
@@ -418,8 +419,8 @@ def min_signature_length(
     result is the solved L, or the ``Infeasible`` error saying why there
     is none; it is returned, not raised, so one hopeless setting does not
     stop the batch.  A length is feasible when ``block_report`` certifies
-    it under the same test-sample rule (``k_test`` bits, or 5% of the
-    length when None) with p_sec <= target_psec.
+    it under the same test-sample rule (``k_test_for``) with
+    p_sec <= target_psec.
 
     Feasibility is monotone in L (longer blocks shrink every finite-size
     penalty), so each setting is bisected over even lengths: the largest
@@ -437,12 +438,10 @@ def min_signature_length(
             f"target {target_psec:.3g} is below the estimation floor "
             f"{len(BOUND_APPLICATIONS)}*eps_pe = {budget.total:.3g}"
         )
-    if k_test is not None and k_test < 1:
-        raise ValueError(f"test sample size must be at least 1, got {k_test}")
+    k_test_for(2, k_test)  # a bad size is an error even if nothing gets probed
     counts = _stack_links([counts_by_link for counts_by_link, _ in settings])
     pcs = [pc for _, pc in settings]
-    m_z, pool = counts.m_total("Z"), counts.n_total("Z")
-    hi = pool.min(axis=0)[:, 0].astype(np.int64) // 2 * 2
+    hi = counts.n_total("Z").min(axis=0)[:, 0].astype(np.int64) // 2 * 2
     lo = np.full_like(hi, 2)
     # settings never made active keep this verdict
     results: list[int | Infeasible] = [
@@ -450,12 +449,6 @@ def min_signature_length(
     ]
 
     def feasible(rows: np.ndarray, L: np.ndarray) -> np.ndarray:
-        if k_test is None:
-            k = np.maximum(1.0, np.rint(DEFAULT_TEST_FRACTION * L))
-        else:
-            k = k_test
-        # expected errors on a k-bit test sample drawn from each pool
-        errors = k * m_z[:, rows] / pool[:, rows]
         # one setting's config broadcasts as it is, and its terms stay scalar
         if len(rows) == 1:
             source = pcs[rows[0]]
@@ -463,7 +456,7 @@ def min_signature_length(
             source = PulseConfig.stack([pcs[i] for i in rows])
         chain = _bound_chain(
             ObservedCounts.from_cells(counts.cells[:, :, :, :, rows]), source,
-            budget, alpha, eps, L, k, dict(enumerate(errors)),
+            budget, alpha, eps, L, k_test_for(L, k_test),
         )
         return chain.certified & (chain.p_sec <= target_psec)
 
@@ -507,33 +500,26 @@ def min_signature_length(
     return results
 
 
-def link_signature_time(
-    L: int, counts: ObservedCounts, pc: PulseConfig, ch: ChannelParams
-) -> float:
-    """Seconds one link needs to accumulate the 2L bits a signed bit consumes.
-
-    The link's sifted-key yield per emitted pulse is taken from its
-    observed Z detections, so duty cycling and losses are already priced
-    in; at the source clock rate, 2L bits take 2L / (clock * yield).
-    """
-    if L <= 0:
-        raise ValueError(f"block length must be positive, got {L}")
-    y = float(counts.n_total("Z")) / pc.n_pulses
-    if y <= 0.0:
-        raise Infeasible("link produced no sifted detections")
-    return 2.0 * L / (ch.clock_hz * y)
-
-
 def signature_time_and_rate(
     L: int,
     counts_by_link: Mapping[str, ObservedCounts],
     pc: PulseConfig,
     ch: ChannelParams,
 ) -> tuple[float, float]:
-    """Time to sign one bit (slowest link; links run in parallel) and its inverse."""
+    """Seconds to sign one bit, and its inverse.
+
+    Each link must accumulate the 2L bits a signed bit consumes.  A
+    link's sifted-key yield per emitted pulse is taken from its observed
+    Z detections, so duty cycling and losses are already priced in.  The
+    links run in parallel, so the one with the smallest yield y dictates:
+    2L / (clock * y).
+    """
     if not counts_by_link:
         raise ValueError("at least one link is required")
-    time_s = max(
-        link_signature_time(L, counts, pc, ch) for counts in counts_by_link.values()
-    )
+    if L <= 0:
+        raise ValueError(f"block length must be positive, got {L}")
+    y = min(float(c.n_total("Z")) for c in counts_by_link.values()) / pc.n_pulses
+    if y <= 0.0:
+        raise Infeasible("a link produced no sifted detections")
+    time_s = 2.0 * L / (ch.clock_hz * y)
     return time_s, 1.0 / time_s

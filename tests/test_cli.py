@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qds_onedecoy.cli import main
+from qds_onedecoy.cli import build_parser, main
 from qds_onedecoy.files import CONFIG_ENV_VAR, read_counts
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -275,6 +275,7 @@ BAD_FILES = {
     "zero_alpha.cfg": DEVICE_TEXT.replace("alpha = 1e-5", "alpha = 0"),
     "huge_target.cfg": DEVICE_TEXT.replace("target_psec = 1e-4", "target_psec = 5"),
     "zero_k_test.cfg": DEVICE_TEXT + "k_test = 0\n",
+    "negative_seed.cfg": DEVICE_TEXT.replace("seed = 7", "seed = -1"),
 }
 
 
@@ -302,11 +303,18 @@ class TestBadValues:
          "huge_target.cfg: target_psec must lie strictly inside (0, 1)"),
         (["simulate", "--config", "{tmp}/zero_k_test.cfg", "--distance", "50"],
          "zero_k_test.cfg: k_test must be at least 1"),
+        (["simulate", "--config", "{tmp}/negative_seed.cfg", "--distance", "50"],
+         "negative_seed.cfg: seed must be non-negative"),
+        (["simulate", "--config", DEVICE_CFG, "--distance", "50", "--seed", "-3"],
+         "--seed must be non-negative"),
+        (["demo-sign", "--config", DESK_CFG, "--distance", "5", "--seed", "-3"],
+         "--seed must be non-negative"),
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
         "simulate-nan-distance", "demo-sign-inf-distance", "curve-nan-from", "curve-inf-to",
         "curve-minus-inf-step", "config-negative-eps", "config-zero-alpha",
-        "config-target-above-one", "config-zero-k-test",
+        "config-target-above-one", "config-zero-k-test", "config-negative-seed",
+        "simulate-negative-seed", "demo-sign-negative-seed",
     ])
     def test_is_exit_2_and_named(self, capsys, tmp_path, argv, named):
         for name, text in BAD_FILES.items():
@@ -324,6 +332,9 @@ class TestParser:
             main(["--help"])
         assert exc_info.value.code == 0
         assert "estimate" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

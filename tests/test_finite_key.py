@@ -219,17 +219,18 @@ class TestPhaseErrorUpper:
 
 class TestObservedErrorUpper:
     def test_worst_link_wins(self):
-        single = observed_error_upper({"bob_alice": 10.0}, 1000, 50000, 1e-5)
-        both = observed_error_upper(
-            {"bob_alice": 10.0, "charlie_alice": 30.0}, 1000, 50000, 1e-5
-        )
+        single = observed_error_upper([10.0], 1000, 50000, 1e-5)
+        both = observed_error_upper([10.0, 30.0], 1000, 50000, 1e-5)
         assert both > single
+        assert both == observed_error_upper([30.0], 1000, 50000, 1e-5)
 
     def test_validates_error_count(self):
         with pytest.raises(ValueError):
-            observed_error_upper({"bob_alice": 1001.0}, 1000, 50000, 1e-5)
+            observed_error_upper([1001.0], 1000, 50000, 1e-5)
         with pytest.raises(ValueError):
-            observed_error_upper({}, 1000, 50000, 1e-5)
+            observed_error_upper([-1.0], 1000, 50000, 1e-5)
+        with pytest.raises(ValueError):
+            observed_error_upper([], 1000, 50000, 1e-5)
 
 
 class TestEstimateAndBlockScale:

@@ -111,8 +111,8 @@ class TestEvaluate:
     def test_feasible_point_reports_rate(self):
         pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
                          n_pulses=1e7)
-        result = evaluate(pc, DESK_CH, DESK_BUDGET, alpha=1e-3, eps=1e-10,
-                          target_psec=5e-2)
+        [result] = evaluate([pc], DESK_CH, DESK_BUDGET, alpha=1e-3, eps=1e-10,
+                            target_psec=5e-2)
         assert result is not None
         assert result.rate > 0.0
         assert result.L % 2 == 0
@@ -126,13 +126,13 @@ class TestEvaluate:
         pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
                          n_pulses=1e7)
         far = ChannelParams(distance_km=500.0)
-        assert evaluate(pc, far, DESK_BUDGET, 1e-3, 1e-10, 5e-2) is None
+        assert evaluate([pc], far, DESK_BUDGET, 1e-3, 1e-10, 5e-2) == [None]
 
     def test_bad_target_propagates(self):
         pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
                          n_pulses=1e7)
         with pytest.raises(InfeasibleTarget):
-            evaluate(pc, DESK_CH, DESK_BUDGET, 1e-3, 1e-10, target_psec=1e-4)
+            evaluate([pc], DESK_CH, DESK_BUDGET, 1e-3, 1e-10, target_psec=1e-4)
 
 
 class TestOptimize:

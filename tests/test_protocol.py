@@ -199,7 +199,6 @@ class TestSession:
         session.run_distribution()
         result = session.run_messaging(1, self.relaxed_thresholds())
         assert result.bob_accept and result.charlie_accept
-        assert not result.aborted
         # observed mismatches sit near QBER * L/2, far below the limits
         assert max(result.bob_mismatches) < 0.05 * 1000
 
@@ -218,7 +217,6 @@ class TestSession:
         session.run_distribution()
         result = session.run_messaging(1, self.relaxed_thresholds())
         assert not result.bob_accept
-        assert result.aborted
         assert result.charlie_accept is None
         assert result.charlie_mismatches is None
         assert any(m.kind == "abort" for m in session.transcript)
@@ -324,6 +322,15 @@ class TestAttacks:
             assert exact_forge_success(L, s_u) == pytest.approx(
                 enumerate_forge_success(L, s_u), abs=1e-12
             )
+
+    @pytest.mark.parametrize("L, s_u", [(4000, 0.48), (20000, 0.49)])
+    def test_exact_forge_matches_binomial_sum(self, L, s_u):
+        # reference: the tail summed one math.comb at a time
+        half = L // 2
+        j_max = math.ceil(s_u * half) - 1
+        reference = sum(math.comb(half, j) for j in range(j_max + 1)) / 2**half
+        assert 0.0 < reference < 0.5
+        assert exact_forge_success(L, s_u) == reference
 
     def test_exact_forge_degenerate_threshold(self):
         assert exact_forge_success(20, 0.0) == 0.0

@@ -20,7 +20,7 @@ from qds_onedecoy.security import (
     Thresholds,
     block_report,
     epsilon_f,
-    link_signature_time,
+    k_test_for,
     merge_block_estimates,
     min_signature_length,
     p_forge,
@@ -292,14 +292,14 @@ class TestLockstepSolver:
 class TestSignatureTime:
     def test_time_scales_with_length_and_yield(self):
         pc, ch, cbl, budget = paper_scale_setup()
-        counts = cbl["bob_alice"]
-        t1 = link_signature_time(10000, counts, pc, ch)
-        t2 = link_signature_time(20000, counts, pc, ch)
+        one = {"bob_alice": cbl["bob_alice"]}
+        t1, _ = signature_time_and_rate(10000, one, pc, ch)
+        t2, _ = signature_time_and_rate(20000, one, pc, ch)
         assert t2 == pytest.approx(2 * t1, rel=1e-12)
         # doubling the pulse budget at fixed counts halves the yield
         pc2 = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.85, p_z_rx=0.85,
                           n_pulses=4e12)
-        assert link_signature_time(10000, counts, pc2, ch) == pytest.approx(
+        assert signature_time_and_rate(10000, one, pc2, ch)[0] == pytest.approx(
             2 * t1, rel=1e-12
         )
 
@@ -308,16 +308,15 @@ class TestSignatureTime:
         weak = cbl["bob_alice"].scaled(0.5)
         mixed = {"bob_alice": cbl["bob_alice"], "charlie_alice": weak}
         t_max, rate = signature_time_and_rate(10000, mixed, pc, ch)
-        assert t_max == pytest.approx(link_signature_time(10000, weak, pc, ch))
+        assert t_max == signature_time_and_rate(10000, {"charlie_alice": weak}, pc, ch)[0]
+        assert t_max > signature_time_and_rate(10000, {"bob_alice": cbl["bob_alice"]}, pc, ch)[0]
         assert rate == pytest.approx(1.0 / t_max)
 
     def test_dead_link_is_infeasible(self):
-        from qds_onedecoy.channel import ObservedCounts
-
-        pc, ch, _, _ = paper_scale_setup()
+        pc, ch, cbl, _ = paper_scale_setup()
         dead = ObservedCounts(0, 0, 0, 0, 0, 0, 0, 0)
         with pytest.raises(Infeasible):
-            link_signature_time(100, dead, pc, ch)
+            signature_time_and_rate(100, {"bob_alice": cbl["bob_alice"], "x": dead}, pc, ch)
 
 
 class TestBlockReport:
@@ -333,19 +332,26 @@ class TestBlockReport:
         assert report.thresholds.s_alpha < report.thresholds.s_upsilon
         assert report.e_upper < report.thresholds.s_alpha
         assert report.p_repudiation <= report.p_repudiation_raw
-        assert report.k_test == max(1, round(0.05 * L))
+        assert report.k_test == k_test_for(L) == max(1, round(0.05 * L))
 
     def test_rejects_odd_length(self):
         pc, ch, cbl, budget = paper_scale_setup()
         with pytest.raises(ValueError):
             block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 1001)
 
-    def test_explicit_test_errors_feed_e_upper(self):
-        pc, ch, cbl, budget = paper_scale_setup()
-        L = 89522
-        base = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L)
-        noisy = block_report(
-            cbl, pc, ch, budget, 1e-5, 1e-10, L,
-            test_errors_by_link={"bob_alice": 0.0, "charlie_alice": 0.0},
-        )
-        assert noisy.e_upper < base.e_upper
+
+
+class TestKTestFor:
+    def test_default_is_five_percent_half_to_even_and_at_least_one(self):
+        # 0.05 * 50 = 2.5 and 0.05 * 70 = 3.5 round to the even neighbour
+        assert [k_test_for(L) for L in (2, 10, 50, 70, 89522)] == [1, 1, 2, 4, 4476]
+        assert isinstance(k_test_for(89522), int)
+
+    def test_array_matches_scalar(self):
+        L = np.array([[2, 50, 70], [10, 89522, 89530]])
+        assert k_test_for(L).tolist() == [[k_test_for(int(x)) for x in row] for row in L]
+
+    def test_explicit_size_wins_and_is_checked(self):
+        assert k_test_for(89522, 3000) == 3000
+        with pytest.raises(ValueError):
+            k_test_for(89522, 0)
