@@ -73,7 +73,7 @@ class PulseConfig:
 
     @classmethod
     def stack(cls, configs: Sequence["PulseConfig"]) -> "PulseConfig":
-        """One config whose fields are (len(configs), 1) arrays, for the batched bound chain.
+        """One config whose fields are (len(configs), 1) arrays, for the batched models.
 
         Row i holds ``configs[i]``; the trailing axis broadcasts over block
         lengths.  Each config was validated when it was made, so the stack
@@ -84,6 +84,15 @@ class PulseConfig:
             column = np.array([getattr(c, f.name) for c in configs], dtype=float)[:, None]
             object.__setattr__(stacked, f.name, column)
         return stacked
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "PulseConfig":
+        """The rows ``rows`` of a stack; an unstacked config is every row and comes back as is."""
+        if np.ndim(self.mu) == 0:
+            return self
+        taken = object.__new__(PulseConfig)
+        for f in fields(PulseConfig):
+            object.__setattr__(taken, f.name, getattr(self, f.name)[rows])
+        return taken
 
     def intensity(self, name: str) -> tuple[float, float]:
         """Return (photon number, emission probability) for 'mu' or 'nu'."""
@@ -156,10 +165,10 @@ class ObservedCounts:
     The counts are one float array ``cells`` of shape (2, 2, 2, ...):
     basis (Z, X), intensity (mu, nu), then n and m.  Values may be
     integers (one sampled run) or reals (expectations or rescaled
-    blocks); every cell must satisfy 0 <= m <= n.  Trailing axes, which
-    only ``scaled`` and ``from_cells`` create, hold a batch: the accessors
-    then return arrays over it.  An accessor given ``BASES`` for the
-    basis returns both bases along a new leading axis.
+    blocks); every cell must satisfy 0 <= m <= n.  Trailing axes (a
+    stack's, or added by ``scaled``) hold a batch: the accessors then
+    return arrays over it.  An accessor given ``BASES`` for the basis
+    returns both bases along a new leading axis.
     """
 
     __slots__ = ("cells",)
@@ -183,7 +192,8 @@ class ObservedCounts:
 
     @classmethod
     def from_cells(cls, cells: np.ndarray) -> "ObservedCounts":
-        """Counts over an array of shape (2, 2, 2, ...) derived from valid counts."""
+        """Counts over valid cells of shape (2, 2, 2, ...), which are made read-only."""
+        cells.flags.writeable = False
         counts = object.__new__(cls)
         object.__setattr__(counts, "cells", cells)
         return counts
@@ -236,7 +246,9 @@ def background_yield(ch: ChannelParams) -> float:
     return 2.0 * ch.dark_count_rate_hz * ch.gate_window_s
 
 
-def gain_and_error(lam: float, ch: ChannelParams) -> tuple[float, float]:
+def gain_and_error(
+    lam: float | np.ndarray, ch: ChannelParams
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Per-pulse detection probability Q and error rate E at intensity ``lam``.
 
     Q    = 1 - (1 - Y0) exp(-eta lam)
@@ -244,38 +256,37 @@ def gain_and_error(lam: float, ch: ChannelParams) -> tuple[float, float]:
 
     with Y0 the background yield and eta the end-to-end transmittance.
     Dark counts are random, hence half of them are errors; misalignment
-    flips genuine photon detections.
+    flips genuine photon detections.  ``lam`` may be an array.
     """
     eta = total_efficiency(ch)
     y0 = background_yield(ch)
-    t = math.exp(-eta * lam)
+    x = -eta * np.asarray(lam, dtype=float)
+    # math.exp, not np.exp, which can differ in the last bit that 1 - t magnifies
+    t = np.fromiter(map(math.exp, x.flat), float, x.size).reshape(x.shape)
     gain = 1.0 - (1.0 - y0) * t
-    if gain <= 0.0:
-        return 0.0, 0.0
+    live = gain > 0.0
     eq = 0.5 * y0 * t + ch.misalignment * (1.0 - t)
     # E <= 1/2 holds for any misalignment <= 1/2; shave float roundoff
-    return gain, min(0.5, eq / gain)
+    err = np.minimum(0.5, eq / np.where(live, gain, 1.0))
+    return np.where(live, gain, 0.0)[()], np.where(live, err, 0.0)[()]
 
 
-def _cell_pulses(pc: PulseConfig, ch: ChannelParams, basis: str, intensity: str) -> float:
-    """Expected number of pulses landing in a sifted cell during live gates."""
-    _, p_int = pc.intensity(intensity)
-    p_tx, p_rx = pc.basis_probability(basis)
-    return pc.n_pulses * ch.duty_cycle * p_int * p_tx * p_rx
+def _cell_factors(pc: PulseConfig, ch: ChannelParams) -> tuple[np.ndarray, ...]:
+    """p_int, p_tx, p_rx, gain and error rate, broadcasting to (basis, intensity, ...batch)."""
+    lam, p_int = np.array([pc.intensity(name) for name in INTENSITIES]).swapaxes(0, 1)
+    p_tx, p_rx = np.array([pc.basis_probability(b) for b in BASES]).swapaxes(0, 1)[:, :, None]
+    gain, err = gain_and_error(lam, ch)
+    return p_int, p_tx, p_rx, gain, err
 
 
 def expected_statistics(pc: PulseConfig, ch: ChannelParams) -> ObservedCounts:
-    """Expected sifted detections and errors in every (basis, intensity) cell."""
-    values: dict[str, float] = {}
-    for basis in BASES:
-        for intensity in INTENSITIES:
-            lam, _ = pc.intensity(intensity)
-            gain, err = gain_and_error(lam, ch)
-            pulses = _cell_pulses(pc, ch, basis, intensity)
-            n = pulses * gain
-            values[f"n_{basis.lower()}_{intensity}"] = n
-            values[f"m_{basis.lower()}_{intensity}"] = n * err
-    return ObservedCounts(**values)
+    """Expected sifted detections and errors in every (basis, intensity) cell.
+
+    Given a ``PulseConfig.stack``, the counts carry its batch axes.
+    """
+    p_int, p_tx, p_rx, gain, err = _cell_factors(pc, ch)
+    n = pc.n_pulses * ch.duty_cycle * p_int * p_tx * p_rx * gain
+    return ObservedCounts.from_cells(np.stack([n, n * err], axis=2))
 
 
 def sample_statistics(
@@ -291,15 +302,11 @@ def sample_statistics(
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_live = int(round(pc.n_pulses * ch.duty_cycle))
-    values: dict[str, float] = {}
-    for basis in BASES:
-        for intensity in INTENSITIES:
-            lam, p_int = pc.intensity(intensity)
-            p_tx, p_rx = pc.basis_probability(basis)
-            gain, err = gain_and_error(lam, ch)
-            pulses = rng.binomial(n_live, p_int * p_tx * p_rx)
-            n = rng.binomial(pulses, gain)
-            m = rng.binomial(n, err)
-            values[f"n_{basis.lower()}_{intensity}"] = int(n)
-            values[f"m_{basis.lower()}_{intensity}"] = int(m)
-    return ObservedCounts(**values)
+    p_int, p_tx, p_rx, gain, err = _cell_factors(pc, ch)
+    select = p_int * p_tx * p_rx
+    cells = np.empty((2, 2, 2))
+    # cell by cell, in the order of ``cells``, each drawing pulses, n, then m
+    for b, i in np.ndindex(2, 2):
+        n = rng.binomial(rng.binomial(n_live, select[b, i]), gain[i])
+        cells[b, i] = n, rng.binomial(n, err[i])
+    return ObservedCounts.from_cells(cells)

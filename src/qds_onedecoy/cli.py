@@ -76,7 +76,7 @@ def _report(config, counts_by_link, pc, ch, L: int | None = None):
     """
     if L is None:
         [L] = min_signature_length(
-            [(counts_by_link, pc)], config.budget, config.alpha, config.eps,
+            counts_by_link, pc, config.budget, config.alpha, config.eps,
             config.target_psec, k_test=config.k_test,
         )
         if isinstance(L, Infeasible):

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .channel import ChannelParams, PulseConfig
+from .channel import ChannelParams, ObservedCounts, PulseConfig
 from .finite_key import EpsilonBudget
 from .protocol import model_links
 from .security import (
@@ -110,15 +110,21 @@ def evaluate(
     the structural floor is a configuration error and propagates instead
     of reading as infeasible.
     """
-    settings = [(model_links(pc, ch), pc) for pc in pcs]
-    solved = min_signature_length(settings, budget, alpha, eps, target_psec)
-    results: list[EvalResult | None] = []
-    for (counts_by_link, pc), L in zip(settings, solved):
-        if isinstance(L, Infeasible):
-            results.append(None)
-        else:
-            _, rate = signature_time_and_rate(L, counts_by_link, pc, ch)
-            results.append(EvalResult(params=pc, rate=rate, L=L))
+    stack = PulseConfig.stack(pcs)
+    counts_by_link = model_links(stack, ch)
+    solved = min_signature_length(counts_by_link, stack, budget, alpha, eps, target_psec)
+    rows = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
+    results: list[EvalResult | None] = [None] * len(pcs)
+    if rows:
+        # rate the feasible settings only: the others may have no yield
+        _, rates = signature_time_and_rate(
+            np.array([solved[i] for i in rows])[:, None],
+            {link: ObservedCounts.from_cells(c.cells[..., rows, :])
+             for link, c in counts_by_link.items()},
+            stack.take(rows), ch,
+        )
+        for i, rate in zip(rows, rates[:, 0]):
+            results[i] = EvalResult(params=pcs[i], rate=float(rate), L=solved[i])
     return results
 
 

@@ -328,10 +328,13 @@ class ProtocolSession:
 
     # -- classical channel -------------------------------------------------
 
-    def _send(self, kind: str, sender: str, receiver: str, payload: object) -> None:
-        self.transcript.append(
-            ClassicalMessage(len(self.transcript), kind, sender, receiver, _digest(payload))
-        )
+    def _send(
+        self, kind: str, sender: str, receiver: str, payload: object = None, digest: str = ""
+    ) -> None:
+        """Log a message by its payload's digest, or by ``digest`` when already taken."""
+        digest = digest or _digest(payload)
+        seq = len(self.transcript)
+        self.transcript.append(ClassicalMessage(seq, kind, sender, receiver, digest))
 
     def export_transcript(self, fp: IO[str]) -> None:
         """Write the transcript as one JSON object per line."""
@@ -428,6 +431,7 @@ class ProtocolSession:
         accepting forwards the declaration for Charlie's verdict.
         """
         bundle = self.sign(message_bit)
+        declaration = self.transcript[-1].digest  # of the signature message just sent
         bob_ok, b_own, b_recv = verify(
             bundle, self._symmetrized[(message_bit, "bob")], th.s_alpha
         )
@@ -442,10 +446,7 @@ class ProtocolSession:
                 charlie_mismatches=None,
             )
         self._send("accept", "bob", "alice", {"m": message_bit})
-        self._send(
-            "forwarded_signature", "bob", "charlie",
-            {"m": message_bit, "keys": {k: v.tolist() for k, v in bundle.keys.items()}},
-        )
+        self._send("forwarded_signature", "bob", "charlie", digest=declaration)
         charlie_ok, c_own, c_recv = verify(
             bundle, self._symmetrized[(message_bit, "charlie")], th.s_upsilon
         )

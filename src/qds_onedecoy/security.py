@@ -10,7 +10,6 @@ into signing time.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
@@ -298,24 +297,16 @@ def _bound_chain(
     return _Chain(est, e_upper, p_e, certified, th, rep_raw, eps_forge, forge_raw, security)
 
 
-def _stack_links(counts_per_setting: Sequence[Mapping[str, ObservedCounts]]) -> ObservedCounts:
+def _stack_links(counts_by_link: Mapping[str, ObservedCounts]) -> ObservedCounts:
     """Counts with batch axes (links, settings, 1) for ``_bound_chain``.
 
-    A counts object that several links share is estimated once; settings
-    with fewer distinct links repeat their first, which leaves every
-    worst-link bound unchanged.
+    Each link's counts are one setting's or carry a stack's (settings, 1)
+    axes.  A counts object that several links share is estimated once.
     """
-    distinct = []
-    for counts_by_link in counts_per_setting:
-        if not counts_by_link:
-            raise ValueError("at least one link is required")
-        distinct.append(list({id(c): c for c in counts_by_link.values()}.values()))
-    width = max(len(links) for links in distinct)
-    cells = [
-        [links[j].cells if j < len(links) else links[0].cells for links in distinct]
-        for j in range(width)
-    ]
-    return ObservedCounts.from_cells(np.moveaxis(np.array(cells), (0, 1), (3, 4))[..., None])
+    if not counts_by_link:
+        raise ValueError("at least one link is required")
+    cells = np.stack(list({id(c): c.cells for c in counts_by_link.values()}.values()), axis=3)
+    return ObservedCounts.from_cells(cells.reshape(*cells.shape[:4], -1, 1))
 
 
 def block_report(
@@ -344,7 +335,7 @@ def block_report(
                 f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
             )
     chain = _bound_chain(
-        _stack_links([counts_by_link]), pc, budget, alpha, eps, np.array([[L]]), k_test
+        _stack_links(counts_by_link), pc, budget, alpha, eps, np.array([[L]]), k_test
     )
     merged = FiniteKeyEstimates(
         *(getattr(chain.estimates, f.name).item() for f in fields(FiniteKeyEstimates))
@@ -406,21 +397,22 @@ def _bisection_tree(
 
 
 def min_signature_length(
-    settings: Sequence[tuple[Mapping[str, ObservedCounts], PulseConfig]],
+    counts_by_link: Mapping[str, ObservedCounts],
+    pc: PulseConfig,
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
     target_psec: float,
     k_test: int | None = None,
 ) -> list[int | Infeasible]:
-    """Smallest even block length meeting ``target_psec``, for a batch of settings.
+    """Smallest even block length meeting ``target_psec``, for every setting.
 
-    ``settings`` holds (counts_by_link, pc) pairs.  Each entry of the
-    result is the solved L, or the ``Infeasible`` error saying why there
-    is none; it is returned, not raised, so one hopeless setting does not
-    stop the batch.  A length is feasible when ``block_report`` certifies
-    it under the same test-sample rule (``k_test_for``) with
-    p_sec <= target_psec.
+    ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
+    each link's counts carry.  The result has one entry per setting: the
+    solved L, or the ``Infeasible`` error saying why there is none; it is
+    returned, not raised, so one hopeless setting does not stop the
+    batch.  A length is feasible when ``block_report`` certifies it under
+    the same test-sample rule (``k_test_for``) with p_sec <= target_psec.
 
     Feasibility is monotone in L (longer blocks shrink every finite-size
     penalty), so each setting is bisected over even lengths: the largest
@@ -439,23 +431,15 @@ def min_signature_length(
             f"{len(BOUND_APPLICATIONS)}*eps_pe = {budget.total:.3g}"
         )
     k_test_for(2, k_test)  # a bad size is an error even if nothing gets probed
-    counts = _stack_links([counts_by_link for counts_by_link, _ in settings])
-    pcs = [pc for _, pc in settings]
+    counts = _stack_links(counts_by_link)
     hi = counts.n_total("Z").min(axis=0)[:, 0].astype(np.int64) // 2 * 2
     lo = np.full_like(hi, 2)
     # settings never made active keep this verdict
-    results: list[int | Infeasible] = [
-        Infeasible("sifted pool is empty") for _ in settings
-    ]
+    results: list[int | Infeasible] = [Infeasible("sifted pool is empty") for _ in hi]
 
     def feasible(rows: np.ndarray, L: np.ndarray) -> np.ndarray:
-        # one setting's config broadcasts as it is, and its terms stay scalar
-        if len(rows) == 1:
-            source = pcs[rows[0]]
-        else:
-            source = PulseConfig.stack([pcs[i] for i in rows])
         chain = _bound_chain(
-            ObservedCounts.from_cells(counts.cells[:, :, :, :, rows]), source,
+            ObservedCounts.from_cells(counts.cells[:, :, :, :, rows]), pc.take(rows),
             budget, alpha, eps, L, k_test_for(L, k_test),
         )
         return chain.certified & (chain.p_sec <= target_psec)
@@ -501,25 +485,25 @@ def min_signature_length(
 
 
 def signature_time_and_rate(
-    L: int,
+    L: int | np.ndarray,
     counts_by_link: Mapping[str, ObservedCounts],
     pc: PulseConfig,
     ch: ChannelParams,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Seconds to sign one bit, and its inverse.
 
     Each link must accumulate the 2L bits a signed bit consumes.  A
     link's sifted-key yield per emitted pulse is taken from its observed
     Z detections, so duty cycling and losses are already priced in.  The
     links run in parallel, so the one with the smallest yield y dictates:
-    2L / (clock * y).
+    2L / (clock * y).  ``L``, the counts and ``pc`` may carry batch axes.
     """
     if not counts_by_link:
         raise ValueError("at least one link is required")
-    if L <= 0:
+    if np.minimum.reduce(L, axis=None) <= 0:
         raise ValueError(f"block length must be positive, got {L}")
-    y = min(float(c.n_total("Z")) for c in counts_by_link.values()) / pc.n_pulses
-    if y <= 0.0:
+    y = np.min([c.n_total("Z") for c in counts_by_link.values()], axis=0) / pc.n_pulses
+    if np.minimum.reduce(y, axis=None) <= 0.0:
         raise Infeasible("a link produced no sifted detections")
     time_s = 2.0 * L / (ch.clock_hz * y)
     return time_s, 1.0 / time_s

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qds_onedecoy.channel import (
     BASES,
@@ -18,6 +21,8 @@ from qds_onedecoy.channel import (
     sample_statistics,
     total_efficiency,
 )
+from qds_onedecoy.files import read_counts
+from strategies import settings_in_space
 
 TYPICAL = dict(
     fiber_loss_db_per_km=0.175,
@@ -126,6 +131,60 @@ class TestExpectedStatistics:
         counts = expected_statistics(pc, ch)
         assert counts.n_total("Z") == counts.n("Z", "mu") + counts.n("Z", "nu")
         assert counts.m_total("X") == counts.m("X", "mu") + counts.m("X", "nu")
+
+
+def scalar_model(pc, ch):
+    """The link model one cell at a time, with math.exp, as cells of shape (2, 2, 2)."""
+    eta, y0 = total_efficiency(ch), background_yield(ch)
+    cells = []
+    for p_tx, p_rx in ((pc.p_z_tx, pc.p_z_rx), (1.0 - pc.p_z_tx, 1.0 - pc.p_z_rx)):
+        for lam, p_int in ((pc.mu, pc.p_mu), (pc.nu, 1.0 - pc.p_mu)):
+            t = math.exp(-eta * lam)
+            gain = 1.0 - (1.0 - y0) * t
+            err = 0.0
+            if gain > 0.0:
+                err = min(0.5, (0.5 * y0 * t + ch.misalignment * (1.0 - t)) / gain)
+            n = pc.n_pulses * ch.duty_cycle * p_int * p_tx * p_rx * max(gain, 0.0)
+            cells.append((n, n * err))
+    return np.array(cells).reshape(2, 2, 2)
+
+
+class TestStackedStatistics:
+    @given(st.lists(settings_in_space, min_size=1, max_size=8), st.floats(0.0, 300.0))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_single_settings_bit_for_bit(self, pcs, km):
+        ch = ChannelParams(distance_km=km)
+        stacked = expected_statistics(PulseConfig.stack(pcs), ch).cells
+        assert stacked.shape == (2, 2, 2, len(pcs), 1)
+        for row, pc in enumerate(pcs):
+            single = expected_statistics(pc, ch).cells
+            assert (stacked[..., row, 0] == single).all()
+            assert (single == scalar_model(pc, ch)).all()
+
+    def test_take_selects_rows_and_passes_a_single_config(self):
+        pcs = [make_pc(mu=0.5), make_pc(mu=0.6), make_pc(mu=0.7)]
+        taken = PulseConfig.stack(pcs).take(np.array([2, 0]))
+        assert taken.mu.tolist() == [[0.7], [0.5]]
+        assert pcs[1].take(np.array([0])) is pcs[1]
+
+
+COUNTS_SOURCES = {
+    "expected": lambda pc, ch: expected_statistics(pc, ch),
+    "expected-stacked": lambda pc, ch: expected_statistics(PulseConfig.stack([pc, pc]), ch),
+    "sampled": lambda pc, ch: sample_statistics(pc, ch, 1),
+    "scaled": lambda pc, ch: expected_statistics(pc, ch).scaled(0.5),
+    "read": lambda pc, ch: read_counts(
+        str(pathlib.Path(__file__).parent / "data" / "model_103km.csv")
+    )[0]["bob_alice"],
+}
+
+
+class TestCountsAreReadOnly:
+    @pytest.mark.parametrize("source", COUNTS_SOURCES)
+    def test_cells_reject_assignment(self, source):
+        counts = COUNTS_SOURCES[source](make_pc(), ChannelParams(distance_km=10.0, **TYPICAL))
+        with pytest.raises(ValueError, match="read-only"):
+            counts.cells[0, 0, 0] = -7.0
 
 
 class TestObservedCounts:

@@ -246,6 +246,22 @@ class TestRateCurve:
             for key in ("rate_bits_per_s", "p_sec"):
                 assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9, abs=0.0)
 
+    def test_dead_channel_rows_are_infeasible(self, capsys, tmp_path):
+        # no detections at all: every setting's sifted pool is empty
+        dead = tmp_path / "dead.cfg"
+        dead.write_text(
+            pathlib.Path(DEVICE_CFG).read_text()
+            .replace("det_efficiency = 0.65", "det_efficiency = 0")
+            .replace("dark_count_rate_hz = 20", "dark_count_rate_hz = 0")
+        )
+        rc = main(["rate-curve", "--config", str(dead), "--grid-points", "2",
+                   "--from", "0", "--to", "100", "--step", "50"])
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(row["distance_km"], row["feasible"]) for row in rows] == [
+            ("0.0", "false"), ("50.0", "false"),
+        ]
+
     def test_empty_range_is_header_only(self, capsys):
         rc = main(["rate-curve", "--config", DESK_CFG, "--from", "5",
                    "--to", "5", "--step", "10"])

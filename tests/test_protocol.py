@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from qds_onedecoy import protocol
 from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.protocol import (
@@ -292,6 +293,20 @@ class TestSession:
 
         assert transcript_text(21) == transcript_text(21)
         assert transcript_text(21) != transcript_text(22)
+
+    def test_declaration_is_digested_once(self, monkeypatch):
+        # the signature and its forwarded copy share one digest of one encoding
+        real_digest = protocol._digest
+        payloads = []
+        monkeypatch.setattr(
+            protocol, "_digest", lambda payload: payloads.append(payload) or real_digest(payload)
+        )
+        session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
+        session.run_distribution()
+        assert session.run_messaging(1, self.relaxed_thresholds()).charlie_accept
+        assert sum("keys" in p for p in payloads if isinstance(p, dict)) == 1
+        digests = {m.kind: m.digest for m in session.transcript}
+        assert digests["forwarded_signature"] == digests["signature"]
 
     def test_transcript_sequence_is_strictly_increasing(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from qds_onedecoy.channel import ChannelParams, ObservedCounts, PulseConfig, expected_statistics
 from qds_onedecoy.finite_key import EpsilonBudget, FiniteKeyEstimates
-from qds_onedecoy.optimizer import SearchSpace
 from qds_onedecoy.security import (
     Infeasible,
     InfeasibleTarget,
     Thresholds,
+    _bound_chain,
+    _stack_links,
     block_report,
     epsilon_f,
     k_test_for,
@@ -32,6 +33,7 @@ from qds_onedecoy.security import (
     solve_p_e,
     thresholds_from_rates,
 )
+from strategies import settings_in_space
 
 # (s_alpha, s_upsilon) working points with their implied
 # (error bound, tolerable rate) pair, all to four decimals
@@ -184,7 +186,7 @@ def paper_scale_setup(distance_km=103.0, eps_pe=5e-6):
 
 
 def solve_one(cbl, pc, budget, target_psec=1e-4, k_test=None):
-    [L] = min_signature_length([(cbl, pc)], budget, 1e-5, 1e-10, target_psec, k_test=k_test)
+    [L] = min_signature_length(cbl, pc, budget, 1e-5, 1e-10, target_psec, k_test=k_test)
     return L
 
 
@@ -240,18 +242,6 @@ class TestMinSignatureLength:
         assert "sifted pool is empty" in str(result)
 
 
-SPACE = SearchSpace()
-#: A source setting drawn from the default search box, nu below mu.
-settings_in_space = st.builds(
-    lambda mu, nu_share, p_mu, p_z_tx, p_z_rx: PulseConfig(
-        mu=mu, nu=SPACE.nu[0] + nu_share * (min(SPACE.nu[1], mu) - SPACE.nu[0]),
-        p_mu=p_mu, p_z_tx=p_z_tx, p_z_rx=p_z_rx, n_pulses=2e12,
-    ),
-    st.floats(*SPACE.mu), st.floats(0.0, 0.999), st.floats(*SPACE.p_mu),
-    st.floats(*SPACE.p_z_tx), st.floats(*SPACE.p_z_rx),
-)
-
-
 class TestLockstepSolver:
     """The batched solver against one-setting solves and the report's own verdict."""
 
@@ -262,12 +252,22 @@ class TestLockstepSolver:
     @settings(max_examples=25, deadline=None)
     def test_batch_matches_one_at_a_time(self, points, k_test):
         budget = EpsilonBudget(eps_pe=5e-6)
-        batch = []
-        for pc, km in points:
-            counts = expected_statistics(pc, ChannelParams(distance_km=km))
-            batch.append(({"bob_alice": counts, "charlie_alice": counts}, pc))
-        together = min_signature_length(batch, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
-        alone = [solve_one(cbl, pc, budget, k_test=k_test) for cbl, pc in batch]
+        pcs = [pc for pc, _ in points]
+        alone_counts = [
+            expected_statistics(pc, ChannelParams(distance_km=km)) for pc, km in points
+        ]
+        # each setting at its own distance, stacked as one batch
+        counts = ObservedCounts.from_cells(
+            np.stack([c.cells for c in alone_counts], axis=3)[..., None]
+        )
+        together = min_signature_length(
+            {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs),
+            budget, 1e-5, 1e-10, 1e-4, k_test=k_test,
+        )
+        alone = [
+            solve_one({"bob_alice": c, "charlie_alice": c}, pc, budget, k_test=k_test)
+            for c, pc in zip(alone_counts, pcs)
+        ]
         assert [str(r) if isinstance(r, Infeasible) else r for r in together] == [
             str(r) if isinstance(r, Infeasible) else r for r in alone
         ]
@@ -287,6 +287,31 @@ class TestLockstepSolver:
         assert certifies(cbl, pc, ch, budget, L, k_test)
         if L > 2:
             assert not certifies(cbl, pc, ch, budget, L - 2, k_test)
+
+
+class TestFeasibilityFlips:
+    """Feasibility over even lengths switches once, at the solved L: the
+    monotonicity the bisection assumes, checked with the criterion it
+    bisects (the chain certifies L and p_sec <= target)."""
+
+    @given(settings_in_space, st.floats(0.0, 300.0), st.sampled_from([None, 3000]))
+    @settings(max_examples=40, deadline=None)
+    def test_switches_once_at_solved_length(self, pc, km, k_test):
+        budget = EpsilonBudget(eps_pe=5e-6)
+        counts = expected_statistics(pc, ChannelParams(distance_km=km))
+        cbl = {"bob_alice": counts, "charlie_alice": counts}
+        L = solve_one(cbl, pc, budget, k_test=k_test)
+        pool = int(counts.n_total("Z")) // 2 * 2
+        if isinstance(L, Infeasible):
+            L = pool + 2  # nothing up to the pool is feasible
+        # 600 even lengths on either side, within [2, pool]
+        window = np.arange(max(2, L - 1200), min(pool, L + 1200) + 1, 2)
+        chain = _bound_chain(
+            _stack_links(cbl), pc, budget, 1e-5, 1e-10, window[None, :],
+            k_test_for(window, k_test),
+        )
+        feasible = chain.certified[0] & (chain.p_sec[0] <= 1e-4)
+        assert (feasible == (window >= L)).all()
 
 
 class TestSignatureTime:
