@@ -11,7 +11,7 @@ or as one sampled realisation.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,32 +57,46 @@ class PulseConfig:
     n_pulses: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if not 0.0 <= self.nu < self.mu:
-            raise ValueError(
-                f"intensities must satisfy 0 <= nu < mu, got mu={self.mu}, nu={self.nu}"
-            )
-        if self.mu <= 0.0:
-            raise ValueError(f"signal intensity must be positive, got {self.mu}")
-        for name in ("p_mu", "p_z_tx", "p_z_rx"):
-            p = getattr(self, name)
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1), got {p}")
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be at least 1, got {self.n_pulses}")
+        # written over arrays, so a stack is checked in one pass; a bad
+        # row raises what a config of that row alone would
+        x = np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
+        mu, nu, _, _, _, n_pulses = x
+        probabilities = x[2:5]
+        ok = np.concatenate([
+            np.isfinite(x),
+            [(0.0 <= nu) & (nu < mu), mu > 0.0],
+            (0.0 < probabilities) & (probabilities < 1.0),
+            [n_pulses >= 1],
+        ]).reshape(len(_PULSE_RULES), -1)
+        if not ok.all():
+            row = int(np.argmin(ok.all(axis=0)))
+            values = {
+                f.name: getattr(self, f.name) if x.ndim == 1 else column.flat[row].item()
+                for f, column in zip(fields(self), x)
+            }
+            raise ValueError(_PULSE_RULES[int(np.argmin(ok[:, row]))].format(**values))
 
     @classmethod
-    def stack(cls, configs: Sequence["PulseConfig"]) -> "PulseConfig":
-        """One config whose fields are (len(configs), 1) arrays, for the batched models.
+    def stack(
+        cls, rows: Sequence["PulseConfig | Mapping[str, float]"], **shared: float
+    ) -> "PulseConfig":
+        """One config whose fields are (len(rows), 1) arrays, for the batched models.
 
-        Row i holds ``configs[i]``; the trailing axis broadcasts over block
-        lengths.  Each config was validated when it was made, so the stack
-        is not validated again.
+        Row i takes its fields from ``rows[i]``, a config or a mapping of
+        field names, except the fields given in ``shared``, which every row
+        takes; the trailing axis broadcasts over block lengths.  The stack
+        is validated once, as arrays: a bad row raises the error a config
+        of that row alone would.
         """
+        rows = [vars(row) if isinstance(row, PulseConfig) else row for row in rows]
         stacked = object.__new__(cls)
         for f in fields(cls):
-            column = np.array([getattr(c, f.name) for c in configs], dtype=float)[:, None]
-            object.__setattr__(stacked, f.name, column)
+            if f.name in shared:
+                column = np.full(len(rows), shared[f.name], dtype=float)
+            else:
+                column = np.array([row[f.name] for row in rows], dtype=float)
+            object.__setattr__(stacked, f.name, column[:, None])
+        stacked.__post_init__()
         return stacked
 
     def take(self, rows: Sequence[int] | np.ndarray) -> "PulseConfig":
@@ -109,6 +123,17 @@ class PulseConfig:
         if basis == "X":
             return 1.0 - self.p_z_tx, 1.0 - self.p_z_rx
         raise ValueError(f"unknown basis {basis!r}, expected 'Z' or 'X'")
+
+
+#: What each check of ``PulseConfig.__post_init__`` demands, in its order.
+_PULSE_RULES = (
+    *(f"{f.name} must be finite, got {{{f.name}}}" for f in fields(PulseConfig)),
+    "intensities must satisfy 0 <= nu < mu, got mu={mu}, nu={nu}",
+    "signal intensity must be positive, got {mu}",
+    *(f"{name} must lie strictly inside (0, 1), got {{{name}}}"
+      for name in ("p_mu", "p_z_tx", "p_z_rx")),
+    "n_pulses must be at least 1, got {n_pulses}",
+)
 
 
 @dataclass(frozen=True)

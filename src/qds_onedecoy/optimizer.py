@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -22,8 +22,10 @@ from .finite_key import EpsilonBudget
 from .protocol import model_links
 from .security import (
     Infeasible,
+    Pruned,
     SecurityReport,
     block_report,
+    longest_block_at_rate,
     min_signature_length,
     signature_time_and_rate,
 )
@@ -78,53 +80,110 @@ class SearchSpace:
 class EvalResult:
     """One feasible working point: its rate at the smallest feasible L.
 
-    ``report`` is the full security report at L; ``optimize`` builds it
-    for the best working point only.
+    A ``pruned`` point was shown unable to reach the incumbent it was
+    solved against: its L is then only a lower bound on the smallest
+    feasible length, and its rate (the rate there) an upper bound, below
+    the incumbent.  ``evaluate`` fills in neither ``params`` nor
+    ``report``; ``optimize`` adds both for the best working point only.
     """
 
-    params: PulseConfig
     rate: float
     L: int
+    pruned: bool = False
+    params: PulseConfig | None = None
     report: SecurityReport | None = None
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The best working point, the settings evaluated, how many of them
+    are feasible, and how many of those were pruned against an incumbent."""
+
     best: EvalResult | None
     evaluations: int
     n_feasible: int
+    pruned: int
+
+
+#: Points of a large batch ``evaluate`` solves first, evenly strided, to
+#: find an incumbent for the rest.  On the default box at 12-287 km, 16
+#: leave 1 or 2 of the other 200 grid-3 points unpruned (the 16 of highest
+#: yield leave about 10); 8 to 32 cost about the same.
+SEED_POINTS = 16
+
+
+def _take_links(
+    counts_by_link: Mapping[str, ObservedCounts], rows: np.ndarray
+) -> dict[str, ObservedCounts]:
+    """The rows ``rows`` of every link's stacked counts; shared counts stay shared."""
+    taken = {
+        id(c): ObservedCounts.from_cells(c.cells[..., rows, :])
+        for c in counts_by_link.values()
+    }
+    return {link: taken[id(c)] for link, c in counts_by_link.items()}
 
 
 def evaluate(
-    pcs: Sequence[PulseConfig],
+    pcs: PulseConfig | Sequence[PulseConfig],
     ch: ChannelParams,
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
     target_psec: float,
+    incumbent: float | None = None,
 ) -> list[EvalResult | None]:
     """Rate at the smallest feasible block length, or None when infeasible,
     for each source setting; the settings are solved as one batch.
 
+    ``pcs`` is a ``PulseConfig.stack`` or a sequence of configs to stack.
     The rate is that of ``block_report`` at the solved L.  A target below
     the structural floor is a configuration error and propagates instead
     of reading as infeasible.
+
+    Given an ``incumbent`` rate, a setting that cannot reach it is only
+    shown so: it is solved with its cap at the longest block that signs
+    at the incumbent's rate (``longest_block_at_rate``), and comes back
+    ``pruned`` when infeasible there.  Every setting that can tie or beat
+    the incumbent gets its exact L and rate.  A batch of more than
+    ``SEED_POINTS`` settings first solves an evenly strided seed of them,
+    and the rest against the best rate found, if that is higher.  An
+    incumbent of -inf thus still prunes a large batch.
     """
-    stack = PulseConfig.stack(pcs)
+    stack = pcs if isinstance(pcs, PulseConfig) else PulseConfig.stack(pcs)
     counts_by_link = model_links(stack, ch)
-    solved = min_signature_length(counts_by_link, stack, budget, alpha, eps, target_psec)
-    rows = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
-    results: list[EvalResult | None] = [None] * len(pcs)
-    if rows:
-        # rate the feasible settings only: the others may have no yield
-        _, rates = signature_time_and_rate(
-            np.array([solved[i] for i in rows])[:, None],
-            {link: ObservedCounts.from_cells(c.cells[..., rows, :])
-             for link, c in counts_by_link.items()},
-            stack.take(rows), ch,
+    n = len(stack.mu)
+    results: list[EvalResult | None] = [None] * n
+
+    def solve(rows: np.ndarray, incumbent: float | None) -> None:
+        counts, pc = _take_links(counts_by_link, rows), stack.take(rows)
+        cap = None
+        if incumbent is not None and incumbent > 0.0:
+            cap = longest_block_at_rate(incumbent, counts, pc, ch)
+        solved = min_signature_length(
+            counts, pc, budget, alpha, eps, target_psec, cap=cap
         )
-        for i, rate in zip(rows, rates[:, 0]):
-            results[i] = EvalResult(params=pcs[i], rate=float(rate), L=solved[i])
+        found = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
+        if not found:
+            return
+        # rate the feasible settings only: the others may have no yield
+        lengths = [L.lower if isinstance(L, Pruned) else L for L in (solved[i] for i in found)]
+        _, rates = signature_time_and_rate(
+            np.array(lengths)[:, None], _take_links(counts, np.array(found)),
+            pc.take(found), ch,
+        )
+        for i, L, rate in zip(found, lengths, rates[:, 0]):
+            results[rows[i]] = EvalResult(
+                rate=float(rate), L=L, pruned=isinstance(solved[i], Pruned)
+            )
+
+    rows = np.arange(n)
+    if incumbent is not None and n > SEED_POINTS:
+        seed = rows[:: -(-n // SEED_POINTS)]
+        solve(seed, incumbent)
+        found = [results[i] for i in seed]
+        incumbent = max([incumbent, *(r.rate for r in found if r is not None and not r.pruned)])
+        rows = np.setdiff1d(rows, seed)
+    solve(rows, incumbent)
     return results
 
 
@@ -145,14 +204,17 @@ def _tiebreak_key(params: Mapping[str, float]) -> tuple[float, ...]:
 
 def maximize(
     space: SearchSpace,
-    objective: Callable[[list[dict[str, float]]], Sequence[float | None]],
+    objective: Callable[[list[dict[str, float]], float], Sequence[float | None]],
     descent_rounds: int = 4,
     scan_points: int = 5,
 ) -> tuple[dict[str, float] | None, float, int, int]:
     """Grid pass plus shrinking coordinate scans over the box.
 
-    ``objective`` maps a list of parameter dicts to one value or None
-    (infeasible) per dict.  It is called once for the grid and once per
+    ``objective`` maps a list of parameter dicts and the incumbent (the
+    best value so far, -inf before any) to one value or None (infeasible)
+    per dict.  For a point whose value would fall below the incumbent it
+    may return any value below the incumbent instead, which can then
+    never become best.  It is called once for the grid and once per
     coordinate scan, with the points of that pass it has not seen yet:
     a scan's points differ from the best point only in the scanned
     coordinate, so none depends on another's value.  Returns (best params
@@ -175,7 +237,7 @@ def maximize(
             if params["nu"] < params["mu"] and key not in cache:
                 fresh.setdefault(key, dict(params))
         if fresh:
-            values = objective(list(fresh.values()))
+            values = objective(list(fresh.values()), best_value)
             for key, value in zip(fresh, values):
                 cache[key] = value
                 evaluations += 1
@@ -233,26 +295,33 @@ def optimize(
 ) -> OptimizeResult:
     """Best source settings for one channel under one security target.
 
-    The best setting comes with its full report, from one ``block_report``.
+    Each batch is evaluated against the incumbent ``maximize`` hands it,
+    so settings that cannot win are pruned, not solved exactly.  The best
+    setting comes with its full report, from one ``block_report``.
     """
-    results: dict[tuple[float, ...], EvalResult] = {}
+    lengths: dict[tuple[float, ...], int] = {}
+    pruned = 0
 
-    def objective(batch: list[dict[str, float]]) -> list[float | None]:
-        pcs = [PulseConfig(n_pulses=n_pulses, **params) for params in batch]
+    def objective(batch: list[dict[str, float]], incumbent: float) -> list[float | None]:
+        nonlocal pruned
+        stack = PulseConfig.stack(batch, n_pulses=n_pulses)
         values: list[float | None] = []
-        for params, res in zip(batch, evaluate(pcs, ch, budget, alpha, eps, target_psec)):
+        for params, res in zip(
+            batch, evaluate(stack, ch, budget, alpha, eps, target_psec, incumbent)
+        ):
             if res is not None:
-                results[_param_key(params)] = res
+                pruned += res.pruned
+                lengths[_param_key(params)] = res.L
             values.append(None if res is None else res.rate)
         return values
 
-    best_params, _, evaluations, n_feasible = maximize(space, objective)
+    best_params, rate, evaluations, n_feasible = maximize(space, objective)
     if best_params is None:
-        return OptimizeResult(best=None, evaluations=evaluations, n_feasible=0)
-    best = results[_param_key(best_params)]
-    report = block_report(
-        model_links(best.params, ch), best.params, ch, budget, alpha, eps, best.L
-    )
+        return OptimizeResult(best=None, evaluations=evaluations, n_feasible=0, pruned=0)
+    pc = PulseConfig(n_pulses=n_pulses, **best_params)
+    L = lengths[_param_key(best_params)]
+    report = block_report(model_links(pc, ch), pc, ch, budget, alpha, eps, L)
     return OptimizeResult(
-        best=replace(best, report=report), evaluations=evaluations, n_feasible=n_feasible
+        best=EvalResult(rate=rate, L=L, params=pc, report=report),
+        evaluations=evaluations, n_feasible=n_feasible, pruned=pruned,
     )

@@ -28,6 +28,7 @@ from .stat_math import binary_entropy, binary_entropy_inverse
 __all__ = [
     "Infeasible",
     "InfeasibleTarget",
+    "Pruned",
     "Thresholds",
     "SecurityReport",
     "solve_p_e",
@@ -44,6 +45,7 @@ __all__ = [
     "k_test_for",
     "min_signature_length",
     "signature_time_and_rate",
+    "longest_block_at_rate",
 ]
 
 #: Default test-sample fraction of the block length; see ``k_test_for``.
@@ -61,6 +63,13 @@ class Infeasible(Exception):
 
 class InfeasibleTarget(Infeasible):
     """The target failure probability is below the structural floor."""
+
+
+class Pruned(NamedTuple):
+    """Verdict of a capped solve: the setting is feasible at its pool but
+    not at its cap, so its smallest feasible L is at least ``lower``."""
+
+    lower: int
 
 
 def k_test_for(L: int | np.ndarray, k_test: int | None = None) -> int | np.ndarray:
@@ -404,7 +413,8 @@ def min_signature_length(
     eps: float,
     target_psec: float,
     k_test: int | None = None,
-) -> list[int | Infeasible]:
+    cap: np.ndarray | None = None,
+) -> list[int | Infeasible | Pruned]:
     """Smallest even block length meeting ``target_psec``, for every setting.
 
     ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
@@ -424,6 +434,14 @@ def min_signature_length(
     ``SOLVER_LANES`` lengths, and no more than the widest remaining
     interval needs.  Each setting thus probes exactly the lengths a
     one-at-a-time bisection would, and ends on the same L.
+
+    ``cap``, one length per setting, bounds the search for callers that
+    only need L when it is at most the cap.  The first round also probes
+    each setting's cap (its even floor, within the pool), and a setting
+    feasible at its pool but not at its cap gets the verdict
+    ``Pruned(cap + 2)`` there, which is not an ``Infeasible``.  The others
+    bisect inside [2, cap] and, by monotone feasibility, end on the L an
+    uncapped solve would.
     """
     if target_psec < budget.total:
         raise InfeasibleTarget(
@@ -432,10 +450,16 @@ def min_signature_length(
         )
     k_test_for(2, k_test)  # a bad size is an error even if nothing gets probed
     counts = _stack_links(counts_by_link)
-    hi = counts.n_total("Z").min(axis=0)[:, 0].astype(np.int64) // 2 * 2
+    pool = counts.n_total("Z").min(axis=0)[:, 0].astype(np.int64) // 2 * 2
+    hi = pool.copy()
+    if cap is not None:
+        cut = np.maximum(np.asarray(cap, dtype=np.int64) // 2 * 2, 0)
+        hi = np.minimum(pool, np.maximum(cut, 2))
     lo = np.full_like(hi, 2)
     # settings never made active keep this verdict
-    results: list[int | Infeasible] = [Infeasible("sifted pool is empty") for _ in hi]
+    results: list[int | Infeasible | Pruned] = [
+        Infeasible("sifted pool is empty") for _ in hi
+    ]
 
     def feasible(rows: np.ndarray, L: np.ndarray) -> np.ndarray:
         chain = _bound_chain(
@@ -444,7 +468,7 @@ def min_signature_length(
         )
         return chain.certified & (chain.p_sec <= target_psec)
 
-    active = np.flatnonzero(hi >= 2)
+    active = np.flatnonzero(pool >= 2)
     first = True
     while active.size:
         # the deepest tree that fits the lanes, but no deeper than the widest
@@ -454,19 +478,26 @@ def min_signature_length(
                            (widest - 1).bit_length()))
         tree, ends_lo, ends_hi = _bisection_tree(lo[active], hi[active], depth)
         if first:
-            # the bisection probes the longest block, then 2, then the tree
-            ok = feasible(active, np.concatenate(
-                [hi[active, None], lo[active, None], tree], axis=1
-            ))
-            for row in active[~ok[:, 0]]:
+            # the bisection probes the longest block, then 2, then the cap,
+            # if any, then the tree
+            head = [pool[active, None], lo[active, None]]
+            if cap is not None:
+                head.append(hi[active, None])
+            ok = feasible(active, np.concatenate([*head, tree], axis=1))
+            pool_ok, two_ok = ok[:, 0], ok[:, 1]
+            # a cap below 2 admits no length at all
+            cap_ok = pool_ok if cap is None else ok[:, 2] & (cut[active] >= 2)
+            for row in active[~pool_ok]:
                 results[row] = Infeasible(
-                    f"no block length up to the pool size {hi[row]} reaches the "
+                    f"no block length up to the pool size {pool[row]} reaches the "
                     f"target {target_psec:.3g}"
                 )
-            for row in active[ok[:, 0] & ok[:, 1]]:
+            for row in active[pool_ok & ~cap_ok]:
+                results[row] = Pruned(int(cut[row]) + 2)
+            for row in active[cap_ok & two_ok]:
                 results[row] = 2
-            keep = ok[:, 0] & ~ok[:, 1]
-            active, ok = active[keep], ok[keep, 2:]
+            keep = cap_ok & ~two_ok
+            active, ok = active[keep], ok[keep, len(head):]
             ends_lo, ends_hi = ends_lo[keep], ends_hi[keep]
             first = False
         else:
@@ -498,12 +529,51 @@ def signature_time_and_rate(
     links run in parallel, so the one with the smallest yield y dictates:
     2L / (clock * y).  ``L``, the counts and ``pc`` may carry batch axes.
     """
-    if not counts_by_link:
-        raise ValueError("at least one link is required")
     if np.minimum.reduce(L, axis=None) <= 0:
         raise ValueError(f"block length must be positive, got {L}")
-    y = np.min([c.n_total("Z") for c in counts_by_link.values()], axis=0) / pc.n_pulses
+    y = _sifted_yield(counts_by_link, pc)
     if np.minimum.reduce(y, axis=None) <= 0.0:
         raise Infeasible("a link produced no sifted detections")
     time_s = 2.0 * L / (ch.clock_hz * y)
     return time_s, 1.0 / time_s
+
+
+def _sifted_yield(
+    counts_by_link: Mapping[str, ObservedCounts], pc: PulseConfig
+) -> float | np.ndarray:
+    """Sifted Z detections per emitted pulse on the slowest link."""
+    if not counts_by_link:
+        raise ValueError("at least one link is required")
+    return np.min([c.n_total("Z") for c in counts_by_link.values()], axis=0) / pc.n_pulses
+
+
+def longest_block_at_rate(
+    rate: float,
+    counts_by_link: Mapping[str, ObservedCounts],
+    pc: PulseConfig,
+    ch: ChannelParams,
+) -> np.ndarray:
+    """Largest even L at which each setting signs at least ``rate`` bits per
+    second, by the float expression ``signature_time_and_rate`` rates
+    with; 0 where even L = 2 is slower.
+
+    A setting whose smallest feasible L exceeds this length signs strictly
+    slower than ``rate``.
+    """
+    if not rate > 0.0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    y = np.ravel(_sifted_yield(counts_by_link, pc))
+
+    def reaches(L: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (L > 0) & (1.0 / (2.0 * L / (ch.clock_hz * y)) >= rate)
+
+    # the exact cut, rounded down to even, is off by a step at most; the
+    # expression is monotone in L, so stepping settles it.  Lengths past
+    # 2**52 exceed any pool, and floats stop resolving steps of two there.
+    L = np.minimum(np.floor(ch.clock_hz * y / (4.0 * rate)) * 2.0, 2.0**52)
+    while (up := reaches(L + 2.0) & (L < 2.0**52)).any():
+        L += 2.0 * up
+    while (down := (L > 0) & ~reaches(L)).any():
+        L -= 2.0 * down
+    return L.astype(np.int64)

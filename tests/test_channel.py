@@ -167,6 +167,30 @@ class TestStackedStatistics:
         assert taken.mu.tolist() == [[0.7], [0.5]]
         assert pcs[1].take(np.array([0])) is pcs[1]
 
+    def test_stack_from_parameter_dicts_matches_stack_of_configs(self):
+        pcs = [make_pc(mu=0.5), make_pc(mu=0.6, p_z_rx=0.7)]
+        rows = [
+            {n: getattr(pc, n) for n in ("mu", "nu", "p_mu", "p_z_tx", "p_z_rx")}
+            for pc in pcs
+        ]
+        from_dicts = PulseConfig.stack(rows, n_pulses=1e9)
+        from_configs = PulseConfig.stack(pcs)
+        for f in dataclasses.fields(PulseConfig):
+            assert (getattr(from_dicts, f.name) == getattr(from_configs, f.name)).all()
+
+    @pytest.mark.parametrize("bad", [
+        {"nu": 0.6}, {"nu": -0.1}, {"mu": math.nan}, {"mu": 0.0, "nu": 0.0},
+        {"p_mu": 1.0}, {"p_z_tx": 0.0}, {"p_z_rx": math.inf}, {"n_pulses": 0.5},
+    ])
+    def test_stack_with_a_bad_row_raises_the_single_config_error(self, bad):
+        good = {"mu": 0.5, "nu": 0.2, "p_mu": 0.7, "p_z_tx": 0.8, "p_z_rx": 0.8,
+                "n_pulses": 1e9}
+        with pytest.raises(ValueError) as single:
+            PulseConfig(**{**good, **bad})
+        with pytest.raises(ValueError) as stacked:
+            PulseConfig.stack([good, {**good, **bad}, good])
+        assert str(stacked.value) == str(single.value)
+
 
 COUNTS_SOURCES = {
     "expected": lambda pc, ch: expected_statistics(pc, ch),

@@ -1,16 +1,22 @@
 """Optimizer tests on a closed-form objective and on the real pipeline."""
 
+import pathlib
+
+import numpy as np
 import pytest
 
 from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+from qds_onedecoy.files import read_config
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.optimizer import (
     PARAM_NAMES,
     SearchSpace,
+    _param_key,
     evaluate,
     maximize,
     optimize,
 )
+from qds_onedecoy.protocol import model_links
 from qds_onedecoy.security import InfeasibleTarget, block_report
 
 # analytic maximiser placed inside every box used below
@@ -25,8 +31,9 @@ def concave_value(params):
 
 
 def batched(value):
-    """The batch objective ``maximize`` takes, from a one-point function."""
-    return lambda batch: [value(params) for params in batch]
+    """The batch objective ``maximize`` takes, from a one-point function
+    that ignores the incumbent."""
+    return lambda batch, incumbent: [value(params) for params in batch]
 
 
 concave_objective = batched(concave_value)
@@ -72,9 +79,9 @@ class TestMaximize:
     def test_respects_intensity_ordering(self):
         seen = []
 
-        def spy(batch):
+        def spy(batch, incumbent):
             seen.extend(batch)
-            return concave_objective(batch)
+            return concave_objective(batch, incumbent)
 
         space = SearchSpace(mu=(0.2, 0.5), nu=(0.1, 0.45), grid_points=3)
         maximize(space, spy)
@@ -158,3 +165,88 @@ class TestOptimize:
         r2 = optimize(space, DESK_CH, DESK_BUDGET, 1e-3, 1e-10, 5e-2, n_pulses=1e7)
         assert r1.best.params == r2.best.params
         assert r1.best.rate == r2.best.rate
+
+
+DEVICE = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
+
+
+def device_evaluate(batch, ch, incumbent=None, **fixed):
+    """``evaluate`` of parameter dicts under the device configuration;
+    ``fixed`` overrides parameters of every point."""
+    stack = PulseConfig.stack(
+        [{**params, **fixed} for params in batch], n_pulses=DEVICE.source.n_pulses
+    )
+    return evaluate(stack, ch, DEVICE.budget, DEVICE.alpha, DEVICE.eps,
+                    DEVICE.target_psec, incumbent)
+
+
+def rate_objective(ch, prune, **fixed):
+    """A ``maximize`` objective of rates, pruning against its incumbent or not."""
+    def objective(batch, incumbent):
+        results = device_evaluate(batch, ch, incumbent if prune else None, **fixed)
+        return [None if r is None else r.rate for r in results]
+
+    return objective
+
+
+class TestIncumbentPruning:
+    """Pruning settles losing settings early and changes no result."""
+
+    @pytest.mark.parametrize("grid", [2, 3])
+    @pytest.mark.parametrize("km", [0.0, 103.0, 204.0, 280.0])
+    def test_optimize_matches_a_search_without_pruning(self, grid, km):
+        space, ch = SearchSpace(grid_points=grid), DEVICE.channel(km)
+        lengths = {}
+
+        def exact(batch, incumbent):
+            results = device_evaluate(batch, ch)
+            for params, r in zip(batch, results):
+                if r is not None:
+                    assert not r.pruned
+                    lengths[_param_key(params)] = r.L
+            return [None if r is None else r.rate for r in results]
+
+        best, rate, evaluations, n_feasible = maximize(space, exact)
+        pc = PulseConfig(n_pulses=DEVICE.source.n_pulses, **best)
+        L = lengths[_param_key(best)]
+        report = block_report(model_links(pc, ch), pc, ch, DEVICE.budget,
+                              DEVICE.alpha, DEVICE.eps, L)
+        found = optimize(space, ch, DEVICE.budget, DEVICE.alpha, DEVICE.eps,
+                         DEVICE.target_psec, DEVICE.source.n_pulses)
+        assert found.best.params == pc
+        assert (found.best.rate, found.best.L, found.best.report) == (rate, L, report)
+        assert (found.evaluations, found.n_feasible) == (evaluations, n_feasible)
+        assert 0 < found.pruned < n_feasible
+
+    def test_exact_tie_with_the_incumbent_is_solved_not_pruned(self):
+        ch = DEVICE.channel(103.0)
+        point = {"mu": 0.6, "nu": 0.2, "p_mu": 0.6, "p_z_tx": 0.85, "p_z_rx": 0.85}
+        [exact] = device_evaluate([point], ch)
+        [tied] = device_evaluate([point], ch, incumbent=exact.rate)
+        assert tied == exact and not tied.pruned
+        # one ulp faster than the point can sign: pruned, with a rate bound
+        # below the incumbent and a length bound at most its L
+        faster = float(np.nextafter(exact.rate, np.inf))
+        [beaten] = device_evaluate([point], ch, incumbent=faster)
+        assert beaten.pruned
+        assert beaten.rate < faster and beaten.L <= exact.L
+
+    def test_tied_points_still_reach_the_tie_break(self):
+        # the objective ignores p_z_rx, so points that differ only there tie
+        # bit for bit: each tie with the incumbent is solved, and the tie-break
+        # picks the smallest p_z_rx, as in a search without pruning
+        ch, space = DEVICE.channel(103.0), SearchSpace(grid_points=3)
+        ties = []
+        pruning = rate_objective(ch, prune=True, p_z_rx=0.85)
+
+        def spy(batch, incumbent):
+            values = pruning(batch, incumbent)
+            ties.extend(v for v in values if v == incumbent)
+            return values
+
+        best, rate, evaluations, n_feasible = maximize(space, spy)
+        assert ties
+        assert best["p_z_rx"] == space.p_z_rx[0]
+        assert (best, rate, evaluations, n_feasible) == maximize(
+            space, rate_objective(ch, prune=False, p_z_rx=0.85)
+        )

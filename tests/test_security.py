@@ -13,15 +13,18 @@ from hypothesis import strategies as st
 
 from qds_onedecoy.channel import ChannelParams, ObservedCounts, PulseConfig, expected_statistics
 from qds_onedecoy.finite_key import EpsilonBudget, FiniteKeyEstimates
+from qds_onedecoy import security
 from qds_onedecoy.security import (
     Infeasible,
     InfeasibleTarget,
+    Pruned,
     Thresholds,
     _bound_chain,
     _stack_links,
     block_report,
     epsilon_f,
     k_test_for,
+    longest_block_at_rate,
     merge_block_estimates,
     min_signature_length,
     p_forge,
@@ -289,10 +292,108 @@ class TestLockstepSolver:
             assert not certifies(cbl, pc, ch, budget, L - 2, k_test)
 
 
+#: (settings, lengths, sum of lengths) of every chain call one uncapped
+#: solve of ``uncapped_batch`` makes, for k_test None and 3000, recorded
+#: from the solver before it took caps
+UNCAPPED_PROBES = {
+    None: [(4, 65, 6840738180478), (3, 63, 103606572552), (3, 63, 1634162566),
+           (3, 63, 43953972), (2, 127, 12186732), (1, 63, 3046380)],
+    3000: [(4, 65, 6840738180478), (3, 63, 103615562022), (3, 63, 1640342866),
+           (3, 63, 50145292), (2, 127, 12097096), (1, 63, 2972670)],
+}
+
+
+def uncapped_batch():
+    """Four settings at 0-330 km stacked as one batch, the last infeasible."""
+    pcs = [PulseConfig(mu=mu, nu=nu, p_mu=0.6, p_z_tx=0.85, p_z_rx=0.8, n_pulses=2e12)
+           for mu, nu in [(0.6, 0.2), (0.45, 0.1), (0.8, 0.3), (0.3, 0.05)]]
+    cells = [
+        expected_statistics(pc, ChannelParams(distance_km=km)).cells
+        for pc, km in zip(pcs, [0.0, 120.0, 260.0, 330.0])
+    ]
+    counts = ObservedCounts.from_cells(np.stack(cells, axis=3)[..., None])
+    return {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs)
+
+
+class TestCappedSolver:
+    """A cap changes what the solver probes, never what it finds: L when
+    L <= cap, else the pruned verdict, and Infeasible only where the
+    uncapped solve has no L."""
+
+    @given(
+        settings_in_space, st.floats(0.0, 300.0), st.sampled_from([None, 3000]),
+        st.lists(st.integers(0, 10**12), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_capped_solve_agrees_with_uncapped(self, pc, km, k_test, draws):
+        budget = EpsilonBudget(eps_pe=5e-6)
+        ch = ChannelParams(distance_km=km)
+        alone = expected_statistics(pc, ch)
+        L = solve_one({"bob_alice": alone, "charlie_alice": alone}, pc, budget, k_test=k_test)
+        pool = int(alone.n_total("Z")) // 2 * 2
+        # random even caps in [2, pool], then L - 2, L and L + 2
+        caps = [2 + 2 * (d % max(1, pool // 2)) for d in draws]
+        if not isinstance(L, Infeasible):
+            caps += [L - 2, L, L + 2]
+        if not caps:
+            return
+        # one batch of the same setting, one cap per row
+        counts = expected_statistics(PulseConfig.stack([pc] * len(caps)), ch)
+        capped = min_signature_length(
+            {"bob_alice": counts, "charlie_alice": counts},
+            PulseConfig.stack([pc] * len(caps)), budget, 1e-5, 1e-10, 1e-4,
+            k_test=k_test, cap=np.array(caps),
+        )
+        for cap, got in zip(caps, capped):
+            if isinstance(L, Infeasible):
+                assert isinstance(got, Infeasible) and str(got) == str(L)
+            elif L <= cap:
+                assert got == L
+            else:
+                assert got == Pruned(cap + 2)
+                assert not isinstance(got, Infeasible)
+
+    @pytest.mark.parametrize("k_test", [None, 3000])
+    def test_uncapped_solve_probes_what_it_did_before_caps(self, monkeypatch, k_test):
+        probes = []
+        chain = security._bound_chain
+
+        def spy(counts, pc, budget, alpha, eps, L, k):
+            probes.append((*L.shape, int(L.sum())))
+            return chain(counts, pc, budget, alpha, eps, L, k)
+
+        monkeypatch.setattr(security, "_bound_chain", spy)
+        cbl, stack = uncapped_batch()
+        solved = min_signature_length(cbl, stack, EpsilonBudget(eps_pe=5e-6), 1e-5,
+                                      1e-10, 1e-4, k_test=k_test)
+        assert isinstance(solved[3], Infeasible)
+        assert probes == UNCAPPED_PROBES[k_test]
+
+    def test_cap_beyond_the_pool_solves_in_full(self):
+        cbl, stack = uncapped_batch()
+        budget = EpsilonBudget(eps_pe=5e-6)
+        uncapped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4)
+        capped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
+                                      cap=np.full(4, 10**15))
+        assert [str(v) for v in capped] == [str(v) for v in uncapped]
+
+
+def assert_switches_once(cbl, pc, budget, k_test, L, center, pool):
+    """Feasibility over 600 even lengths on either side of ``center``,
+    within [2, pool], is exactly ``length >= L``."""
+    window = np.arange(max(2, center - 1200), min(pool, center + 1200) + 1, 2)
+    chain = _bound_chain(
+        _stack_links(cbl), pc, budget, 1e-5, 1e-10, window[None, :],
+        k_test_for(window, k_test),
+    )
+    feasible = chain.certified[0] & (chain.p_sec[0] <= 1e-4)
+    assert (feasible == (window >= L)).all()
+
+
 class TestFeasibilityFlips:
     """Feasibility over even lengths switches once, at the solved L: the
-    monotonicity the bisection assumes, checked with the criterion it
-    bisects (the chain certifies L and p_sec <= target)."""
+    monotonicity the bisection and the capped solve assume, checked with
+    the criterion they bisect (the chain certifies L and p_sec <= target)."""
 
     @given(settings_in_space, st.floats(0.0, 300.0), st.sampled_from([None, 3000]))
     @settings(max_examples=40, deadline=None)
@@ -304,14 +405,54 @@ class TestFeasibilityFlips:
         pool = int(counts.n_total("Z")) // 2 * 2
         if isinstance(L, Infeasible):
             L = pool + 2  # nothing up to the pool is feasible
-        # 600 even lengths on either side, within [2, pool]
-        window = np.arange(max(2, L - 1200), min(pool, L + 1200) + 1, 2)
-        chain = _bound_chain(
-            _stack_links(cbl), pc, budget, 1e-5, 1e-10, window[None, :],
-            k_test_for(window, k_test),
-        )
-        feasible = chain.certified[0] & (chain.p_sec[0] <= 1e-4)
-        assert (feasible == (window >= L)).all()
+        assert_switches_once(cbl, pc, budget, k_test, L, L, pool)
+
+    @given(
+        settings_in_space, st.floats(0.0, 300.0), st.sampled_from([None, 3000]),
+        st.floats(0.25, 4.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_switches_once_around_cut_length(self, pc, km, k_test, factor):
+        # the length a capped solve probes: the cut of an incumbent rate
+        # between a quarter and four times this setting's own
+        budget = EpsilonBudget(eps_pe=5e-6)
+        ch = ChannelParams(distance_km=km)
+        counts = expected_statistics(pc, ch)
+        cbl = {"bob_alice": counts, "charlie_alice": counts}
+        L = solve_one(cbl, pc, budget, k_test=k_test)
+        pool = int(counts.n_total("Z")) // 2 * 2
+        if pool < 2:
+            return
+        own = pool if isinstance(L, Infeasible) else L
+        _, rate = signature_time_and_rate(own, cbl, pc, ch)
+        [cut] = longest_block_at_rate(rate * factor, cbl, pc, ch)
+        if isinstance(L, Infeasible):
+            L = pool + 2
+        assert_switches_once(cbl, pc, budget, k_test, L, min(pool, max(2, int(cut))), pool)
+
+
+class TestLongestBlockAtRate:
+    @given(settings_in_space, st.floats(0.0, 300.0), st.integers(1, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_cut_is_the_last_even_length_at_the_rate(self, pc, km, half):
+        ch = ChannelParams(distance_km=km)
+        counts = expected_statistics(pc, ch)
+        cbl = {"bob_alice": counts, "charlie_alice": counts}
+        L = 2 * half
+        _, rate = signature_time_and_rate(L, cbl, pc, ch)
+        # the rate at L is reached at L and not at L + 2; a hair more is not
+        # reached at L
+        assert longest_block_at_rate(rate, cbl, pc, ch).tolist() == [L]
+        faster = np.nextafter(rate, np.inf)
+        assert longest_block_at_rate(faster, cbl, pc, ch).tolist() == [L - 2]
+
+    def test_dead_link_and_bad_rate(self):
+        pc, ch, cbl, _ = paper_scale_setup()
+        dead = {"bob_alice": cbl["bob_alice"], "x": ObservedCounts(0, 0, 0, 0, 0, 0, 0, 0)}
+        assert longest_block_at_rate(1e-9, dead, pc, ch).tolist() == [0]
+        for rate in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                longest_block_at_rate(rate, cbl, pc, ch)
 
 
 class TestSignatureTime:
