@@ -163,8 +163,71 @@ def rng_stream(seed: int, *labels: str) -> np.random.Generator:
 
 
 def _digest(payload: object) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """First 16 hex digits of SHA-256 over the payload's canonical JSON."""
+    return hashlib.sha256(_canonical(payload)).hexdigest()[:16]
+
+
+def _canonical(value: object) -> bytes:
+    """``json.dumps(value, sort_keys=True, default=str).encode()``, with
+    each integer array written as the list it holds without building it.
+
+    Dicts (str keys only) are walked so that nested arrays are found; an
+    array of any other dtype or shape raises TypeError rather than
+    digesting numpy's truncated repr.
+    """
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("canonical payload keys must be str")
+        return b"{" + b", ".join(
+            json.dumps(key).encode() + b": " + _canonical(value[key]) for key in sorted(value)
+        ) + b"}"
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iu" or value.ndim != 1:
+            raise TypeError(
+                f"only 1-D integer arrays have a canonical encoding, got "
+                f"{value.ndim}-D {value.dtype}"
+            )
+        return _int_list(value)
+    return json.dumps(value, sort_keys=True, default=str).encode()
+
+
+def _int_list(a: np.ndarray) -> bytes:
+    """A 1-D integer array as the JSON list ``json.dumps(a.tolist())`` writes.
+
+    Each value gets one uint8 row: an optional sign, its decimal digits
+    left-padded with zeros to the widest value, and the ", " separator;
+    the padding, unused signs and the last separator are then masked off.
+    """
+    n = len(a)
+    if n == 0:
+        return b"[]"
+    signed = a.dtype.kind == "i" and bool((a < 0).any())
+    # int64 wraps |min| to min, which as uint64 is the magnitude again
+    mag = np.abs(a.astype(np.int64)).astype(np.uint64) if signed else a
+    top = int(mag.max())
+    width = len(str(top))
+    mag = mag.astype(np.uint32 if top < 2**32 else np.uint64)
+    lead = int(signed)
+    row = np.empty((n, lead + width + 2), dtype=np.uint8)
+    if signed:
+        row[:, 0] = ord("-")
+    row[:, -2] = ord(",")
+    row[:, -1] = ord(" ")
+    q, ten = mag, mag.dtype.type(10)
+    for col in range(lead + width - 1, lead, -1):
+        quot = q // ten
+        row[:, col] = q - quot * ten + ord("0")
+        q = quot
+    row[:, lead] = q + ord("0")
+    if not signed and (width == 1 or int(mag.min()) >= 10 ** (width - 1)):
+        return b"[" + row.tobytes()[:-2] + b"]"  # every value is full width
+    keep = np.ones(row.shape, dtype=bool)
+    if signed:
+        keep[:, 0] = a < 0
+    for col in range(width - 1):
+        keep[:, lead + col] = mag >= 10 ** (width - 1 - col)
+    keep[-1, -2:] = False
+    return b"[" + row[keep].tobytes() + b"]"
 
 
 def run_kgp(
@@ -238,8 +301,9 @@ def symmetrize(
 
     def split(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         forward = np.sort(rng.choice(L, size=half, replace=False))
-        keep = np.setdiff1d(np.arange(L), forward, assume_unique=True)
-        return keep, forward
+        mask = np.ones(L, dtype=bool)
+        mask[forward] = False
+        return np.flatnonzero(mask), forward
 
     bob_keep, bob_forward = split(rng_bob)
     charlie_keep, charlie_forward = split(rng_charlie)
@@ -262,11 +326,15 @@ def count_mismatches(bundle: SignatureBundle, half: HalfKey) -> int:
     pos = half.positions
     if len(pos) != len(half.bits):
         raise ProtocolError("positions and bits disagree in length")
+    if pos.dtype.kind not in "iu":
+        raise ProtocolError(f"positions must be integers, got dtype {pos.dtype}")
     if len(pos) and (pos.min() < 0 or pos.max() >= len(key)):
         raise ProtocolError(
             f"positions fall outside the declared block of length {len(key)}"
         )
-    if len(np.unique(pos)) != len(pos):
+    seen = np.zeros(len(key), dtype=bool)
+    seen[pos] = True
+    if np.count_nonzero(seen) != len(pos):
         raise ProtocolError("positions must be distinct")
     return int(np.count_nonzero(key[pos] != half.bits))
 
@@ -391,11 +459,11 @@ class ProtocolSession:
             self._symmetrized[(m, "charlie")] = charlie_sym
             self._send(
                 "symmetrization_forward", "bob", "charlie",
-                {"m": m, "positions": charlie_sym.received.positions.tolist()},
+                {"m": m, "positions": charlie_sym.received.positions},
             )
             self._send(
                 "symmetrization_forward", "charlie", "bob",
-                {"m": m, "positions": bob_sym.received.positions.tolist()},
+                {"m": m, "positions": bob_sym.received.positions},
             )
         self.phase = Phase.POOL_READY
 
@@ -420,7 +488,7 @@ class ProtocolSession:
         )
         self._send(
             "signature", "alice", "bob",
-            {"m": message_bit, "keys": {k: v.tolist() for k, v in bundle.keys.items()}},
+            {"m": message_bit, "keys": dict(bundle.keys)},
         )
         return bundle
 

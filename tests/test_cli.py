@@ -211,6 +211,26 @@ class TestDemoSign:
         assert "n_pulses" in capsys.readouterr().err
 
 
+class TestGoldenTranscripts:
+    """Stdout and transcript of two seeded runs, byte for byte: message
+    digests are stable across versions."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("demo_sign", ["demo-sign", "--config", DESK_CFG, "--distance", "30",
+                           "--seed", "3", "--message-bit", "1"]),
+            ("simulate", ["simulate", "--config", DEVICE_CFG, "--distance", "103",
+                          "--seed", "5", "--message-bit", "0"]),
+        ],
+    )
+    def test_byte_identical(self, name, argv, capsys, tmp_path):
+        transcript = tmp_path / "transcript.jsonl"
+        assert main([*argv, "--transcript", str(transcript)]) == 0
+        assert capsys.readouterr().out == (DATA / f"golden_{name}.txt").read_text()
+        assert transcript.read_bytes() == (DATA / f"golden_{name}.jsonl").read_bytes()
+
+
 class TestRateCurve:
     def test_small_sweep_csv(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"

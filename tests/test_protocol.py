@@ -6,10 +6,14 @@ guess patterns, which is tractable at the block lengths used here.
 
 import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qds_onedecoy import protocol
 from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
@@ -113,6 +117,9 @@ class TestSymmetrize:
         )
         assert (merged_c == np.arange(L)).all()
         assert len(bob_sym.own.positions) == L // 2
+        for half in (bob_sym.own, charlie_sym.own):
+            assert half.positions.dtype == np.intp
+            assert (np.diff(half.positions) > 0).all()
 
     def test_bits_travel_with_positions(self):
         L = 32
@@ -189,6 +196,92 @@ class TestVerify:
             count_mismatches(
                 bundle, HalfKey("elsewhere", np.array([0]), np.zeros(1, np.uint8))
             )
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            np.array([0, -1, 2]),
+            np.array([0, 10]),
+            np.array([1, 2, 3, 3]),
+            np.array([0.0, 1.0, 2.0]),
+        ],
+        ids=["negative", "equal-to-length", "duplicate-at-end", "float"],
+    )
+    def test_bad_positions_raise_protocol_error(self, positions):
+        half = HalfKey("bob_alice", positions, np.zeros(len(positions), np.uint8))
+        with pytest.raises(ProtocolError):
+            count_mismatches(crafted_bundle(10), half)
+
+    def test_empty_half_has_no_mismatches(self):
+        half = HalfKey("bob_alice", np.array([], dtype=np.intp), np.array([], np.uint8))
+        assert count_mismatches(crafted_bundle(10), half) == 0
+
+    @given(st.lists(st.integers(0, 39), max_size=60))
+    @settings(max_examples=200)
+    def test_distinctness_verdict_matches_unique(self, values):
+        pos = np.array(values, dtype=np.intp)
+        half = HalfKey("bob_alice", pos, np.ones(len(pos), np.uint8))
+        if len(np.unique(pos)) != len(pos):
+            with pytest.raises(ProtocolError, match="distinct"):
+                count_mismatches(crafted_bundle(40), half)
+        else:
+            assert count_mismatches(crafted_bundle(40), half) == len(pos)
+
+
+def tolisted(value):
+    """The payload with every array replaced by the list it holds."""
+    if isinstance(value, dict):
+        return {key: tolisted(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+INT_ARRAYS = st.one_of(
+    *(
+        arrays(dtype, st.integers(0, 12), elements=st.integers(lo, hi))
+        for dtype, lo, hi in (
+            (np.uint8, 0, 255),
+            (np.int64, -(10**12), 10**12),
+            (np.intp, 0, 10**12),
+            (np.int64, np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+        )
+    )
+)
+LEAVES = st.one_of(
+    st.text(max_size=6), st.integers(-(10**15), 10**15), st.floats(),
+    st.booleans(), st.none(), INT_ARRAYS,
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestCanonicalEncoding:
+    @given(PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_of_the_listed_payload(self, payload):
+        expected = json.dumps(tolisted(payload), sort_keys=True, default=str).encode()
+        assert protocol._canonical(payload) == expected
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([True, False]), np.array([0.5, 1.0]), np.zeros(2000, np.float64),
+            np.zeros((2, 2), np.int64),
+        ],
+        ids=["bool", "float", "long-float", "2-D"],
+    )
+    def test_non_integer_arrays_raise(self, array):
+        with pytest.raises(TypeError):
+            protocol._digest({"keys": {"bob_alice": array}})
+
+    def test_long_keys_differing_in_the_middle_digest_apart(self):
+        # numpy elides the middle of a long array's repr; the digest must not
+        a = np.zeros(5000, np.uint8)
+        b = a.copy()
+        b[2500] = 1
+        assert protocol._digest({"keys": a}) != protocol._digest({"keys": b})
 
 
 class TestSession:
