@@ -60,13 +60,15 @@ class PulseConfig:
         # written over arrays, so a stack is checked in one pass; a bad
         # row raises what a config of that row alone would
         x = np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
-        mu, nu, _, _, _, n_pulses = x
+        mu, nu, p_mu, _, _, n_pulses = x
         probabilities = x[2:5]
         ok = np.concatenate([
             np.isfinite(x),
-            [(0.0 <= nu) & (nu < mu), mu > 0.0],
+            [(0.0 <= nu) & (nu < mu), (mu > 0.0) & (mu <= 1.0)],
             (0.0 < probabilities) & (probabilities < 1.0),
-            [n_pulses >= 1],
+            # the decoy bounds divide by nu and p_mu; pulses are counted in int64
+            [((nu == 0.0) | (nu >= 1e-100)) & (p_mu >= 1e-100)],
+            [n_pulses >= 1, n_pulses <= 2.0**62],
         ]).reshape(len(_PULSE_RULES), -1)
         if not ok.all():
             row = int(np.argmin(ok.all(axis=0)))
@@ -129,10 +131,12 @@ class PulseConfig:
 _PULSE_RULES = (
     *(f"{f.name} must be finite, got {{{f.name}}}" for f in fields(PulseConfig)),
     "intensities must satisfy 0 <= nu < mu, got mu={mu}, nu={nu}",
-    "signal intensity must be positive, got {mu}",
+    "signal intensity must lie in (0, 1], got {mu}",
     *(f"{name} must lie strictly inside (0, 1), got {{{name}}}"
       for name in ("p_mu", "p_z_tx", "p_z_rx")),
+    "the decoy bounds need p_mu >= 1e-100 and nu = 0 or nu >= 1e-100, got p_mu={p_mu}, nu={nu}",
     "n_pulses must be at least 1, got {n_pulses}",
+    "n_pulses must be at most 2**62, got {n_pulses}",
 )
 
 
@@ -162,12 +166,14 @@ class ChannelParams:
             raise ValueError("losses must be non-negative")
         if not 0.0 <= self.det_efficiency <= 1.0:
             raise ValueError(f"detector efficiency must lie in [0, 1], got {self.det_efficiency}")
-        if self.dark_count_rate_hz < 0 or self.gate_window_s <= 0:
-            raise ValueError("dark count rate must be >= 0 and gate window > 0")
+        if self.dark_count_rate_hz < 0 or self.gate_window_s <= 0 or background_yield(self) > 1:
+            raise ValueError(
+                "need dark_count_rate_hz >= 0, gate_window_s > 0 and a background yield "
+                f"2 * dark_count_rate_hz * gate_window_s <= 1, got {background_yield(self):g}")
         if not 0.0 <= self.misalignment <= 0.5:
             raise ValueError(f"misalignment must lie in [0, 0.5], got {self.misalignment}")
-        if self.clock_hz <= 0:
-            raise ValueError(f"clock rate must be positive, got {self.clock_hz}")
+        if not self.clock_hz >= 1e-100:  # signing times stay finite
+            raise ValueError(f"clock_hz must be at least 1e-100, got {self.clock_hz}")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError(f"duty cycle must lie in (0, 1], got {self.duty_cycle}")
 

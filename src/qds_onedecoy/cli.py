@@ -152,41 +152,20 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
             f"--from {args.km_from:g} exceeds --to {args.km_to:g}"
         )
     space = SearchSpace(grid_points=args.grid_points)
-    rows = []
     # half-open sweep: --from is included, --to is not; --from equal to
     # --to yields a header-only file
-    distances = np.arange(args.km_from, args.km_to, args.km_step)
-    for distance in distances:
-        ch = config.channel(float(distance))
-        result = optimize(
-            space, ch, config.budget, config.alpha, config.eps, config.target_psec,
-            n_pulses=config.source.n_pulses,
-        )
-        if result.best is None:
-            rows.append(
-                {
-                    "distance_km": float(distance),
-                    "rate_bits_per_s": 0.0,
-                    "L": 0,
-                    "p_sec": 1.0,
-                    "feasible": False,
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "distance_km": float(distance),
-                    "rate_bits_per_s": result.best.rate,
-                    "L": result.best.L,
-                    "p_sec": result.best.report.p_sec,
-                    "feasible": True,
-                }
-            )
+    results = [
+        (distance, optimize(
+            space, config.channel(distance), config.budget, config.alpha,
+            config.eps, config.target_psec, n_pulses=config.source.n_pulses,
+        ))
+        for distance in np.arange(args.km_from, args.km_to, args.km_step).tolist()
+    ]
     if args.out:
         with open(args.out, "w", newline="") as fp:
-            write_rate_curve(fp, rows)
+            write_rate_curve(fp, results)
     else:
-        write_rate_curve(sys.stdout, rows)
+        write_rate_curve(sys.stdout, results)
     return 0
 
 

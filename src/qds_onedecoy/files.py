@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
-from .channel import BASES, INTENSITIES, ChannelParams, ObservedCounts, PulseConfig
+import numpy as np
+
+from .channel import _CELL_NAMES, BASES, INTENSITIES, ChannelParams, ObservedCounts, PulseConfig
 from .finite_key import BOUND_APPLICATIONS, EpsilonBudget
+from .optimizer import OptimizeResult
+from .protocol import LINKS
 from .security import SecurityReport
 
 __all__ = [
@@ -57,18 +63,15 @@ def write_counts(
     fp.write(f"# n_pulses={n_pulses!r}\n")
     writer = csv.writer(fp)
     writer.writerow(_COUNTS_COLUMNS)
+    keys = list(itertools.product(BASES, INTENSITIES))
     for link, counts in counts_by_link.items():
-        for basis in BASES:
-            for intensity in INTENSITIES:
-                writer.writerow(
-                    [link, basis, intensity, counts.n(basis, intensity), counts.m(basis, intensity)]
-                )
+        for (basis, intensity), (n, m) in zip(keys, counts.cells.reshape(4, 2)):
+            writer.writerow([link, basis, intensity, n, m])
 
 
 def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
     """Read a counts table; returns (counts per link, distance_km, n_pulses)."""
     preamble: dict[str, float] = {}
-    rows: list[dict[str, str]] = []
     with open(path, newline="") as fp:
         body: list[str] = []
         for line in fp:
@@ -99,54 +102,50 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
         if key not in preamble:
             raise FileFormatError(f"{path}: preamble is missing '# {key}=...'")
 
-    cells: dict[str, dict[str, float]] = {}
+    n_pulses = preamble["n_pulses"]
+    # per link, (basis, intensity, n/m) in the layout of ObservedCounts.cells;
+    # NaN marks a cell no row has filled, since every value read is finite
+    cells = {link: np.full((2, 2, 2), np.nan) for link in LINKS}
     for idx, row in enumerate(rows, start=2):
-        link = row["link"]
-        basis = row["basis"]
-        intensity = row["intensity"]
-        if basis not in BASES:
-            raise FileFormatError(
-                f"{path}: row {idx}: basis must be one of {BASES}, got {basis!r}"
-            )
-        if intensity not in INTENSITIES:
-            raise FileFormatError(
-                f"{path}: row {idx}: intensity must be one of {INTENSITIES}, "
-                f"got {intensity!r}"
-            )
+        if None in row or None in row.values():
+            raise FileFormatError(f"{path}: row {idx}: expected {len(_COUNTS_COLUMNS)} fields")
+        for column, valid in (("link", LINKS), ("basis", BASES), ("intensity", INTENSITIES)):
+            if row[column] not in valid:
+                raise FileFormatError(
+                    f"{path}: row {idx}: {column} must be one of {valid}, got {row[column]!r}"
+                )
         try:
             n = _finite(row["n"])
             m = _finite(row["m"])
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise FileFormatError(f"{path}: row {idx}: n and m must be finite numbers") from exc
-        field = f"{basis.lower()}_{intensity}"
-        link_cells = cells.setdefault(link, {})
-        if f"n_{field}" in link_cells:
+        link, basis, intensity = row["link"], row["basis"], row["intensity"]
+        cell = cells[link][BASES.index(basis), INTENSITIES.index(intensity)]
+        if not np.isnan(cell[0]):
             raise FileFormatError(
                 f"{path}: duplicate cell ({link}, {basis}, {intensity})"
             )
-        link_cells[f"n_{field}"] = n
-        link_cells[f"m_{field}"] = m
+        cell[:] = n, m
 
     counts_by_link: dict[str, ObservedCounts] = {}
-    expected = {
-        f"{kind}_{basis.lower()}_{intensity}"
-        for kind in "nm"
-        for basis in BASES
-        for intensity in INTENSITIES
-    }
     for link, link_cells in cells.items():
-        missing = expected - set(link_cells)
+        values = link_cells.ravel().tolist()
+        missing = [name for name, v in zip(_CELL_NAMES, values) if math.isnan(v)]
         if missing:
             raise FileFormatError(
                 f"{path}: link {link!r} is missing cells: {sorted(missing)}"
             )
         try:
-            counts_by_link[link] = ObservedCounts(**link_cells)
+            counts_by_link[link] = ObservedCounts(*values)
         except ValueError as exc:
             raise FileFormatError(f"{path}: link {link!r}: {exc}") from exc
-    if not counts_by_link:
-        raise FileFormatError(f"{path}: no count rows found")
-    return counts_by_link, preamble["distance_km"], preamble["n_pulses"]
+        detections = link_cells[..., 0].sum()
+        if detections > n_pulses:
+            raise FileFormatError(
+                f"{path}: link {link!r}: {detections:g} detections exceed the "
+                f"n_pulses={n_pulses:g} pulses sent"
+            )
+    return counts_by_link, preamble["distance_km"], n_pulses
 
 
 @dataclass(frozen=True)
@@ -243,17 +242,11 @@ def default_config_path() -> str | None:
     return os.environ.get(CONFIG_ENV_VAR) or None
 
 
-def format_report(
-    report: SecurityReport,
-    distance_km: float | None = None,
-    budget: EpsilonBudget | None = None,
-) -> str:
+def format_report(report: SecurityReport, distance_km: float, budget: EpsilonBudget) -> str:
     """Human-readable, line-parseable summary of one security report."""
     est = report.estimates
-    lines: list[str] = []
-    if distance_km is not None:
-        lines.append(f"distance_km: {distance_km:g}")
-    lines += [
+    lines = [
+        f"distance_km: {distance_km:g}",
         f"block_length: {report.L}",
         f"test_sample: {report.k_test}",
         f"s_z1_lower_block: {est.s_z1_lower:.6g}",
@@ -272,31 +265,26 @@ def format_report(
         f"p_sec: {report.p_sec:.6g}",
         f"time_per_bit_s: {report.time_per_bit_s:.6g}",
         f"rate_bits_per_s: {report.rate_bits_per_s:.6g}",
+        f"epsilon_budget: {len(BOUND_APPLICATIONS)} bounds at eps_pe={budget.eps_pe:g} "
+        f"(total {budget.total:g})",
+        "epsilon_uses: " + " ".join(BOUND_APPLICATIONS),
     ]
-    if budget is not None:
-        lines.append(
-            f"epsilon_budget: {len(BOUND_APPLICATIONS)} bounds at eps_pe={budget.eps_pe:g} "
-            f"(total {budget.total:g})"
-        )
-        lines.append("epsilon_uses: " + " ".join(BOUND_APPLICATIONS))
     return "\n".join(lines) + "\n"
 
 
-def write_rate_curve(fp: io.TextIOBase, rows: list[dict[str, object]]) -> None:
-    """Write rate-vs-distance rows as CSV.
+def write_rate_curve(
+    fp: io.TextIOBase, results: Iterable[tuple[float, OptimizeResult]]
+) -> None:
+    """Write one CSV row per (distance_km, optimize result) pair.
 
     Infeasible distances carry rate 0, block length 0, p_sec 1 and
     feasible=false, so the file stays rectangular and diffable.
     """
     writer = csv.writer(fp)
     writer.writerow(["distance_km", "rate_bits_per_s", "L", "p_sec", "feasible"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["distance_km"],
-                row["rate_bits_per_s"],
-                row["L"],
-                row["p_sec"],
-                "true" if row["feasible"] else "false",
-            ]
-        )
+    for distance_km, result in results:
+        best = result.best
+        if best is None:
+            writer.writerow([distance_km, 0.0, 0, 1.0, "false"])
+        else:
+            writer.writerow([distance_km, best.rate, best.L, best.report.p_sec, "true"])

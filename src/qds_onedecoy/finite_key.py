@@ -58,7 +58,7 @@ BOUND_APPLICATIONS = (
 )
 
 
-class EstimationError(Exception):
+class EstimationError(ValueError):
     """Raised when an estimator is asked for a bound it cannot produce."""
 
 
@@ -73,8 +73,8 @@ class EpsilonBudget:
     eps_pe: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_pe <= 1.0:
-            raise ValueError(f"eps_pe must lie in (0, 1], got {self.eps_pe}")
+        if not 1e-100 <= self.eps_pe <= 1.0:  # (21/eps_pe)**2 stays finite
+            raise ValueError(f"eps_pe must lie in [1e-100, 1], got {self.eps_pe}")
 
     @property
     def total(self) -> float:
@@ -160,7 +160,7 @@ def single_photon_lower(
     the estimates as ``vacuous``).
     """
     if np.minimum.reduce(pc.nu, axis=None) <= 0.0:
-        raise EstimationError("single-photon bound requires a non-vacuum decoy intensity")
+        raise EstimationError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
     eps = budget.eps_pe
     n_tot = counts.n_total(basis)
     nu_lower, _ = scaled_count_bounds(counts.n(basis, "nu"), n_tot, "nu", pc, eps)

@@ -110,6 +110,9 @@ class OptimizeResult:
 #: leave 1 or 2 of the other 200 grid-3 points unpruned (the 16 of highest
 #: yield leave about 10); 8 to 32 cost about the same.
 SEED_POINTS = 16
+#: Coordinate-scan rounds after the grid pass, and the points of each scan.
+DESCENT_ROUNDS = 4
+SCAN_POINTS = 5
 
 
 def _take_links(
@@ -205,8 +208,6 @@ def _tiebreak_key(params: Mapping[str, float]) -> tuple[float, ...]:
 def maximize(
     space: SearchSpace,
     objective: Callable[[list[dict[str, float]], float], Sequence[float | None]],
-    descent_rounds: int = 4,
-    scan_points: int = 5,
 ) -> tuple[dict[str, float] | None, float, int, int]:
     """Grid pass plus shrinking coordinate scans over the box.
 
@@ -268,7 +269,7 @@ def maximize(
     if best_params is None:
         return None, -math.inf, evaluations, n_feasible
 
-    for round_idx in range(descent_rounds):
+    for round_idx in range(DESCENT_ROUNDS):
         for name in PARAM_NAMES:
             lo, hi = space.bounds(name)
             cell = (hi - lo) / (space.grid_points - 1)
@@ -277,7 +278,7 @@ def maximize(
             consider([
                 {**best_params, name: float(value)}
                 for value in np.linspace(
-                    max(lo, center - radius), min(hi, center + radius), scan_points
+                    max(lo, center - radius), min(hi, center + radius), SCAN_POINTS
                 )
             ])
 

@@ -35,10 +35,8 @@ __all__ = [
     "thresholds_from_rates",
     "p_robust",
     "p_repudiation_raw",
-    "p_repudiation",
     "epsilon_f",
     "p_forge_raw",
-    "p_forge",
     "p_sec",
     "merge_block_estimates",
     "block_report",
@@ -177,10 +175,6 @@ def p_repudiation_raw(th: Thresholds, L: int | np.ndarray) -> float | np.ndarray
     return 2.0 * np.exp(-((th.s_upsilon - th.s_alpha) ** 2) * L / 4.0)
 
 
-def p_repudiation(th: Thresholds, L: int | np.ndarray) -> float | np.ndarray:
-    return np.minimum(1.0, p_repudiation_raw(th, L))
-
-
 def epsilon_f(
     alpha: float,
     L: int | np.ndarray,
@@ -218,12 +212,6 @@ def p_forge_raw(
     return alpha + eps_forge + len(BOUND_APPLICATIONS) * eps_pe
 
 
-def p_forge(
-    alpha: float, eps_forge: float | np.ndarray, eps_pe: float
-) -> float | np.ndarray:
-    return np.minimum(1.0, p_forge_raw(alpha, eps_forge, eps_pe))
-
-
 def p_sec(
     robust: float | np.ndarray, repudiation: float | np.ndarray, forge: float | np.ndarray
 ) -> float | np.ndarray:
@@ -254,17 +242,32 @@ def merge_block_estimates(per_link: FiniteKeyEstimates) -> FiniteKeyEstimates:
 
 
 class _Chain(NamedTuple):
-    """Every bound of the analysis over a batch; see ``_bound_chain``."""
+    """Every bound of the analysis over a batch (see ``_bound_chain``):
+    ``certified`` and the fields of ``SecurityReport`` the chain computes."""
 
     estimates: FiniteKeyEstimates
     e_upper: np.ndarray
     p_e: np.ndarray
     certified: np.ndarray
     thresholds: Thresholds
+    p_robust: float
     p_repudiation_raw: np.ndarray
+    p_repudiation: np.ndarray
     epsilon_forge: np.ndarray
     p_forge_raw: np.ndarray
+    p_forge: np.ndarray
     p_sec: np.ndarray
+
+    def item(self) -> dict[str, object]:
+        """A batch of one as Python scalars by field name, the estimates
+        and thresholds rebuilt as their own types."""
+
+        def scalar(value: object) -> object:
+            if isinstance(value, (FiniteKeyEstimates, Thresholds)):
+                return type(value)(*(scalar(getattr(value, f.name)) for f in fields(value)))
+            return np.asarray(value).item()
+
+        return {name: scalar(value) for name, value in zip(self._fields, self)}
 
 
 def _bound_chain(
@@ -297,13 +300,16 @@ def _bound_chain(
     th = thresholds_from_rates(
         np.where(certified, e_upper, 0.0), np.where(certified, p_e, 0.25)
     )
+    robust = p_robust(budget.eps_pe)
     rep_raw = p_repudiation_raw(th, L)
+    rep = np.minimum(1.0, rep_raw)
     eps_forge = epsilon_f(alpha, L, est.s_z1_lower, est.phi_z1_upper, th.s_upsilon, eps)
     forge_raw = p_forge_raw(alpha, eps_forge, budget.eps_pe)
-    security = p_sec(
-        p_robust(budget.eps_pe), np.minimum(1.0, rep_raw), np.minimum(1.0, forge_raw)
+    forge = np.minimum(1.0, forge_raw)
+    return _Chain(
+        est, e_upper, p_e, certified, th, robust, rep_raw, rep, eps_forge, forge_raw, forge,
+        p_sec(robust, rep, forge),
     )
-    return _Chain(est, e_upper, p_e, certified, th, rep_raw, eps_forge, forge_raw, security)
 
 
 def _stack_links(counts_by_link: Mapping[str, ObservedCounts]) -> ObservedCounts:
@@ -343,39 +349,18 @@ def block_report(
             raise Infeasible(
                 f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
             )
-    chain = _bound_chain(
+    view = _bound_chain(
         _stack_links(counts_by_link), pc, budget, alpha, eps, np.array([[L]]), k_test
-    )
-    merged = FiniteKeyEstimates(
-        *(getattr(chain.estimates, f.name).item() for f in fields(FiniteKeyEstimates))
-    )
-    e_upper, p_e = chain.e_upper.item(), chain.p_e.item()
-    if not chain.certified.item():
+    ).item()
+    if not view.pop("certified"):
         raise Infeasible(
             f"block of length {L} cannot be certified: tolerable rate "
-            f"{p_e:.6g} vs observed bound {e_upper:.6g}"
-            + (" (phase error saturated)" if merged.saturated else "")
+            f"{view['p_e']:.6g} vs observed bound {view['e_upper']:.6g}"
+            + (" (phase error saturated)" if view["estimates"].saturated else "")
         )
-    rep_raw, forge_raw = chain.p_repudiation_raw.item(), chain.p_forge_raw.item()
     time_s, rate = signature_time_and_rate(L, counts_by_link, pc, ch)
     return SecurityReport(
-        L=L,
-        k_test=k_test,
-        e_upper=e_upper,
-        p_e=p_e,
-        thresholds=Thresholds(
-            chain.thresholds.s_alpha.item(), chain.thresholds.s_upsilon.item()
-        ),
-        p_robust=p_robust(budget.eps_pe),
-        p_repudiation=min(1.0, rep_raw),
-        p_forge=min(1.0, forge_raw),
-        p_sec=chain.p_sec.item(),
-        time_per_bit_s=time_s,
-        rate_bits_per_s=rate,
-        estimates=merged,
-        p_repudiation_raw=rep_raw,
-        p_forge_raw=forge_raw,
-        epsilon_forge=chain.epsilon_forge.item(),
+        L=L, k_test=k_test, time_per_bit_s=float(time_s), rate_bits_per_s=float(rate), **view
     )
 
 

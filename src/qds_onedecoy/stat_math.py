@@ -133,6 +133,8 @@ def gamma_correction(
         raise ValueError(f"sample sizes must be positive, got c={c}, d={d}")
     sizes = (c + d) / (c * d)
     spread = (1.0 - b) * b
+    # where the log's argument is below 1 the bound holds with no penalty
     return np.sqrt(
-        sizes * spread / math.log(2.0) * np.log2(sizes / spread * (21.0 / a) ** 2)
+        sizes * spread / math.log(2.0)
+        * np.log2(np.maximum(1.0, sizes / spread * (21.0 / a) ** 2))
     )[()]

@@ -181,6 +181,7 @@ class TestStackedStatistics:
     @pytest.mark.parametrize("bad", [
         {"nu": 0.6}, {"nu": -0.1}, {"mu": math.nan}, {"mu": 0.0, "nu": 0.0},
         {"p_mu": 1.0}, {"p_z_tx": 0.0}, {"p_z_rx": math.inf}, {"n_pulses": 0.5},
+        {"mu": 1.5}, {"nu": 1e-320}, {"p_mu": 1e-300}, {"n_pulses": 1e19},
     ])
     def test_stack_with_a_bad_row_raises_the_single_config_error(self, bad):
         good = {"mu": 0.5, "nu": 0.2, "p_mu": 0.7, "p_z_tx": 0.8, "p_z_rx": 0.8,

@@ -1,13 +1,17 @@
 """End-to-end command line coverage, exercised in process through main()."""
 
+import contextlib
 import csv
 import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qds_onedecoy.cli import build_parser, main
 from qds_onedecoy.files import CONFIG_ENV_VAR, read_counts
@@ -302,6 +306,19 @@ class TestRateCurve:
 
 DEVICE_TEXT = pathlib.Path(DEVICE_CFG).read_text()
 MODEL_TEXT = pathlib.Path(MODEL_103).read_text()
+
+
+def _scaled_cells(text: str, factor: float) -> str:
+    """A counts table with every n and m multiplied by ``factor``."""
+    lines = []
+    for line in text.splitlines():
+        cells = line.split(",")
+        if len(cells) == 5 and cells[0] != "link":
+            cells[3:] = (repr(float(value) * factor) for value in cells[3:])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 BAD_FILES = {
     "mu_below_nu.cfg": DEVICE_TEXT.replace("mu = 0.6", "mu = 0.1", 1),
     "inf_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = inf"),
@@ -312,6 +329,25 @@ BAD_FILES = {
     "huge_target.cfg": DEVICE_TEXT.replace("target_psec = 1e-4", "target_psec = 5"),
     "zero_k_test.cfg": DEVICE_TEXT + "k_test = 0\n",
     "negative_seed.cfg": DEVICE_TEXT.replace("seed = 7", "seed = -1"),
+    "e300_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = 1e300"),
+    "e19_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = 1e19"),
+    "e290_cells.csv": _scaled_cells(MODEL_TEXT, 1e290),
+    "e300_pulses.csv": MODEL_TEXT.replace("# n_pulses=2000000000000.0", "# n_pulses=1e300"),
+    "one_link.csv": "".join(
+        line for line in MODEL_TEXT.splitlines(keepends=True) if "charlie" not in line
+    ),
+    "carol_link.csv": MODEL_TEXT.replace("charlie_alice", "carol_alice"),
+    "e300_mu.cfg": DEVICE_TEXT.replace("\nmu = 0.6", "\nmu = 1e300"),
+    "vacuum_decoy.cfg": DEVICE_TEXT.replace("nu = 0.2", "nu = 0"),
+    "e320_nu.cfg": DEVICE_TEXT.replace("nu = 0.2", "nu = 1e-320"),
+    "e300_p_mu.cfg": DEVICE_TEXT.replace("p_mu = 0.6", "p_mu = 1e-300"),
+    "e300_eps_pe.cfg": DEVICE_TEXT.replace("eps_pe = 5e-6", "eps_pe = 1e-300"),
+    "e300_clock.cfg": DEVICE_TEXT.replace("clock_hz = 5e7", "clock_hz = 1e-300"),
+    "e20_dark.cfg": DEVICE_TEXT.replace("dark_count_rate_hz = 20", "dark_count_rate_hz = 1e20"),
+    "three_links.csv": MODEL_TEXT + "".join(
+        line.replace("charlie_alice", "carol_alice")
+        for line in MODEL_TEXT.splitlines(keepends=True) if "charlie" in line
+    ),
 }
 
 
@@ -345,12 +381,48 @@ class TestBadValues:
          "--seed must be non-negative"),
         (["demo-sign", "--config", DESK_CFG, "--distance", "5", "--seed", "-3"],
          "--seed must be non-negative"),
+        # int64 counting in the sampler and the solver: no overflow, no NaN counts
+        (["simulate", "--config", "{tmp}/e300_pulses.cfg", "--distance", "50", "--sampled"],
+         "e300_pulses.cfg: n_pulses must be at most 2**62"),
+        (["simulate", "--config", "{tmp}/e19_pulses.cfg", "--distance", "50", "--sampled"],
+         "e19_pulses.cfg: n_pulses must be at most 2**62"),
+        (["simulate", "--config", "{tmp}/e300_pulses.cfg", "--distance", "50"],
+         "e300_pulses.cfg: n_pulses must be at most 2**62"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/e290_cells.csv"],
+         "link 'bob_alice': 4.05264e+299 detections exceed the n_pulses=2e+12 pulses sent"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/e300_pulses.csv"],
+         "n_pulses must be at most 2**62"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/one_link.csv"],
+         "one_link.csv: link 'charlie_alice' is missing cells"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/carol_link.csv"],
+         "row 6: link must be one of ('bob_alice', 'charlie_alice'), got 'carol_alice'"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/three_links.csv"],
+         "three_links.csv: row 10: link must be one of"),
+        # found by TestFuzz and a scan of extreme values: overflow, NaN or a traceback
+        (["estimate", "--config", "{tmp}/e300_mu.cfg", "--counts", MODEL_103],
+         "e300_mu.cfg: signal intensity must lie in (0, 1], got 1e+300"),
+        (["estimate", "--config", "{tmp}/vacuum_decoy.cfg", "--counts", MODEL_103],
+         "decoy intensity nu > 0, got 0.0"),
+        (["estimate", "--config", "{tmp}/e320_nu.cfg", "--counts", MODEL_103],
+         "e320_nu.cfg: the decoy bounds need p_mu >= 1e-100 and nu = 0 or nu >= 1e-100"),
+        (["simulate", "--config", "{tmp}/e300_p_mu.cfg", "--distance", "50"],
+         "got p_mu=1e-300, nu=0.2"),
+        (["estimate", "--config", "{tmp}/e300_eps_pe.cfg", "--counts", MODEL_103],
+         "e300_eps_pe.cfg: eps_pe must lie in [1e-100, 1], got 1e-300"),
+        (["estimate", "--config", "{tmp}/e300_clock.cfg", "--counts", MODEL_103],
+         "e300_clock.cfg: clock_hz must be at least 1e-100, got 1e-300"),
+        (["simulate", "--config", "{tmp}/e20_dark.cfg", "--distance", "50"],
+         "2 * dark_count_rate_hz * gate_window_s <= 1, got 4e+11"),
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
         "simulate-nan-distance", "demo-sign-inf-distance", "curve-nan-from", "curve-inf-to",
         "curve-minus-inf-step", "config-negative-eps", "config-zero-alpha",
         "config-target-above-one", "config-zero-k-test", "config-negative-seed",
         "simulate-negative-seed", "demo-sign-negative-seed",
+        "sampled-e300-pulses", "sampled-e19-pulses", "model-e300-pulses",
+        "counts-e290-cells", "counts-e300-pulses", "counts-one-link", "counts-carol-link",
+        "counts-three-links", "config-e300-mu", "config-vacuum-decoy", "config-e320-nu",
+        "config-e300-p-mu", "config-e300-eps-pe", "config-e300-clock", "config-e20-dark",
     ])
     def test_is_exit_2_and_named(self, capsys, tmp_path, argv, named):
         for name, text in BAD_FILES.items():
@@ -360,6 +432,137 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+
+
+#: Values a fuzzed config key or count cell may take: any float repr, and
+#: magnitudes, junk and integers the parsers must sort out.
+FUZZ_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e300", "-1e300", "1e19", "4e18", "0", "-1", "1e-320", "", "x", "2**62"]),
+    st.integers(-(2**70), 2**70).map(str),
+)
+CONFIG_LINES = [line for line in DEVICE_TEXT.splitlines() if "=" in line and line[0] != "#"]
+TABLE_LINES = MODEL_TEXT.splitlines()
+
+
+def _remap(text: str, f) -> str:
+    """``f`` applied to a cell that parses as a float; any other cell as it is."""
+    try:
+        return repr(f(float(text)))
+    except ValueError:
+        return text
+
+
+@st.composite
+def fuzzed_config(draw) -> str:
+    """device.cfg with a few keys set to fuzzed values, scaled, dropped or
+    repeated, and possibly k_test or an unknown key added."""
+    lines = [*CONFIG_LINES, "k_test = 3000"][: len(CONFIG_LINES) + draw(st.integers(0, 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, _, value = (part.strip() for part in lines[i].partition("="))
+        edit = draw(st.sampled_from(["set", "scale", "scale", "drop", "repeat", "unknown"]))
+        if edit == "set":
+            lines[i] = f"{key} = {draw(FUZZ_VALUES)}"
+        elif edit == "scale":
+            factor = draw(st.sampled_from([1e-3, 0.5, 0.9, 1.1, 2.0, 1e3]))
+            lines[i] = f"{key} = {_remap(value, lambda x: x * factor)}"
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.append(lines[i])
+        else:
+            lines.append(f"{key}_x = 1")
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzzed_table(draw) -> str:
+    """model_103km.csv with a few fuzzed cells or preamble values, cells
+    scaled or with m > n, rows dropped, repeated, relinked or ragged."""
+    lines = list(TABLE_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        row = lines[i].split(",")
+        edit = draw(st.sampled_from(
+            ["value", "scale", "m_over_n", "drop", "repeat", "relink", "ragged", "preamble"]
+        ))
+        if edit == "preamble":
+            key = draw(st.sampled_from(["distance_km", "n_pulses"]))
+            lines = [f"# {key}={draw(FUZZ_VALUES)}" if line.startswith(f"# {key}=") else line
+                     for line in lines]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.append(lines[i])
+        elif len(row) != 5 or row[0] == "link":
+            continue
+        elif edit == "value":
+            row[draw(st.sampled_from([3, 4]))] = draw(FUZZ_VALUES)
+        elif edit == "scale":
+            factor = draw(st.sampled_from([1e290, 1e-300, -1.0, 10.0, 0.0]))
+            row[3:] = (_remap(v, lambda x: x * factor) for v in row[3:])
+        elif edit == "m_over_n":
+            row[4] = _remap(row[3], lambda x: 2.0 * x + 1.0)
+        elif edit == "relink":
+            row[0] = draw(st.sampled_from(["carol_alice", "", "bob_alice", "charlie_alice"]))
+        else:
+            row = row[: draw(st.integers(1, 4))] if draw(st.booleans()) else [*row, "7"]
+        if edit in ("value", "scale", "m_over_n", "relink", "ragged"):
+            lines[i] = ",".join(row)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+FUZZ = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestFuzz:
+    """Generated configs and counts tables end in exit 0, 2 or 3 with a
+    one-line message, never in an exception (RuntimeWarnings included)."""
+
+    @staticmethod
+    def check(rc: int, err: str) -> None:
+        assert rc in (0, 2, 3)
+        prefix = {0: "", 2: "error: ", 3: "infeasible: "}[rc]
+        assert err.startswith(prefix) and err.count("\n") == (rc != 0)
+
+    @settings(FUZZ, max_examples=300)
+    @given(fuzzed_config(), fuzzed_table(),
+           st.one_of(st.none(), st.integers(-4, 2 * 10**6)))
+    def test_estimate(self, config, table, block_length):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, counts = pathlib.Path(tmp, "run.cfg"), pathlib.Path(tmp, "counts.csv")
+            cfg.write_text(config)
+            counts.write_text(table)
+            argv = ["estimate", "--config", str(cfg), "--counts", str(counts)]
+            if block_length is not None:
+                argv += ["--block-length", str(block_length)]
+            self.check(*run_quietly(argv))
+
+    @settings(FUZZ, max_examples=30)
+    @given(fuzzed_config(), st.floats(0.0, 400.0))
+    def test_rate_curve(self, config, distance):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp, "run.cfg")
+            cfg.write_text(config)
+            self.check(*run_quietly([
+                "rate-curve", "--config", str(cfg), "--grid-points", "2",
+                "--from", repr(distance), "--to", repr(distance + 1.0),
+            ]))
 
 
 class TestParser:

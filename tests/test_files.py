@@ -115,6 +115,13 @@ class TestCountsRoundTrip:
         with pytest.raises(FileFormatError, match="duplicate"):
             read_counts(str(path))
 
+    @pytest.mark.parametrize("row", ["bob_alice,Z,mu,10", "bob_alice,Z,mu,10,1,7"])
+    def test_ragged_row_rejected(self, tmp_path, row):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"# distance_km=10\n# n_pulses=1e9\nlink,basis,intensity,n,m\n{row}\n")
+        with pytest.raises(FileFormatError, match="row 2: expected 5 fields"):
+            read_counts(str(path))
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("# distance_km=10\n# n_pulses=1e9\nfoo,bar\n1,2\n")
@@ -198,19 +205,23 @@ class TestConfig:
         assert default_config_path() == "/tmp/x.cfg"
 
 
+def report_103km():
+    from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+    from qds_onedecoy.finite_key import EpsilonBudget
+    from qds_onedecoy.security import block_report
+
+    pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.85, p_z_rx=0.85,
+                     n_pulses=2e12)
+    ch = ChannelParams(distance_km=103.0)
+    counts = expected_statistics(pc, ch)
+    cbl = {"bob_alice": counts, "charlie_alice": counts}
+    budget = EpsilonBudget(eps_pe=5e-6)
+    return block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 89522), budget
+
+
 class TestReportAndCurve:
     def test_report_text_is_line_parseable(self):
-        from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
-        from qds_onedecoy.finite_key import EpsilonBudget
-        from qds_onedecoy.security import block_report
-
-        pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.85, p_z_rx=0.85,
-                         n_pulses=2e12)
-        ch = ChannelParams(distance_km=103.0)
-        counts = expected_statistics(pc, ch)
-        cbl = {"bob_alice": counts, "charlie_alice": counts}
-        budget = EpsilonBudget(eps_pe=5e-6)
-        report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 89522)
+        report, budget = report_103km()
         text = format_report(report, distance_km=103.0, budget=budget)
         parsed = dict(
             line.split(": ", 1) for line in text.strip().splitlines()
@@ -221,17 +232,21 @@ class TestReportAndCurve:
         assert "epsilon_budget" in parsed
 
     def test_rate_curve_rows(self):
+        from qds_onedecoy.optimizer import EvalResult, OptimizeResult
+
+        report, _ = report_103km()
+        best = EvalResult(rate=report.rate_bits_per_s, L=report.L, report=report)
         buf = io.StringIO()
         write_rate_curve(
             buf,
             [
-                {"distance_km": 100.0, "rate_bits_per_s": 0.5, "L": 90000,
-                 "p_sec": 9e-5, "feasible": True},
-                {"distance_km": 350.0, "rate_bits_per_s": 0.0, "L": 0,
-                 "p_sec": 1.0, "feasible": False},
+                (100.0, OptimizeResult(best=best, evaluations=9, n_feasible=4, pruned=2)),
+                (350.0, OptimizeResult(best=None, evaluations=9, n_feasible=0, pruned=0)),
             ],
         )
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "distance_km,rate_bits_per_s,L,p_sec,feasible"
-        assert lines[1].startswith("100.0,0.5,90000,")
-        assert lines[2].endswith("false")
+        assert lines == [
+            "distance_km,rate_bits_per_s,L,p_sec,feasible",
+            f"100.0,{report.rate_bits_per_s!r},89522,{report.p_sec!r},true",
+            "350.0,0.0,0,1.0,false",
+        ]

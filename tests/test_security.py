@@ -27,8 +27,7 @@ from qds_onedecoy.security import (
     longest_block_at_rate,
     merge_block_estimates,
     min_signature_length,
-    p_forge,
-    p_repudiation,
+    p_forge_raw,
     p_repudiation_raw,
     p_robust,
     p_sec,
@@ -128,7 +127,10 @@ class TestProbabilityBounds:
     def test_repudiation_clamp(self):
         th = Thresholds(0.05, 0.15)
         assert p_repudiation_raw(th, 2) > 1.0
-        assert p_repudiation(th, 2) == 1.0
+        # the chain clamps what the raw bound leaves above 1, and only that
+        chain = paper_scale_chain([2, 100, 89522])
+        assert (chain.p_repudiation_raw[0, :2] > 1.0).all()
+        assert chain.p_repudiation[0].tolist() == [1.0, 1.0, chain.p_repudiation_raw[0, 2]]
 
     def test_repudiation_decays_with_length(self):
         th = Thresholds(0.05, 0.15)
@@ -144,14 +146,19 @@ class TestProbabilityBounds:
         # h(s_upsilon) exceeds the entropy rate: forging unbounded
         val = epsilon_f(1e-5, 50000, 100.0, 0.02, 0.4, 1e-10)
         assert val == math.inf
-        assert p_forge(1e-5, val, 1e-5) == 1.0
+        assert p_forge_raw(1e-5, val, 1e-5) == math.inf
+        # in the chain, an unbounded forging term clamps to 1
+        chain = paper_scale_chain([5000, 89522])
+        assert chain.epsilon_forge[0, 0] == math.inf
+        assert chain.p_forge[0].tolist() == [1.0, chain.p_forge_raw[0, 1]]
+        assert chain.p_forge_raw[0, 1] < 1.0
 
     def test_epsilon_f_rejects_negative_eps(self):
         with pytest.raises(ValueError, match="eps must be non-negative"):
             epsilon_f(1e-5, 50000, 20000.0, 0.02, 0.1, -1e-3)
 
     def test_forge_floor(self):
-        assert p_forge(1e-5, 0.0, 1e-5) == pytest.approx(1.1e-4)
+        assert p_forge_raw(1e-5, 0.0, 1e-5) == pytest.approx(1.1e-4)
 
     def test_p_sec_is_worst_case(self):
         assert p_sec(1e-5, 3e-5, 2e-5) == 3e-5
@@ -186,6 +193,13 @@ def paper_scale_setup(distance_km=103.0, eps_pe=5e-6):
     counts = expected_statistics(pc, ch)
     cbl = {"bob_alice": counts, "charlie_alice": counts}
     return pc, ch, cbl, EpsilonBudget(eps_pe=eps_pe)
+
+
+def paper_scale_chain(lengths):
+    """The bound chain of ``paper_scale_setup`` at each of ``lengths``."""
+    pc, _, cbl, budget = paper_scale_setup()
+    L = np.array(lengths)[None, :]
+    return _bound_chain(_stack_links(cbl), pc, budget, 1e-5, 1e-10, L, k_test_for(L))
 
 
 def solve_one(cbl, pc, budget, target_psec=1e-4, k_test=None):
@@ -497,7 +511,8 @@ class TestBlockReport:
         assert report.rate_bits_per_s == pytest.approx(1.0 / report.time_per_bit_s)
         assert report.thresholds.s_alpha < report.thresholds.s_upsilon
         assert report.e_upper < report.thresholds.s_alpha
-        assert report.p_repudiation <= report.p_repudiation_raw
+        assert report.p_repudiation == min(1.0, report.p_repudiation_raw)
+        assert report.p_forge == min(1.0, report.p_forge_raw)
         assert report.k_test == k_test_for(L) == max(1, round(0.05 * L))
 
     def test_rejects_odd_length(self):
@@ -505,6 +520,15 @@ class TestBlockReport:
         with pytest.raises(ValueError):
             block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 1001)
 
+    def test_report_is_the_chain_at_one_length(self):
+        pc, ch, cbl, budget = paper_scale_setup()
+        report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 89522)
+        view = paper_scale_chain([89522]).item()
+        assert view.pop("certified") is True
+        assert {name: getattr(report, name) for name in view} == view
+        assert type(report.p_sec) is type(report.rate_bits_per_s) is float
+        assert type(report.estimates.s_z1_lower) is float
+        assert type(report.estimates.saturated) is bool
 
 
 class TestKTestFor:

@@ -211,6 +211,10 @@ class TestGammaCorrection:
             gamma_correction(1e-10, b, d, c), rel=1e-12
         )
 
+    def test_vanishes_instead_of_nan_for_huge_samples(self):
+        # (c + d) / (c d b (1 - b)) * (21 / a)^2 falls below 1 here
+        assert gamma_correction(1e-3, 0.05, 1e17, 1e17) == 0.0
+
     def test_shrinks_with_more_data(self):
         small = gamma_correction(1e-10, 0.05, 1e5, 1e5)
         large = gamma_correction(1e-10, 0.05, 1e6, 1e6)
