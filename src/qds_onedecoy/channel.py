@@ -80,24 +80,30 @@ class PulseConfig:
 
     @classmethod
     def stack(
-        cls, rows: Sequence["PulseConfig | Mapping[str, float]"], **shared: float
+        cls, rows: "Sequence[PulseConfig | Mapping[str, float]] | np.ndarray", **shared: float
     ) -> "PulseConfig":
         """One config whose fields are (len(rows), 1) arrays, for the batched models.
 
         Row i takes its fields from ``rows[i]``, a config or a mapping of
         field names, except the fields given in ``shared``, which every row
-        takes; the trailing axis broadcasts over block lengths.  The stack
-        is validated once, as arrays: a bad row raises the error a config
-        of that row alone would.
+        takes; the trailing axis broadcasts over block lengths.  ``rows``
+        may also be a 2-D float array, whose columns are the leading fields
+        in order.  The stack is validated once, as arrays: a bad row raises
+        the error a config of that row alone would.
         """
-        rows = [vars(row) if isinstance(row, PulseConfig) else row for row in rows]
+        names = [f.name for f in fields(cls)]
+        if isinstance(rows, np.ndarray):
+            columns = dict(zip(names, rows.T))
+        else:
+            rows = [vars(row) if isinstance(row, PulseConfig) else row for row in rows]
+            columns = {name: [row[name] for row in rows] for name in names if name not in shared}
         stacked = object.__new__(cls)
-        for f in fields(cls):
-            if f.name in shared:
-                column = np.full(len(rows), shared[f.name], dtype=float)
+        for name in names:
+            if name in shared:
+                column = np.full(len(rows), shared[name], dtype=float)
             else:
-                column = np.array([row[f.name] for row in rows], dtype=float)
-            object.__setattr__(stacked, f.name, column[:, None])
+                column = np.array(columns[name], dtype=float)
+            object.__setattr__(stacked, name, column[:, None])
         stacked.__post_init__()
         return stacked
 

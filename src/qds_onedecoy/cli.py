@@ -151,7 +151,10 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
         raise FileFormatError(
             f"--from {args.km_from:g} exceeds --to {args.km_to:g}"
         )
-    space = SearchSpace(grid_points=args.grid_points)
+    try:
+        space = SearchSpace(grid_points=args.grid_points)
+    except ValueError as exc:
+        raise FileFormatError(f"--grid-points: {exc}") from exc
     # half-open sweep: --from is included, --to is not; --from equal to
     # --to yields a header-only file
     results = [
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--step", dest="km_step", type=float, default=20.0)
     p_curve.add_argument(
         "--grid-points", type=int, default=4,
-        help="grid resolution per parameter for the source search",
+        help="grid resolution per parameter for the source search (2 to 10)",
     )
     p_curve.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p_curve.set_defaults(func=cmd_rate_curve)

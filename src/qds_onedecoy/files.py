@@ -162,6 +162,12 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # PulseConfig admits nu = 0, but every command bounds a decoy pulse
+        if not self.source.nu > 0.0:
+            raise ValueError(
+                f"nu must be positive: the decoy-state bounds need a decoy intensity, "
+                f"got {self.source.nu:g}"
+            )
         for name in ("alpha", "eps", "target_psec"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

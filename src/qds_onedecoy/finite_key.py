@@ -10,7 +10,9 @@ the total failure probability stays accountable.
 The estimators broadcast: given counts with batch axes (see
 ``ObservedCounts``) and a ``PulseConfig.stack`` of source settings, they
 return arrays over the batch, which is how the block-length solver evaluates many settings and
-block lengths in one call.
+block lengths in one call.  Wherever an estimator takes a config it also
+takes the config's ``_decoy`` factors, which the solver computes once per
+solve.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,11 +113,63 @@ def tau_n(n: int, pc: PulseConfig) -> float | np.ndarray:
     ) / math.factorial(n)
 
 
+class _Decoy(NamedTuple):
+    """The factors of the decoy bounds that depend on the source settings
+    alone, for a config (floats) or a stack (arrays).
+
+    ``_decoy`` computes them; the estimators below take them wherever they
+    take a config, so a caller that evaluates one source at many block
+    lengths, as the block-length solver does, computes them once.  Each
+    is the sub-expression the bounds evaluate first, so every bound is
+    bit for bit what it is from the config.
+    """
+
+    mu_scale: float | np.ndarray  # e^mu / p_mu
+    nu_scale: float | np.ndarray  # e^nu / (1 - p_mu)
+    signal_weight: float | np.ndarray  # nu^2 / mu^2
+    vacuum_weight: float | np.ndarray  # (mu^2 - nu^2) / (mu^2 tau_0)
+    s1_factor: float | np.ndarray  # tau_1 mu / (nu (mu - nu))
+    v1_factor: float | np.ndarray  # tau_1 / (mu - nu)
+
+    def scale(self, intensity: str) -> float | np.ndarray:
+        """e^lam / p_lam for intensity 'mu' or 'nu'."""
+        if intensity == "mu":
+            return self.mu_scale
+        if intensity == "nu":
+            return self.nu_scale
+        raise ValueError(f"unknown intensity {intensity!r}, expected 'mu' or 'nu'")
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "_Decoy":
+        """The rows ``rows`` of a stack's factors, as ``PulseConfig.take``."""
+        if np.ndim(self.mu_scale) == 0:
+            return self
+        return _Decoy(*(factor[rows] for factor in self))
+
+
+def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
+    """The decoy factors of ``pc``; given factors, those."""
+    if isinstance(pc, _Decoy):
+        return pc
+    if np.minimum.reduce(pc.nu, axis=None) <= 0.0:
+        raise EstimationError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
+    mu, nu = pc.mu, pc.nu
+    mu2, nu2 = mu**2, nu**2
+    tau_1 = tau_n(1, pc)
+    return _Decoy(
+        mu_scale=np.exp(mu) / pc.p_mu,
+        nu_scale=np.exp(nu) / (1.0 - pc.p_mu),
+        signal_weight=nu2 / mu2,
+        vacuum_weight=(mu2 - nu2) / (mu2 * tau_n(0, pc)),
+        s1_factor=tau_1 * mu / (nu * (mu - nu)),
+        v1_factor=tau_1 / (mu - nu),
+    )
+
+
 def scaled_count_bounds(
     count: float | np.ndarray,
     basis_total: float | np.ndarray,
     intensity: str,
-    pc: PulseConfig,
+    pc: PulseConfig | _Decoy,
     eps: float,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Bounds on the intensity-normalised count (e^lam / p_lam)(count -/+ delta).
@@ -123,13 +178,12 @@ def scaled_count_bounds(
     per-intensity count is one summand.  The lower bound is floored at
     zero since it estimates a number of events.
     """
-    lam, p_lam = pc.intensity(intensity)
+    scale = _decoy(pc).scale(intensity)
     if np.maximum.reduce(count - basis_total, axis=None) > 0:
         raise ValueError(
             f"cell count {count} cannot exceed its basis total {basis_total}"
         )
     delta = hoeffding_delta(basis_total, eps)
-    scale = np.exp(lam) / p_lam
     lower = np.maximum(0.0, scale * (count - delta))
     upper = scale * (count + delta)
     return lower, upper
@@ -148,7 +202,10 @@ def vacuum_upper(m_basis_total: float | np.ndarray, eps: float) -> float | np.nd
 
 
 def single_photon_lower(
-    counts: ObservedCounts, basis: str | tuple[str, ...], pc: PulseConfig, budget: EpsilonBudget
+    counts: ObservedCounts,
+    basis: str | tuple[str, ...],
+    pc: PulseConfig | _Decoy,
+    budget: EpsilonBudget,
 ) -> float | np.ndarray:
     """Lower bound on single-photon detections in ``basis`` (or in both, for ``BASES``).
 
@@ -159,25 +216,20 @@ def single_photon_lower(
     single-photon events, and 0 is returned (``estimate_counts`` flags
     the estimates as ``vacuous``).
     """
-    if np.minimum.reduce(pc.nu, axis=None) <= 0.0:
-        raise EstimationError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
+    d = _decoy(pc)
     eps = budget.eps_pe
     n_tot = counts.n_total(basis)
-    nu_lower, _ = scaled_count_bounds(counts.n(basis, "nu"), n_tot, "nu", pc, eps)
-    _, mu_upper = scaled_count_bounds(counts.n(basis, "mu"), n_tot, "mu", pc, eps)
+    nu_lower, _ = scaled_count_bounds(counts.n(basis, "nu"), n_tot, "nu", d, eps)
+    _, mu_upper = scaled_count_bounds(counts.n(basis, "mu"), n_tot, "mu", d, eps)
     s0_upper = vacuum_upper(counts.m_total(basis), eps)
-    mu, nu = pc.mu, pc.nu
-    mu2, nu2 = mu**2, nu**2
-    bracket = (
-        nu_lower - (nu2 / mu2) * mu_upper - ((mu2 - nu2) / (mu2 * tau_n(0, pc))) * s0_upper
-    )
-    s1 = tau_n(1, pc) * mu / (nu * (mu - nu)) * bracket
+    bracket = nu_lower - d.signal_weight * mu_upper - d.vacuum_weight * s0_upper
+    s1 = d.s1_factor * bracket
     # an empty basis has a zero bracket, so it returns 0 here too
     return np.where(s1 > 0.0, np.minimum(s1, n_tot), 0.0)[()]
 
 
 def single_photon_error_upper(
-    counts: ObservedCounts, pc: PulseConfig, budget: EpsilonBudget
+    counts: ObservedCounts, pc: PulseConfig | _Decoy, budget: EpsilonBudget
 ) -> float | np.ndarray:
     """Upper bound on errors among single-photon detections in the X basis.
 
@@ -186,17 +238,14 @@ def single_photon_error_upper(
     X error count.  Clamped below by 0 and above by the normalised total
     error count.
     """
+    d = _decoy(pc)
     eps = budget.eps_pe
     m_tot = counts.m_total("X")
-    mu_lam, mu_p = pc.intensity("mu")
-    nu_lam, nu_p = pc.intensity("nu")
-    mu_scale = np.exp(mu_lam) / mu_p
-    nu_scale = np.exp(nu_lam) / nu_p
     delta = hoeffding_delta(m_tot, eps)
-    m_mu_upper = mu_scale * (counts.m("X", "mu") + delta)
-    m_nu_lower = np.maximum(0.0, nu_scale * (counts.m("X", "nu") - delta))
-    v1 = tau_n(1, pc) / (pc.mu - pc.nu) * (m_mu_upper - m_nu_lower)
-    ceiling = mu_scale * counts.m("X", "mu") + nu_scale * counts.m("X", "nu")
+    m_mu_upper = d.mu_scale * (counts.m("X", "mu") + delta)
+    m_nu_lower = np.maximum(0.0, d.nu_scale * (counts.m("X", "nu") - delta))
+    v1 = d.v1_factor * (m_mu_upper - m_nu_lower)
+    ceiling = d.mu_scale * counts.m("X", "mu") + d.nu_scale * counts.m("X", "nu")
     return np.minimum(np.maximum(0.0, v1), ceiling)[()]
 
 
@@ -244,7 +293,7 @@ def observed_error_upper(
 
 
 def estimate_counts(
-    counts: ObservedCounts, pc: PulseConfig, budget: EpsilonBudget
+    counts: ObservedCounts, pc: PulseConfig | _Decoy, budget: EpsilonBudget
 ) -> FiniteKeyEstimates:
     """Run the full estimation chain on one set of counts.
 
@@ -254,8 +303,9 @@ def estimate_counts(
     (phi = 1/2) and are flagged, which downstream feasibility checks
     treat as an infeasible block.
     """
-    s_z1, s_x1 = single_photon_lower(counts, BASES, pc, budget)
-    v_x1 = single_photon_error_upper(counts, pc, budget)
+    d = _decoy(pc)
+    s_z1, s_x1 = single_photon_lower(counts, BASES, d, budget)
+    v_x1 = single_photon_error_upper(counts, d, budget)
     s_z0 = vacuum_upper(counts.m_total("Z"), budget.eps_pe)
     certified = (s_x1 > 0.0) & (s_z1 > 0.0)
     # where nothing is certified the phase error is 1/2; the bound runs on
@@ -281,7 +331,7 @@ def estimate_counts(
 
 def block_scale(
     counts: ObservedCounts,
-    pc: PulseConfig,
+    pc: PulseConfig | _Decoy,
     budget: EpsilonBudget,
     L: int | np.ndarray,
     pool_size: float | np.ndarray,

@@ -9,7 +9,6 @@ gradients, and is deterministic, including its tie-breaking.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,6 +40,9 @@ __all__ = [
 ]
 
 PARAM_NAMES = ("mu", "nu", "p_mu", "p_z_tx", "p_z_rx")
+#: Largest ``SearchSpace.grid_points``: the grid pass solves grid_points**5
+#: settings in one batch, 10**5 at this bound.
+_MAX_GRID_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,10 @@ class SearchSpace:
                     raise ValueError(
                         f"{name} bounds must lie strictly inside (0, 1), got ({lo}, {hi})"
                     )
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
+        if not 2 <= self.grid_points <= _MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points must lie in [2, {_MAX_GRID_POINTS}], got {self.grid_points}"
+            )
 
     def bounds(self, name: str) -> tuple[float, float]:
         return getattr(self, name)
@@ -78,18 +82,11 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """One feasible working point: its rate at the smallest feasible L.
-
-    A ``pruned`` point was shown unable to reach the incumbent it was
-    solved against: its L is then only a lower bound on the smallest
-    feasible length, and its rate (the rate there) an upper bound, below
-    the incumbent.  ``evaluate`` fills in neither ``params`` nor
-    ``report``; ``optimize`` adds both for the best working point only.
-    """
+    """The best working point: its rate at the smallest feasible L, the
+    settings and the full report there."""
 
     rate: float
     L: int
-    pruned: bool = False
     params: PulseConfig | None = None
     report: SecurityReport | None = None
 
@@ -105,7 +102,7 @@ class OptimizeResult:
     pruned: int
 
 
-#: Points of a large batch ``evaluate`` solves first, evenly strided, to
+#: Points of the grid batch ``evaluate`` solves first, evenly strided, to
 #: find an incumbent for the rest.  On the default box at 12-287 km, 16
 #: leave 1 or 2 of the other 200 grid-3 points unpruned (the 16 of highest
 #: yield leave about 10); 8 to 32 cost about the same.
@@ -134,28 +131,33 @@ def evaluate(
     eps: float,
     target_psec: float,
     incumbent: float | None = None,
-) -> list[EvalResult | None]:
-    """Rate at the smallest feasible block length, or None when infeasible,
-    for each source setting; the settings are solved as one batch.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rate at the smallest feasible block length of each source setting,
+    the settings solved as one batch.
 
     ``pcs`` is a ``PulseConfig.stack`` or a sequence of configs to stack.
-    The rate is that of ``block_report`` at the solved L.  A target below
-    the structural floor is a configuration error and propagates instead
-    of reading as infeasible.
+    Returns three arrays over the settings: the rate of ``block_report``
+    at the solved L (NaN where infeasible), that L (0 where infeasible),
+    and whether the setting was pruned.  A target below the structural
+    floor is a configuration error and propagates instead of reading as
+    infeasible.
 
     Given an ``incumbent`` rate, a setting that cannot reach it is only
     shown so: it is solved with its cap at the longest block that signs
     at the incumbent's rate (``longest_block_at_rate``), and comes back
-    ``pruned`` when infeasible there.  Every setting that can tie or beat
-    the incumbent gets its exact L and rate.  A batch of more than
-    ``SEED_POINTS`` settings first solves an evenly strided seed of them,
-    and the rest against the best rate found, if that is higher.  An
-    incumbent of -inf thus still prunes a large batch.
+    pruned when infeasible there, with L the lower bound cap + 2 and the
+    rate there, below the incumbent.  Every setting that can tie or beat
+    the incumbent gets its exact L and rate.  With an incumbent of -inf
+    (none found yet), a batch of more than ``SEED_POINTS`` settings first
+    solves an evenly strided seed of them, and the rest against the best
+    rate found.
     """
     stack = pcs if isinstance(pcs, PulseConfig) else PulseConfig.stack(pcs)
     counts_by_link = model_links(stack, ch)
     n = len(stack.mu)
-    results: list[EvalResult | None] = [None] * n
+    rate = np.full(n, np.nan)
+    length = np.zeros(n, dtype=np.int64)
+    pruned = np.zeros(n, dtype=bool)
 
     def solve(rows: np.ndarray, incumbent: float | None) -> None:
         counts, pc = _take_links(counts_by_link, rows), stack.take(rows)
@@ -169,120 +171,146 @@ def evaluate(
         if not found:
             return
         # rate the feasible settings only: the others may have no yield
-        lengths = [L.lower if isinstance(L, Pruned) else L for L in (solved[i] for i in found)]
+        at, verdicts = rows[found], [solved[i] for i in found]
+        pruned[at] = [isinstance(v, Pruned) for v in verdicts]
+        length[at] = [v.lower if isinstance(v, Pruned) else v for v in verdicts]
         _, rates = signature_time_and_rate(
-            np.array(lengths)[:, None], _take_links(counts, np.array(found)),
-            pc.take(found), ch,
+            length[at, None], _take_links(counts, np.array(found)), pc.take(found), ch,
         )
-        for i, L, rate in zip(found, lengths, rates[:, 0]):
-            results[rows[i]] = EvalResult(
-                rate=float(rate), L=L, pruned=isinstance(solved[i], Pruned)
-            )
+        rate[at] = rates[:, 0]
 
     rows = np.arange(n)
-    if incumbent is not None and n > SEED_POINTS:
+    if incumbent == -math.inf and n > SEED_POINTS:
         seed = rows[:: -(-n // SEED_POINTS)]
         solve(seed, incumbent)
-        found = [results[i] for i in seed]
-        incumbent = max([incumbent, *(r.rate for r in found if r is not None and not r.pruned)])
+        found = rate[seed][~np.isnan(rate[seed])]
+        incumbent = max([incumbent, *found.tolist()])
         rows = np.setdiff1d(rows, seed)
     solve(rows, incumbent)
-    return results
+    return rate, length, pruned
 
 
-def _param_key(params: Mapping[str, float]) -> tuple[float, ...]:
-    return tuple(round(params[n], 12) for n in PARAM_NAMES)
+class _Rounded(dict):
+    """Each float looked up, rounded to 12 decimals by ``round``, which
+    runs once per distinct value."""
+
+    def __missing__(self, value: float) -> float:
+        self[value] = rounded = round(value, 12)
+        return rounded
 
 
-def _tiebreak_key(params: Mapping[str, float]) -> tuple[float, ...]:
-    # equal rates resolve toward the dimmer, cheaper source
-    return (
-        params["mu"],
-        params["nu"],
-        -params["p_mu"],
-        params["p_z_tx"],
-        params["p_z_rx"],
-    )
+def _keys(points: np.ndarray, rounded: _Rounded) -> list[tuple[float, ...]]:
+    """Each row's coordinates rounded to 12 decimals, so that points a
+    rounding error apart share one key."""
+    values = map(rounded.__getitem__, points.ravel().tolist())
+    # one iterator zipped with itself yields consecutive runs of a row's length
+    return list(zip(*[values] * points.shape[1]))
 
 
 def maximize(
     space: SearchSpace,
-    objective: Callable[[list[dict[str, float]], float], Sequence[float | None]],
-) -> tuple[dict[str, float] | None, float, int, int]:
+    objective: Callable[[np.ndarray, float], Sequence[float | None] | np.ndarray],
+) -> tuple[dict[str, float] | None, float, int, int, int]:
     """Grid pass plus shrinking coordinate scans over the box.
 
-    ``objective`` maps a list of parameter dicts and the incumbent (the
-    best value so far, -inf before any) to one value or None (infeasible)
-    per dict.  For a point whose value would fall below the incumbent it
-    may return any value below the incumbent instead, which can then
-    never become best.  It is called once for the grid and once per
-    coordinate scan, with the points of that pass it has not seen yet:
-    a scan's points differ from the best point only in the scanned
-    coordinate, so none depends on another's value.  Returns (best params
-    or None, best value, evaluations, feasible count).  The best-so-far
-    point is never abandoned, so refining can only improve the result.
-    Ties prefer smaller mu, then smaller nu, then larger p_mu.
+    ``objective`` maps an array of points, one row each with the
+    coordinates ``PARAM_NAMES`` as columns, and the incumbent (the best
+    value so far, -inf before any) to one value per row: NaN or None when
+    infeasible.  For a point that cannot reach the incumbent it may return
+    -inf instead of its value; such a point counts as feasible and
+    pruned.  It is called once for the grid, then once for each
+    coordinate scan that has points not yet evaluated, with those and the
+    unevaluated points of the round's later scans, built around the
+    current best: a later scan whose points were all evaluated so costs no
+    call.  A point evaluated ahead is one that a one-scan-per-call search
+    would evaluate later, against an incumbent at least as high, so its
+    value (or -inf) decides the same.  Points are counted when taken, in
+    the order of a one-point-at-a-time search, not when evaluated.
+    Returns (best params or None, best value, evaluations, feasible count,
+    pruned count).  The best-so-far point is never abandoned, so refining
+    can only improve the result.  Ties prefer smaller mu, then smaller nu,
+    then larger p_mu.
     """
-    cache: dict[tuple[float, ...], float | None] = {}
-    evaluations = 0
-    n_feasible = 0
-    best_params: dict[str, float] | None = None
+    rounded = _Rounded()
+    # the value of each key taken so far, and of each exact point evaluated
+    # but not yet taken
+    taken: dict[tuple[float, ...], float] = {}
+    ahead: dict[tuple[float, ...], float] = {}
+    evaluations = n_feasible = n_pruned = 0
+    best: np.ndarray | None = None
     best_value = -math.inf
-    best_key: tuple[float, ...] | None = None
 
-    def consider(candidates: list[dict[str, float]]) -> None:
-        nonlocal evaluations, n_feasible, best_params, best_value, best_key
-        fresh: dict[tuple[float, ...], dict[str, float]] = {}
-        for params in candidates:
-            key = _param_key(params)
-            if params["nu"] < params["mu"] and key not in cache:
-                fresh.setdefault(key, dict(params))
+    def untaken(
+        points: np.ndarray, skip: Mapping
+    ) -> tuple[np.ndarray, list[tuple[float, ...]], dict[tuple[float, ...], int]]:
+        """The rows of ``points`` with nu < mu, their keys, and the index of
+        the first row of each key neither taken nor in ``skip``."""
+        points = points[points[:, 1] < points[:, 0]]
+        keys = _keys(points, rounded)
+        first: dict[tuple[float, ...], int] = {}
+        for i, key in enumerate(keys):
+            if key not in taken and key not in skip:
+                first.setdefault(key, i)
+        return points, keys, first
+
+    def consider(points: np.ndarray, later: Callable[[], list[np.ndarray]]) -> None:
+        nonlocal evaluations, n_feasible, n_pruned, best, best_value
+        points, keys, first = untaken(points, {})
+        exact = list(map(tuple, points.tolist()))
+        fresh = [i for i in first.values() if exact[i] not in ahead]
         if fresh:
-            values = objective(list(fresh.values()), best_value)
-            for key, value in zip(fresh, values):
-                cache[key] = value
-                evaluations += 1
-                if value is not None:
-                    n_feasible += 1
-        # the points are taken in order, as if evaluated one at a time
-        for params in candidates:
-            if params["nu"] >= params["mu"]:
-                continue
-            value = cache[_param_key(params)]
-            if value is None:
-                continue
-            key = _tiebreak_key(params)
-            if value > best_value or (value == best_value and (best_key is None or key < best_key)):
-                best_params = dict(params)
-                best_value = value
-                best_key = key
+            spare, _, extra = untaken(np.concatenate([points[:0], *later()]), first)
+            spare_exact = list(map(tuple, spare.tolist()))
+            extra = [i for i in extra.values() if spare_exact[i] not in ahead]
+            values = objective(np.concatenate([points[fresh], spare[extra]]), best_value)
+            ahead.update(zip(
+                [exact[i] for i in fresh] + [spare_exact[i] for i in extra],
+                np.asarray(values, dtype=float).tolist(),
+            ))
+        # each key is taken at its first point, and counted there
+        for key, i in first.items():
+            value = taken[key] = ahead.pop(exact[i])
+            evaluations += 1
+            n_feasible += not math.isnan(value)
+            n_pruned += value == -math.inf
+        # the points are taken in order, as if evaluated one at a time: the
+        # best of them and the incumbent by value, then by tie-break key
+        values = np.array([taken[key] for key in keys])
+        live = values > -math.inf
+        if not live.any():
+            return
+        rows, values = points[live], values[live]
+        if best is not None:
+            rows, values = np.vstack([best, rows]), np.concatenate([[best_value], values])
+        # equal rates resolve toward the dimmer, cheaper source
+        mu, nu, p_mu, p_z_tx, p_z_rx = rows.T
+        winner = np.lexsort((p_z_rx, p_z_tx, -p_mu, nu, mu, -values))[0]
+        best, best_value = rows[winner], float(values[winner])
 
-    axes = {
-        name: np.linspace(*space.bounds(name), space.grid_points)
-        for name in PARAM_NAMES
-    }
-    consider([
-        dict(zip(PARAM_NAMES, (float(v) for v in combo)))
-        for combo in itertools.product(*(axes[n] for n in PARAM_NAMES))
-    ])
+    axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    consider(grid, lambda: [])
+    if best is None:
+        return None, -math.inf, evaluations, n_feasible, n_pruned
 
-    if best_params is None:
-        return None, -math.inf, evaluations, n_feasible
+    def scan(j: int, round_idx: int) -> np.ndarray:
+        """The scan of coordinate ``j`` in round ``round_idx`` around the current best."""
+        lo, hi = space.bounds(PARAM_NAMES[j])
+        radius = (hi - lo) / (space.grid_points - 1) / 2.0**round_idx
+        points = np.repeat(best[None, :], SCAN_POINTS, axis=0)
+        points[:, j] = np.linspace(
+            max(lo, best[j] - radius), min(hi, best[j] + radius), SCAN_POINTS
+        )
+        return points
 
     for round_idx in range(DESCENT_ROUNDS):
-        for name in PARAM_NAMES:
-            lo, hi = space.bounds(name)
-            cell = (hi - lo) / (space.grid_points - 1)
-            radius = cell / 2.0**round_idx
-            center = best_params[name]
-            consider([
-                {**best_params, name: float(value)}
-                for value in np.linspace(
-                    max(lo, center - radius), min(hi, center + radius), SCAN_POINTS
-                )
-            ])
+        for j in range(len(PARAM_NAMES)):
+            consider(
+                scan(j, round_idx),
+                lambda: [scan(i, round_idx) for i in range(j + 1, len(PARAM_NAMES))],
+            )
 
-    return best_params, best_value, evaluations, n_feasible
+    return dict(zip(PARAM_NAMES, best.tolist())), best_value, evaluations, n_feasible, n_pruned
 
 
 def optimize(
@@ -300,27 +328,24 @@ def optimize(
     so settings that cannot win are pruned, not solved exactly.  The best
     setting comes with its full report, from one ``block_report``.
     """
-    lengths: dict[tuple[float, ...], int] = {}
-    pruned = 0
+    solved: list[tuple[np.ndarray, ...]] = []
 
-    def objective(batch: list[dict[str, float]], incumbent: float) -> list[float | None]:
-        nonlocal pruned
-        stack = PulseConfig.stack(batch, n_pulses=n_pulses)
-        values: list[float | None] = []
-        for params, res in zip(
-            batch, evaluate(stack, ch, budget, alpha, eps, target_psec, incumbent)
-        ):
-            if res is not None:
-                pruned += res.pruned
-                lengths[_param_key(params)] = res.L
-            values.append(None if res is None else res.rate)
-        return values
+    def objective(points: np.ndarray, incumbent: float) -> np.ndarray:
+        stack = PulseConfig.stack(points, n_pulses=n_pulses)
+        rate, L, pruned = evaluate(stack, ch, budget, alpha, eps, target_psec, incumbent)
+        solved.append((points, rate, L))
+        return np.where(pruned, -math.inf, rate)
 
-    best_params, rate, evaluations, n_feasible = maximize(space, objective)
-    if best_params is None:
+    best, rate, evaluations, n_feasible, pruned = maximize(space, objective)
+    if best is None:
         return OptimizeResult(best=None, evaluations=evaluations, n_feasible=0, pruned=0)
-    pc = PulseConfig(n_pulses=n_pulses, **best_params)
-    L = lengths[_param_key(best_params)]
+    pc = PulseConfig(n_pulses=n_pulses, **best)
+    # L is that of the point evaluated for the best one's key, at its rate
+    points, rates, lengths = map(np.concatenate, zip(*solved))
+    tied = np.flatnonzero(rates == rate)
+    rounded = _Rounded()
+    [key] = _keys(np.array([list(best.values())]), rounded)
+    L = next(int(lengths[i]) for i, k in zip(tied, _keys(points[tied], rounded)) if k == key)
     report = block_report(model_links(pc, ch), pc, ch, budget, alpha, eps, L)
     return OptimizeResult(
         best=EvalResult(rate=rate, L=L, params=pc, report=report),

@@ -20,6 +20,7 @@ from .finite_key import (
     BOUND_APPLICATIONS,
     EpsilonBudget,
     FiniteKeyEstimates,
+    _decoy,
     block_scale,
     observed_error_upper,
 )
@@ -132,6 +133,16 @@ class SecurityReport:
     epsilon_forge: float
 
 
+def _entropy_rate(
+    s_z1: float | np.ndarray, L: int | np.ndarray, phi_z1: float | np.ndarray
+) -> float | np.ndarray:
+    """Certified min-entropy rate of an L-bit block, 2 s_z1 / L * (1 - h(phi_z1)).
+
+    Both the tolerable error rate and the forging margin start from it.
+    """
+    return 2.0 * (s_z1 / L) * (1.0 - binary_entropy(phi_z1))
+
+
 def solve_p_e(
     s_z1: float | np.ndarray, L: int | np.ndarray, phi_z1: float | np.ndarray
 ) -> float | np.ndarray:
@@ -146,8 +157,12 @@ def solve_p_e(
         raise ValueError(f"block length must be positive, got {L}")
     if np.minimum.reduce(s_z1, axis=None) < 0:
         raise ValueError(f"single-photon count must be non-negative, got {s_z1}")
-    rhs = 2.0 * (s_z1 / L) * (1.0 - binary_entropy(phi_z1))
-    return binary_entropy_inverse(np.minimum(1.0, np.maximum(0.0, rhs)))
+    return _tolerable_error(_entropy_rate(s_z1, L, phi_z1))
+
+
+def _tolerable_error(rate: float | np.ndarray) -> float | np.ndarray:
+    """p_E from the block's entropy rate (see ``solve_p_e``)."""
+    return binary_entropy_inverse(np.minimum(1.0, np.maximum(0.0, rate)))
 
 
 def thresholds_from_rates(
@@ -190,13 +205,24 @@ def epsilon_f(
     may spend on admissible mismatches.  A negative margin overflows
     toward infinity, which the clamped forging probability turns into 1.
     """
+    if np.minimum.reduce(L, axis=None) <= 0:
+        raise ValueError(f"block length must be positive, got {L}")
+    return _forge_term(alpha, L, _entropy_rate(s_z1, L, phi_z1), s_upsilon, eps)
+
+
+def _forge_term(
+    alpha: float,
+    L: int | np.ndarray,
+    rate: float | np.ndarray,
+    s_upsilon: float | np.ndarray,
+    eps: float,
+) -> float | np.ndarray:
+    """``epsilon_f`` from the block's entropy rate."""
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if eps < 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if np.minimum.reduce(L, axis=None) <= 0:
-        raise ValueError(f"block length must be positive, got {L}")
-    margin = 2.0 * (s_z1 / L) * (1.0 - binary_entropy(phi_z1)) - binary_entropy(s_upsilon)
+    margin = rate - binary_entropy(s_upsilon)
     exponent = 0.5 * L * margin
     # 2^-exponent is finite exactly where exponent > -1024
     finite = exponent > -1024.0
@@ -282,20 +308,22 @@ def _bound_chain(
     """The bound chain at block lengths ``L``, evaluated for a whole batch.
 
     ``counts`` holds pool-scale counts with batch axes (links, settings,
-    1), one entry per distinct link; ``pc`` (a config or a
-    ``PulseConfig.stack``), ``L`` and the test-sample size ``k`` broadcast
-    against its last two (settings x block lengths in the solver).  Each
-    link's test errors are those expected on a k-bit sample drawn from
-    its pool.  Where
+    1), one entry per distinct link; ``pc`` (a config, a
+    ``PulseConfig.stack`` or its ``finite_key._decoy`` factors), ``L`` and
+    the test-sample size ``k`` broadcast against its last two (settings x
+    block lengths in the solver).  Each link's test errors are those
+    expected on a k-bit sample drawn from its pool.  The block's entropy
+    rate, and the h(phi) in it, is computed once for p_E and eps_F.  Where
     a block is not ``certified`` (saturated, or no margin between the
     error bound and the tolerable rate) the thresholds and failure terms
     are computed from placeholder rates and mean nothing.
     """
     pool = counts.n_total("Z")
-    est = merge_block_estimates(block_scale(counts, pc, budget, L, pool))
+    est = merge_block_estimates(block_scale(counts, _decoy(pc), budget, L, pool))
     test_errors = k * counts.m_total("Z") / pool
     e_upper = observed_error_upper(test_errors, k, L, budget.eps_pe)
-    p_e = solve_p_e(est.s_z1_lower, L, est.phi_z1_upper)
+    rate = _entropy_rate(est.s_z1_lower, L, est.phi_z1_upper)
+    p_e = _tolerable_error(rate)
     certified = ~est.saturated & (p_e > e_upper)
     th = thresholds_from_rates(
         np.where(certified, e_upper, 0.0), np.where(certified, p_e, 0.25)
@@ -303,7 +331,7 @@ def _bound_chain(
     robust = p_robust(budget.eps_pe)
     rep_raw = p_repudiation_raw(th, L)
     rep = np.minimum(1.0, rep_raw)
-    eps_forge = epsilon_f(alpha, L, est.s_z1_lower, est.phi_z1_upper, th.s_upsilon, eps)
+    eps_forge = _forge_term(alpha, L, rate, th.s_upsilon, eps)
     forge_raw = p_forge_raw(alpha, eps_forge, budget.eps_pe)
     forge = np.minimum(1.0, forge_raw)
     return _Chain(
@@ -446,9 +474,12 @@ def min_signature_length(
         Infeasible("sifted pool is empty") for _ in hi
     ]
 
+    # the chain's terms that depend on the source alone, once per solve
+    source = _decoy(pc)
+
     def feasible(rows: np.ndarray, L: np.ndarray) -> np.ndarray:
         chain = _bound_chain(
-            ObservedCounts.from_cells(counts.cells[:, :, :, :, rows]), pc.take(rows),
+            ObservedCounts.from_cells(counts.cells[:, :, :, :, rows]), source.take(rows),
             budget, alpha, eps, L, k_test_for(L, k_test),
         )
         return chain.certified & (chain.p_sec <= target_psec)

@@ -339,6 +339,7 @@ BAD_FILES = {
     "carol_link.csv": MODEL_TEXT.replace("charlie_alice", "carol_alice"),
     "e300_mu.cfg": DEVICE_TEXT.replace("\nmu = 0.6", "\nmu = 1e300"),
     "vacuum_decoy.cfg": DEVICE_TEXT.replace("nu = 0.2", "nu = 0"),
+    "desk_vacuum_decoy.cfg": pathlib.Path(DESK_CFG).read_text().replace("nu = 0.2", "nu = 0"),
     "e320_nu.cfg": DEVICE_TEXT.replace("nu = 0.2", "nu = 1e-320"),
     "e300_p_mu.cfg": DEVICE_TEXT.replace("p_mu = 0.6", "p_mu = 1e-300"),
     "e300_eps_pe.cfg": DEVICE_TEXT.replace("eps_pe = 5e-6", "eps_pe = 1e-300"),
@@ -402,7 +403,13 @@ class TestBadValues:
         (["estimate", "--config", "{tmp}/e300_mu.cfg", "--counts", MODEL_103],
          "e300_mu.cfg: signal intensity must lie in (0, 1], got 1e+300"),
         (["estimate", "--config", "{tmp}/vacuum_decoy.cfg", "--counts", MODEL_103],
-         "decoy intensity nu > 0, got 0.0"),
+         "vacuum_decoy.cfg: nu must be positive"),
+        (["simulate", "--config", "{tmp}/vacuum_decoy.cfg", "--distance", "50"],
+         "vacuum_decoy.cfg: nu must be positive"),
+        (["rate-curve", "--config", "{tmp}/vacuum_decoy.cfg", "--to", "20"],
+         "vacuum_decoy.cfg: nu must be positive"),
+        (["demo-sign", "--config", "{tmp}/desk_vacuum_decoy.cfg", "--distance", "5"],
+         "desk_vacuum_decoy.cfg: nu must be positive"),
         (["estimate", "--config", "{tmp}/e320_nu.cfg", "--counts", MODEL_103],
          "e320_nu.cfg: the decoy bounds need p_mu >= 1e-100 and nu = 0 or nu >= 1e-100"),
         (["simulate", "--config", "{tmp}/e300_p_mu.cfg", "--distance", "50"],
@@ -413,6 +420,10 @@ class TestBadValues:
          "e300_clock.cfg: clock_hz must be at least 1e-100, got 1e-300"),
         (["simulate", "--config", "{tmp}/e20_dark.cfg", "--distance", "50"],
          "2 * dark_count_rate_hz * gate_window_s <= 1, got 4e+11"),
+        # rejected before the grid pass allocates its 30**5 settings
+        (["rate-curve", "--config", DEVICE_CFG, "--from", "50", "--to", "51",
+          "--grid-points", "30"], "--grid-points: grid_points must lie in [2, 10], got 30"),
+        (["rate-curve", "--config", DESK_CFG, "--grid-points", "1"], "--grid-points"),
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
         "simulate-nan-distance", "demo-sign-inf-distance", "curve-nan-from", "curve-inf-to",
@@ -421,8 +432,10 @@ class TestBadValues:
         "simulate-negative-seed", "demo-sign-negative-seed",
         "sampled-e300-pulses", "sampled-e19-pulses", "model-e300-pulses",
         "counts-e290-cells", "counts-e300-pulses", "counts-one-link", "counts-carol-link",
-        "counts-three-links", "config-e300-mu", "config-vacuum-decoy", "config-e320-nu",
+        "counts-three-links", "config-e300-mu", "config-vacuum-decoy",
+        "simulate-vacuum-decoy", "curve-vacuum-decoy", "demo-sign-vacuum-decoy", "config-e320-nu",
         "config-e300-p-mu", "config-e300-eps-pe", "config-e300-clock", "config-e20-dark",
+        "curve-huge-grid", "curve-one-point-grid",
     ])
     def test_is_exit_2_and_named(self, capsys, tmp_path, argv, named):
         for name, text in BAD_FILES.items():

@@ -1,17 +1,25 @@
 """Optimizer tests on a closed-form objective and on the real pipeline."""
 
+import itertools
+import math
 import pathlib
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qds_onedecoy import optimizer
 from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
 from qds_onedecoy.files import read_config
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.optimizer import (
+    DESCENT_ROUNDS,
     PARAM_NAMES,
+    SCAN_POINTS,
     SearchSpace,
-    _param_key,
     evaluate,
     maximize,
     optimize,
@@ -30,13 +38,69 @@ def concave_value(params):
     return value
 
 
+def as_dicts(points):
+    """The rows of a point array as parameter dicts."""
+    return [dict(zip(PARAM_NAMES, row)) for row in points.tolist()]
+
+
 def batched(value):
     """The batch objective ``maximize`` takes, from a one-point function
-    that ignores the incumbent."""
-    return lambda batch, incumbent: [value(params) for params in batch]
+    of a parameter dict that ignores the incumbent."""
+    return lambda points, incumbent: [value(params) for params in as_dicts(points)]
 
 
 concave_objective = batched(concave_value)
+
+
+def param_key(params):
+    return tuple(round(params[n], 12) for n in PARAM_NAMES)
+
+
+def reference_maximize(space, objective):
+    """The search with one objective call per pass, the grid and each
+    coordinate scan in turn, over parameter dicts: the oracle the
+    speculative ``maximize`` must match in all but its call count."""
+    cache = {}
+    evaluations = n_feasible = 0
+    best_params, best_value, best_key = None, -math.inf, None
+
+    def consider(candidates):
+        nonlocal evaluations, n_feasible, best_params, best_value, best_key
+        fresh = {}
+        for params in candidates:
+            key = param_key(params)
+            if params["nu"] < params["mu"] and key not in cache:
+                fresh.setdefault(key, dict(params))
+        if fresh:
+            points = np.array([[p[n] for n in PARAM_NAMES] for p in fresh.values()])
+            for key, value in zip(fresh, objective(points, best_value)):
+                cache[key] = None if value is None or value != value else float(value)
+                evaluations += 1
+                n_feasible += cache[key] is not None
+        for params in candidates:
+            if params["nu"] >= params["mu"] or cache[param_key(params)] is None:
+                continue
+            value = cache[param_key(params)]
+            key = (params["mu"], params["nu"], -params["p_mu"], params["p_z_tx"],
+                   params["p_z_rx"])
+            if value > best_value or (value == best_value and (best_key is None or key < best_key)):
+                best_params, best_value, best_key = dict(params), value, key
+
+    axes = [np.linspace(*space.bounds(n), space.grid_points) for n in PARAM_NAMES]
+    consider([dict(zip(PARAM_NAMES, map(float, combo))) for combo in itertools.product(*axes)])
+    if best_params is None:
+        return None, -math.inf, evaluations, n_feasible
+    for round_idx in range(DESCENT_ROUNDS):
+        for name in PARAM_NAMES:
+            lo, hi = space.bounds(name)
+            radius = (hi - lo) / (space.grid_points - 1) / 2.0**round_idx
+            center = best_params[name]
+            consider([
+                {**best_params, name: float(value)}
+                for value in np.linspace(max(lo, center - radius), min(hi, center + radius),
+                                         SCAN_POINTS)
+            ])
+    return best_params, best_value, evaluations, n_feasible
 
 
 class TestMaximize:
@@ -45,7 +109,7 @@ class TestMaximize:
             mu=(0.3, 0.9), nu=(0.05, 0.29), p_mu=(0.55, 0.9),
             p_z_tx=(0.6, 0.9), p_z_rx=(0.55, 0.9), grid_points=4,
         )
-        best, value, evaluations, n_feasible = maximize(space, concave_objective)
+        best, value, evaluations, n_feasible, _ = maximize(space, concave_objective)
         assert best is not None
         for name in PARAM_NAMES:
             lo, hi = space.bounds(name)
@@ -65,13 +129,13 @@ class TestMaximize:
             mu=(0.4, 1.0), nu=(0.05, 0.29), p_mu=(0.55, 0.9),
             p_z_tx=(0.6, 0.9), p_z_rx=(0.55, 0.9), grid_points=7,
         )
-        _, v_narrow, _, _ = maximize(narrow, concave_objective)
-        _, v_wide, _, _ = maximize(wide, concave_objective)
+        v_narrow = maximize(narrow, concave_objective)[1]
+        v_wide = maximize(wide, concave_objective)[1]
         assert v_wide >= v_narrow - 1e-9
 
     def test_all_infeasible_returns_none(self):
         space = SearchSpace(grid_points=2)
-        best, value, evaluations, n_feasible = maximize(space, batched(lambda p: None))
+        best, value, evaluations, n_feasible, _ = maximize(space, batched(lambda p: None))
         assert best is None
         assert n_feasible == 0
         assert evaluations > 0
@@ -79,9 +143,9 @@ class TestMaximize:
     def test_respects_intensity_ordering(self):
         seen = []
 
-        def spy(batch, incumbent):
-            seen.extend(batch)
-            return concave_objective(batch, incumbent)
+        def spy(points, incumbent):
+            seen.extend(as_dicts(points))
+            return concave_objective(points, incumbent)
 
         space = SearchSpace(mu=(0.2, 0.5), nu=(0.1, 0.45), grid_points=3)
         maximize(space, spy)
@@ -90,10 +154,107 @@ class TestMaximize:
     def test_deterministic_tie_break_prefers_dim_source(self):
         # flat objective: every feasible point ties at 0
         space = SearchSpace(grid_points=3)
-        best, _, _, _ = maximize(space, batched(lambda p: 0.0))
+        best = maximize(space, batched(lambda p: 0.0))[0]
         assert best["mu"] == space.mu[0]
         assert best["nu"] == space.nu[0]
         assert best["p_mu"] == space.p_mu[1]
+
+    def test_no_point_is_evaluated_twice(self):
+        seen = []
+
+        def spy(points, incumbent):
+            seen.extend(map(tuple, points.tolist()))
+            return concave_objective(points, incumbent)
+
+        _, _, evaluations, _, _ = maximize(SearchSpace(grid_points=3), spy)
+        assert len(seen) == len(set(seen)) >= evaluations
+
+
+def low_bits(x):
+    """The last bits of a float: points a rounding error apart differ here."""
+    return struct.unpack("<q", struct.pack("<d", x))[0] % 5
+
+
+@st.composite
+def objectives(draw):
+    """A one-point objective over the default box: concave around a random
+    peak, blind to the coordinates of weight 0 (ties between points that
+    differ only there), flattened into steps (ties across the box),
+    infeasible above a threshold in one coordinate, and perturbed by the
+    coordinates' last bits (points that share a key but not their exact
+    coordinates take different values)."""
+    space = SearchSpace()
+    peak = {n: draw(st.floats(*space.bounds(n))) for n in PARAM_NAMES}
+    weight = {n: draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])) for n in PARAM_NAMES}
+    step = draw(st.sampled_from([0.0, 1e-3, 0.02]))
+    jitter = draw(st.sampled_from([0.0, 1e-3]))
+    wall = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(PARAM_NAMES), st.floats(0.3, 1.0),
+    )))
+
+    def value(params):
+        if wall is not None:
+            name, share = wall
+            lo, hi = space.bounds(name)
+            if params[name] > lo + share * (hi - lo):
+                return None
+        v = 1.0 - sum(weight[n] * (params[n] - peak[n]) ** 2 for n in PARAM_NAMES)
+        v += jitter * sum(low_bits(params[n]) for n in PARAM_NAMES)
+        return round(v / step) * step if step else v
+
+    return value
+
+
+def pruning(value):
+    """A batch objective that reports -inf for every point below the
+    incumbent, as ``optimize``'s does for pruned settings."""
+    def objective(points, incumbent):
+        values = [value(params) for params in as_dicts(points)]
+        return [v if v is None or v >= incumbent else -math.inf for v in values]
+
+    return objective
+
+
+class TestSpeculation:
+    """Evaluating later scans ahead changes the call count and nothing else."""
+
+    @given(objectives(), st.integers(2, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_scan_per_call(self, value, grid, prune):
+        space = SearchSpace(grid_points=grid)
+        found = maximize(space, pruning(value) if prune else batched(value))
+        assert found[:4] == reference_maximize(space, batched(value))
+
+    def test_points_sharing_a_key_take_the_first_points_value(self):
+        # a scan endpoint and the grid point it meets share a key but may
+        # differ in their last bits; a point evaluated ahead and never taken
+        # must not lend its value to a later point of its key
+        space = SearchSpace(grid_points=3)
+        for seed in range(100):
+            rng = random.Random(seed)
+            peak = {n: rng.uniform(*space.bounds(n)) for n in PARAM_NAMES}
+
+            def value(params):
+                return 1.0 - sum((params[n] - peak[n]) ** 2 + 1e-3 * low_bits(params[n])
+                                 for n in PARAM_NAMES)
+
+            found = maximize(space, batched(value))
+            assert found[:4] == reference_maximize(space, batched(value)), seed
+
+    @pytest.mark.parametrize("km", [0.0, 103.0, 204.0, 280.0])
+    def test_fewer_objective_calls_than_passes(self, monkeypatch, km):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate", counting)
+        found = optimize(SearchSpace(grid_points=3), DEVICE.channel(km), DEVICE.budget,
+                         DEVICE.alpha, DEVICE.eps, DEVICE.target_psec, DEVICE.source.n_pulses)
+        assert found.best is not None
+        # one pass is the grid, then one per coordinate scan
+        assert len(calls) < 1 + DESCENT_ROUNDS * len(PARAM_NAMES)
 
 
 class TestSearchSpaceValidation:
@@ -109,37 +270,37 @@ class TestSearchSpaceValidation:
         with pytest.raises(ValueError):
             SearchSpace(grid_points=1)
 
+    def test_bounds_the_grid(self):
+        assert SearchSpace(grid_points=10).grid_points == 10
+        with pytest.raises(ValueError, match=r"grid_points must lie in \[2, 10\], got 11"):
+            SearchSpace(grid_points=11)
+
 
 DESK_CH = ChannelParams(distance_km=5.0)
 DESK_BUDGET = EpsilonBudget(eps_pe=1e-3)
+DESK_PC = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8, n_pulses=1e7)
 
 
 class TestEvaluate:
     def test_feasible_point_reports_rate(self):
-        pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
-                         n_pulses=1e7)
-        [result] = evaluate([pc], DESK_CH, DESK_BUDGET, alpha=1e-3, eps=1e-10,
-                            target_psec=5e-2)
-        assert result is not None
-        assert result.rate > 0.0
-        assert result.L % 2 == 0
-        counts = expected_statistics(pc, DESK_CH)
-        report = block_report({"bob_alice": counts, "charlie_alice": counts}, pc,
-                              DESK_CH, DESK_BUDGET, 1e-3, 1e-10, result.L)
+        [rate], [L], [pruned] = evaluate([DESK_PC], DESK_CH, DESK_BUDGET, alpha=1e-3,
+                                         eps=1e-10, target_psec=5e-2)
+        assert rate > 0.0 and not pruned
+        assert L % 2 == 0
+        counts = expected_statistics(DESK_PC, DESK_CH)
+        report = block_report({"bob_alice": counts, "charlie_alice": counts}, DESK_PC,
+                              DESK_CH, DESK_BUDGET, 1e-3, 1e-10, int(L))
         assert report.p_sec <= 5e-2
-        assert report.rate_bits_per_s == result.rate
+        assert report.rate_bits_per_s == rate
 
-    def test_hopeless_point_returns_none(self):
-        pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
-                         n_pulses=1e7)
+    def test_hopeless_point_is_nan(self):
         far = ChannelParams(distance_km=500.0)
-        assert evaluate([pc], far, DESK_BUDGET, 1e-3, 1e-10, 5e-2) == [None]
+        rate, L, pruned = evaluate([DESK_PC], far, DESK_BUDGET, 1e-3, 1e-10, 5e-2)
+        assert np.isnan(rate).all() and L.tolist() == [0] and pruned.tolist() == [False]
 
     def test_bad_target_propagates(self):
-        pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
-                         n_pulses=1e7)
         with pytest.raises(InfeasibleTarget):
-            evaluate([pc], DESK_CH, DESK_BUDGET, 1e-3, 1e-10, target_psec=1e-4)
+            evaluate([DESK_PC], DESK_CH, DESK_BUDGET, 1e-3, 1e-10, target_psec=1e-4)
 
 
 class TestOptimize:
@@ -170,21 +331,22 @@ class TestOptimize:
 DEVICE = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
 
 
-def device_evaluate(batch, ch, incumbent=None, **fixed):
-    """``evaluate`` of parameter dicts under the device configuration;
+def device_evaluate(points, ch, incumbent=None, **fixed):
+    """``evaluate`` of a point array under the device configuration;
     ``fixed`` overrides parameters of every point."""
-    stack = PulseConfig.stack(
-        [{**params, **fixed} for params in batch], n_pulses=DEVICE.source.n_pulses
-    )
+    points = np.array(points, dtype=float)
+    for name, value in fixed.items():
+        points[:, PARAM_NAMES.index(name)] = value
+    stack = PulseConfig.stack(points, n_pulses=DEVICE.source.n_pulses)
     return evaluate(stack, ch, DEVICE.budget, DEVICE.alpha, DEVICE.eps,
                     DEVICE.target_psec, incumbent)
 
 
 def rate_objective(ch, prune, **fixed):
     """A ``maximize`` objective of rates, pruning against its incumbent or not."""
-    def objective(batch, incumbent):
-        results = device_evaluate(batch, ch, incumbent if prune else None, **fixed)
-        return [None if r is None else r.rate for r in results]
+    def objective(points, incumbent):
+        rate, _, pruned = device_evaluate(points, ch, incumbent if prune else None, **fixed)
+        return np.where(pruned, -math.inf, rate)
 
     return objective
 
@@ -198,17 +360,16 @@ class TestIncumbentPruning:
         space, ch = SearchSpace(grid_points=grid), DEVICE.channel(km)
         lengths = {}
 
-        def exact(batch, incumbent):
-            results = device_evaluate(batch, ch)
-            for params, r in zip(batch, results):
-                if r is not None:
-                    assert not r.pruned
-                    lengths[_param_key(params)] = r.L
-            return [None if r is None else r.rate for r in results]
+        def exact(points, incumbent):
+            rate, L, pruned = device_evaluate(points, ch)
+            assert not pruned.any()
+            for params, length in zip(as_dicts(points), L.tolist()):
+                lengths[param_key(params)] = length
+            return rate
 
-        best, rate, evaluations, n_feasible = maximize(space, exact)
+        best, rate, evaluations, n_feasible = reference_maximize(space, exact)
         pc = PulseConfig(n_pulses=DEVICE.source.n_pulses, **best)
-        L = lengths[_param_key(best)]
+        L = lengths[param_key(best)]
         report = block_report(model_links(pc, ch), pc, ch, DEVICE.budget,
                               DEVICE.alpha, DEVICE.eps, L)
         found = optimize(space, ch, DEVICE.budget, DEVICE.alpha, DEVICE.eps,
@@ -220,16 +381,17 @@ class TestIncumbentPruning:
 
     def test_exact_tie_with_the_incumbent_is_solved_not_pruned(self):
         ch = DEVICE.channel(103.0)
-        point = {"mu": 0.6, "nu": 0.2, "p_mu": 0.6, "p_z_tx": 0.85, "p_z_rx": 0.85}
-        [exact] = device_evaluate([point], ch)
-        [tied] = device_evaluate([point], ch, incumbent=exact.rate)
-        assert tied == exact and not tied.pruned
+        point = [[0.6, 0.2, 0.6, 0.85, 0.85]]
+        [rate], [L], [pruned] = device_evaluate(point, ch)
+        assert not pruned
+        tied = device_evaluate(point, ch, incumbent=rate)
+        assert [a.tolist() for a in tied] == [[rate], [L], [False]]
         # one ulp faster than the point can sign: pruned, with a rate bound
         # below the incumbent and a length bound at most its L
-        faster = float(np.nextafter(exact.rate, np.inf))
-        [beaten] = device_evaluate([point], ch, incumbent=faster)
-        assert beaten.pruned
-        assert beaten.rate < faster and beaten.L <= exact.L
+        faster = float(np.nextafter(rate, np.inf))
+        [bound], [lower], [beaten] = device_evaluate(point, ch, incumbent=faster)
+        assert beaten
+        assert bound < faster and lower <= L
 
     def test_tied_points_still_reach_the_tie_break(self):
         # the objective ignores p_z_rx, so points that differ only there tie
@@ -239,14 +401,14 @@ class TestIncumbentPruning:
         ties = []
         pruning = rate_objective(ch, prune=True, p_z_rx=0.85)
 
-        def spy(batch, incumbent):
-            values = pruning(batch, incumbent)
-            ties.extend(v for v in values if v == incumbent)
+        def spy(points, incumbent):
+            values = pruning(points, incumbent)
+            ties.extend(v for v in values.tolist() if v == incumbent)
             return values
 
-        best, rate, evaluations, n_feasible = maximize(space, spy)
+        best, rate, evaluations, n_feasible, _ = maximize(space, spy)
         assert ties
         assert best["p_z_rx"] == space.p_z_rx[0]
-        assert (best, rate, evaluations, n_feasible) == maximize(
+        assert (best, rate, evaluations, n_feasible) == reference_maximize(
             space, rate_objective(ch, prune=False, p_z_rx=0.85)
         )

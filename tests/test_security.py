@@ -4,7 +4,10 @@ The threshold identities are exercised on three published-style working
 points; the solver is cross-checked against a brute-force linear scan.
 """
 
+import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from qds_onedecoy.security import (
     Infeasible,
     InfeasibleTarget,
     Pruned,
+    SecurityReport,
     Thresholds,
     _bound_chain,
     _stack_links,
@@ -545,3 +549,108 @@ class TestKTestFor:
         assert k_test_for(89522, 3000) == 3000
         with pytest.raises(ValueError):
             k_test_for(89522, 0)
+
+
+GOLDEN_DATA = pathlib.Path(__file__).parent / "data"
+#: Settings of the golden batch besides each configuration's own: a dim and
+#: a bright source, a weak decoy, and a hopeless one at long range.
+GOLDEN_SETTINGS = [
+    {"mu": 0.3, "nu": 0.05, "p_mu": 0.9, "p_z_tx": 0.6, "p_z_rx": 0.9},
+    {"mu": 0.9, "nu": 0.35, "p_mu": 0.5, "p_z_tx": 0.95, "p_z_rx": 0.55},
+    {"mu": 0.55, "nu": 0.02, "p_mu": 0.75, "p_z_tx": 0.75, "p_z_rx": 0.75},
+    {"mu": 0.2, "nu": 0.185, "p_mu": 0.95, "p_z_tx": 0.95, "p_z_rx": 0.95},
+]
+GOLDEN_RUNS = {
+    "device.cfg": [0.0, 103.0, 204.0, 280.0],
+    "desk.cfg": [0.0, 10.0, 30.0, 60.0],
+}
+
+
+def _verdict(value):
+    """A solver verdict or a report as JSON: errors by their message."""
+    if isinstance(value, Infeasible):
+        return {"infeasible": str(value)}
+    if isinstance(value, Pruned):
+        return {"pruned": value.lower}
+    if isinstance(value, SecurityReport):
+        return dataclasses.asdict(value)
+    return value
+
+
+def _report_or_error(*args, **kwargs):
+    try:
+        return _verdict(block_report(*args, **kwargs))
+    except Infeasible as exc:
+        return _verdict(exc)
+
+
+def bound_chain_record():
+    """Verdicts and reports of a fixed batch, as ``golden_bound_chain.json`` holds them.
+
+    For each configuration, distance and test-sample size: the uncapped
+    verdicts of the configured setting and ``GOLDEN_SETTINGS`` solved as one
+    stack, the verdicts with caps L - 2, L and L + 2 in turn (1000 where
+    there is no L), and the reports at each solved L and at half of it.
+    The measured tables are reported at their solved L as well.
+    """
+    from qds_onedecoy.files import read_config, read_counts
+    from qds_onedecoy.protocol import model_links
+
+    record = []
+    for name, distances in GOLDEN_RUNS.items():
+        config = read_config(str(GOLDEN_DATA / name))
+        n_pulses = config.source.n_pulses
+        rows = [vars(config.source), *GOLDEN_SETTINGS]
+        stack = PulseConfig.stack(rows, n_pulses=n_pulses)
+        for km in distances:
+            ch = config.channel(km)
+            cbl = model_links(stack, ch)
+            for k_test in (None, 3000):
+                args = (config.budget, config.alpha, config.eps, config.target_psec)
+                solved = min_signature_length(cbl, stack, *args, k_test=k_test)
+                caps = [
+                    1000 if isinstance(L, Infeasible) else L + 2 * (i % 3 - 1)
+                    for i, L in enumerate(solved)
+                ]
+                capped = min_signature_length(cbl, stack, *args, k_test=k_test,
+                                              cap=np.array(caps))
+                reports = []
+                for row, L in zip(rows, solved):
+                    if isinstance(L, Infeasible):
+                        continue
+                    pc = PulseConfig(**{**row, "n_pulses": n_pulses})
+                    for length in (L, max(2, L // 4 * 2)):
+                        reports.append(_report_or_error(
+                            model_links(pc, ch), pc, ch, config.budget, config.alpha,
+                            config.eps, length, k_test=k_test,
+                        ))
+                record.append({
+                    "config": name, "km": km, "k_test": k_test,
+                    "solved": [_verdict(v) for v in solved], "caps": caps,
+                    "capped": [_verdict(v) for v in capped], "reports": reports,
+                })
+    config = read_config(str(GOLDEN_DATA / "device.cfg"))
+    for table in ("counts_103km.csv", "counts_204km.csv", "counts_280km.csv",
+                  "model_103km.csv"):
+        cbl, km, n_pulses = read_counts(str(GOLDEN_DATA / table))
+        pc, ch = config.pulse_config(n_pulses), config.channel(km)
+        for k_test in (None, 3000):
+            [L] = min_signature_length(cbl, pc, config.budget, config.alpha, config.eps,
+                                       config.target_psec, k_test=k_test)
+            record.append({
+                "table": table, "k_test": k_test, "solved": _verdict(L),
+                "report": None if isinstance(L, Infeasible) else _report_or_error(
+                    cbl, pc, ch, config.budget, config.alpha, config.eps, L,
+                    k_test=k_test),
+            })
+    return record
+
+
+class TestGoldenBoundChain:
+    """Solver verdicts and full reports of a fixed batch, bit for bit, against
+    a record written by ``bound_chain_record`` (``json.dump(..., indent=1)``)
+    before the chain's L-invariant terms were computed once per solve."""
+
+    def test_bit_identical(self):
+        with open(GOLDEN_DATA / "golden_bound_chain.json") as fp:
+            assert bound_chain_record() == json.load(fp)
