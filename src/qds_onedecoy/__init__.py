@@ -12,7 +12,7 @@ from .channel import (
     expected_statistics,
     sample_statistics,
 )
-from .files import Config, FileFormatError, read_config, read_counts, write_counts
+from .files import Config, FileFormatError, read_config, read_counts
 from .finite_key import (
     EpsilonBudget,
     EstimationError,
@@ -52,7 +52,6 @@ __all__ = [
     "FileFormatError",
     "read_config",
     "read_counts",
-    "write_counts",
     "EpsilonBudget",
     "EstimationError",
     "FiniteKeyEstimates",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import os
 from collections.abc import Iterable
@@ -29,7 +28,6 @@ __all__ = [
     "Config",
     "CONFIG_ENV_VAR",
     "read_counts",
-    "write_counts",
     "read_config",
     "default_config_path",
     "format_report",
@@ -39,6 +37,7 @@ __all__ = [
 CONFIG_ENV_VAR = "QDS_CONFIG"
 
 _COUNTS_COLUMNS = ["link", "basis", "intensity", "n", "m"]
+_PREAMBLE_KEYS = ("distance_km", "n_pulses")
 
 
 class FileFormatError(ValueError):
@@ -52,29 +51,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def write_counts(
-    fp: io.TextIOBase,
-    counts_by_link: dict[str, ObservedCounts],
-    distance_km: float,
-    n_pulses: float,
-) -> None:
-    """Write per-link sifted counts with the context preamble."""
-    fp.write(f"# distance_km={distance_km!r}\n")
-    fp.write(f"# n_pulses={n_pulses!r}\n")
-    writer = csv.writer(fp)
-    writer.writerow(_COUNTS_COLUMNS)
-    keys = list(itertools.product(BASES, INTENSITIES))
-    for link, counts in counts_by_link.items():
-        for (basis, intensity), (n, m) in zip(keys, counts.cells.reshape(4, 2)):
-            writer.writerow([link, basis, intensity, n, m])
-
-
 def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
     """Read a counts table; returns (counts per link, distance_km, n_pulses)."""
     preamble: dict[str, float] = {}
     with open(path, newline="") as fp:
         body: list[str] = []
-        for line in fp:
+        for number, line in enumerate(fp, start=1):
             stripped = line.strip()
             if stripped.startswith("#"):
                 item = stripped.lstrip("#").strip()
@@ -82,12 +64,15 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
                     raise FileFormatError(
                         f"{path}: preamble line {stripped!r} is not key=value"
                     )
-                key, _, value = item.partition("=")
+                key, _, value = (part.strip() for part in item.partition("="))
+                if key not in _PREAMBLE_KEYS or key in preamble:
+                    fault = "repeated" if key in preamble else f"not one of {_PREAMBLE_KEYS}"
+                    raise FileFormatError(f"{path}: line {number}: preamble key {key!r} is {fault}")
                 try:
-                    preamble[key.strip()] = _finite(value)
+                    preamble[key] = _finite(value)
                 except ValueError as exc:
                     raise FileFormatError(
-                        f"{path}: preamble value for {key.strip()!r} is not a finite number"
+                        f"{path}: preamble value for {key!r} is not a finite number"
                     ) from exc
             elif stripped:
                 body.append(line)
@@ -98,7 +83,7 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
                 f"got {','.join(reader.fieldnames or [])}"
             )
         rows = list(reader)
-    for key in ("distance_km", "n_pulses"):
+    for key in _PREAMBLE_KEYS:
         if key not in preamble:
             raise FileFormatError(f"{path}: preamble is missing '# {key}=...'")
 

@@ -201,6 +201,31 @@ def vacuum_upper(m_basis_total: float | np.ndarray, eps: float) -> float | np.nd
     return 2.0 * (m_basis_total + hoeffding_delta(m_basis_total, eps))
 
 
+def _cell_bounds(
+    counts: ObservedCounts, d: _Decoy, eps: float
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Single-photon lower and vacuum upper bounds of each basis (first
+    axis), and the X single-photon error bound, in one pass over the cells.
+
+    One Hoeffding deviation serves each (basis, n/m) total; with it each
+    cell is bounded as ``scaled_count_bounds`` bounds it (decoy cells from
+    below, signal cells from above) and each basis as ``vacuum_upper``.
+    """
+    cells = counts.cells
+    totals = cells[:, 0] + cells[:, 1]
+    delta = hoeffding_delta(totals, eps)
+    decoy_lower = np.maximum(0.0, d.nu_scale * (cells[:, 1] - delta))
+    signal_upper = d.mu_scale * (cells[:, 0] + delta)
+    s0 = 2.0 * (totals[:, 1] + delta[:, 1])
+    bracket = decoy_lower[:, 0] - d.signal_weight * signal_upper[:, 0] - d.vacuum_weight * s0
+    s1 = d.s1_factor * bracket
+    # an empty basis has a zero bracket, so it gets 0 here too
+    s1 = np.where(s1 > 0.0, np.minimum(s1, totals[:, 0]), 0.0)
+    v1 = d.v1_factor * (signal_upper[1, 1] - decoy_lower[1, 1])
+    ceiling = d.mu_scale * cells[1, 0, 1] + d.nu_scale * cells[1, 1, 1]
+    return s1, s0, np.minimum(np.maximum(0.0, v1), ceiling)
+
+
 def single_photon_lower(
     counts: ObservedCounts,
     basis: str | tuple[str, ...],
@@ -216,16 +241,8 @@ def single_photon_lower(
     single-photon events, and 0 is returned (``estimate_counts`` flags
     the estimates as ``vacuous``).
     """
-    d = _decoy(pc)
-    eps = budget.eps_pe
-    n_tot = counts.n_total(basis)
-    nu_lower, _ = scaled_count_bounds(counts.n(basis, "nu"), n_tot, "nu", d, eps)
-    _, mu_upper = scaled_count_bounds(counts.n(basis, "mu"), n_tot, "mu", d, eps)
-    s0_upper = vacuum_upper(counts.m_total(basis), eps)
-    bracket = nu_lower - d.signal_weight * mu_upper - d.vacuum_weight * s0_upper
-    s1 = d.s1_factor * bracket
-    # an empty basis has a zero bracket, so it returns 0 here too
-    return np.where(s1 > 0.0, np.minimum(s1, n_tot), 0.0)[()]
+    s1, _, _ = _cell_bounds(counts, _decoy(pc), budget.eps_pe)
+    return s1 if basis == BASES else s1[BASES.index(basis)]
 
 
 def single_photon_error_upper(
@@ -238,15 +255,7 @@ def single_photon_error_upper(
     X error count.  Clamped below by 0 and above by the normalised total
     error count.
     """
-    d = _decoy(pc)
-    eps = budget.eps_pe
-    m_tot = counts.m_total("X")
-    delta = hoeffding_delta(m_tot, eps)
-    m_mu_upper = d.mu_scale * (counts.m("X", "mu") + delta)
-    m_nu_lower = np.maximum(0.0, d.nu_scale * (counts.m("X", "nu") - delta))
-    v1 = d.v1_factor * (m_mu_upper - m_nu_lower)
-    ceiling = d.mu_scale * counts.m("X", "mu") + d.nu_scale * counts.m("X", "nu")
-    return np.minimum(np.maximum(0.0, v1), ceiling)[()]
+    return _cell_bounds(counts, _decoy(pc), budget.eps_pe)[2]
 
 
 def phase_error_upper(
@@ -264,11 +273,13 @@ def phase_error_upper(
         raise EstimationError("phase error bound requires s_x1 > 0 (no X statistics)")
     if np.minimum.reduce(s_z1, axis=None) <= 0.0:
         raise EstimationError("phase error bound requires s_z1 > 0")
-    ratio = np.maximum(0.0, v_x1) / s_x1
-    floored = np.maximum(ratio, 1.0 / s_x1)
-    below_one = floored < 1.0
-    # the penalty is only defined, and only needed, below rate 1
-    gamma = gamma_correction(eps, np.where(below_one, floored, 0.5), s_x1, s_z1)
+    # a sample below about 1e-308 overflows to inf, clamped to 1/2 like any rate past 1
+    with np.errstate(over="ignore"):
+        ratio = np.maximum(0.0, v_x1) / s_x1
+        floored = np.maximum(ratio, 1.0 / s_x1)
+        below_one = floored < 1.0
+        # the penalty is only defined, and only needed, below rate 1
+        gamma = gamma_correction(eps, np.where(below_one, floored, 0.5), s_x1, s_z1)
     return np.where(below_one, np.minimum(0.5, floored + gamma), 0.5)[()]
 
 
@@ -303,10 +314,7 @@ def estimate_counts(
     (phi = 1/2) and are flagged, which downstream feasibility checks
     treat as an infeasible block.
     """
-    d = _decoy(pc)
-    s_z1, s_x1 = single_photon_lower(counts, BASES, d, budget)
-    v_x1 = single_photon_error_upper(counts, d, budget)
-    s_z0 = vacuum_upper(counts.m_total("Z"), budget.eps_pe)
+    (s_z1, s_x1), (s_z0, _), v_x1 = _cell_bounds(counts, _decoy(pc), budget.eps_pe)
     certified = (s_x1 > 0.0) & (s_z1 > 0.0)
     # where nothing is certified the phase error is 1/2; the bound runs on
     # placeholder sample sizes there, which it clamps to 1/2 as well

@@ -407,7 +407,7 @@ def _bisection_tree(
     """
     # in units of two, the bisection of even lengths is plain integer bisection
     lo, hi = lo[:, None] // 2, hi[:, None] // 2
-    levels = []
+    levels = [lo[:, :0]]  # none at depth 0
     for _ in range(depth):
         mid = (lo + hi) // 2
         levels.append(mid)
@@ -416,6 +416,27 @@ def _bisection_tree(
             np.concatenate([np.maximum(mid, lo + 1), hi], axis=1),
         )
     return 2 * np.concatenate(levels, axis=1), 2 * lo, 2 * hi
+
+
+def _halving_run(
+    hi: np.ndarray, size: int, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The halving run of the bisection of each [2, hi], and a tree under each point.
+
+    The run is the ``size`` midpoints about hi/2, hi/4, ... down to 2 (a
+    shorter run repeats 2) that the bisection probes while every probe is
+    feasible; from an infeasible one, p on (2, h), it bisects (p, h).
+    Returns the points and then the tree of the next ``depth`` midpoints
+    under each, shape (len(hi), size * 2**depth), and the (lo, hi) each
+    path through a tree ends on, shape (len(hi), size, 2**depth).
+    """
+    # h halves rounding up in units of two, ceil(hi / 2**i), until it is 2
+    tops = 2 * np.maximum(-(-(hi[:, None] // 2) >> np.arange(size)), 2)
+    points = (tops + 2) // 4 * 2
+    tree, ends_lo, ends_hi = _bisection_tree(points.ravel(), tops.ravel(), depth)
+    shape = (len(hi), size, 2**depth)
+    return (np.concatenate([points, tree.reshape(len(hi), -1)], axis=1),
+            ends_lo.reshape(shape), ends_hi.reshape(shape))
 
 
 def min_signature_length(
@@ -445,8 +466,12 @@ def min_signature_length(
     evaluates them all in one call of the bound chain, then moves every
     setting d steps; d is the largest depth at which the round fits
     ``SOLVER_LANES`` lengths, and no more than the widest remaining
-    interval needs.  Each setting thus probes exactly the lengths a
-    one-at-a-time bisection would, and ends on the same L.
+    interval needs.  An uncapped first round that fits takes instead each
+    setting's halving run (the midpoints about pool/2, pool/4, ... down to
+    2 that the bisection probes while every probe passes) and under each
+    point the tree of the next s midpoints, s as deep as fits (31 points
+    of 8 lengths for one pool of 2**32).  Each setting thus probes every
+    length a one-at-a-time bisection would, and ends on the same L.
 
     ``cap``, one length per setting, bounds the search for callers that
     only need L when it is at most the cap.  The first round also probes
@@ -487,15 +512,21 @@ def min_signature_length(
     active = np.flatnonzero(pool >= 2)
     first = True
     while active.size:
-        # the deepest tree that fits the lanes, but no deeper than the widest
-        # interval needs: w units of two take ceil(log2(w)) more steps
+        share = SOLVER_LANES // active.size
+        # w units of two take ceil(log2(w)) more steps; the halving run of an
+        # uncapped first round, down to 2, has w.bit_length() points
         widest = int((hi[active] - lo[active]).max()) // 2
-        depth = max(1, min((SOLVER_LANES // active.size + 1).bit_length() - 1,
-                           (widest - 1).bit_length()))
-        tree, ends_lo, ends_hi = _bisection_tree(lo[active], hi[active], depth)
+        run = widest.bit_length() if first and cap is None else 0
+        if 0 < run <= share:
+            depth = (share // run).bit_length() - 1
+            tree, ends_lo, ends_hi = _halving_run(hi[active], run, depth)
+        else:
+            run = 0
+            depth = max(1, min((share + 1).bit_length() - 1, (widest - 1).bit_length()))
+            tree, ends_lo, ends_hi = _bisection_tree(lo[active], hi[active], depth)
         if first:
             # the bisection probes the longest block, then 2, then the cap,
-            # if any, then the tree
+            # if any, then the tree or the run
             head = [pool[active, None], lo[active, None]]
             if cap is not None:
                 head.append(hi[active, None])
@@ -519,6 +550,12 @@ def min_signature_length(
         else:
             ok = feasible(active, tree)
         lanes = np.arange(active.size)
+        if run:
+            # the path leaves the run at its first infeasible point, at the
+            # latest at 2, and goes on down the tree under it
+            left = np.logical_and.accumulate(ok[:, :run], axis=1).sum(axis=1)
+            ok = ok[:, run:].reshape(active.size, run, 2**depth - 1)[lanes, left]
+            ends_lo, ends_hi = ends_lo[lanes, left], ends_hi[lanes, left]
         end = np.zeros(active.size, dtype=np.int64)
         for level in range(depth):
             width = 2**level

@@ -324,6 +324,8 @@ BAD_FILES = {
     "inf_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = inf"),
     "nan_distance.csv": MODEL_TEXT.replace("# distance_km=103.0", "# distance_km=nan"),
     "nan_cell.csv": MODEL_TEXT.replace("3214787465.832061", "nan", 1),
+    "mu_preamble.csv": MODEL_TEXT.replace("link,", "# mu=0.5\nlink,", 1),
+    "twice_pulses.csv": MODEL_TEXT.replace("link,", "# n_pulses=1e12\nlink,", 1),
     "negative_eps.cfg": DEVICE_TEXT.replace("eps = 1e-10", "eps = -1e-3"),
     "zero_alpha.cfg": DEVICE_TEXT.replace("alpha = 1e-5", "alpha = 0"),
     "huge_target.cfg": DEVICE_TEXT.replace("target_psec = 1e-4", "target_psec = 5"),
@@ -363,6 +365,10 @@ class TestBadValues:
          "'distance_km' is not a finite number"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/nan_cell.csv"],
          "row 2: n and m must be finite numbers"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/mu_preamble.csv"],
+         "mu_preamble.csv: line 3: preamble key 'mu' is not one of"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/twice_pulses.csv"],
+         "twice_pulses.csv: line 3: preamble key 'n_pulses' is repeated"),
         (["simulate", "--config", DEVICE_CFG, "--distance", "nan"], "distance_km"),
         (["demo-sign", "--config", DESK_CFG, "--distance", "inf"], "distance_km"),
         (["rate-curve", "--config", DESK_CFG, "--from", "nan"], "--from"),
@@ -426,6 +432,7 @@ class TestBadValues:
         (["rate-curve", "--config", DESK_CFG, "--grid-points", "1"], "--grid-points"),
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
+        "counts-unknown-preamble-key", "counts-repeated-preamble-key",
         "simulate-nan-distance", "demo-sign-inf-distance", "curve-nan-from", "curve-inf-to",
         "curve-minus-inf-step", "config-negative-eps", "config-zero-alpha",
         "config-target-above-one", "config-zero-k-test", "config-negative-seed",

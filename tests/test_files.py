@@ -16,7 +16,6 @@ from qds_onedecoy.files import (
     format_report,
     read_config,
     read_counts,
-    write_counts,
     write_rate_curve,
 )
 
@@ -30,6 +29,21 @@ SAMPLE_COUNTS = {
         n_x_mu=1.85e6, m_x_mu=2657, n_x_nu=19240, m_x_nu=34,
     ),
 }
+
+#: ``SAMPLE_COUNTS`` as a counts table.
+SAMPLE_TABLE = """\
+# distance_km=103.0
+# n_pulses=2e12
+link,basis,intensity,n,m
+bob_alice,Z,mu,4.17e9,7.35e6
+bob_alice,Z,nu,4.05e7,77579
+bob_alice,X,mu,1.84e6,1956
+bob_alice,X,nu,19474,68
+charlie_alice,Z,mu,4.03e9,6.66e6
+charlie_alice,Z,nu,4.09e7,109820
+charlie_alice,X,mu,1.85e6,2657
+charlie_alice,X,nu,19240,34
+"""
 
 CONFIG_TEXT = """\
 # source
@@ -60,10 +74,9 @@ seed = 7
 
 
 class TestCountsRoundTrip:
-    def test_write_then_read(self, tmp_path):
+    def test_read_sample_table(self, tmp_path):
         path = tmp_path / "counts.csv"
-        with open(path, "w", newline="") as fp:
-            write_counts(fp, SAMPLE_COUNTS, distance_km=103.0, n_pulses=2e12)
+        path.write_text(SAMPLE_TABLE)
         loaded, distance, n_pulses = read_counts(str(path))
         assert distance == 103.0
         assert n_pulses == 2e12
@@ -73,6 +86,18 @@ class TestCountsRoundTrip:
         path = tmp_path / "counts.csv"
         path.write_text("link,basis,intensity,n,m\nbob_alice,Z,mu,10,1\n")
         with pytest.raises(FileFormatError, match="distance_km"):
+            read_counts(str(path))
+
+    @pytest.mark.parametrize("line, named", [
+        ("# mu=0.5", "line 3: preamble key 'mu' is not one of"),
+        ("# n_pulses=1e12", "line 3: preamble key 'n_pulses' is repeated"),
+        ("#distance_km = 50", "line 3: preamble key 'distance_km' is repeated"),
+    ])
+    def test_unknown_or_repeated_preamble_key_is_named(self, tmp_path, line, named):
+        path = tmp_path / "counts.csv"
+        head, _, rest = SAMPLE_TABLE.partition("link,")
+        path.write_text(f"{head}{line}\nlink,{rest}")
+        with pytest.raises(FileFormatError, match=named):
             read_counts(str(path))
 
     def test_bad_basis_is_named(self, tmp_path):

@@ -6,10 +6,14 @@ photon-number-resolved detection numbers the channel model implies.
 """
 
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qds_onedecoy.channel import ChannelParams, ObservedCounts, PulseConfig
+from qds_onedecoy.channel import BASES, ChannelParams, ObservedCounts, PulseConfig
 from qds_onedecoy.finite_key import (
     BOUND_APPLICATIONS,
     EpsilonBudget,
@@ -24,6 +28,7 @@ from qds_onedecoy.finite_key import (
     tau_n,
     vacuum_upper,
 )
+from strategies import settings_in_space
 
 
 def make_pc(**kw):
@@ -211,6 +216,13 @@ class TestPhaseErrorUpper:
         assert phase_error_upper(10.0, 9.0, 10.0, 1e-5) == 0.5
         assert phase_error_upper(0.5, 0.0, 100.0, 1e-5) == 0.5
 
+    def test_subnormal_samples_clamp_without_overflow_warnings(self):
+        # as arrays, the estimator's form: 1/s_x1 and the penalty's 1/(c d)
+        # overflow to inf here, and a RuntimeWarning fails the test
+        s_x1, v_x1, s_z1 = np.array([[1e-310, 1e-310, 1e5], [0.0, 1e-310, 10.0],
+                                     [1e5, 1e5, 1e-310]])
+        assert (phase_error_upper(s_x1, v_x1, s_z1, 1e-5) == 0.5).all()
+
     def test_more_data_tightens(self):
         small = phase_error_upper(1e4, 500.0, 1e4, 1e-10)
         large = phase_error_upper(1e6, 50000.0, 1e6, 1e-10)
@@ -284,3 +296,98 @@ class TestEstimateAndBlockScale:
             block_scale(counts, pc, budget, L=0, pool_size=100.0)
         with pytest.raises(ValueError):
             block_scale(counts, pc, budget, L=200, pool_size=100.0)
+
+
+#: Rows with which every branch of the estimator is taken under ``make_pc``
+#: at eps_pe = 1e-5: an empty X basis, no X errors, a vacuous Z bracket and
+#: a saturated phase error, each flagged as ``EDGE_FLAGS`` (vacuous, saturated).
+EDGE_ROWS = [
+    make_counts(n_z_mu=1e6, m_z_mu=1e3, n_z_nu=3e5, m_z_nu=300),
+    make_counts(n_z_mu=1e6, m_z_mu=1e3, n_z_nu=3e5, m_z_nu=300, n_x_mu=1e5, n_x_nu=3e4),
+    make_counts(n_z_mu=50, m_z_mu=5, n_z_nu=3, m_z_nu=1,
+                n_x_mu=1e6, m_x_mu=1e3, n_x_nu=5e5, m_x_nu=500),
+    make_counts(n_z_mu=1e6, m_z_mu=1e3, n_z_nu=3e5, m_z_nu=300,
+                n_x_mu=1e5, m_x_mu=2e4, n_x_nu=3e4, m_x_nu=1e3),
+]
+EDGE_FLAGS = [(True, True), (False, False), (True, True), (False, True)]
+
+
+def reference_single_photon_lower(counts, basis, pc, eps):
+    """The decoy bound of one basis from the cell-by-cell helpers."""
+    n_tot = counts.n_total(basis)
+    nu_lower, _ = scaled_count_bounds(counts.n(basis, "nu"), n_tot, "nu", pc, eps)
+    _, mu_upper = scaled_count_bounds(counts.n(basis, "mu"), n_tot, "mu", pc, eps)
+    mu2, nu2 = pc.mu**2, pc.nu**2
+    bracket = (nu_lower - nu2 / mu2 * mu_upper
+               - (mu2 - nu2) / (mu2 * tau_n(0, pc)) * vacuum_upper(counts.m_total(basis), eps))
+    s1 = tau_n(1, pc) * pc.mu / (pc.nu * (pc.mu - pc.nu)) * bracket
+    return np.where(s1 > 0.0, np.minimum(s1, n_tot), 0.0)
+
+
+def reference_error_upper(counts, pc, eps):
+    """The X single-photon error bound from the cell-by-cell helpers."""
+    m_tot = counts.m_total("X")
+    _, m_mu_upper = scaled_count_bounds(counts.m("X", "mu"), m_tot, "mu", pc, eps)
+    m_nu_lower, _ = scaled_count_bounds(counts.m("X", "nu"), m_tot, "nu", pc, eps)
+    v1 = tau_n(1, pc) / (pc.mu - pc.nu) * (m_mu_upper - m_nu_lower)
+    ceiling = (np.exp(pc.mu) / pc.p_mu * counts.m("X", "mu")
+               + np.exp(pc.nu) / (1.0 - pc.p_mu) * counts.m("X", "nu"))
+    return np.minimum(np.maximum(0.0, v1), ceiling)
+
+
+def composed_estimates(counts, pc, budget):
+    """``estimate_counts`` spelled with the public helpers."""
+    eps = budget.eps_pe
+    s_z1, s_x1 = single_photon_lower(counts, BASES, pc, budget)
+    v_x1 = single_photon_error_upper(counts, pc, budget)
+    certified = (s_x1 > 0.0) & (s_z1 > 0.0)
+    phi = np.where(certified, phase_error_upper(np.where(certified, s_x1, 1.0), v_x1,
+                                                np.where(certified, s_z1, 1.0), eps), 0.5)
+    return [s_z1, phi, vacuum_upper(counts.m_total("Z"), eps), s_x1, v_x1,
+            phi >= 0.5, ~certified]
+
+
+@st.composite
+def count_rows(draw):
+    """One set of counts: each cell up to 1e10 detections, its errors a
+    share of them, and an X basis that may be empty or free of errors."""
+    empty_x, no_x_errors = draw(st.booleans()), draw(st.booleans())
+    values = []
+    for cell in range(4):
+        n = 0.0 if empty_x and cell >= 2 else draw(st.floats(0.0, 1e10))
+        share = 0.0 if no_x_errors and cell >= 2 else draw(
+            st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        values += [n, n * share]
+    return ObservedCounts(*values)
+
+
+class TestOnePassEstimator:
+    """``estimate_counts`` against the public helpers it is a composition
+    of, and those against the cell-by-cell bounds, with ``==``."""
+
+    def check(self, rows, pc, budget):
+        # each row as one setting of a batch, as the solver stacks them
+        counts = ObservedCounts.from_cells(np.stack([r.cells for r in rows], axis=3)[..., None])
+        est = estimate_counts(counts, pc, budget)
+        for field, expected in zip(fields(est), composed_estimates(counts, pc, budget)):
+            assert np.array_equal(getattr(est, field.name), expected), field.name
+        for basis in BASES:
+            assert np.array_equal(single_photon_lower(counts, basis, pc, budget),
+                                  reference_single_photon_lower(counts, basis, pc, budget.eps_pe))
+        assert np.array_equal(single_photon_error_upper(counts, pc, budget),
+                              reference_error_upper(counts, pc, budget.eps_pe))
+        for row, r in enumerate(rows):
+            alone = estimate_counts(r, pc, budget)
+            for field in fields(est):
+                assert getattr(alone, field.name) == getattr(est, field.name)[row, 0]
+        return est
+
+    def test_edge_rows_take_every_branch(self):
+        est = self.check(EDGE_ROWS, make_pc(), EpsilonBudget(eps_pe=1e-5))
+        assert list(zip(est.vacuous[:, 0], est.saturated[:, 0])) == EDGE_FLAGS
+
+    @given(st.lists(count_rows(), min_size=1, max_size=5), settings_in_space,
+           st.sampled_from([1e-10, 1e-5, 1e-2, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_helpers(self, rows, pc, eps_pe):
+        self.check(rows + EDGE_ROWS, pc, EpsilonBudget(eps_pe=eps_pe))

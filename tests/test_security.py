@@ -8,6 +8,8 @@ import dataclasses
 import json
 import math
 import pathlib
+from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -219,6 +221,38 @@ def certifies(cbl, pc, ch, budget, L, k_test=None, target_psec=1e-4):
     return report.p_sec <= target_psec
 
 
+def reference_bisection(cbl, pc, ch, budget, k_test=None, cap=None):
+    """The solver's verdict from a plain bisection over even lengths that
+    probes one length at a time with ``certifies``, and the lengths it
+    probes: the pool, the cap (its even floor, within the pool) if any,
+    2, then midpoints."""
+    probed = []
+
+    def probe(L):
+        probed.append(L)
+        return certifies(cbl, pc, ch, budget, L, k_test)
+
+    pool = int(min(c.n_total("Z") for c in cbl.values())) // 2 * 2
+    if pool < 2 or not probe(pool):
+        return Infeasible, probed
+    hi = pool
+    if cap is not None:
+        cut = max(cap // 2 * 2, 0)
+        hi = min(pool, max(cut, 2))
+        if not probe(hi) or cut < 2:
+            return Pruned(cut + 2), probed
+    if probe(2):
+        return 2, probed
+    lo = 2
+    while hi - lo > 2:
+        mid = (lo + hi) // 4 * 2
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, probed
+
+
 class TestMinSignatureLength:
     def test_target_below_floor_rejected(self):
         pc, ch, cbl, budget = paper_scale_setup()
@@ -312,12 +346,11 @@ class TestLockstepSolver:
 
 #: (settings, lengths, sum of lengths) of every chain call one uncapped
 #: solve of ``uncapped_batch`` makes, for k_test None and 3000, recorded
-#: from the solver before it took caps
+#: from the solver whose first round probes the halving run (six calls
+#: each before it)
 UNCAPPED_PROBES = {
-    None: [(4, 65, 6840738180478), (3, 63, 103606572552), (3, 63, 1634162566),
-           (3, 63, 43953972), (2, 127, 12186732), (1, 63, 3046380)],
-    3000: [(4, 65, 6840738180478), (3, 63, 103615562022), (3, 63, 1640342866),
-           (3, 63, 50145292), (2, 127, 12097096), (1, 63, 2972670)],
+    None: [(4, 39, 420968503608), (3, 63, 19633360), (3, 63, 21875304), (3, 31, 10749608)],
+    3000: [(4, 39, 420968503608), (3, 63, 33117580), (3, 63, 28012650), (3, 63, 27922604)],
 }
 
 
@@ -372,7 +405,7 @@ class TestCappedSolver:
                 assert not isinstance(got, Infeasible)
 
     @pytest.mark.parametrize("k_test", [None, 3000])
-    def test_uncapped_solve_probes_what_it_did_before_caps(self, monkeypatch, k_test):
+    def test_uncapped_solve_probes_the_recorded_lengths(self, monkeypatch, k_test):
         probes = []
         chain = security._bound_chain
 
@@ -394,6 +427,58 @@ class TestCappedSolver:
         capped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
                                       cap=np.full(4, 10**15))
         assert [str(v) for v in capped] == [str(v) for v in uncapped]
+
+
+class TestSolverOracle:
+    """The batched solver against ``reference_bisection``: the same verdict
+    for every setting, and every length the reference probes is among the
+    lengths the solver handed that setting to the bound chain."""
+
+    @given(
+        st.lists(st.tuples(settings_in_space, st.floats(0.0, 300.0)), min_size=1, max_size=4),
+        st.sampled_from([None, 3000]),
+        st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.integers(-3, 3)),
+                 min_size=4, max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_solver_follows_the_reference(self, points, k_test, cap_draws):
+        budget = EpsilonBudget(eps_pe=5e-6)
+        pcs = [pc for pc, _ in points]
+        channels = [ChannelParams(distance_km=km) for _, km in points]
+        alone = [expected_statistics(pc, ch) for pc, ch in zip(pcs, channels)]
+        counts = ObservedCounts.from_cells(np.stack([c.cells for c in alone], axis=3)[..., None])
+        cbl, stack = {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs)
+        # each setting's counts as the chain sees them, to tell its rows apart
+        keys = [_stack_links(cbl).cells[..., j, :].tobytes() for j in range(len(pcs))]
+        chain = security._bound_chain
+
+        def spy(counts, pc, budget, alpha, eps, L, k):
+            for row, lengths in enumerate(L):
+                probed[counts.cells[..., row, :].tobytes()].update(lengths.tolist())
+            return chain(counts, pc, budget, alpha, eps, L, k)
+
+        uncapped = [reference_bisection({"bob_alice": c, "charlie_alice": c}, pc, ch, budget,
+                                        k_test) for c, pc, ch in zip(alone, pcs, channels)]
+        # caps of 0 to 1.5 times each solved L (the pool where there is none),
+        # give or take 3, odd ones too
+        caps = [
+            max(0, int(f * (L if isinstance(L, int) else c.n_total("Z"))) + d)
+            for (L, _), c, (f, d) in zip(uncapped, alone, cap_draws)
+        ]
+        for cap in (None, np.array(caps)):
+            probed = defaultdict(set)
+            with mock.patch.object(security, "_bound_chain", spy):
+                solved = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
+                                              k_test=k_test, cap=cap)
+            for j, (c, pc, ch) in enumerate(zip(alone, pcs, channels)):
+                verdict, path = uncapped[j] if cap is None else reference_bisection(
+                    {"bob_alice": c, "charlie_alice": c}, pc, ch, budget, k_test, caps[j],
+                )
+                if verdict is Infeasible:
+                    assert isinstance(solved[j], Infeasible)
+                else:
+                    assert solved[j] == verdict
+                assert set(path) <= probed[keys[j]]
 
 
 def assert_switches_once(cbl, pc, budget, k_test, L, center, pool):
