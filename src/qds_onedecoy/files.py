@@ -56,13 +56,14 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
     preamble: dict[str, float] = {}
     with open(path, newline="") as fp:
         body: list[str] = []
+        body_lines: list[int] = []  # the file line of each body line
         for number, line in enumerate(fp, start=1):
             stripped = line.strip()
             if stripped.startswith("#"):
                 item = stripped.lstrip("#").strip()
                 if "=" not in item:
                     raise FileFormatError(
-                        f"{path}: preamble line {stripped!r} is not key=value"
+                        f"{path}: line {number}: preamble line {stripped!r} is not key=value"
                     )
                 key, _, value = (part.strip() for part in item.partition("="))
                 if key not in _PREAMBLE_KEYS or key in preamble:
@@ -72,17 +73,18 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
                     preamble[key] = _finite(value)
                 except ValueError as exc:
                     raise FileFormatError(
-                        f"{path}: preamble value for {key!r} is not a finite number"
+                        f"{path}: line {number}: preamble value for {key!r} is not a finite number"
                     ) from exc
             elif stripped:
                 body.append(line)
+                body_lines.append(number)
         reader = csv.DictReader(body)
         if reader.fieldnames != _COUNTS_COLUMNS:
             raise FileFormatError(
                 f"{path}: expected header {','.join(_COUNTS_COLUMNS)}, "
                 f"got {','.join(reader.fieldnames or [])}"
             )
-        rows = list(reader)
+        rows = [(body_lines[reader.line_num - 1], row) for row in reader]
     for key in _PREAMBLE_KEYS:
         if key not in preamble:
             raise FileFormatError(f"{path}: preamble is missing '# {key}=...'")
@@ -91,24 +93,26 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
     # per link, (basis, intensity, n/m) in the layout of ObservedCounts.cells;
     # NaN marks a cell no row has filled, since every value read is finite
     cells = {link: np.full((2, 2, 2), np.nan) for link in LINKS}
-    for idx, row in enumerate(rows, start=2):
+    for number, row in rows:
         if None in row or None in row.values():
-            raise FileFormatError(f"{path}: row {idx}: expected {len(_COUNTS_COLUMNS)} fields")
+            raise FileFormatError(f"{path}: line {number}: expected {len(_COUNTS_COLUMNS)} fields")
         for column, valid in (("link", LINKS), ("basis", BASES), ("intensity", INTENSITIES)):
             if row[column] not in valid:
                 raise FileFormatError(
-                    f"{path}: row {idx}: {column} must be one of {valid}, got {row[column]!r}"
+                    f"{path}: line {number}: {column} must be one of {valid}, got {row[column]!r}"
                 )
         try:
             n = _finite(row["n"])
             m = _finite(row["m"])
         except ValueError as exc:
-            raise FileFormatError(f"{path}: row {idx}: n and m must be finite numbers") from exc
+            raise FileFormatError(
+                f"{path}: line {number}: n and m must be finite numbers"
+            ) from exc
         link, basis, intensity = row["link"], row["basis"], row["intensity"]
         cell = cells[link][BASES.index(basis), INTENSITIES.index(intensity)]
         if not np.isnan(cell[0]):
             raise FileFormatError(
-                f"{path}: duplicate cell ({link}, {basis}, {intensity})"
+                f"{path}: line {number}: duplicate cell ({link}, {basis}, {intensity})"
             )
         cell[:] = n, m
 

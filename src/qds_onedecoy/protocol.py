@@ -12,7 +12,9 @@ Key material is handled at the bit level when the pulse budget is small
 enough to materialise strings ("desk scale"); larger configurations run
 the messaging stage on synthetic keys drawn at the model error rate.
 All randomness is derived from named substreams of one seed, so runs
-are reproducible end to end, transcript included.
+are reproducible end to end, transcript included.  A message keeps its
+payload and is digested only when the transcript is read; the key and
+position arrays a payload refers to are read-only from when it is sent.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import IO, Mapping
 
 import numpy as np
@@ -35,6 +38,7 @@ from .channel import (
     sample_statistics,
 )
 from .security import Thresholds, k_test_for
+from .stat_math import binary_entropy
 
 __all__ = [
     "LINKS",
@@ -86,13 +90,23 @@ class PoolExhausted(ProtocolError):
 
 @dataclass(frozen=True)
 class ClassicalMessage:
-    """One authenticated classical transmission, stored as a payload digest."""
+    """One authenticated classical transmission and the payload it carried.
+
+    The payload is digested when ``digest`` is first read, at most once;
+    a message whose payload is another message carries that one's digest.
+    """
 
     seq: int
     kind: str
     sender: str
     receiver: str
-    digest: str
+    payload: object = field(repr=False, compare=False)
+
+    @cached_property
+    def digest(self) -> str:
+        if isinstance(self.payload, ClassicalMessage):
+            return self.payload.digest
+        return _digest(self.payload)
 
 
 @dataclass(frozen=True)
@@ -300,10 +314,9 @@ def symmetrize(
     half = L // 2
 
     def split(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        forward = np.sort(rng.choice(L, size=half, replace=False))
-        mask = np.ones(L, dtype=bool)
-        mask[forward] = False
-        return np.flatnonzero(mask), forward
+        forward = np.zeros(L, dtype=bool)
+        forward[rng.choice(L, size=half, replace=False)] = True
+        return np.flatnonzero(~forward), np.flatnonzero(forward)
 
     bob_keep, bob_forward = split(rng_bob)
     charlie_keep, charlie_forward = split(rng_charlie)
@@ -396,18 +409,17 @@ class ProtocolSession:
 
     # -- classical channel -------------------------------------------------
 
-    def _send(
-        self, kind: str, sender: str, receiver: str, payload: object = None, digest: str = ""
-    ) -> None:
-        """Log a message by its payload's digest, or by ``digest`` when already taken."""
-        digest = digest or _digest(payload)
+    def _send(self, kind: str, sender: str, receiver: str, payload: object) -> None:
+        """Log a message with its payload; the digest waits until it is read."""
         seq = len(self.transcript)
-        self.transcript.append(ClassicalMessage(seq, kind, sender, receiver, digest))
+        self.transcript.append(ClassicalMessage(seq, kind, sender, receiver, payload))
 
     def export_transcript(self, fp: IO[str]) -> None:
-        """Write the transcript as one JSON object per line."""
+        """Write the transcript as one JSON object per line, digesting each payload."""
         for msg in self.transcript:
-            fp.write(json.dumps(asdict(msg), sort_keys=True) + "\n")
+            record = {"seq": msg.seq, "kind": msg.kind, "sender": msg.sender,
+                      "receiver": msg.receiver, "digest": msg.digest}
+            fp.write(json.dumps(record, sort_keys=True) + "\n")
 
     # -- distribution stage ------------------------------------------------
 
@@ -437,6 +449,8 @@ class ProtocolSession:
             tx = rng.integers(0, 2, size=need, dtype=np.uint8)
             rx = tx ^ (rng.random(need) < qber).astype(np.uint8)
             self._send("basis_announce", recipient, "alice", {"link": link, "synthetic": True})
+        # signed keys are digested when the transcript is read: keep them as sent
+        tx.flags.writeable = rx.flags.writeable = False
         for m in (0, 1):
             sl = slice(m * self.L, (m + 1) * self.L)
             self._blocks[(m, link)] = tx[sl]
@@ -457,6 +471,8 @@ class ProtocolSession:
             )
             self._symmetrized[(m, "bob")] = bob_sym
             self._symmetrized[(m, "charlie")] = charlie_sym
+            for forwarded in (charlie_sym.received, bob_sym.received):
+                forwarded.positions.flags.writeable = False  # sent, digested when read
             self._send(
                 "symmetrization_forward", "bob", "charlie",
                 {"m": m, "positions": charlie_sym.received.positions},
@@ -499,7 +515,7 @@ class ProtocolSession:
         accepting forwards the declaration for Charlie's verdict.
         """
         bundle = self.sign(message_bit)
-        declaration = self.transcript[-1].digest  # of the signature message just sent
+        declaration = self.transcript[-1]  # the signature message just sent
         bob_ok, b_own, b_recv = verify(
             bundle, self._symmetrized[(message_bit, "bob")], th.s_alpha
         )
@@ -514,7 +530,7 @@ class ProtocolSession:
                 charlie_mismatches=None,
             )
         self._send("accept", "bob", "alice", {"m": message_bit})
-        self._send("forwarded_signature", "bob", "charlie", digest=declaration)
+        self._send("forwarded_signature", "bob", "charlie", declaration)
         charlie_ok, c_own, c_recv = verify(
             bundle, self._symmetrized[(message_bit, "charlie")], th.s_upsilon
         )
@@ -533,6 +549,13 @@ class ProtocolSession:
 # -- adversarial strategies ------------------------------------------------
 
 
+def _check_attack(trials: int, L: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if L < 2 or L % 2 != 0:
+        raise ValueError(f"block length must be an even integer >= 2, got {L}")
+
+
 def attack_repudiation(
     trials: int, L: int, th: Thresholds, corruption_rate: float, seed: int = 0
 ) -> float:
@@ -544,8 +567,7 @@ def attack_repudiation(
     many to the half forwarded to Charlie (he rejects at s_upsilon).
     Success means Bob accepts while Charlie rejects.
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"block length must be an even integer >= 2, got {L}")
+    _check_attack(trials, L)
     if not 0.0 <= corruption_rate <= 1.0:
         raise ValueError(f"corruption rate must lie in [0, 1], got {corruption_rate}")
     rng = rng_stream(seed, "attack", "repudiation")
@@ -564,8 +586,7 @@ def attack_forge(trials: int, L: int, th: Thresholds, seed: int = 0) -> float:
     match exactly, Charlie's kept half he must guess bit by bit.  Success
     means Charlie accepts at s_upsilon.
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"block length must be an even integer >= 2, got {L}")
+    _check_attack(trials, L)
     rng = rng_stream(seed, "attack", "forge")
     half = L // 2
     guess_mismatches = rng.binomial(half, 0.5, size=trials)
@@ -585,13 +606,23 @@ def exact_forge_success(L: int, s_upsilon: float) -> float:
 
     The guessed half accumulates Binomial(L/2, 1/2) mismatches; success
     is the strict tail below s_upsilon * L/2, enumerated exactly in
-    integer arithmetic.
+    integer arithmetic and correctly rounded.  With n = L/2 and a tail
+    of j <= a n terms, a < 1/2, sum C(n, j) <= 2^(n h(a)); when that puts
+    the tail below 2^-1100 it rounds to 0.0, which is returned unsummed.
+    A non-finite s_upsilon or s_upsilon * L/2 raises ValueError.
     """
     if L < 2 or L % 2 != 0:
         raise ValueError(f"block length must be an even integer >= 2, got {L}")
     half = L // 2
+    if not math.isfinite(s_upsilon * half):
+        raise ValueError(
+            f"s_upsilon must be finite, got {s_upsilon} (s_upsilon * L/2 = {s_upsilon * half})"
+        )
     j_max = _strictly_below(s_upsilon * half)
     if j_max < 0:
+        return 0.0
+    # below 2^-1075, half the least subnormal, the rounded quotient is 0.0
+    if 2 * j_max < half and half * (1.0 - binary_entropy(j_max / half)) > 1100:
         return 0.0
     # C(half, j) by the exact recurrence C(half, j+1) = C(half, j) (half-j) / (j+1)
     total, term = 0, 1

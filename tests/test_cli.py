@@ -364,7 +364,7 @@ class TestBadValues:
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/nan_distance.csv"],
          "'distance_km' is not a finite number"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/nan_cell.csv"],
-         "row 2: n and m must be finite numbers"),
+         "nan_cell.csv: line 4: n and m must be finite numbers"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/mu_preamble.csv"],
          "mu_preamble.csv: line 3: preamble key 'mu' is not one of"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/twice_pulses.csv"],
@@ -402,9 +402,9 @@ class TestBadValues:
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/one_link.csv"],
          "one_link.csv: link 'charlie_alice' is missing cells"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/carol_link.csv"],
-         "row 6: link must be one of ('bob_alice', 'charlie_alice'), got 'carol_alice'"),
+         "line 8: link must be one of ('bob_alice', 'charlie_alice'), got 'carol_alice'"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/three_links.csv"],
-         "three_links.csv: row 10: link must be one of"),
+         "three_links.csv: line 12: link must be one of"),
         # found by TestFuzz and a scan of extreme values: overflow, NaN or a traceback
         (["estimate", "--config", "{tmp}/e300_mu.cfg", "--counts", MODEL_103],
          "e300_mu.cfg: signal intensity must lie in (0, 1], got 1e+300"),

@@ -100,6 +100,20 @@ class TestCountsRoundTrip:
         with pytest.raises(FileFormatError, match=named):
             read_counts(str(path))
 
+    @pytest.mark.parametrize("table, named", [
+        ("# distance_km=10\n# n_pulses=1e9\nlink,basis,intensity,n,m\n\n"
+         "bob_alice,Z,mu,10,1\nbob_alice,Z,mu,12,1\n", "line 6: duplicate cell"),
+        ("# distance_km=10\n\n# n_pulses=1e9\nlink,basis,intensity,n,m\n"
+         "bob_alice,Z,mu,nan,1\n", "line 5: n and m must be finite"),
+        ("# distance_km=10\n# n_pulses=inf\n", "line 2: preamble value for 'n_pulses'"),
+        ("# distance_km=10\n\n# n_pulses\n", "line 3: preamble line '# n_pulses' is not"),
+    ], ids=["duplicate", "non-finite", "preamble-value", "not-key-value"])
+    def test_errors_name_the_file_line(self, tmp_path, table, named):
+        path = tmp_path / "counts.csv"
+        path.write_text(table)
+        with pytest.raises(FileFormatError, match=f"counts.csv: {named}"):
+            read_counts(str(path))
+
     def test_bad_basis_is_named(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text(
@@ -144,7 +158,7 @@ class TestCountsRoundTrip:
     def test_ragged_row_rejected(self, tmp_path, row):
         path = tmp_path / "counts.csv"
         path.write_text(f"# distance_km=10\n# n_pulses=1e9\nlink,basis,intensity,n,m\n{row}\n")
-        with pytest.raises(FileFormatError, match="row 2: expected 5 fields"):
+        with pytest.raises(FileFormatError, match="counts.csv: line 4: expected 5 fields"):
             read_counts(str(path))
 
     def test_wrong_header_rejected(self, tmp_path):

@@ -36,6 +36,7 @@ from qds_onedecoy.protocol import (
     verify,
 )
 from qds_onedecoy.security import Thresholds, block_report
+from qds_onedecoy.stat_math import binary_entropy_inverse
 
 DESK_PC = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8, n_pulses=2e6)
 DESK_CH = ChannelParams(distance_km=2.0)
@@ -130,6 +131,30 @@ class TestSymmetrize:
         )
         assert (bob_sym.received.bits == charlie_bits[bob_sym.received.positions]).all()
         assert (charlie_sym.received.bits == bob_bits[charlie_sym.received.positions]).all()
+
+    @pytest.mark.parametrize("L", [2, 4, 10**4 - 2, 10**4, 10**4 + 2, 2 * 10**5])
+    def test_mask_split_equals_sorted_split(self, L):
+        def sorted_split(rng, L):
+            forward = np.sort(rng.choice(L, size=L // 2, replace=False))
+            mask = np.ones(L, dtype=bool)
+            mask[forward] = False
+            return np.flatnonzero(mask), forward
+
+        bob_bits = rng_stream(L, "b").integers(0, 2, L, dtype=np.uint8)
+        charlie_bits = rng_stream(L, "c").integers(0, 2, L, dtype=np.uint8)
+        bob_sym, charlie_sym = symmetrize(
+            bob_bits, charlie_bits, rng_stream(L, "rb"), rng_stream(L, "rc")
+        )
+        bob_keep, bob_forward = sorted_split(rng_stream(L, "rb"), L)
+        charlie_keep, charlie_forward = sorted_split(rng_stream(L, "rc"), L)
+        for half, positions, bits in [
+            (bob_sym.own, bob_keep, bob_bits), (bob_sym.received, charlie_forward, charlie_bits),
+            (charlie_sym.own, charlie_keep, charlie_bits),
+            (charlie_sym.received, bob_forward, bob_bits),
+        ]:
+            assert half.positions.dtype == positions.dtype
+            assert np.array_equal(half.positions, positions)
+            assert np.array_equal(half.bits, bits[positions])
 
     def test_rejects_mismatched_or_odd_lengths(self):
         with pytest.raises(ProtocolError):
@@ -387,19 +412,57 @@ class TestSession:
         assert transcript_text(21) == transcript_text(21)
         assert transcript_text(21) != transcript_text(22)
 
-    def test_declaration_is_digested_once(self, monkeypatch):
-        # the signature and its forwarded copy share one digest of one encoding
+    def digest_counting_session(self, monkeypatch, payloads):
+        """An accepted session whose digests append their payloads to ``payloads``."""
         real_digest = protocol._digest
-        payloads = []
         monkeypatch.setattr(
             protocol, "_digest", lambda payload: payloads.append(payload) or real_digest(payload)
         )
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
         session.run_distribution()
         assert session.run_messaging(1, self.relaxed_thresholds()).charlie_accept
-        assert sum("keys" in p for p in payloads if isinstance(p, dict)) == 1
+        return session
+
+    def test_declaration_is_digested_once(self, monkeypatch):
+        # the signature and its forwarded copy share one digest of one encoding
+        payloads = []
+        session = self.digest_counting_session(monkeypatch, payloads)
         digests = {m.kind: m.digest for m in session.transcript}
+        assert sum("keys" in p for p in payloads if isinstance(p, dict)) == 1
         assert digests["forwarded_signature"] == digests["signature"]
+
+    def test_unread_transcript_is_never_digested(self, monkeypatch):
+        payloads = []
+        session = self.digest_counting_session(monkeypatch, payloads)
+        assert len(session.transcript) > 0
+        assert payloads == []
+
+    def test_export_twice_digests_each_payload_once(self, monkeypatch):
+        payloads = []
+        session = self.digest_counting_session(monkeypatch, payloads)
+        texts = []
+        for _ in range(2):
+            buf = io.StringIO()
+            session.export_transcript(buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+        # every message but the forwarded signature, which reuses the signature's digest
+        assert len(payloads) == len(session.transcript) - 1
+
+    @pytest.mark.parametrize("synthetic", [False, True], ids=["bit-level", "synthetic"])
+    def test_sent_arrays_are_read_only(self, synthetic):
+        # a digest read later must be of the payload as it was sent
+        session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2, synthetic=synthetic)
+        session.run_distribution()
+        bundle = session.sign(0)
+        sent = [m.payload["positions"] for m in session.transcript
+                if m.kind == "symmetrization_forward"]
+        sent += list(bundle.keys.values())
+        sent += [r.rx_pool for r in session.kgp_results.values()]
+        assert len(sent) == (6 if synthetic else 8)
+        for array in sent:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_transcript_sequence_is_strictly_increasing(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
@@ -442,6 +505,26 @@ class TestAttacks:
         assert 0.0 < reference < 0.5
         assert exact_forge_success(L, s_u) == reference
 
+    @given(
+        half=st.integers(1, 40_000),
+        s_u=st.floats(0.0, 1.2),
+        near_cutoff=st.none() | st.integers(-5, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_forge_equals_the_full_sum(self, half, s_u, near_cutoff):
+        if near_cutoff is not None:
+            # put half * (1 - h(j_max / half)) within a unit or so of 1100 + near_cutoff
+            half = max(half, 1200)
+            a = binary_entropy_inverse(1.0 - (1100 + near_cutoff) / half)
+            s_u = (math.floor(a * half) + 0.5) / half
+        j_max = protocol._strictly_below(s_u * half)
+        # reference: the whole tail in integer arithmetic, no shortcut
+        total, term = 0, 1
+        for j in range(min(j_max, half) + 1):
+            total += term
+            term = term * (half - j) // (j + 1)
+        assert exact_forge_success(2 * half, s_u) == total / 2**half
+
     def test_exact_forge_degenerate_threshold(self):
         assert exact_forge_success(20, 0.0) == 0.0
         assert exact_forge_success(2, 0.3) == 0.5
@@ -473,3 +556,16 @@ class TestAttacks:
             attack_forge(100, 21, th)
         with pytest.raises(ValueError):
             attack_repudiation(100, 2000, th, 1.5)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_attacks_need_a_trial(self, trials):
+        th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            attack_forge(trials, 2000, th)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            attack_repudiation(trials, 2000, th, 0.1)
+
+    @pytest.mark.parametrize("s_u", [math.inf, -math.inf, math.nan, 1e308, -1e308])
+    def test_exact_forge_rejects_non_finite_threshold(self, s_u):
+        with pytest.raises(ValueError, match="s_upsilon must be finite"):
+            exact_forge_success(100, s_u)
