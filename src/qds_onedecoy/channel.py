@@ -107,15 +107,6 @@ class PulseConfig:
         stacked.__post_init__()
         return stacked
 
-    def take(self, rows: Sequence[int] | np.ndarray) -> "PulseConfig":
-        """The rows ``rows`` of a stack; an unstacked config is every row and comes back as is."""
-        if np.ndim(self.mu) == 0:
-            return self
-        taken = object.__new__(PulseConfig)
-        for f in fields(PulseConfig):
-            object.__setattr__(taken, f.name, getattr(self, f.name)[rows])
-        return taken
-
     def intensity(self, name: str) -> tuple[float, float]:
         """Return (photon number, emission probability) for 'mu' or 'nu'."""
         if name == "mu":
@@ -202,9 +193,9 @@ class ObservedCounts:
     The counts are one float array ``cells`` of shape (2, 2, 2, ...):
     basis (Z, X), intensity (mu, nu), then n and m.  Values may be
     integers (one sampled run) or reals (expectations or rescaled
-    blocks); every cell must satisfy 0 <= m <= n.  Trailing axes (a
-    stack's, or added by ``scaled``) hold a batch: the accessors then
-    return arrays over it.  An accessor given ``BASES`` for the basis
+    blocks); every cell must satisfy 0 <= m <= n < inf.  Trailing axes (a
+    stack's, or block lengths) hold a batch: the accessors then return
+    arrays over it.  An accessor given ``BASES`` for the basis
     returns both bases along a new leading axis.
     """
 
@@ -218,10 +209,11 @@ class ObservedCounts:
         values = (n_z_mu, m_z_mu, n_z_nu, m_z_nu, n_x_mu, m_x_mu, n_x_nu, m_x_nu)
         for cell in range(4):
             n, m = values[2 * cell], values[2 * cell + 1]
-            if n < 0 or m < 0 or m > n:
+            # written so that NaN fails it, as it does every comparison
+            if not 0 <= m <= n < math.inf:
                 raise ValueError(
                     f"cell ({BASES[cell // 2]}, {INTENSITIES[cell % 2]}) must satisfy "
-                    f"0 <= m <= n, got n={n}, m={m}"
+                    f"0 <= m <= n < inf, got n={n}, m={m}"
                 )
         cells = np.array(values, dtype=float).reshape(2, 2, 2)
         cells.flags.writeable = False
@@ -263,13 +255,6 @@ class ObservedCounts:
 
     def m_total(self, basis: str) -> float | np.ndarray:
         return self.m(basis, "mu") + self.m(basis, "nu")
-
-    def scaled(self, factor: float | np.ndarray) -> "ObservedCounts":
-        """Every cell multiplied by ``factor``, a float or an array over the batch axes."""
-        factor = np.asarray(factor, dtype=float)
-        if (factor < 0).any():
-            raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return ObservedCounts.from_cells(self.cells * factor)
 
 
 def total_efficiency(ch: ChannelParams) -> float:

@@ -139,10 +139,8 @@ class _Decoy(NamedTuple):
             return self.nu_scale
         raise ValueError(f"unknown intensity {intensity!r}, expected 'mu' or 'nu'")
 
-    def take(self, rows: Sequence[int] | np.ndarray) -> "_Decoy":
-        """The rows ``rows`` of a stack's factors, as ``PulseConfig.take``."""
-        if np.ndim(self.mu_scale) == 0:
-            return self
+    def take(self, rows: np.ndarray) -> "_Decoy":
+        """The rows ``rows`` of a stack's factors."""
         return _Decoy(*(factor[rows] for factor in self))
 
 
@@ -150,16 +148,18 @@ def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
     """The decoy factors of ``pc``; given factors, those."""
     if isinstance(pc, _Decoy):
         return pc
-    if np.minimum.reduce(pc.nu, axis=None) <= 0.0:
+    if not np.minimum.reduce(pc.nu, axis=None) > 0.0:
         raise EstimationError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
     mu, nu = pc.mu, pc.nu
     mu2, nu2 = mu**2, nu**2
-    tau_1 = tau_n(1, pc)
+    # the two terms of tau_n; mu**0 and mu**1 are exact, so these are tau_n(0) and tau_n(1)
+    signal, decoy = pc.p_mu * np.exp(-mu), (1.0 - pc.p_mu) * np.exp(-nu)
+    tau_1 = signal * mu + decoy * nu
     return _Decoy(
         mu_scale=np.exp(mu) / pc.p_mu,
         nu_scale=np.exp(nu) / (1.0 - pc.p_mu),
         signal_weight=nu2 / mu2,
-        vacuum_weight=(mu2 - nu2) / (mu2 * tau_n(0, pc)),
+        vacuum_weight=(mu2 - nu2) / (mu2 * (signal + decoy)),
         s1_factor=tau_1 * mu / (nu * (mu - nu)),
         v1_factor=tau_1 / (mu - nu),
     )
@@ -179,7 +179,7 @@ def scaled_count_bounds(
     zero since it estimates a number of events.
     """
     scale = _decoy(pc).scale(intensity)
-    if np.maximum.reduce(count - basis_total, axis=None) > 0:
+    if not np.maximum.reduce(count - basis_total, axis=None) <= 0:
         raise ValueError(
             f"cell count {count} cannot exceed its basis total {basis_total}"
         )
@@ -196,7 +196,7 @@ def vacuum_upper(m_basis_total: float | np.ndarray, eps: float) -> float | np.nd
     count of that basis (background clicks are uncorrelated with the bit
     value): 2 (m + delta(m, eps)).
     """
-    if np.minimum.reduce(m_basis_total, axis=None) < 0:
+    if not np.minimum.reduce(m_basis_total, axis=None) >= 0:
         raise ValueError(f"error count must be non-negative, got {m_basis_total}")
     return 2.0 * (m_basis_total + hoeffding_delta(m_basis_total, eps))
 
@@ -269,9 +269,9 @@ def phase_error_upper(
     observed the rate is floored at one phantom error, 1/s_x1, to keep
     the penalty well-defined.
     """
-    if np.minimum.reduce(s_x1, axis=None) <= 0.0:
+    if not np.minimum.reduce(s_x1, axis=None) > 0.0:
         raise EstimationError("phase error bound requires s_x1 > 0 (no X statistics)")
-    if np.minimum.reduce(s_z1, axis=None) <= 0.0:
+    if not np.minimum.reduce(s_z1, axis=None) > 0.0:
         raise EstimationError("phase error bound requires s_z1 > 0")
     # a sample below about 1e-308 overflows to inf, clamped to 1/2 like any rate past 1
     with np.errstate(over="ignore"):
@@ -300,7 +300,7 @@ def observed_error_upper(
     errors = np.asarray(test_errors, dtype=float)
     if len(errors) == 0:
         raise ValueError("at least one link is required")
-    return serfling_error_upper(errors / k, L, k, eps_pe).max(axis=0)[()]
+    return np.maximum.reduce(serfling_error_upper(errors / k, L, k, eps_pe))[()]
 
 
 def estimate_counts(
@@ -352,9 +352,9 @@ def block_scale(
     ``estimate_counts`` on the original counts.  ``L`` and ``pool_size``
     may be arrays over the batch axes of ``counts``.
     """
-    if np.minimum.reduce(pool_size, axis=None) <= 0:
+    if not np.minimum.reduce(pool_size, axis=None) > 0:
         raise ValueError(f"pool size must be positive, got {pool_size}")
-    if (np.minimum.reduce(L, axis=None) <= 0
-            or np.maximum.reduce(L - pool_size, axis=None) > 0):
+    if not (np.minimum.reduce(L, axis=None) > 0
+            and np.maximum.reduce(L - pool_size, axis=None) <= 0):
         raise ValueError(f"block length must lie in (0, pool size], got L={L}")
-    return estimate_counts(counts.scaled(L / pool_size), pc, budget)
+    return estimate_counts(ObservedCounts.from_cells(counts.cells * (L / pool_size)), pc, budget)

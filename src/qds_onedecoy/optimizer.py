@@ -17,16 +17,17 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .channel import ChannelParams, ObservedCounts, PulseConfig
-from .finite_key import EpsilonBudget
+from .finite_key import EpsilonBudget, _decoy
 from .protocol import model_links
 from .security import (
     Infeasible,
     Pruned,
     SecurityReport,
+    _longest_block,
+    _sifted_yield,
+    _signing_time,
     block_report,
-    longest_block_at_rate,
     min_signature_length,
-    signature_time_and_rate,
 )
 
 __all__ = [
@@ -112,17 +113,6 @@ DESCENT_ROUNDS = 4
 SCAN_POINTS = 5
 
 
-def _take_links(
-    counts_by_link: Mapping[str, ObservedCounts], rows: np.ndarray
-) -> dict[str, ObservedCounts]:
-    """The rows ``rows`` of every link's stacked counts; shared counts stay shared."""
-    taken = {
-        id(c): ObservedCounts.from_cells(c.cells[..., rows, :])
-        for c in counts_by_link.values()
-    }
-    return {link: taken[id(c)] for link, c in counts_by_link.items()}
-
-
 def evaluate(
     pcs: PulseConfig | Sequence[PulseConfig],
     ch: ChannelParams,
@@ -150,42 +140,43 @@ def evaluate(
     the incumbent gets its exact L and rate.  With an incumbent of -inf
     (none found yet), a batch of more than ``SEED_POINTS`` settings first
     solves an evenly strided seed of them, and the rest against the best
-    rate found.
+    rate found.  The counts, decoy factors and sifted yields of the batch
+    are built once, for both solves.
     """
     stack = pcs if isinstance(pcs, PulseConfig) else PulseConfig.stack(pcs)
     counts_by_link = model_links(stack, ch)
-    n = len(stack.mu)
-    rate = np.full(n, np.nan)
-    length = np.zeros(n, dtype=np.int64)
-    pruned = np.zeros(n, dtype=bool)
+    # the links share one counts object, whose rows each solve takes
+    [cells] = {id(c): c.cells for c in counts_by_link.values()}.values()
+    decoy = _decoy(stack)
+    y = np.ravel(_sifted_yield(counts_by_link, stack))
+    rate = np.full(len(y), np.nan)
+    length = np.zeros(len(y), dtype=np.int64)
+    pruned = np.zeros(len(y), dtype=bool)
 
     def solve(rows: np.ndarray, incumbent: float | None) -> None:
-        counts, pc = _take_links(counts_by_link, rows), stack.take(rows)
         cap = None
         if incumbent is not None and incumbent > 0.0:
-            cap = longest_block_at_rate(incumbent, counts, pc, ch)
+            cap = _longest_block(incumbent, y[rows], ch.clock_hz)
+        taken = ObservedCounts.from_cells(cells[..., rows, :])
         solved = min_signature_length(
-            counts, pc, budget, alpha, eps, target_psec, cap=cap
+            dict.fromkeys(counts_by_link, taken), decoy.take(rows), budget, alpha, eps,
+            target_psec, cap=cap,
         )
-        found = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
-        if not found:
-            return
         # rate the feasible settings only: the others may have no yield
+        found = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
         at, verdicts = rows[found], [solved[i] for i in found]
         pruned[at] = [isinstance(v, Pruned) for v in verdicts]
         length[at] = [v.lower if isinstance(v, Pruned) else v for v in verdicts]
-        _, rates = signature_time_and_rate(
-            length[at, None], _take_links(counts, np.array(found)), pc.take(found), ch,
-        )
-        rate[at] = rates[:, 0]
+        rate[at] = 1.0 / _signing_time(length[at], y[at], ch.clock_hz)
 
-    rows = np.arange(n)
-    if incumbent == -math.inf and n > SEED_POINTS:
-        seed = rows[:: -(-n // SEED_POINTS)]
+    rows = np.arange(len(y))
+    if incumbent == -math.inf and len(y) > SEED_POINTS:
+        stride = -(-len(y) // SEED_POINTS)
+        seed = rows[::stride]
         solve(seed, incumbent)
         found = rate[seed][~np.isnan(rate[seed])]
         incumbent = max([incumbent, *found.tolist()])
-        rows = np.setdiff1d(rows, seed)
+        rows = rows[rows % stride != 0]
     solve(rows, incumbent)
     return rate, length, pruned
 
@@ -253,7 +244,8 @@ def maximize(
                 first.setdefault(key, i)
         return points, keys, first
 
-    def consider(points: np.ndarray, later: Callable[[], list[np.ndarray]]) -> None:
+    def consider(points: np.ndarray, later: Callable[[], list[np.ndarray]]) -> bool:
+        """Take ``points``, and say whether the best point moved."""
         nonlocal evaluations, n_feasible, n_pruned, best, best_value
         points, keys, first = untaken(points, {})
         exact = list(map(tuple, points.tolist()))
@@ -274,18 +266,25 @@ def maximize(
             n_feasible += not math.isnan(value)
             n_pruned += value == -math.inf
         # the points are taken in order, as if evaluated one at a time: the
-        # best of them and the incumbent by value, then by tie-break key
-        values = np.array([taken[key] for key in keys])
-        live = values > -math.inf
-        if not live.any():
-            return
-        rows, values = points[live], values[live]
+        # best of them and the incumbent (first, so it wins a full tie) by
+        # value, then by tie-break key; equal rates resolve toward the
+        # dimmer, cheaper source
+        ranked = [
+            (-value, mu, nu, -p_mu, p_z_tx, p_z_rx, i)
+            for i, (value, (mu, nu, p_mu, p_z_tx, p_z_rx)) in enumerate(zip(
+                map(taken.__getitem__, keys), exact))
+            if value > -math.inf
+        ]
         if best is not None:
-            rows, values = np.vstack([best, rows]), np.concatenate([[best_value], values])
-        # equal rates resolve toward the dimmer, cheaper source
-        mu, nu, p_mu, p_z_tx, p_z_rx = rows.T
-        winner = np.lexsort((p_z_rx, p_z_tx, -p_mu, nu, mu, -values))[0]
-        best, best_value = rows[winner], float(values[winner])
+            mu, nu, p_mu, p_z_tx, p_z_rx = best.tolist()
+            ranked.append((-best_value, mu, nu, -p_mu, p_z_tx, p_z_rx, -1))
+        if not ranked:
+            return False
+        value, *_, winner = min(ranked)
+        if winner < 0:
+            return False
+        best, best_value = points[winner], -value
+        return True
 
     axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
@@ -293,22 +292,33 @@ def maximize(
     if best is None:
         return None, -math.inf, evaluations, n_feasible, n_pruned
 
-    def scan(j: int, round_idx: int) -> np.ndarray:
-        """The scan of coordinate ``j`` in round ``round_idx`` around the current best."""
-        lo, hi = space.bounds(PARAM_NAMES[j])
-        radius = (hi - lo) / (space.grid_points - 1) / 2.0**round_idx
-        points = np.repeat(best[None, :], SCAN_POINTS, axis=0)
-        points[:, j] = np.linspace(
-            max(lo, best[j] - radius), min(hi, best[j] + radius), SCAN_POINTS
-        )
+    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
+    cell = (highs - lows) / (space.grid_points - 1)
+    coords = np.arange(len(PARAM_NAMES))
+    steps = np.arange(SCAN_POINTS, dtype=float)
+
+    def scans(round_idx: int) -> np.ndarray:
+        """The scan of each coordinate in round ``round_idx`` around the current
+        best, shape (coordinates, SCAN_POINTS, coordinates)."""
+        radius = cell / 2.0**round_idx
+        start, stop = np.maximum(lows, best - radius), np.minimum(highs, best + radius)
+        # each coordinate's np.linspace(start, stop, SCAN_POINTS), computed as it does
+        delta = (stop - start)[:, None]
+        step = delta / (SCAN_POINTS - 1)
+        line = np.where(step == 0.0, steps / (SCAN_POINTS - 1) * delta, steps * step)
+        line += start[:, None]
+        line[:, -1] = stop
+        points = np.repeat(best[None, :], len(PARAM_NAMES) * SCAN_POINTS, axis=0)
+        points = points.reshape(len(PARAM_NAMES), SCAN_POINTS, -1)
+        points[coords, :, coords] = line
         return points
 
     for round_idx in range(DESCENT_ROUNDS):
+        moved = True
         for j in range(len(PARAM_NAMES)):
-            consider(
-                scan(j, round_idx),
-                lambda: [scan(i, round_idx) for i in range(j + 1, len(PARAM_NAMES))],
-            )
+            if moved:
+                around = scans(round_idx)
+            moved = consider(around[j], lambda: list(around[j + 1:]))
 
     return dict(zip(PARAM_NAMES, best.tolist())), best_value, evaluations, n_feasible, n_pruned
 

@@ -10,6 +10,7 @@ into signing time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
@@ -20,6 +21,7 @@ from .finite_key import (
     BOUND_APPLICATIONS,
     EpsilonBudget,
     FiniteKeyEstimates,
+    _Decoy,
     _decoy,
     block_scale,
     observed_error_upper,
@@ -51,8 +53,9 @@ __all__ = [
 DEFAULT_TEST_FRACTION = 0.05
 #: Block lengths one round of the lockstep solver may evaluate, summed over
 #: the settings it is still bisecting.  A round costs mostly its fixed numpy
-#: overhead up to a few hundred lengths (255 cost about 1.3 times one), so
-#: this buys one setting 8 bisection steps a round.
+#: overhead up to a few hundred lengths (a chain call of 256 costs about 1.3
+#: times one of 1, 390 against 300 us), so this buys one setting 8 bisection
+#: steps a round; 128, 512 or 1024 made no rate-curve sweep faster.
 SOLVER_LANES = 256
 
 
@@ -153,9 +156,9 @@ def solve_p_e(
     (no certified single-photon content) yields p_E = 0, which marks the
     block infeasible to every caller that needs a positive margin.
     """
-    if np.minimum.reduce(L, axis=None) <= 0:
+    if not np.minimum.reduce(L, axis=None) > 0:
         raise ValueError(f"block length must be positive, got {L}")
-    if np.minimum.reduce(s_z1, axis=None) < 0:
+    if not np.minimum.reduce(s_z1, axis=None) >= 0:
         raise ValueError(f"single-photon count must be non-negative, got {s_z1}")
     return _tolerable_error(_entropy_rate(s_z1, L, phi_z1))
 
@@ -169,13 +172,20 @@ def thresholds_from_rates(
     e_upper: float | np.ndarray, p_e: float | np.ndarray
 ) -> Thresholds:
     """Place the two thresholds at even thirds between E_upper and p_E."""
-    gap = p_e - e_upper
-    if np.minimum.reduce(gap, axis=None) <= 0.0:
+    if not np.minimum.reduce(p_e - e_upper, axis=None) > 0.0:
         raise Infeasible(
             f"no threshold margin: tolerable error rate {p_e} does not exceed "
             f"the observed error bound {e_upper}"
         )
-    return Thresholds(s_alpha=e_upper + gap / 3.0, s_upsilon=e_upper + 2.0 * gap / 3.0)
+    return Thresholds(*_thresholds(e_upper, p_e))
+
+
+def _thresholds(
+    e_upper: float | np.ndarray, p_e: float | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(s_alpha, s_upsilon) of ``thresholds_from_rates``, unchecked."""
+    gap = p_e - e_upper
+    return e_upper + gap / 3.0, e_upper + 2.0 * gap / 3.0
 
 
 def p_robust(eps_pe: float) -> float:
@@ -185,9 +195,16 @@ def p_robust(eps_pe: float) -> float:
 
 def p_repudiation_raw(th: Thresholds, L: int | np.ndarray) -> float | np.ndarray:
     """Unclamped repudiation bound 2 exp(-(s_upsilon - s_alpha)^2 L / 4)."""
-    if np.minimum.reduce(L, axis=None) <= 0:
+    if not np.minimum.reduce(L, axis=None) > 0:
         raise ValueError(f"block length must be positive, got {L}")
-    return 2.0 * np.exp(-((th.s_upsilon - th.s_alpha) ** 2) * L / 4.0)
+    return _repudiation(th.s_alpha, th.s_upsilon, L)
+
+
+def _repudiation(
+    s_alpha: float | np.ndarray, s_upsilon: float | np.ndarray, L: int | np.ndarray
+) -> float | np.ndarray:
+    """``p_repudiation_raw`` from the two thresholds, unchecked."""
+    return 2.0 * np.exp(-((s_upsilon - s_alpha) ** 2) * L / 4.0)
 
 
 def epsilon_f(
@@ -205,7 +222,7 @@ def epsilon_f(
     may spend on admissible mismatches.  A negative margin overflows
     toward infinity, which the clamped forging probability turns into 1.
     """
-    if np.minimum.reduce(L, axis=None) <= 0:
+    if not np.minimum.reduce(L, axis=None) > 0:
         raise ValueError(f"block length must be positive, got {L}")
     return _forge_term(alpha, L, _entropy_rate(s_z1, L, phi_z1), s_upsilon, eps)
 
@@ -218,9 +235,9 @@ def _forge_term(
     eps: float,
 ) -> float | np.ndarray:
     """``epsilon_f`` from the block's entropy rate."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     margin = rate - binary_entropy(s_upsilon)
     exponent = 0.5 * L * margin
@@ -269,13 +286,15 @@ def merge_block_estimates(per_link: FiniteKeyEstimates) -> FiniteKeyEstimates:
 
 class _Chain(NamedTuple):
     """Every bound of the analysis over a batch (see ``_bound_chain``):
-    ``certified`` and the fields of ``SecurityReport`` the chain computes."""
+    ``certified``, each link's block estimates, the two thresholds and the
+    other fields of ``SecurityReport`` the chain computes."""
 
     estimates: FiniteKeyEstimates
     e_upper: np.ndarray
     p_e: np.ndarray
     certified: np.ndarray
-    thresholds: Thresholds
+    s_alpha: np.ndarray
+    s_upsilon: np.ndarray
     p_robust: float
     p_repudiation_raw: np.ndarray
     p_repudiation: np.ndarray
@@ -285,20 +304,21 @@ class _Chain(NamedTuple):
     p_sec: np.ndarray
 
     def item(self) -> dict[str, object]:
-        """A batch of one as Python scalars by field name, the estimates
-        and thresholds rebuilt as their own types."""
-
-        def scalar(value: object) -> object:
-            if isinstance(value, (FiniteKeyEstimates, Thresholds)):
-                return type(value)(*(scalar(getattr(value, f.name)) for f in fields(value)))
-            return np.asarray(value).item()
-
-        return {name: scalar(value) for name, value in zip(self._fields, self)}
+        """A batch of one as Python scalars by field name: ``certified`` and
+        the fields of ``SecurityReport``, with the links' estimates merged
+        and the thresholds checked as their own types."""
+        view = {name: np.asarray(value).item() for name, value in zip(self._fields[1:], self[1:])}
+        merged = merge_block_estimates(self.estimates)
+        view["estimates"] = FiniteKeyEstimates(
+            *(np.asarray(getattr(merged, f.name)).item() for f in fields(merged))
+        )
+        view["thresholds"] = Thresholds(view.pop("s_alpha"), view.pop("s_upsilon"))
+        return view
 
 
 def _bound_chain(
     counts: ObservedCounts,
-    pc: PulseConfig,
+    pc: PulseConfig | _Decoy,
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
@@ -312,31 +332,34 @@ def _bound_chain(
     ``PulseConfig.stack`` or its ``finite_key._decoy`` factors), ``L`` and
     the test-sample size ``k`` broadcast against its last two (settings x
     block lengths in the solver).  Each link's test errors are those
-    expected on a k-bit sample drawn from its pool.  The block's entropy
-    rate, and the h(phi) in it, is computed once for p_E and eps_F.  Where
-    a block is not ``certified`` (saturated, or no margin between the
-    error bound and the tolerable rate) the thresholds and failure terms
-    are computed from placeholder rates and mean nothing.
+    expected on a k-bit sample drawn from its pool.  Of the links' block
+    estimates the verdict needs the worst s_z1, phi and saturation only;
+    ``_Chain.item`` merges the rest.  The block's entropy rate, and the
+    h(phi) in it, is computed once for p_E and eps_F.  Where a block is not
+    ``certified`` (saturated, or no margin between the error bound and the
+    tolerable rate) the thresholds and failure terms are computed from
+    placeholder rates and mean nothing.
     """
     pool = counts.n_total("Z")
-    est = merge_block_estimates(block_scale(counts, _decoy(pc), budget, L, pool))
-    test_errors = k * counts.m_total("Z") / pool
-    e_upper = observed_error_upper(test_errors, k, L, budget.eps_pe)
-    rate = _entropy_rate(est.s_z1_lower, L, est.phi_z1_upper)
+    est = block_scale(counts, _decoy(pc), budget, L, pool)
+    e_upper = observed_error_upper(k * counts.m_total("Z") / pool, k, L, budget.eps_pe)
+    rate = _entropy_rate(
+        np.minimum.reduce(est.s_z1_lower), L, np.maximum.reduce(est.phi_z1_upper)
+    )
     p_e = _tolerable_error(rate)
-    certified = ~est.saturated & (p_e > e_upper)
-    th = thresholds_from_rates(
+    certified = ~np.logical_or.reduce(est.saturated) & (p_e > e_upper)
+    s_alpha, s_upsilon = _thresholds(
         np.where(certified, e_upper, 0.0), np.where(certified, p_e, 0.25)
     )
     robust = p_robust(budget.eps_pe)
-    rep_raw = p_repudiation_raw(th, L)
+    rep_raw = _repudiation(s_alpha, s_upsilon, L)
     rep = np.minimum(1.0, rep_raw)
-    eps_forge = _forge_term(alpha, L, rate, th.s_upsilon, eps)
+    eps_forge = _forge_term(alpha, L, rate, s_upsilon, eps)
     forge_raw = p_forge_raw(alpha, eps_forge, budget.eps_pe)
     forge = np.minimum(1.0, forge_raw)
     return _Chain(
-        est, e_upper, p_e, certified, th, robust, rep_raw, rep, eps_forge, forge_raw, forge,
-        p_sec(robust, rep, forge),
+        est, e_upper, p_e, certified, s_alpha, s_upsilon, robust, rep_raw, rep, eps_forge,
+        forge_raw, forge, p_sec(robust, rep, forge),
     )
 
 
@@ -392,56 +415,67 @@ def block_report(
     )
 
 
-def _bisection_tree(
-    lo: np.ndarray, hi: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every even midpoint the bisection of each (lo, hi) can probe in ``depth`` steps.
+def _bisection_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """Every even midpoint the bisection of each (lo, hi) can probe in
+    ``depth`` steps, as the bounds of the intervals its paths end on.
 
-    Returns the midpoints, shape (len(lo), 2**depth - 1), level by level,
-    and the (lo, hi) each path ends on, shape (len(lo), 2**depth).  Level
-    j holds 2**j nodes; node p of level j has children p (its midpoint was
-    feasible, so hi moves down to it) and p + 2**j (infeasible, lo moves
-    up) on level j + 1.  An interval one step wide (hi = lo + 2) is where
-    the bisection stops; its midpoint is lo, and both its children repeat
-    it, whatever the probe there yields.
+    Returns shape (len(lo), 2**depth + 1), in order: lo, the midpoints, hi.
+    The midpoint of node p of level j (its p-th interval) is bound
+    (2p + 1) * 2**(depth - 1 - j).  Path q, whose bits from the highest say
+    where a midpoint was infeasible (lo moves up), ends on bounds q and
+    q + 1.  An interval one step wide (hi = lo + 2) is where the bisection
+    stops; its midpoint is lo, whatever the probe there yields.  Here its
+    feasible child comes out empty (hi = lo), with the same midpoint, so
+    the caller widens an end back to one step.
     """
     # in units of two, the bisection of even lengths is plain integer bisection
-    lo, hi = lo[:, None] // 2, hi[:, None] // 2
-    levels = [lo[:, :0]]  # none at depth 0
-    for _ in range(depth):
-        mid = (lo + hi) // 2
-        levels.append(mid)
-        lo, hi = (
-            np.concatenate([lo, mid], axis=1),
-            np.concatenate([np.maximum(mid, lo + 1), hi], axis=1),
-        )
-    return 2 * np.concatenate(levels, axis=1), 2 * lo, 2 * hi
+    bounds = np.empty((len(lo), 2**depth + 1), dtype=np.int64)
+    bounds[:, 0], bounds[:, -1] = lo // 2, hi // 2
+    for level in range(depth):
+        step = 2 ** (depth - level)
+        bounds[:, step // 2::step] = (bounds[:, :-1:step] + bounds[:, step::step]) // 2
+    return 2 * bounds
 
 
-def _halving_run(
-    hi: np.ndarray, size: int, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _paths(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The paths through a ``_bisection_tree`` of ``depth`` levels, one
+    column per path: the midpoint each passes on each level, as a column
+    of the inner bounds, and whether it turns there to the infeasible
+    side, shape (depth, 2**depth) each."""
+    shift = depth - 1 - np.arange(depth)[:, None]
+    ends = np.arange(2**depth)
+    nodes, turns = (((ends >> shift) | 1) << shift) - 1, (ends >> shift) & 1 == 1
+    nodes.flags.writeable = turns.flags.writeable = False  # shared by every caller
+    return nodes, turns
+
+
+def _halving_run(hi: np.ndarray, size: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """The halving run of the bisection of each [2, hi], and a tree under each point.
 
     The run is the ``size`` midpoints about hi/2, hi/4, ... down to 2 (a
     shorter run repeats 2) that the bisection probes while every probe is
     feasible; from an infeasible one, p on (2, h), it bisects (p, h).
     Returns the points and then the tree of the next ``depth`` midpoints
-    under each, shape (len(hi), size * 2**depth), and the (lo, hi) each
-    path through a tree ends on, shape (len(hi), size, 2**depth).
+    under each, shape (len(hi), size * (2**depth - 1)), and the bounds of
+    each tree (see ``_bisection_tree``), shape (len(hi), size, 2**depth + 1).
     """
     # h halves rounding up in units of two, ceil(hi / 2**i), until it is 2
     tops = 2 * np.maximum(-(-(hi[:, None] // 2) >> np.arange(size)), 2)
     points = (tops + 2) // 4 * 2
-    tree, ends_lo, ends_hi = _bisection_tree(points.ravel(), tops.ravel(), depth)
-    shape = (len(hi), size, 2**depth)
-    return (np.concatenate([points, tree.reshape(len(hi), -1)], axis=1),
-            ends_lo.reshape(shape), ends_hi.reshape(shape))
+    bounds = _bisection_tree(points.ravel(), tops.ravel(), depth)
+    return (np.concatenate([points, bounds[:, 1:-1].reshape(len(hi), -1)], axis=1),
+            bounds.reshape(len(hi), size, -1))
+
+
+#: Verdicts of ``min_signature_length`` while it solves: the smallest
+#: feasible L, a ``Pruned`` lower bound, or infeasible (L is then the pool).
+_SOLVED, _PRUNED, _INFEASIBLE = range(3)
 
 
 def min_signature_length(
     counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig,
+    pc: PulseConfig | _Decoy,
     budget: EpsilonBudget,
     alpha: float,
     eps: float,
@@ -452,10 +486,10 @@ def min_signature_length(
     """Smallest even block length meeting ``target_psec``, for every setting.
 
     ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
-    each link's counts carry.  The result has one entry per setting: the
-    solved L, or the ``Infeasible`` error saying why there is none; it is
-    returned, not raised, so one hopeless setting does not stop the
-    batch.  A length is feasible when ``block_report`` certifies it under
+    each link's counts carry, or its ``finite_key._decoy`` factors.  The
+    result has one entry per setting: the solved L, or the ``Infeasible``
+    error saying why there is none; it is returned, not raised, so one
+    hopeless setting does not stop the batch.  A length is feasible when ``block_report`` certifies it under
     the same test-sample rule (``k_test_for``) with p_sec <= target_psec.
 
     Feasibility is monotone in L (longer blocks shrink every finite-size
@@ -487,85 +521,85 @@ def min_signature_length(
             f"{len(BOUND_APPLICATIONS)}*eps_pe = {budget.total:.3g}"
         )
     k_test_for(2, k_test)  # a bad size is an error even if nothing gets probed
-    counts = _stack_links(counts_by_link)
-    pool = counts.n_total("Z").min(axis=0)[:, 0].astype(np.int64) // 2 * 2
-    hi = pool.copy()
+    # one column per setting: the cells of each distinct link, then the
+    # decoy factors, which each round indexes once for its settings
+    cells = _stack_links(counts_by_link).cells
+    settings, n_cells = cells.shape[4], cells[..., 0, 0].size
+    factors = np.reshape(_decoy(pc), (len(_Decoy._fields), -1)) * np.ones(settings)
+    table = np.concatenate([cells.reshape(n_cells, settings), factors])
+    pool = (cells[0, 0, 0] + cells[0, 1, 0]).min(axis=0)[:, 0].astype(np.int64) // 2 * 2
+    cut = hi = pool
     if cap is not None:
         cut = np.maximum(np.asarray(cap, dtype=np.int64) // 2 * 2, 0)
         hi = np.minimum(pool, np.maximum(cut, 2))
-    lo = np.full_like(hi, 2)
-    # settings never made active keep this verdict
-    results: list[int | Infeasible | Pruned] = [
-        Infeasible("sifted pool is empty") for _ in hi
-    ]
+    # settings never made active keep these
+    lengths, verdicts = pool.copy(), np.full(len(pool), _INFEASIBLE)
+    rows = np.flatnonzero(pool >= 2)
+    lo, hi = np.full(len(rows), 2), hi[rows]
 
-    # the chain's terms that depend on the source alone, once per solve
-    source = _decoy(pc)
-
-    def feasible(rows: np.ndarray, L: np.ndarray) -> np.ndarray:
+    def feasible(L: np.ndarray) -> np.ndarray:
+        # the chain does all its arithmetic on L in floats: converting once
+        # changes no value and spares each operation the cast
+        L = L.astype(float)
+        sub = table[:, rows]
         chain = _bound_chain(
-            ObservedCounts.from_cells(counts.cells[:, :, :, :, rows]), source.take(rows),
-            budget, alpha, eps, L, k_test_for(L, k_test),
+            ObservedCounts.from_cells(sub[:n_cells].reshape(2, 2, 2, -1, len(rows), 1)),
+            _Decoy(*sub[n_cells:, :, None]), budget, alpha, eps, L, k_test_for(L, k_test),
         )
         return chain.certified & (chain.p_sec <= target_psec)
 
-    active = np.flatnonzero(pool >= 2)
     first = True
-    while active.size:
-        share = SOLVER_LANES // active.size
+    while len(rows):
+        share = SOLVER_LANES // len(rows)
         # w units of two take ceil(log2(w)) more steps; the halving run of an
         # uncapped first round, down to 2, has w.bit_length() points
-        widest = int((hi[active] - lo[active]).max()) // 2
+        widest = int(np.maximum.reduce(hi - lo)) // 2
         run = widest.bit_length() if first and cap is None else 0
         if 0 < run <= share:
             depth = (share // run).bit_length() - 1
-            tree, ends_lo, ends_hi = _halving_run(hi[active], run, depth)
+            tree, bounds = _halving_run(hi, run, depth)
         else:
             run = 0
             depth = max(1, min((share + 1).bit_length() - 1, (widest - 1).bit_length()))
-            tree, ends_lo, ends_hi = _bisection_tree(lo[active], hi[active], depth)
+            bounds = _bisection_tree(lo, hi, depth)
+            tree = bounds[:, 1:-1]
         if first:
             # the bisection probes the longest block, then 2, then the cap,
             # if any, then the tree or the run
-            head = [pool[active, None], lo[active, None]]
-            if cap is not None:
-                head.append(hi[active, None])
-            ok = feasible(active, np.concatenate([*head, tree], axis=1))
+            head = [pool[rows, None], lo[:, None]] + ([] if cap is None else [hi[:, None]])
+            ok = feasible(np.concatenate([*head, tree], axis=1))
             pool_ok, two_ok = ok[:, 0], ok[:, 1]
             # a cap below 2 admits no length at all
-            cap_ok = pool_ok if cap is None else ok[:, 2] & (cut[active] >= 2)
-            for row in active[~pool_ok]:
-                results[row] = Infeasible(
-                    f"no block length up to the pool size {pool[row]} reaches the "
-                    f"target {target_psec:.3g}"
-                )
-            for row in active[pool_ok & ~cap_ok]:
-                results[row] = Pruned(int(cut[row]) + 2)
-            for row in active[cap_ok & two_ok]:
-                results[row] = 2
+            cap_ok = pool_ok if cap is None else ok[:, 2] & (cut[rows] >= 2)
+            verdicts[rows] = np.where(cap_ok, _SOLVED, np.where(pool_ok, _PRUNED, _INFEASIBLE))
+            lengths[rows] = np.where(cap_ok, 2, np.where(pool_ok, cut[rows] + 2, pool[rows]))
             keep = cap_ok & ~two_ok
-            active, ok = active[keep], ok[keep, len(head):]
-            ends_lo, ends_hi = ends_lo[keep], ends_hi[keep]
+            rows, ok, bounds = rows[keep], ok[keep, len(head):], bounds[keep]
             first = False
         else:
-            ok = feasible(active, tree)
-        lanes = np.arange(active.size)
+            ok = feasible(tree)
+        lanes = np.arange(len(rows))
         if run:
             # the path leaves the run at its first infeasible point, at the
             # latest at 2, and goes on down the tree under it
             left = np.logical_and.accumulate(ok[:, :run], axis=1).sum(axis=1)
-            ok = ok[:, run:].reshape(active.size, run, 2**depth - 1)[lanes, left]
-            ends_lo, ends_hi = ends_lo[lanes, left], ends_hi[lanes, left]
-        end = np.zeros(active.size, dtype=np.int64)
-        for level in range(depth):
-            width = 2**level
-            end += width * ~ok[lanes, width - 1 + end]
-        lo[active], hi[active] = ends_lo[lanes, end], ends_hi[lanes, end]
-        done = hi[active] - lo[active] <= 2
-        for row in active[done]:
-            results[row] = int(hi[row])
-        active = active[~done]
-    return results
+            ok = ok[:, run:].reshape(len(rows), run, 2**depth - 1)[lanes, left]
+            bounds = bounds[lanes, left]
+        # each setting's path is the one whose every node decides as it turns
+        nodes, turns = _paths(depth)
+        end = np.logical_and.reduce(ok[:, nodes] != turns, axis=1).argmax(axis=1)
+        lo = bounds[lanes, end]
+        hi = np.maximum(bounds[lanes, end + 1], lo + 2)
+        lengths[rows] = hi
+        going = hi - lo > 2
+        rows, lo, hi = rows[going], lo[going], hi[going]
+    return [
+        L if verdict == _SOLVED else Pruned(L) if verdict == _PRUNED
+        else Infeasible("sifted pool is empty") if L < 2
+        else Infeasible(f"no block length up to the pool size {L} reaches the "
+                        f"target {target_psec:.3g}")
+        for L, verdict in zip(lengths.tolist(), verdicts.tolist())
+    ]
 
 
 def signature_time_and_rate(
@@ -582,13 +616,20 @@ def signature_time_and_rate(
     links run in parallel, so the one with the smallest yield y dictates:
     2L / (clock * y).  ``L``, the counts and ``pc`` may carry batch axes.
     """
-    if np.minimum.reduce(L, axis=None) <= 0:
+    if not np.minimum.reduce(L, axis=None) > 0:
         raise ValueError(f"block length must be positive, got {L}")
     y = _sifted_yield(counts_by_link, pc)
     if np.minimum.reduce(y, axis=None) <= 0.0:
         raise Infeasible("a link produced no sifted detections")
-    time_s = 2.0 * L / (ch.clock_hz * y)
+    time_s = _signing_time(L, y, ch.clock_hz)
     return time_s, 1.0 / time_s
+
+
+def _signing_time(
+    L: int | np.ndarray, y: float | np.ndarray, clock_hz: float
+) -> float | np.ndarray:
+    """2L / (clock * y), the float expression every signing rate comes from."""
+    return 2.0 * L / (clock_hz * y)
 
 
 def _sifted_yield(
@@ -615,16 +656,20 @@ def longest_block_at_rate(
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    y = np.ravel(_sifted_yield(counts_by_link, pc))
+    return _longest_block(rate, np.ravel(_sifted_yield(counts_by_link, pc)), ch.clock_hz)
+
+
+def _longest_block(rate: float, y: np.ndarray, clock_hz: float) -> np.ndarray:
+    """``longest_block_at_rate`` from each setting's sifted yield ``y``."""
 
     def reaches(L: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (L > 0) & (1.0 / (2.0 * L / (ch.clock_hz * y)) >= rate)
+            return (L > 0) & (1.0 / _signing_time(L, y, clock_hz) >= rate)
 
     # the exact cut, rounded down to even, is off by a step at most; the
     # expression is monotone in L, so stepping settles it.  Lengths past
     # 2**52 exceed any pool, and floats stop resolving steps of two there.
-    L = np.minimum(np.floor(ch.clock_hz * y / (4.0 * rate)) * 2.0, 2.0**52)
+    L = np.minimum(np.floor(clock_hz * y / (4.0 * rate)) * 2.0, 2.0**52)
     while (up := reaches(L + 2.0) & (L < 2.0**52)).any():
         L += 2.0 * up
     while (down := (L > 0) & ~reaches(L)).any():

@@ -76,7 +76,7 @@ def hoeffding_delta(n: float | np.ndarray, eps: float) -> float | np.ndarray:
     Used to turn an observed count into a one-sided bound that fails with
     probability at most ``eps``.  Zero when n = 0 or eps = 1.
     """
-    if np.minimum.reduce(n, axis=None) < 0:
+    if not np.minimum.reduce(n, axis=None) >= 0:
         raise ValueError(f"trial count must be non-negative, got {n}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"failure probability must lie in (0, 1], got {eps}")
@@ -97,9 +97,9 @@ def serfling_error_upper(
     The result is clamped to 1.  With eps_pe = 1 the correction vanishes
     and the bound collapses to the observation.
     """
-    if np.minimum.reduce(k, axis=None) < 1:
+    if not np.minimum.reduce(k, axis=None) >= 1:
         raise ValueError(f"test sample size must be at least 1, got {k}")
-    if np.minimum.reduce(L, axis=None) < 2:
+    if not np.minimum.reduce(L, axis=None) >= 2:
         raise ValueError(f"block length must be at least 2, got {L}")
     if not (np.minimum.reduce(e_obs, axis=None) >= 0.0
             and np.maximum.reduce(e_obs, axis=None) <= 1.0):
@@ -129,7 +129,7 @@ def gamma_correction(
     if not (np.minimum.reduce(b, axis=None) > 0.0
             and np.maximum.reduce(b, axis=None) < 1.0):
         raise ValueError(f"rate must lie strictly inside (0, 1), got {b}")
-    if np.minimum.reduce(c, axis=None) <= 0 or np.minimum.reduce(d, axis=None) <= 0:
+    if not (np.minimum.reduce(c, axis=None) > 0 and np.minimum.reduce(d, axis=None) > 0):
         raise ValueError(f"sample sizes must be positive, got c={c}, d={d}")
     sizes = (c + d) / (c * d)
     spread = (1.0 - b) * b

@@ -161,12 +161,6 @@ class TestStackedStatistics:
             assert (stacked[..., row, 0] == single).all()
             assert (single == scalar_model(pc, ch)).all()
 
-    def test_take_selects_rows_and_passes_a_single_config(self):
-        pcs = [make_pc(mu=0.5), make_pc(mu=0.6), make_pc(mu=0.7)]
-        taken = PulseConfig.stack(pcs).take(np.array([2, 0]))
-        assert taken.mu.tolist() == [[0.7], [0.5]]
-        assert pcs[1].take(np.array([0])) is pcs[1]
-
     def test_stack_from_parameter_dicts_matches_stack_of_configs(self):
         pcs = [make_pc(mu=0.5), make_pc(mu=0.6, p_z_rx=0.7)]
         rows = [
@@ -197,7 +191,6 @@ COUNTS_SOURCES = {
     "expected": lambda pc, ch: expected_statistics(pc, ch),
     "expected-stacked": lambda pc, ch: expected_statistics(PulseConfig.stack([pc, pc]), ch),
     "sampled": lambda pc, ch: sample_statistics(pc, ch, 1),
-    "scaled": lambda pc, ch: expected_statistics(pc, ch).scaled(0.5),
     "read": lambda pc, ch: read_counts(
         str(pathlib.Path(__file__).parent / "data" / "model_103km.csv")
     )[0]["bob_alice"],
@@ -227,16 +220,15 @@ class TestObservedCounts:
                 n_x_mu=0, m_x_mu=0, n_x_nu=0, m_x_nu=0,
             )
 
-    def test_scaling(self):
-        counts = ObservedCounts(
-            n_z_mu=100, m_z_mu=4, n_z_nu=50, m_z_nu=2,
-            n_x_mu=30, m_x_mu=1, n_x_nu=10, m_x_nu=0,
-        )
-        half = counts.scaled(0.5)
-        assert half.n("Z", "mu") == 50
-        assert half.m("Z", "nu") == 1
-        with pytest.raises(ValueError):
-            counts.scaled(-1.0)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", range(8))
+    def test_rejects_non_finite_cells(self, arg, value):
+        cells = [1e6, 10.0, 1e5, 1e3, 1e4, 100.0, 1e3, 10.0]
+        cells[arg] = value
+        cell = arg // 2
+        with pytest.raises(ValueError, match=rf"cell \({BASES[cell // 2]}, "
+                                             rf"{INTENSITIES[cell % 2]}\) must satisfy"):
+            ObservedCounts(*cells)
 
 
 class TestSampleStatistics:

@@ -391,3 +391,28 @@ class TestOnePassEstimator:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_helpers(self, rows, pc, eps_pe):
         self.check(rows + EDGE_ROWS, pc, EpsilonBudget(eps_pe=eps_pe))
+
+
+def nan_calls():
+    """(function, arguments, message) with one argument NaN, by function and argument."""
+    counts = make_counts(n_z_mu=1e6, m_z_mu=1e4, n_z_nu=1e5, m_z_nu=1e3,
+                         n_x_mu=1e5, m_x_mu=1e3, n_x_nu=1e4, m_x_nu=100.0)
+    pc, budget = make_pc(), EpsilonBudget(eps_pe=1e-5)
+    pool = float(counts.n_total("Z"))
+    return {
+        "vacuum_upper-m": (vacuum_upper, (math.nan, 0.1), "error count"),
+        "scaled_count_bounds-count": (
+            scaled_count_bounds, (math.nan, 100.0, "mu", pc, 0.1), "cannot exceed"),
+        "phase_error_upper-s_x1": (phase_error_upper, (math.nan, 1.0, 100.0, 1e-5), "s_x1"),
+        "phase_error_upper-s_z1": (phase_error_upper, (100.0, 1.0, math.nan, 1e-5), "s_z1"),
+        "block_scale-L": (block_scale, (counts, pc, budget, math.nan, pool), "block length"),
+        "block_scale-pool_size": (
+            block_scale, (counts, pc, budget, 1000, math.nan), "pool size"),
+    }
+
+
+@pytest.mark.parametrize("name", nan_calls())
+def test_nan_argument_is_rejected(name):
+    fn, args, message = nan_calls()[name]
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

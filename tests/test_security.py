@@ -253,6 +253,29 @@ def reference_bisection(cbl, pc, ch, budget, k_test=None, cap=None):
     return hi, probed
 
 
+def nan_calls():
+    """(function, arguments, message) with one argument NaN, by function and argument."""
+    pc, ch, cbl, _ = paper_scale_setup()
+    th = Thresholds(0.05, 0.15)
+    return {
+        "solve_p_e-s_z1": (solve_p_e, (math.nan, 100.0, 0.1), "single-photon count"),
+        "solve_p_e-L": (solve_p_e, (100.0, math.nan, 0.1), "block length"),
+        "p_repudiation_raw-L": (p_repudiation_raw, (th, math.nan), "block length"),
+        "epsilon_f-L": (epsilon_f, (1e-5, math.nan, 2e4, 0.02, 0.1, 1e-10), "block length"),
+        "epsilon_f-alpha": (epsilon_f, (math.nan, 5e4, 2e4, 0.02, 0.1, 1e-10), "alpha"),
+        "epsilon_f-eps": (epsilon_f, (1e-5, 5e4, 2e4, 0.02, 0.1, math.nan), "eps"),
+        "signature_time_and_rate-L": (signature_time_and_rate, (math.nan, cbl, pc, ch),
+                                      "block length"),
+    }
+
+
+@pytest.mark.parametrize("name", nan_calls())
+def test_nan_argument_is_rejected(name):
+    fn, args, message = nan_calls()[name]
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 class TestMinSignatureLength:
     def test_target_below_floor_rejected(self):
         pc, ch, cbl, budget = paper_scale_setup()
@@ -366,6 +389,44 @@ def uncapped_batch():
     return {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs)
 
 
+#: (settings, lengths, sum of lengths) of every chain call one solve of
+#: ``capped_batch`` makes, for k_test None and 3000, and the verdicts, both
+#: recorded from the solver whose rounds rebuilt their counts and decoy
+#: factors row by row
+CAPPED_PROBES = {
+    None: [(12, 18, 305984438096), (7, 31, 547668258), (7, 31, 69907432),
+           (7, 31, 56893180), (2, 127, 156644818), (1, 3, 250782)],
+    3000: [(12, 18, 305984438096), (5, 31, 556066794), (5, 31, 78406200),
+           (5, 31, 65376564), (2, 127, 239187414), (1, 3, 258708)],
+}
+CAPPED_VERDICTS = {
+    None: [Pruned(30002), 78618, 256252, Pruned(2), 83592, 122924, Pruned(114390), 63886,
+           Pruned(100002), 86442, 1149556, Infeasible],
+    3000: [Pruned(30002), 80162, Pruned(300002), Pruned(2), 86238, Pruned(122926),
+           Pruned(114390), 64448, Pruned(100002), 89206, 1797558, Infeasible],
+}
+
+
+def capped_batch():
+    """Twelve settings at 0-330 km stacked as one batch, the last infeasible,
+    and one cap each: below, at and above each solved L, odd, 0 and beyond
+    the pool, so that some settings are pruned and the others bisect on."""
+    rows = [(0.6, 0.2, 0.6, 0.85, 0.8, 0.0), (0.45, 0.1, 0.7, 0.8, 0.85, 40.0),
+            (0.8, 0.3, 0.5, 0.9, 0.9, 80.0), (0.3, 0.05, 0.8, 0.75, 0.75, 120.0),
+            (0.5, 0.15, 0.65, 0.85, 0.85, 150.0), (0.7, 0.25, 0.55, 0.9, 0.8, 180.0),
+            (0.4, 0.08, 0.75, 0.7, 0.9, 200.0), (0.55, 0.2, 0.6, 0.8, 0.8, 220.0),
+            (0.65, 0.1, 0.7, 0.85, 0.85, 240.0), (0.35, 0.12, 0.9, 0.6, 0.7, 100.0),
+            (0.9, 0.35, 0.5, 0.95, 0.95, 60.0), (0.3, 0.05, 0.6, 0.85, 0.8, 330.0)]
+    pcs = [PulseConfig(mu=mu, nu=nu, p_mu=p_mu, p_z_tx=tx, p_z_rx=rx, n_pulses=2e12)
+           for mu, nu, p_mu, tx, rx, _ in rows]
+    cells = [expected_statistics(pc, ChannelParams(distance_km=row[-1])).cells
+             for pc, row in zip(pcs, rows)]
+    counts = ObservedCounts.from_cells(np.stack(cells, axis=3)[..., None])
+    caps = np.array([30001, 90000, 300000, 0, 10**15, 122924, 114389, 70001, 100000,
+                     200000, 2000000, 1000])
+    return {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs), caps
+
+
 class TestCappedSolver:
     """A cap changes what the solver probes, never what it finds: L when
     L <= cap, else the pruned verdict, and Infeasible only where the
@@ -419,6 +480,23 @@ class TestCappedSolver:
                                       1e-10, 1e-4, k_test=k_test)
         assert isinstance(solved[3], Infeasible)
         assert probes == UNCAPPED_PROBES[k_test]
+
+    @pytest.mark.parametrize("k_test", [None, 3000])
+    def test_capped_solve_probes_the_recorded_lengths(self, monkeypatch, k_test):
+        probes = []
+        chain = security._bound_chain
+
+        def spy(counts, pc, budget, alpha, eps, L, k):
+            probes.append((*L.shape, int(L.sum())))
+            return chain(counts, pc, budget, alpha, eps, L, k)
+
+        monkeypatch.setattr(security, "_bound_chain", spy)
+        cbl, stack, caps = capped_batch()
+        solved = min_signature_length(cbl, stack, EpsilonBudget(eps_pe=5e-6), 1e-5,
+                                      1e-10, 1e-4, k_test=k_test, cap=caps)
+        assert [Infeasible if isinstance(v, Infeasible) else v for v in solved] == (
+            CAPPED_VERDICTS[k_test])
+        assert probes == CAPPED_PROBES[k_test]
 
     def test_cap_beyond_the_pool_solves_in_full(self):
         cbl, stack = uncapped_batch()
@@ -574,7 +652,7 @@ class TestSignatureTime:
 
     def test_slowest_link_dictates(self):
         pc, ch, cbl, budget = paper_scale_setup()
-        weak = cbl["bob_alice"].scaled(0.5)
+        weak = ObservedCounts.from_cells(cbl["bob_alice"].cells * 0.5)
         mixed = {"bob_alice": cbl["bob_alice"], "charlie_alice": weak}
         t_max, rate = signature_time_and_rate(10000, mixed, pc, ch)
         assert t_max == signature_time_and_rate(10000, {"charlie_alice": weak}, pc, ch)[0]

@@ -240,3 +240,29 @@ def test_entropy_is_concave_midpoint():
             lhs = binary_entropy((x + y) / 2)
             rhs = 0.5 * (binary_entropy(x) + binary_entropy(y))
             assert lhs >= rhs - 1e-12
+
+
+#: (function, arguments, message) with one argument NaN; the domain check
+#: of each must reject it rather than return NaN.
+NAN_CALLS = {
+    "hoeffding_delta-n": (hoeffding_delta, (math.nan, 0.1), "trial count"),
+    "serfling_error_upper-e_obs": (
+        serfling_error_upper, (math.nan, 100, 10, 1e-5), "observed error rate"),
+    "serfling_error_upper-L": (serfling_error_upper, (0.01, math.nan, 10, 1e-5), "block length"),
+    "serfling_error_upper-k": (serfling_error_upper, (0.01, 100, math.nan, 1e-5), "test sample"),
+    "gamma_correction-b": (gamma_correction, (1e-5, math.nan, 100, 10), "rate must"),
+    "gamma_correction-c": (gamma_correction, (1e-5, 0.1, math.nan, 10), "sample sizes"),
+    "gamma_correction-d": (gamma_correction, (1e-5, 0.1, 100, math.nan), "sample sizes"),
+    "binary_entropy-x": (binary_entropy, (math.nan,), "argument must"),
+    "binary_entropy_inverse-y": (binary_entropy_inverse, (math.nan,), "argument must"),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_nan_argument_is_rejected(call):
+    fn, args, message = call
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+    # the same inside a batch
+    with pytest.raises(ValueError, match=message):
+        fn(*(np.array([x, x]) if isinstance(x, float) and math.isnan(x) else x for x in args))
