@@ -35,6 +35,9 @@ from .security import Infeasible, block_report, min_signature_length
 
 __all__ = ["main"]
 
+#: Most distances one ``rate-curve`` sweep may have (the default has 15).
+_MAX_SWEEP_ROWS = 10_000
+
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -150,6 +153,13 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
     if args.km_from > args.km_to:
         raise FileFormatError(
             f"--from {args.km_from:g} exceeds --to {args.km_to:g}"
+        )
+    # the length np.arange gives the sweep, counted before it is allocated
+    rows = (args.km_to - args.km_from) / args.km_step
+    if not rows <= _MAX_SWEEP_ROWS:
+        raise FileFormatError(
+            f"--from {args.km_from:g} --to {args.km_to:g} --step {args.km_step:g} sweeps "
+            f"{np.ceil(rows):g} distances, more than {_MAX_SWEEP_ROWS}"
         )
     try:
         space = SearchSpace(grid_points=args.grid_points)

@@ -384,7 +384,6 @@ class ProtocolSession:
         *,
         seed: int = 0,
         k_test: int | None = None,
-        qber: float | None = None,
         synthetic: bool | None = None,
     ) -> None:
         if L < 2 or L % 2 != 0:
@@ -394,7 +393,6 @@ class ProtocolSession:
         self.L = int(L)
         self.seed = int(seed)
         self.k_test = k_test_for(L, k_test)
-        self.qber_override = qber
         if synthetic is None:
             self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES
         else:
@@ -423,11 +421,6 @@ class ProtocolSession:
 
     # -- distribution stage ------------------------------------------------
 
-    def _model_qber(self) -> float:
-        counts = expected_statistics(self.pc, self.ch)
-        n = counts.n_total("Z")
-        return counts.m_total("Z") / n if n > 0 else 0.0
-
     def _link_blocks(self, link: str, recipient: str) -> None:
         """Fill both message-value blocks for one link."""
         need = 2 * self.L
@@ -444,7 +437,9 @@ class ProtocolSession:
             )
             tx, rx = kgp.tx_pool, kgp.rx_pool
         else:
-            qber = self.qber_override if self.qber_override is not None else self._model_qber()
+            counts = expected_statistics(self.pc, self.ch)
+            n = counts.n_total("Z")
+            qber = counts.m_total("Z") / n if n > 0 else 0.0
             rng = rng_stream(self.seed, link, "synthetic")
             tx = rng.integers(0, 2, size=need, dtype=np.uint8)
             rx = tx ^ (rng.random(need) < qber).astype(np.uint8)

@@ -10,7 +10,6 @@ into signing time.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
@@ -51,11 +50,11 @@ __all__ = [
 
 #: Default test-sample fraction of the block length; see ``k_test_for``.
 DEFAULT_TEST_FRACTION = 0.05
-#: Block lengths one round of the lockstep solver may evaluate, summed over
-#: the settings it is still bisecting.  A round costs mostly its fixed numpy
-#: overhead up to a few hundred lengths (a chain call of 256 costs about 1.3
-#: times one of 1, 390 against 300 us), so this buys one setting 8 bisection
-#: steps a round; 128, 512 or 1024 made no rate-curve sweep faster.
+#: Block lengths one round of the lockstep solver may evaluate, shared
+#: equally by the settings it is still solving.  A round costs mostly its
+#: fixed numpy overhead up to a few hundred lengths (a chain call of 256
+#: costs about 1.3 times one of 1, 390 against 300 us), so one setting
+#: narrows its interval 257-fold a round.
 SOLVER_LANES = 256
 
 
@@ -415,57 +414,28 @@ def block_report(
     )
 
 
-def _bisection_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """Every even midpoint the bisection of each (lo, hi) can probe in
-    ``depth`` steps, as the bounds of the intervals its paths end on.
+def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: bool) -> np.ndarray:
+    """Up to ``width`` even lengths strictly between each lo and hi, in
+    ascending order, shape (len(lo), n) with n <= ``width``.
 
-    Returns shape (len(lo), 2**depth + 1), in order: lo, the midpoints, hi.
-    The midpoint of node p of level j (its p-th interval) is bound
-    (2p + 1) * 2**(depth - 1 - j).  Path q, whose bits from the highest say
-    where a midpoint was infeasible (lo moves up), ends on bounds q and
-    q + 1.  An interval one step wide (hi = lo + 2) is where the bisection
-    stops; its midpoint is lo, whatever the probe there yields.  Here its
-    feasible child comes out empty (hi = lo), with the same midpoint, so
-    the caller widens an end back to one step.
+    A setting with fewer candidates than n takes every one, its last
+    repeated; one with none (hi = lo + 2) takes hi.  The lengths are
+    evenly spaced, or with ``ratio`` (lo is then 0) spaced by a constant
+    ratio from 2 up.
     """
-    # in units of two, the bisection of even lengths is plain integer bisection
-    bounds = np.empty((len(lo), 2**depth + 1), dtype=np.int64)
-    bounds[:, 0], bounds[:, -1] = lo // 2, hi // 2
-    for level in range(depth):
-        step = 2 ** (depth - level)
-        bounds[:, step // 2::step] = (bounds[:, :-1:step] + bounds[:, step::step]) // 2
-    return 2 * bounds
-
-
-@functools.cache
-def _paths(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The paths through a ``_bisection_tree`` of ``depth`` levels, one
-    column per path: the midpoint each passes on each level, as a column
-    of the inner bounds, and whether it turns there to the infeasible
-    side, shape (depth, 2**depth) each."""
-    shift = depth - 1 - np.arange(depth)[:, None]
-    ends = np.arange(2**depth)
-    nodes, turns = (((ends >> shift) | 1) << shift) - 1, (ends >> shift) & 1 == 1
-    nodes.flags.writeable = turns.flags.writeable = False  # shared by every caller
-    return nodes, turns
-
-
-def _halving_run(hi: np.ndarray, size: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The halving run of the bisection of each [2, hi], and a tree under each point.
-
-    The run is the ``size`` midpoints about hi/2, hi/4, ... down to 2 (a
-    shorter run repeats 2) that the bisection probes while every probe is
-    feasible; from an infeasible one, p on (2, h), it bisects (p, h).
-    Returns the points and then the tree of the next ``depth`` midpoints
-    under each, shape (len(hi), size * (2**depth - 1)), and the bounds of
-    each tree (see ``_bisection_tree``), shape (len(hi), size, 2**depth + 1).
-    """
-    # h halves rounding up in units of two, ceil(hi / 2**i), until it is 2
-    tops = 2 * np.maximum(-(-(hi[:, None] // 2) >> np.arange(size)), 2)
-    points = (tops + 2) // 4 * 2
-    bounds = _bisection_tree(points.ravel(), tops.ravel(), depth)
-    return (np.concatenate([points, bounds[:, 1:-1].reshape(len(hi), -1)], axis=1),
-            bounds.reshape(len(hi), size, -1))
+    # in units of two, the candidates of each setting are 1 .. gap - 1 above lo
+    gap = (hi - lo) // 2
+    n = max(1, min(width, int(np.maximum.reduce(gap)) - 1))
+    taken = np.clip(gap - 1, 1, n)[:, None]
+    j = np.minimum(np.arange(1, n + 1), taken)
+    if ratio:
+        # never below j: with every candidate taken that is each of them
+        units = np.maximum(np.floor(gap[:, None] ** ((j - 1) / taken)).astype(np.int64), j)
+    else:
+        # j * gap // (taken + 1), split so that no product can overflow
+        whole, part = np.divmod(gap[:, None], taken + 1)
+        units = j * whole + j * part // (taken + 1)
+    return lo[:, None] + 2 * np.maximum(units, 1)
 
 
 #: Verdicts of ``min_signature_length`` while it solves: the smallest
@@ -489,30 +459,28 @@ def min_signature_length(
     each link's counts carry, or its ``finite_key._decoy`` factors.  The
     result has one entry per setting: the solved L, or the ``Infeasible``
     error saying why there is none; it is returned, not raised, so one
-    hopeless setting does not stop the batch.  A length is feasible when ``block_report`` certifies it under
-    the same test-sample rule (``k_test_for``) with p_sec <= target_psec.
+    hopeless setting does not stop the batch.  A length is feasible when
+    ``block_report`` certifies it under the same test-sample rule
+    (``k_test_for``) with p_sec <= target_psec.
 
     Feasibility is monotone in L (longer blocks shrink every finite-size
-    penalty), so each setting is bisected over even lengths: the largest
-    its pool affords first, then 2, then even midpoints.  The settings
-    advance in lockstep.  Each round takes, for every active setting,
-    every midpoint its next d steps could probe (2**d - 1 lengths),
-    evaluates them all in one call of the bound chain, then moves every
-    setting d steps; d is the largest depth at which the round fits
-    ``SOLVER_LANES`` lengths, and no more than the widest remaining
-    interval needs.  An uncapped first round that fits takes instead each
-    setting's halving run (the midpoints about pool/2, pool/4, ... down to
-    2 that the bisection probes while every probe passes) and under each
-    point the tree of the next s midpoints, s as deep as fits (31 points
-    of 8 lengths for one pool of 2**32).  Each setting thus probes every
-    length a one-at-a-time bisection would, and ends on the same L.
+    penalty), so each setting keeps lo, the longest length known to fail
+    (0 at first), and hi, the shortest known to pass (its pool, which the
+    first round probes too), and the settings narrow them in lockstep.
+    Each round evaluates, in one call of the bound chain, every active
+    setting's equal share of ``SOLVER_LANES`` even lengths spread strictly
+    between its lo and hi (every candidate when fewer remain); each
+    setting then keeps the probed lengths around its first feasible one,
+    and is solved at hi once hi - lo <= 2.  The spread is even, except in
+    an uncapped first round, which climbs from 2 by a constant ratio
+    because L may lie anywhere on a log scale below the pool.
 
     ``cap``, one length per setting, bounds the search for callers that
     only need L when it is at most the cap.  The first round also probes
     each setting's cap (its even floor, within the pool), and a setting
     feasible at its pool but not at its cap gets the verdict
     ``Pruned(cap + 2)`` there, which is not an ``Infeasible``.  The others
-    bisect inside [2, cap] and, by monotone feasibility, end on the L an
+    search with hi at the cap and, by monotone feasibility, end on the L an
     uncapped solve would.
     """
     if target_psec < budget.total:
@@ -535,7 +503,7 @@ def min_signature_length(
     # settings never made active keep these
     lengths, verdicts = pool.copy(), np.full(len(pool), _INFEASIBLE)
     rows = np.flatnonzero(pool >= 2)
-    lo, hi = np.full(len(rows), 2), hi[rows]
+    lo, hi = np.zeros(len(rows), dtype=np.int64), hi[rows]
 
     def feasible(L: np.ndarray) -> np.ndarray:
         # the chain does all its arithmetic on L in floats: converting once
@@ -550,46 +518,23 @@ def min_signature_length(
 
     first = True
     while len(rows):
-        share = SOLVER_LANES // len(rows)
-        # w units of two take ceil(log2(w)) more steps; the halving run of an
-        # uncapped first round, down to 2, has w.bit_length() points
-        widest = int(np.maximum.reduce(hi - lo)) // 2
-        run = widest.bit_length() if first and cap is None else 0
-        if 0 < run <= share:
-            depth = (share // run).bit_length() - 1
-            tree, bounds = _halving_run(hi, run, depth)
-        else:
-            run = 0
-            depth = max(1, min((share + 1).bit_length() - 1, (widest - 1).bit_length()))
-            bounds = _bisection_tree(lo, hi, depth)
-            tree = bounds[:, 1:-1]
+        points = _spread(lo, hi, SOLVER_LANES // len(rows), first and cap is None)
+        # the first round also probes the longest block and hi, the cap (the
+        # pool again when there is none); a cap below 2 admits no length
+        head = [pool[rows, None], hi[:, None]] if first else []
+        ok = feasible(np.concatenate([*head, points], axis=1))
         if first:
-            # the bisection probes the longest block, then 2, then the cap,
-            # if any, then the tree or the run
-            head = [pool[rows, None], lo[:, None]] + ([] if cap is None else [hi[:, None]])
-            ok = feasible(np.concatenate([*head, tree], axis=1))
-            pool_ok, two_ok = ok[:, 0], ok[:, 1]
-            # a cap below 2 admits no length at all
-            cap_ok = pool_ok if cap is None else ok[:, 2] & (cut[rows] >= 2)
+            pool_ok, cap_ok = ok[:, 0], ok[:, 1] & (cut[rows] >= 2)
             verdicts[rows] = np.where(cap_ok, _SOLVED, np.where(pool_ok, _PRUNED, _INFEASIBLE))
-            lengths[rows] = np.where(cap_ok, 2, np.where(pool_ok, cut[rows] + 2, pool[rows]))
-            keep = cap_ok & ~two_ok
-            rows, ok, bounds = rows[keep], ok[keep, len(head):], bounds[keep]
+            lengths[rows] = np.where(cap_ok, hi, np.where(pool_ok, cut[rows] + 2, pool[rows]))
+            rows, lo, hi, points = rows[cap_ok], lo[cap_ok], hi[cap_ok], points[cap_ok]
+            ok = ok[cap_ok, 2:]
             first = False
-        else:
-            ok = feasible(tree)
+        # the first feasible point becomes hi and the point before it lo
+        ends = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
+        at = np.where(ok.any(axis=1), ok.argmax(axis=1), ok.shape[1])
         lanes = np.arange(len(rows))
-        if run:
-            # the path leaves the run at its first infeasible point, at the
-            # latest at 2, and goes on down the tree under it
-            left = np.logical_and.accumulate(ok[:, :run], axis=1).sum(axis=1)
-            ok = ok[:, run:].reshape(len(rows), run, 2**depth - 1)[lanes, left]
-            bounds = bounds[lanes, left]
-        # each setting's path is the one whose every node decides as it turns
-        nodes, turns = _paths(depth)
-        end = np.logical_and.reduce(ok[:, nodes] != turns, axis=1).argmax(axis=1)
-        lo = bounds[lanes, end]
-        hi = np.maximum(bounds[lanes, end + 1], lo + 2)
+        lo, hi = ends[lanes, at], ends[lanes, at + 1]
         lengths[rows] = hi
         going = hi - lo > 2
         rows, lo, hi = rows[going], lo[going], hi[going]

@@ -430,6 +430,11 @@ class TestBadValues:
         (["rate-curve", "--config", DEVICE_CFG, "--from", "50", "--to", "51",
           "--grid-points", "30"], "--grid-points: grid_points must lie in [2, 10], got 30"),
         (["rate-curve", "--config", DESK_CFG, "--grid-points", "1"], "--grid-points"),
+        # counted before np.arange allocates the distances
+        (["rate-curve", "--config", DESK_CFG, "--to", "1e308", "--step", "1"],
+         "--from 0 --to 1e+308 --step 1 sweeps 1e+308 distances, more than 10000"),
+        (["rate-curve", "--config", DESK_CFG, "--to", "1e10", "--step", "1"],
+         "--from 0 --to 1e+10 --step 1 sweeps 1e+10 distances, more than 10000"),
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
         "counts-unknown-preamble-key", "counts-repeated-preamble-key",
@@ -442,7 +447,7 @@ class TestBadValues:
         "counts-three-links", "config-e300-mu", "config-vacuum-decoy",
         "simulate-vacuum-decoy", "curve-vacuum-decoy", "demo-sign-vacuum-decoy", "config-e320-nu",
         "config-e300-p-mu", "config-e300-eps-pe", "config-e300-clock", "config-e20-dark",
-        "curve-huge-grid", "curve-one-point-grid",
+        "curve-huge-grid", "curve-one-point-grid", "curve-e308-sweep", "curve-e10-sweep",
     ])
     def test_is_exit_2_and_named(self, capsys, tmp_path, argv, named):
         for name, text in BAD_FILES.items():

@@ -4,6 +4,7 @@ The forging check is cross-validated by exhaustive enumeration of all
 guess patterns, which is tractable at the block lengths used here.
 """
 
+import dataclasses
 import io
 import itertools
 import json
@@ -329,9 +330,11 @@ class TestSession:
         assert result.charlie_mismatches == (0, 0)
 
     def test_corrupted_channel_aborts_at_bob(self):
-        # synthetic keys well above both thresholds
+        # synthetic keys well above both thresholds: the model error rate
+        # is a weighted mean of the misalignment and 1/2, so at least 0.30
         session = ProtocolSession(
-            DESK_PC, DESK_CH, L=2000, seed=4, synthetic=True, qber=0.30
+            DESK_PC, dataclasses.replace(DESK_CH, misalignment=0.30), L=2000, seed=4,
+            synthetic=True,
         )
         session.run_distribution()
         result = session.run_messaging(1, self.relaxed_thresholds())
@@ -349,14 +352,13 @@ class TestSession:
 
     def test_error_rate_above_verification_threshold_rejects(self):
         # mismatch rate sitting just above s_upsilon (and hence well above
-        # s_alpha) must be caught at the first hop in almost every run
+        # s_alpha) must be caught at the first hop in almost every run; the
+        # model error rate is never below the misalignment
         th = self.relaxed_thresholds()
+        ch = dataclasses.replace(DESK_CH, misalignment=th.s_upsilon + 0.01)
         rejects = 0
         for seed in range(100):
-            session = ProtocolSession(
-                DESK_PC, DESK_CH, L=2000, seed=seed, synthetic=True,
-                qber=th.s_upsilon + 0.01,
-            )
+            session = ProtocolSession(DESK_PC, ch, L=2000, seed=seed, synthetic=True)
             session.run_distribution()
             result = session.run_messaging(1, th)
             rejects += not result.bob_accept

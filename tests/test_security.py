@@ -369,11 +369,11 @@ class TestLockstepSolver:
 
 #: (settings, lengths, sum of lengths) of every chain call one uncapped
 #: solve of ``uncapped_batch`` makes, for k_test None and 3000, recorded
-#: from the solver whose first round probes the halving run (six calls
-#: each before it)
+#: from the solver whose rounds spread their lengths between the last
+#: infeasible and the first feasible one (4 calls each before it too)
 UNCAPPED_PROBES = {
-    None: [(4, 39, 420968503608), (3, 63, 19633360), (3, 63, 21875304), (3, 31, 10749608)],
-    3000: [(4, 39, 420968503608), (3, 63, 33117580), (3, 63, 28012650), (3, 63, 27922604)],
+    None: [(4, 66, 854411461248), (3, 85, 28498972), (3, 85, 29501206), (2, 3, 883332)],
+    3000: [(4, 66, 854411461248), (3, 85, 40219706), (3, 85, 37697842), (1, 5, 1721740)],
 }
 
 
@@ -390,14 +390,16 @@ def uncapped_batch():
 
 
 #: (settings, lengths, sum of lengths) of every chain call one solve of
-#: ``capped_batch`` makes, for k_test None and 3000, and the verdicts, both
+#: ``capped_batch`` makes, for k_test None and 3000, recorded from the
+#: solver whose rounds spread their lengths between the last infeasible
+#: and the first feasible one (6 calls each before it), and the verdicts,
 #: recorded from the solver whose rounds rebuilt their counts and decoy
 #: factors row by row
 CAPPED_PROBES = {
-    None: [(12, 18, 305984438096), (7, 31, 547668258), (7, 31, 69907432),
-           (7, 31, 56893180), (2, 127, 156644818), (1, 3, 250782)],
-    3000: [(12, 18, 305984438096), (5, 31, 556066794), (5, 31, 78406200),
-           (5, 31, 65376564), (2, 127, 239187414), (1, 3, 258708)],
+    None: [(12, 23, 307518616678), (7, 36, 478579032), (7, 36, 74482380),
+           (6, 42, 74330524), (1, 195, 16265340)],
+    3000: [(12, 23, 307518616678), (5, 51, 691449026), (5, 51, 114959684),
+           (3, 85, 168002290), (1, 49, 4223800)],
 }
 CAPPED_VERDICTS = {
     None: [Pruned(30002), 78618, 256252, Pruned(2), 83592, 122924, Pruned(114390), 63886,
@@ -509,8 +511,9 @@ class TestCappedSolver:
 
 class TestSolverOracle:
     """The batched solver against ``reference_bisection``: the same verdict
-    for every setting, and every length the reference probes is among the
-    lengths the solver handed that setting to the bound chain."""
+    for every setting, and every length the solver hands a setting to the
+    bound chain is even, within [2, pool], and feasible exactly when it is
+    at least the setting's uncapped L (a monotone split at every probe)."""
 
     @given(
         st.lists(st.tuples(settings_in_space, st.floats(0.0, 300.0)), min_size=1, max_size=4),
@@ -531,12 +534,15 @@ class TestSolverOracle:
         chain = security._bound_chain
 
         def spy(counts, pc, budget, alpha, eps, L, k):
-            for row, lengths in enumerate(L):
-                probed[counts.cells[..., row, :].tobytes()].update(lengths.tolist())
-            return chain(counts, pc, budget, alpha, eps, L, k)
+            result = chain(counts, pc, budget, alpha, eps, L, k)
+            feasible = result.certified & (result.p_sec <= 1e-4)
+            for row, (lengths, ok) in enumerate(zip(L, feasible)):
+                probed[counts.cells[..., row, :].tobytes()] += zip(lengths.tolist(), ok.tolist())
+            return result
 
         uncapped = [reference_bisection({"bob_alice": c, "charlie_alice": c}, pc, ch, budget,
                                         k_test) for c, pc, ch in zip(alone, pcs, channels)]
+        pools = [int(c.n_total("Z")) // 2 * 2 for c in alone]
         # caps of 0 to 1.5 times each solved L (the pool where there is none),
         # give or take 3, odd ones too
         caps = [
@@ -544,19 +550,64 @@ class TestSolverOracle:
             for (L, _), c, (f, d) in zip(uncapped, alone, cap_draws)
         ]
         for cap in (None, np.array(caps)):
-            probed = defaultdict(set)
+            probed = defaultdict(list)
             with mock.patch.object(security, "_bound_chain", spy):
                 solved = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
                                               k_test=k_test, cap=cap)
             for j, (c, pc, ch) in enumerate(zip(alone, pcs, channels)):
-                verdict, path = uncapped[j] if cap is None else reference_bisection(
+                verdict, _ = uncapped[j] if cap is None else reference_bisection(
                     {"bob_alice": c, "charlie_alice": c}, pc, ch, budget, k_test, caps[j],
                 )
                 if verdict is Infeasible:
                     assert isinstance(solved[j], Infeasible)
                 else:
                     assert solved[j] == verdict
-                assert set(path) <= probed[keys[j]]
+                # nothing up to the pool is feasible where there is no L
+                first = uncapped[j][0] if isinstance(uncapped[j][0], int) else pools[j] + 2
+                for length, ok in probed[keys[j]]:
+                    assert length % 2 == 0 and 2 <= length <= pools[j]
+                    assert ok == (length >= first)
+
+
+class TestTinyPools:
+    """Z pools of 2 to 7 bits, uncapped and capped at 0 to 4: no length
+    outside [2, pool] reaches the bound chain, and the verdicts are the
+    reference's.  No such pool is certifiable, so the solves also run on
+    a stand-in chain that is feasible from a threshold length on."""
+
+    @pytest.mark.parametrize("threshold", [None, 2, 4, 6])
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3, 4])
+    def test_probes_stay_in_the_pool(self, monkeypatch, threshold, cap):
+        pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.85, p_z_rx=0.85, n_pulses=100)
+        ch, budget = ChannelParams(distance_km=0.0), EpsilonBudget(eps_pe=5e-6)
+        alone = [ObservedCounts(z - z // 3, 0, z // 3, 0, 3, 0, 2, 0) for z in range(2, 8)]
+        counts = ObservedCounts.from_cells(np.stack([c.cells for c in alone], axis=3)[..., None])
+        calls = []
+        chain = security._bound_chain
+
+        def spy(counts, pc, budget, alpha, eps, L, k):
+            calls.append(L.shape)
+            # each row's pool, from the counts the chain gets for it
+            pool = np.minimum.reduce(counts.n_total("Z")) // 2 * 2
+            assert (L % 2 == 0).all() and (L >= 2).all() and (L <= pool).all()
+            result = chain(counts, pc, budget, alpha, eps, L, k)
+            if threshold is None:
+                return result
+            return result._replace(certified=L >= threshold, p_sec=np.zeros(L.shape))
+
+        monkeypatch.setattr(security, "_bound_chain", spy)
+        solved = min_signature_length(
+            {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack([pc] * len(alone)),
+            budget, 1e-5, 1e-10, 1e-4, cap=None if cap is None else np.full(len(alone), cap),
+        )
+        assert calls
+        for c, got in zip(alone, solved):
+            verdict, _ = reference_bisection({"bob_alice": c, "charlie_alice": c}, pc, ch,
+                                             budget, cap=cap)
+            if verdict is Infeasible:
+                assert isinstance(got, Infeasible)
+            else:
+                assert got == verdict
 
 
 def assert_switches_once(cbl, pc, budget, k_test, L, center, pool):
