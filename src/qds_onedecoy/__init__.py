@@ -22,8 +22,6 @@ from .finite_key import (
 )
 from .optimizer import SearchSpace, evaluate, optimize
 from .protocol import (
-    PoolExhausted,
-    ProtocolAbort,
     ProtocolError,
     ProtocolSession,
     attack_forge,
@@ -60,8 +58,6 @@ __all__ = [
     "SearchSpace",
     "evaluate",
     "optimize",
-    "PoolExhausted",
-    "ProtocolAbort",
     "ProtocolError",
     "ProtocolSession",
     "attack_forge",

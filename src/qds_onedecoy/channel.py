@@ -66,9 +66,10 @@ class PulseConfig:
             np.isfinite(x),
             [(0.0 <= nu) & (nu < mu), (mu > 0.0) & (mu <= 1.0)],
             (0.0 < probabilities) & (probabilities < 1.0),
-            # the decoy bounds divide by nu and p_mu; pulses are counted in int64
+            # the decoy bounds divide by nu and p_mu; pools, and so block lengths,
+            # stay below n_pulses, and the solver's float lengths are exact to 2**52
             [((nu == 0.0) | (nu >= 1e-100)) & (p_mu >= 1e-100)],
-            [n_pulses >= 1, n_pulses <= 2.0**62],
+            [n_pulses >= 1, n_pulses <= 2.0**52],
         ]).reshape(len(_PULSE_RULES), -1)
         if not ok.all():
             row = int(np.argmin(ok.all(axis=0)))
@@ -133,7 +134,7 @@ _PULSE_RULES = (
       for name in ("p_mu", "p_z_tx", "p_z_rx")),
     "the decoy bounds need p_mu >= 1e-100 and nu = 0 or nu >= 1e-100, got p_mu={p_mu}, nu={nu}",
     "n_pulses must be at least 1, got {n_pulses}",
-    "n_pulses must be at most 2**62, got {n_pulses}",
+    "n_pulses must be at most 2**52, got {n_pulses}",
 )
 
 

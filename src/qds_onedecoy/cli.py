@@ -125,13 +125,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         pc, ch, L, seed=seed, k_test=report.k_test, synthetic=not bit_mode
     )
     session.run_distribution()
-    result = session.run_messaging(args.message_bit, report.thresholds)
+    bob, charlie = session.run_messaging(args.message_bit, report.thresholds)
     text += f"demo_mode: {'bit-level' if bit_mode else 'synthetic'}\n"
-    text += f"demo_message_bit: {result.message_bit}\n"
-    text += f"demo_bob_accept: {str(result.bob_accept).lower()}\n"
+    text += f"demo_message_bit: {args.message_bit}\n"
+    text += f"demo_bob_accept: {str(bob[0]).lower()}\n"
     text += (
         "demo_charlie_accept: "
-        + ("none" if result.charlie_accept is None else str(result.charlie_accept).lower())
+        + ("none" if charlie is None else str(charlie[0]).lower())
         + "\n"
     )
     text += f"demo_transcript_messages: {len(session.transcript)}\n"
@@ -203,24 +203,24 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
         kgp = session.kgp_results[link]
         print(
             f"kgp_{link}: pool={len(kgp.tx_pool)} "
-            f"test_errors={kgp.test_errors}/{kgp.test_size} "
-            f"test_qber={kgp.test_errors / kgp.test_size:.4f}"
+            f"test_errors={kgp.test_errors}/{session.k_test} "
+            f"test_qber={kgp.test_errors / session.k_test:.4f}"
         )
     th = report.thresholds
     print(f"s_alpha: {th.s_alpha:.6g}")
     print(f"s_upsilon: {th.s_upsilon:.6g}")
-    result = session.run_messaging(args.message_bit, th)
+    bob, charlie = session.run_messaging(args.message_bit, th)
     limit_a = th.s_alpha * L / 2.0
     limit_u = th.s_upsilon * L / 2.0
-    b_own, b_recv = result.bob_mismatches
+    bob_ok, b_own, b_recv = bob
     print(f"bob_mismatches: own={b_own} received={b_recv} limit={limit_a:.1f}")
-    print(f"bob_accept: {str(result.bob_accept).lower()}")
-    if result.charlie_mismatches is None:
+    print(f"bob_accept: {str(bob_ok).lower()}")
+    if charlie is None:
         print("charlie_accept: none (aborted)")
     else:
-        c_own, c_recv = result.charlie_mismatches
+        charlie_ok, c_own, c_recv = charlie
         print(f"charlie_mismatches: own={c_own} received={c_recv} limit={limit_u:.1f}")
-        print(f"charlie_accept: {str(result.charlie_accept).lower()}")
+        print(f"charlie_accept: {str(charlie_ok).lower()}")
     print(f"transcript_messages: {len(session.transcript)}")
     if args.transcript:
         with open(args.transcript, "w") as fp:

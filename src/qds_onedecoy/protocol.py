@@ -23,9 +23,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
@@ -42,21 +41,14 @@ from .stat_math import binary_entropy
 
 __all__ = [
     "LINKS",
-    "Phase",
     "ProtocolError",
-    "ProtocolAbort",
-    "PoolExhausted",
     "ClassicalMessage",
     "HalfKey",
-    "SymmetrizedKey",
-    "SignatureBundle",
     "KgpResult",
-    "MessagingResult",
     "model_links",
     "rng_stream",
     "run_kgp",
     "symmetrize",
-    "count_mismatches",
     "verify",
     "ProtocolSession",
     "attack_repudiation",
@@ -68,24 +60,9 @@ __all__ = [
 LINKS = ("bob_alice", "charlie_alice")
 
 
-class Phase(Enum):
-    """Where a session stands: signing needs a ready pool."""
-
-    IDLE = "idle"
-    DISTRIBUTION = "distribution"
-    POOL_READY = "pool_ready"
-
-
 class ProtocolError(Exception):
-    """A party was driven outside the allowed protocol flow."""
-
-
-class ProtocolAbort(ProtocolError):
-    """The distribution stage could not produce enough key material."""
-
-
-class PoolExhausted(ProtocolError):
-    """No fresh key block remains for the requested signature."""
+    """A party was driven outside the allowed protocol flow, distribution
+    could not produce enough key material, or a key block was reused."""
 
 
 @dataclass(frozen=True)
@@ -119,26 +96,6 @@ class HalfKey:
 
 
 @dataclass(frozen=True)
-class SymmetrizedKey:
-    """What one recipient holds after the exchange of halves."""
-
-    own: HalfKey
-    received: HalfKey
-
-
-@dataclass(frozen=True)
-class SignatureBundle:
-    """Alice's declaration for one message bit: her measured key per link."""
-
-    message_bit: int
-    keys: Mapping[str, np.ndarray]
-
-    @property
-    def block_length(self) -> int:
-        return len(next(iter(self.keys.values())))
-
-
-@dataclass(frozen=True)
 class KgpResult:
     """Outcome of one key-generation link run at desk scale.
 
@@ -149,17 +106,7 @@ class KgpResult:
     counts: ObservedCounts
     tx_pool: np.ndarray
     rx_pool: np.ndarray
-    test_size: int
     test_errors: int
-
-
-@dataclass(frozen=True)
-class MessagingResult:
-    message_bit: int
-    bob_accept: bool
-    charlie_accept: bool | None
-    bob_mismatches: tuple[int, int]
-    charlie_mismatches: tuple[int, int] | None
 
 
 def model_links(pc: PulseConfig, ch: ChannelParams) -> dict[str, ObservedCounts]:
@@ -256,8 +203,9 @@ def run_kgp(
 
     Samples the sifted statistics, lays the Z-basis detections out as a
     bit string on each side with errors placed uniformly, discloses a
-    random k-bit test sample and removes it from the pool.  Aborts when
-    the remaining pool would fall short of ``min_pool`` bits.
+    random k-bit test sample and removes it from the pool.  Raises
+    ProtocolError when the remaining pool would fall short of
+    ``min_pool`` bits.
     """
     if pc.n_pulses > DESK_SCALE_MAX_PULSES:
         raise ValueError(
@@ -271,7 +219,7 @@ def run_kgp(
     n_pool = int(counts.n_total("Z"))
     m_pool = int(counts.m_total("Z"))
     if n_pool < k_test + min_pool:
-        raise ProtocolAbort(
+        raise ProtocolError(
             f"link {link!r}: sifted pool of {n_pool} bits cannot supply a "
             f"{k_test}-bit test sample and {min_pool} key bits"
         )
@@ -287,7 +235,6 @@ def run_kgp(
         counts=counts,
         tx_pool=tx[keep],
         rx_pool=rx[keep],
-        test_size=k_test,
         test_errors=test_errors,
     )
 
@@ -297,12 +244,13 @@ def symmetrize(
     charlie_bits: np.ndarray,
     rng_bob: np.random.Generator,
     rng_charlie: np.random.Generator,
-) -> tuple[SymmetrizedKey, SymmetrizedKey]:
+) -> tuple[tuple[HalfKey, HalfKey], tuple[HalfKey, HalfKey]]:
     """Exchange random halves between the two recipients' blocks.
 
     Each recipient independently chooses half of his positions to
     forward and keeps the complement, so Alice cannot know which copy of
-    a given position will be checked where.
+    a given position will be checked where.  Returns Bob's and Charlie's
+    symmetrised keys, each the (own, received) pair of halves he holds.
     """
     L = len(bob_bits)
     if len(charlie_bits) != L:
@@ -320,22 +268,22 @@ def symmetrize(
 
     bob_keep, bob_forward = split(rng_bob)
     charlie_keep, charlie_forward = split(rng_charlie)
-    bob_sym = SymmetrizedKey(
-        own=HalfKey("bob_alice", bob_keep, bob_bits[bob_keep]),
-        received=HalfKey("charlie_alice", charlie_forward, charlie_bits[charlie_forward]),
+    bob_sym = (
+        HalfKey("bob_alice", bob_keep, bob_bits[bob_keep]),
+        HalfKey("charlie_alice", charlie_forward, charlie_bits[charlie_forward]),
     )
-    charlie_sym = SymmetrizedKey(
-        own=HalfKey("charlie_alice", charlie_keep, charlie_bits[charlie_keep]),
-        received=HalfKey("bob_alice", bob_forward, bob_bits[bob_forward]),
+    charlie_sym = (
+        HalfKey("charlie_alice", charlie_keep, charlie_bits[charlie_keep]),
+        HalfKey("bob_alice", bob_forward, bob_bits[bob_forward]),
     )
     return bob_sym, charlie_sym
 
 
-def count_mismatches(bundle: SignatureBundle, half: HalfKey) -> int:
+def _count_mismatches(keys: dict[str, np.ndarray], half: HalfKey) -> int:
     """Mismatches between a held half-key and the declared key it came from."""
-    if half.link not in bundle.keys:
+    if half.link not in keys:
         raise ProtocolError(f"declaration carries no key for link {half.link!r}")
-    key = bundle.keys[half.link]
+    key = keys[half.link]
     pos = half.positions
     if len(pos) != len(half.bits):
         raise ProtocolError("positions and bits disagree in length")
@@ -353,16 +301,17 @@ def count_mismatches(bundle: SignatureBundle, half: HalfKey) -> int:
 
 
 def verify(
-    bundle: SignatureBundle, sym: SymmetrizedKey, threshold: float
+    keys: dict[str, np.ndarray], sym: tuple[HalfKey, HalfKey], threshold: float
 ) -> tuple[bool, int, int]:
-    """Check a declaration against a symmetrised key at one threshold.
+    """Check a declaration, the signer's key per link, against a
+    symmetrised (own, received) key at one threshold.
 
     Both halves must show strictly fewer than threshold * L/2 mismatches.
     Returns (accepted, own-half mismatches, received-half mismatches).
     """
-    own = count_mismatches(bundle, sym.own)
-    received = count_mismatches(bundle, sym.received)
-    limit = threshold * bundle.block_length / 2.0
+    own = _count_mismatches(keys, sym[0])
+    received = _count_mismatches(keys, sym[1])
+    limit = threshold * len(next(iter(keys.values()))) / 2.0
     return (own < limit) and (received < limit), own, received
 
 
@@ -397,12 +346,11 @@ class ProtocolSession:
             self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES
         else:
             self.bit_mode = not synthetic
-        self.phase = Phase.IDLE
+        self._distribution_started = False
         self.transcript: list[ClassicalMessage] = []
         self.kgp_results: dict[str, KgpResult] = {}
         self._signing_keys: dict[tuple[int, str], np.ndarray] = {}
-        self._blocks: dict[tuple[int, str], np.ndarray] = {}
-        self._symmetrized: dict[tuple[int, str], SymmetrizedKey] = {}
+        self._symmetrized: dict[tuple[int, str], tuple[HalfKey, HalfKey]] = {}
         self._consumed: set[int] = set()
 
     # -- classical channel -------------------------------------------------
@@ -421,8 +369,9 @@ class ProtocolSession:
 
     # -- distribution stage ------------------------------------------------
 
-    def _link_blocks(self, link: str, recipient: str) -> None:
-        """Fill both message-value blocks for one link."""
+    def _link_blocks(self, link: str, recipient: str) -> np.ndarray:
+        """Fill Alice's signing keys for both message values on one link
+        and return the recipient's bits, both blocks in message-value order."""
         need = 2 * self.L
         if self.bit_mode:
             kgp = run_kgp(link, self.pc, self.ch, self.seed, self.k_test, min_pool=need)
@@ -433,7 +382,7 @@ class ProtocolSession:
                 "test_reveal",
                 recipient,
                 "alice",
-                {"link": link, "k": kgp.test_size, "errors": kgp.test_errors},
+                {"link": link, "k": self.k_test, "errors": kgp.test_errors},
             )
             tx, rx = kgp.tx_pool, kgp.rx_pool
         else:
@@ -447,98 +396,77 @@ class ProtocolSession:
         # signed keys are digested when the transcript is read: keep them as sent
         tx.flags.writeable = rx.flags.writeable = False
         for m in (0, 1):
-            sl = slice(m * self.L, (m + 1) * self.L)
-            self._blocks[(m, link)] = tx[sl]
-            self._signing_keys[(m, link)] = rx[sl]
+            self._signing_keys[(m, link)] = rx[m * self.L:(m + 1) * self.L]
+        return tx
 
     def run_distribution(self) -> None:
-        if self.phase is not Phase.IDLE:
-            raise ProtocolError(f"session is {self.phase.value}; distribution already ran")
-        self.phase = Phase.DISTRIBUTION
-        self._link_blocks("bob_alice", "bob")
-        self._link_blocks("charlie_alice", "charlie")
+        """Fill and symmetrise the key blocks of both message values, once
+        per session; a session whose distribution failed stays unusable."""
+        if self._distribution_started:
+            raise ProtocolError("distribution already ran on this session")
+        self._distribution_started = True
+        bob_bits = self._link_blocks("bob_alice", "bob")
+        charlie_bits = self._link_blocks("charlie_alice", "charlie")
         for m in (0, 1):
+            sl = slice(m * self.L, (m + 1) * self.L)
             bob_sym, charlie_sym = symmetrize(
-                self._blocks[(m, "bob_alice")],
-                self._blocks[(m, "charlie_alice")],
+                bob_bits[sl],
+                charlie_bits[sl],
                 rng_stream(self.seed, "bob", "symmetrize", str(m)),
                 rng_stream(self.seed, "charlie", "symmetrize", str(m)),
             )
             self._symmetrized[(m, "bob")] = bob_sym
             self._symmetrized[(m, "charlie")] = charlie_sym
-            for forwarded in (charlie_sym.received, bob_sym.received):
+            # each sender forwards the half the other now holds as received
+            for sender, receiver, (_, forwarded) in (
+                ("bob", "charlie", charlie_sym), ("charlie", "bob", bob_sym)
+            ):
                 forwarded.positions.flags.writeable = False  # sent, digested when read
-            self._send(
-                "symmetrization_forward", "bob", "charlie",
-                {"m": m, "positions": charlie_sym.received.positions},
-            )
-            self._send(
-                "symmetrization_forward", "charlie", "bob",
-                {"m": m, "positions": bob_sym.received.positions},
-            )
-        self.phase = Phase.POOL_READY
+                self._send(
+                    "symmetrization_forward", sender, receiver,
+                    {"m": m, "positions": forwarded.positions},
+                )
 
     # -- messaging stage ---------------------------------------------------
 
-    def sign(self, message_bit: int) -> SignatureBundle:
-        """Alice declares her measured keys for one message value."""
+    def sign(self, message_bit: int) -> dict[str, np.ndarray]:
+        """Alice declares her measured key per link for one message value."""
         if message_bit not in (0, 1):
             raise ValueError(f"message bit must be 0 or 1, got {message_bit}")
-        if self.phase is not Phase.POOL_READY:
-            raise ProtocolError(
-                f"cannot sign in phase {self.phase.value}; run distribution first"
-            )
+        if not self._symmetrized:
+            raise ProtocolError("cannot sign before distribution has completed")
         if message_bit in self._consumed:
-            raise PoolExhausted(
+            raise ProtocolError(
                 f"the key block for message bit {message_bit} was already consumed"
             )
         self._consumed.add(message_bit)
-        bundle = SignatureBundle(
-            message_bit=message_bit,
-            keys={link: self._signing_keys[(message_bit, link)] for link in LINKS},
-        )
-        self._send(
-            "signature", "alice", "bob",
-            {"m": message_bit, "keys": dict(bundle.keys)},
-        )
-        return bundle
+        keys = {link: self._signing_keys[(message_bit, link)] for link in LINKS}
+        self._send("signature", "alice", "bob", {"m": message_bit, "keys": dict(keys)})
+        return keys
 
-    def run_messaging(self, message_bit: int, th: Thresholds) -> MessagingResult:
+    def run_messaging(
+        self, message_bit: int, th: Thresholds
+    ) -> tuple[tuple[bool, int, int], tuple[bool, int, int] | None]:
         """Sign one message bit and run both verifications.
 
-        Bob rejecting broadcasts an abort and Charlie never rules; Bob
-        accepting forwards the declaration for Charlie's verdict.
+        Returns Bob's and Charlie's ``verify`` results.  Bob rejecting
+        broadcasts an abort and Charlie never rules (his result is None);
+        Bob accepting forwards the declaration for Charlie's verdict.
         """
-        bundle = self.sign(message_bit)
+        keys = self.sign(message_bit)
         declaration = self.transcript[-1]  # the signature message just sent
-        bob_ok, b_own, b_recv = verify(
-            bundle, self._symmetrized[(message_bit, "bob")], th.s_alpha
-        )
-        if not bob_ok:
+        bob = verify(keys, self._symmetrized[(message_bit, "bob")], th.s_alpha)
+        if not bob[0]:
             self._send("reject", "bob", "alice", {"m": message_bit})
             self._send("abort", "bob", "charlie", {"m": message_bit})
-            return MessagingResult(
-                message_bit=message_bit,
-                bob_accept=False,
-                charlie_accept=None,
-                bob_mismatches=(b_own, b_recv),
-                charlie_mismatches=None,
-            )
+            return bob, None
         self._send("accept", "bob", "alice", {"m": message_bit})
         self._send("forwarded_signature", "bob", "charlie", declaration)
-        charlie_ok, c_own, c_recv = verify(
-            bundle, self._symmetrized[(message_bit, "charlie")], th.s_upsilon
-        )
-        verdict = "accept" if charlie_ok else "reject"
+        charlie = verify(keys, self._symmetrized[(message_bit, "charlie")], th.s_upsilon)
+        verdict = "accept" if charlie[0] else "reject"
         self._send(verdict, "charlie", "alice", {"m": message_bit})
         self._send(verdict, "charlie", "bob", {"m": message_bit})
-        return MessagingResult(
-            message_bit=message_bit,
-            bob_accept=True,
-            charlie_accept=charlie_ok,
-            bob_mismatches=(b_own, b_recv),
-            charlie_mismatches=(c_own, c_recv),
-        )
+        return bob, charlie
 
 
 # -- adversarial strategies ------------------------------------------------

@@ -495,7 +495,13 @@ def min_signature_length(
     settings, n_cells = cells.shape[4], cells[..., 0, 0].size
     factors = np.reshape(_decoy(pc), (len(_Decoy._fields), -1)) * np.ones(settings)
     table = np.concatenate([cells.reshape(n_cells, settings), factors])
-    pool = (cells[0, 0, 0] + cells[0, 1, 0]).min(axis=0)[:, 0].astype(np.int64) // 2 * 2
+    pool = (cells[0, 0, 0] + cells[0, 1, 0]).min(axis=0)[:, 0]
+    if pool.max(initial=0.0) > 2.0**52:  # the chain takes lengths as floats: keep them exact
+        raise ValueError(
+            f"sifted Z pool of {pool.max():.17g} bits exceeds 2**52, the longest "
+            f"block length the solver resolves"
+        )
+    pool = pool.astype(np.int64) // 2 * 2
     cut = hi = pool
     if cap is not None:
         cut = np.maximum(np.asarray(cap, dtype=np.int64) // 2 * 2, 0)

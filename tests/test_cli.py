@@ -333,6 +333,7 @@ BAD_FILES = {
     "negative_seed.cfg": DEVICE_TEXT.replace("seed = 7", "seed = -1"),
     "e300_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = 1e300"),
     "e19_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = 1e19"),
+    "past_2e52_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", f"n_pulses = {2**52 + 2**40}"),
     "e290_cells.csv": _scaled_cells(MODEL_TEXT, 1e290),
     "e300_pulses.csv": MODEL_TEXT.replace("# n_pulses=2000000000000.0", "# n_pulses=1e300"),
     "one_link.csv": "".join(
@@ -390,15 +391,18 @@ class TestBadValues:
          "--seed must be non-negative"),
         # int64 counting in the sampler and the solver: no overflow, no NaN counts
         (["simulate", "--config", "{tmp}/e300_pulses.cfg", "--distance", "50", "--sampled"],
-         "e300_pulses.cfg: n_pulses must be at most 2**62"),
+         "e300_pulses.cfg: n_pulses must be at most 2**52"),
         (["simulate", "--config", "{tmp}/e19_pulses.cfg", "--distance", "50", "--sampled"],
-         "e19_pulses.cfg: n_pulses must be at most 2**62"),
+         "e19_pulses.cfg: n_pulses must be at most 2**52"),
         (["simulate", "--config", "{tmp}/e300_pulses.cfg", "--distance", "50"],
-         "e300_pulses.cfg: n_pulses must be at most 2**62"),
+         "e300_pulses.cfg: n_pulses must be at most 2**52"),
+        # the solver's float block lengths are exact only while pools stay below 2**52
+        (["simulate", "--config", "{tmp}/past_2e52_pulses.cfg", "--distance", "50"],
+         "past_2e52_pulses.cfg: n_pulses must be at most 2**52, got 4504699138998272.0"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/e290_cells.csv"],
          "link 'bob_alice': 4.05264e+299 detections exceed the n_pulses=2e+12 pulses sent"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/e300_pulses.csv"],
-         "n_pulses must be at most 2**62"),
+         "n_pulses must be at most 2**52"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/one_link.csv"],
          "one_link.csv: link 'charlie_alice' is missing cells"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/carol_link.csv"],
@@ -443,6 +447,7 @@ class TestBadValues:
         "config-target-above-one", "config-zero-k-test", "config-negative-seed",
         "simulate-negative-seed", "demo-sign-negative-seed",
         "sampled-e300-pulses", "sampled-e19-pulses", "model-e300-pulses",
+        "model-past-2e52-pulses",
         "counts-e290-cells", "counts-e300-pulses", "counts-one-link", "counts-carol-link",
         "counts-three-links", "config-e300-mu", "config-vacuum-decoy",
         "simulate-vacuum-decoy", "curve-vacuum-decoy", "demo-sign-vacuum-decoy", "config-e320-nu",

@@ -21,15 +21,10 @@ from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.protocol import (
     HalfKey,
-    PoolExhausted,
-    ProtocolAbort,
     ProtocolError,
     ProtocolSession,
-    SignatureBundle,
-    SymmetrizedKey,
     attack_forge,
     attack_repudiation,
-    count_mismatches,
     exact_forge_success,
     rng_stream,
     run_kgp,
@@ -91,7 +86,7 @@ class TestRunKgp:
         assert abs(rates.mean() - model) < 5 * se
 
     def test_aborts_when_pool_too_small(self):
-        with pytest.raises(ProtocolAbort):
+        with pytest.raises(ProtocolError, match="cannot supply"):
             run_kgp("bob_alice", DESK_PC, DESK_CH, seed=1, k_test=100, min_pool=10**9)
 
     def test_rejects_aggregate_scale(self):
@@ -106,20 +101,16 @@ class TestSymmetrize:
         L = 64
         bob_bits = rng_stream(1, "b").integers(0, 2, L, dtype=np.uint8)
         charlie_bits = rng_stream(1, "c").integers(0, 2, L, dtype=np.uint8)
-        bob_sym, charlie_sym = symmetrize(
+        (bob_own, bob_recv), (charlie_own, charlie_recv) = symmetrize(
             bob_bits, charlie_bits, rng_stream(1, "rb"), rng_stream(1, "rc")
         )
         # Bob's kept positions and the ones he forwarded partition his block
-        merged = np.sort(
-            np.concatenate([bob_sym.own.positions, charlie_sym.received.positions])
-        )
+        merged = np.sort(np.concatenate([bob_own.positions, charlie_recv.positions]))
         assert (merged == np.arange(L)).all()
-        merged_c = np.sort(
-            np.concatenate([charlie_sym.own.positions, bob_sym.received.positions])
-        )
+        merged_c = np.sort(np.concatenate([charlie_own.positions, bob_recv.positions]))
         assert (merged_c == np.arange(L)).all()
-        assert len(bob_sym.own.positions) == L // 2
-        for half in (bob_sym.own, charlie_sym.own):
+        assert len(bob_own.positions) == L // 2
+        for half in (bob_own, charlie_own):
             assert half.positions.dtype == np.intp
             assert (np.diff(half.positions) > 0).all()
 
@@ -127,11 +118,11 @@ class TestSymmetrize:
         L = 32
         bob_bits = np.arange(L, dtype=np.uint8) % 2
         charlie_bits = (np.arange(L, dtype=np.uint8) + 1) % 2
-        bob_sym, charlie_sym = symmetrize(
+        (_, bob_recv), (_, charlie_recv) = symmetrize(
             bob_bits, charlie_bits, rng_stream(2, "rb"), rng_stream(2, "rc")
         )
-        assert (bob_sym.received.bits == charlie_bits[bob_sym.received.positions]).all()
-        assert (charlie_sym.received.bits == bob_bits[charlie_sym.received.positions]).all()
+        assert (bob_recv.bits == charlie_bits[bob_recv.positions]).all()
+        assert (charlie_recv.bits == bob_bits[charlie_recv.positions]).all()
 
     @pytest.mark.parametrize("L", [2, 4, 10**4 - 2, 10**4, 10**4 + 2, 2 * 10**5])
     def test_mask_split_equals_sorted_split(self, L):
@@ -143,15 +134,14 @@ class TestSymmetrize:
 
         bob_bits = rng_stream(L, "b").integers(0, 2, L, dtype=np.uint8)
         charlie_bits = rng_stream(L, "c").integers(0, 2, L, dtype=np.uint8)
-        bob_sym, charlie_sym = symmetrize(
+        (bob_own, bob_recv), (charlie_own, charlie_recv) = symmetrize(
             bob_bits, charlie_bits, rng_stream(L, "rb"), rng_stream(L, "rc")
         )
         bob_keep, bob_forward = sorted_split(rng_stream(L, "rb"), L)
         charlie_keep, charlie_forward = sorted_split(rng_stream(L, "rc"), L)
         for half, positions, bits in [
-            (bob_sym.own, bob_keep, bob_bits), (bob_sym.received, charlie_forward, charlie_bits),
-            (charlie_sym.own, charlie_keep, charlie_bits),
-            (charlie_sym.received, bob_forward, bob_bits),
+            (bob_own, bob_keep, bob_bits), (bob_recv, charlie_forward, charlie_bits),
+            (charlie_own, charlie_keep, charlie_bits), (charlie_recv, bob_forward, bob_bits),
         ]:
             assert half.positions.dtype == positions.dtype
             assert np.array_equal(half.positions, positions)
@@ -166,62 +156,56 @@ class TestSymmetrize:
                        rng_stream(0, "a"), rng_stream(0, "b"))
 
 
-def crafted_bundle(L=100):
-    return SignatureBundle(
-        message_bit=0,
-        keys={
-            "bob_alice": np.zeros(L, dtype=np.uint8),
-            "charlie_alice": np.zeros(L, dtype=np.uint8),
-        },
-    )
+def crafted_keys(L=100):
+    return {
+        "bob_alice": np.zeros(L, dtype=np.uint8),
+        "charlie_alice": np.zeros(L, dtype=np.uint8),
+    }
 
 
 def crafted_sym(L=100, own_mismatches=0):
     half = L // 2
     own_bits = np.zeros(half, dtype=np.uint8)
     own_bits[:own_mismatches] = 1
-    return SymmetrizedKey(
-        own=HalfKey("bob_alice", np.arange(half), own_bits),
-        received=HalfKey(
-            "charlie_alice", np.arange(half, L), np.zeros(half, dtype=np.uint8)
-        ),
+    return (
+        HalfKey("bob_alice", np.arange(half), own_bits),
+        HalfKey("charlie_alice", np.arange(half, L), np.zeros(half, dtype=np.uint8)),
     )
+
+
+def mismatches(keys, half):
+    """What ``verify`` counts on one held half, passed as both halves."""
+    return verify(keys, (half, half), threshold=0.5)[1]
 
 
 class TestVerify:
     def test_strict_threshold_boundary_integer(self):
         # threshold * L/2 = 15: exactly 15 mismatches must reject
-        bundle = crafted_bundle(100)
-        accepted, own, recv = verify(bundle, crafted_sym(100, 15), threshold=0.3)
+        keys = crafted_keys(100)
+        accepted, own, recv = verify(keys, crafted_sym(100, 15), threshold=0.3)
         assert (own, recv) == (15, 0)
         assert not accepted
-        accepted, own, _ = verify(bundle, crafted_sym(100, 14), threshold=0.3)
+        accepted, own, _ = verify(keys, crafted_sym(100, 14), threshold=0.3)
         assert accepted and own == 14
 
     def test_strict_threshold_boundary_fractional(self):
         # threshold * L/2 = 15.5: 16 rejects, 15 accepts
-        bundle = crafted_bundle(100)
-        assert not verify(bundle, crafted_sym(100, 16), threshold=0.31)[0]
-        assert verify(bundle, crafted_sym(100, 15), threshold=0.31)[0]
+        keys = crafted_keys(100)
+        assert not verify(keys, crafted_sym(100, 16), threshold=0.31)[0]
+        assert verify(keys, crafted_sym(100, 15), threshold=0.31)[0]
 
     def test_zero_threshold_rejects_even_perfect_keys(self):
-        bundle = crafted_bundle(100)
-        assert not verify(bundle, crafted_sym(100, 0), threshold=0.0)[0]
+        keys = crafted_keys(100)
+        assert not verify(keys, crafted_sym(100, 0), threshold=0.0)[0]
 
     def test_count_mismatches_validates_positions(self):
-        bundle = crafted_bundle(10)
+        keys = crafted_keys(10)
         with pytest.raises(ProtocolError):
-            count_mismatches(
-                bundle, HalfKey("bob_alice", np.array([0, 0]), np.zeros(2, np.uint8))
-            )
+            mismatches(keys, HalfKey("bob_alice", np.array([0, 0]), np.zeros(2, np.uint8)))
         with pytest.raises(ProtocolError):
-            count_mismatches(
-                bundle, HalfKey("bob_alice", np.array([3, 12]), np.zeros(2, np.uint8))
-            )
+            mismatches(keys, HalfKey("bob_alice", np.array([3, 12]), np.zeros(2, np.uint8)))
         with pytest.raises(ProtocolError):
-            count_mismatches(
-                bundle, HalfKey("elsewhere", np.array([0]), np.zeros(1, np.uint8))
-            )
+            mismatches(keys, HalfKey("elsewhere", np.array([0]), np.zeros(1, np.uint8)))
 
     @pytest.mark.parametrize(
         "positions",
@@ -236,11 +220,11 @@ class TestVerify:
     def test_bad_positions_raise_protocol_error(self, positions):
         half = HalfKey("bob_alice", positions, np.zeros(len(positions), np.uint8))
         with pytest.raises(ProtocolError):
-            count_mismatches(crafted_bundle(10), half)
+            mismatches(crafted_keys(10), half)
 
     def test_empty_half_has_no_mismatches(self):
         half = HalfKey("bob_alice", np.array([], dtype=np.intp), np.array([], np.uint8))
-        assert count_mismatches(crafted_bundle(10), half) == 0
+        assert mismatches(crafted_keys(10), half) == 0
 
     @given(st.lists(st.integers(0, 39), max_size=60))
     @settings(max_examples=200)
@@ -249,9 +233,9 @@ class TestVerify:
         half = HalfKey("bob_alice", pos, np.ones(len(pos), np.uint8))
         if len(np.unique(pos)) != len(pos):
             with pytest.raises(ProtocolError, match="distinct"):
-                count_mismatches(crafted_bundle(40), half)
+                mismatches(crafted_keys(40), half)
         else:
-            assert count_mismatches(crafted_bundle(40), half) == len(pos)
+            assert mismatches(crafted_keys(40), half) == len(pos)
 
 
 def tolisted(value):
@@ -317,17 +301,17 @@ class TestSession:
     def test_honest_run_accepts_at_both_hops(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=2000, seed=11)
         session.run_distribution()
-        result = session.run_messaging(1, self.relaxed_thresholds())
-        assert result.bob_accept and result.charlie_accept
+        bob, charlie = session.run_messaging(1, self.relaxed_thresholds())
+        assert bob[0] and charlie[0]
         # observed mismatches sit near QBER * L/2, far below the limits
-        assert max(result.bob_mismatches) < 0.05 * 1000
+        assert max(bob[1:]) < 0.05 * 1000
 
     def test_noise_free_run_has_zero_mismatches(self):
         session = ProtocolSession(DESK_PC, QUIET_CH, L=1000, seed=3)
         session.run_distribution()
-        result = session.run_messaging(0, self.relaxed_thresholds())
-        assert result.bob_mismatches == (0, 0)
-        assert result.charlie_mismatches == (0, 0)
+        bob, charlie = session.run_messaging(0, self.relaxed_thresholds())
+        assert bob[1:] == (0, 0)
+        assert charlie[1:] == (0, 0)
 
     def test_corrupted_channel_aborts_at_bob(self):
         # synthetic keys well above both thresholds: the model error rate
@@ -337,10 +321,9 @@ class TestSession:
             synthetic=True,
         )
         session.run_distribution()
-        result = session.run_messaging(1, self.relaxed_thresholds())
-        assert not result.bob_accept
-        assert result.charlie_accept is None
-        assert result.charlie_mismatches is None
+        bob, charlie = session.run_messaging(1, self.relaxed_thresholds())
+        assert not bob[0]
+        assert charlie is None
         assert any(m.kind == "abort" for m in session.transcript)
 
     def test_each_message_value_has_its_own_block(self):
@@ -348,7 +331,7 @@ class TestSession:
         session.run_distribution()
         b0 = session.sign(0)
         b1 = session.sign(1)
-        assert not np.array_equal(b0.keys["bob_alice"], b1.keys["bob_alice"])
+        assert not np.array_equal(b0["bob_alice"], b1["bob_alice"])
 
     def test_error_rate_above_verification_threshold_rejects(self):
         # mismatch rate sitting just above s_upsilon (and hence well above
@@ -360,15 +343,15 @@ class TestSession:
         for seed in range(100):
             session = ProtocolSession(DESK_PC, ch, L=2000, seed=seed, synthetic=True)
             session.run_distribution()
-            result = session.run_messaging(1, th)
-            rejects += not result.bob_accept
+            bob, _ = session.run_messaging(1, th)
+            rejects += not bob[0]
         assert rejects >= 99
 
     def test_block_reuse_is_refused(self):
         session = ProtocolSession(DESK_PC, QUIET_CH, L=500, seed=9)
         session.run_distribution()
         session.sign(0)
-        with pytest.raises(PoolExhausted):
+        with pytest.raises(ProtocolError, match="already consumed"):
             session.sign(0)
 
     def test_sign_requires_distribution(self):
@@ -382,14 +365,24 @@ class TestSession:
         with pytest.raises(ProtocolError):
             session.run_distribution()
 
+    def test_failed_distribution_leaves_the_session_unusable(self):
+        # 2e6 pulses cannot fill two 10**6-bit blocks
+        session = ProtocolSession(DESK_PC, DESK_CH, L=10**6, seed=9)
+        with pytest.raises(ProtocolError, match="cannot supply"):
+            session.run_distribution()
+        with pytest.raises(ProtocolError):
+            session.sign(0)
+        with pytest.raises(ProtocolError):
+            session.run_distribution()
+
     def test_synthetic_mode_is_forced_above_desk_scale(self):
         big = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
                           n_pulses=1e12)
         session = ProtocolSession(big, DESK_CH, L=2000, seed=1)
         assert not session.bit_mode
         session.run_distribution()
-        result = session.run_messaging(1, self.relaxed_thresholds())
-        assert result.bob_accept
+        bob, _ = session.run_messaging(1, self.relaxed_thresholds())
+        assert bob[0]
 
     def test_default_test_sample_matches_block_report(self):
         # 5% of 89530 is 4476.5, which round-half-even takes down to 4476
@@ -422,7 +415,8 @@ class TestSession:
         )
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
         session.run_distribution()
-        assert session.run_messaging(1, self.relaxed_thresholds()).charlie_accept
+        _, charlie = session.run_messaging(1, self.relaxed_thresholds())
+        assert charlie[0]
         return session
 
     def test_declaration_is_digested_once(self, monkeypatch):
@@ -456,10 +450,10 @@ class TestSession:
         # a digest read later must be of the payload as it was sent
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2, synthetic=synthetic)
         session.run_distribution()
-        bundle = session.sign(0)
+        keys = session.sign(0)
         sent = [m.payload["positions"] for m in session.transcript
                 if m.kind == "symmetrization_forward"]
-        sent += list(bundle.keys.values())
+        sent += list(keys.values())
         sent += [r.rx_pool for r in session.kgp_results.values()]
         assert len(sent) == (6 if synthetic else 8)
         for array in sent:

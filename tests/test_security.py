@@ -312,6 +312,14 @@ class TestMinSignatureLength:
         assert isinstance(result, Infeasible)
         assert "no block length up to the pool size" in str(result)
 
+    def test_pool_past_exact_float_lengths_is_refused(self):
+        # the chain takes lengths as floats; PulseConfig keeps CLI pools below this
+        pc, ch, cbl, budget = paper_scale_setup()
+        counts = cbl["bob_alice"]
+        big = ObservedCounts.from_cells(counts.cells * ((2**52 + 2**40) / counts.n_total("Z")))
+        with pytest.raises(ValueError, match=r"sifted Z pool of \d+ bits exceeds 2\*\*52"):
+            solve_one({"bob_alice": big, "charlie_alice": big}, pc, budget)
+
     def test_empty_pool_is_infeasible(self):
         pc, ch, cbl, budget = paper_scale_setup()
         dead = ObservedCounts(1, 0, 0, 0, 1, 0, 0, 0)
