@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .security import (
     Infeasible,
     Pruned,
     SecurityReport,
-    _longest_block,
     _sifted_yield,
     _signing_time,
     block_report,
+    longest_block_at_rate,
     min_signature_length,
 )
 
@@ -88,8 +88,8 @@ class EvalResult:
 
     rate: float
     L: int
-    params: PulseConfig | None = None
-    report: SecurityReport | None = None
+    params: PulseConfig
+    report: SecurityReport
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def evaluate(
     def solve(rows: np.ndarray, incumbent: float | None) -> None:
         cap = None
         if incumbent is not None and incumbent > 0.0:
-            cap = _longest_block(incumbent, y[rows], ch.clock_hz)
+            cap = longest_block_at_rate(incumbent, y[rows], ch.clock_hz)
         taken = ObservedCounts.from_cells(cells[..., rows, :])
         solved = min_signature_length(
             dict.fromkeys(counts_by_link, taken), decoy.take(rows), budget, alpha, eps,
@@ -181,23 +181,6 @@ def evaluate(
     return rate, length, pruned
 
 
-class _Rounded(dict):
-    """Each float looked up, rounded to 12 decimals by ``round``, which
-    runs once per distinct value."""
-
-    def __missing__(self, value: float) -> float:
-        self[value] = rounded = round(value, 12)
-        return rounded
-
-
-def _keys(points: np.ndarray, rounded: _Rounded) -> list[tuple[float, ...]]:
-    """Each row's coordinates rounded to 12 decimals, so that points a
-    rounding error apart share one key."""
-    values = map(rounded.__getitem__, points.ravel().tolist())
-    # one iterator zipped with itself yields consecutive runs of a row's length
-    return list(zip(*[values] * points.shape[1]))
-
-
 def maximize(
     space: SearchSpace,
     objective: Callable[[np.ndarray, float], Sequence[float | None] | np.ndarray],
@@ -209,108 +192,83 @@ def maximize(
     value so far, -inf before any) to one value per row: NaN or None when
     infeasible.  For a point that cannot reach the incumbent it may return
     -inf instead of its value; such a point counts as feasible and
-    pruned.  It is called once for the grid, then once for each
-    coordinate scan that has points not yet evaluated, with those and the
-    unevaluated points of the round's later scans, built around the
-    current best: a later scan whose points were all evaluated so costs no
-    call.  A point evaluated ahead is one that a one-scan-per-call search
-    would evaluate later, against an incumbent at least as high, so its
-    value (or -inf) decides the same.  Points are counted when taken, in
-    the order of a one-point-at-a-time search, not when evaluated.
-    Returns (best params or None, best value, evaluations, feasible count,
-    pruned count).  The best-so-far point is never abandoned, so refining
-    can only improve the result.  Ties prefer smaller mu, then smaller nu,
-    then larger p_mu.
+    pruned.  Every point is rounded to 12 decimals and clipped to the box,
+    so that points a rounding error apart are one point, and only points
+    with nu < mu are kept.  The objective is called once for the grid,
+    then once for each coordinate scan that has points not yet evaluated,
+    with those and the unevaluated points of the round's later scans,
+    built around the current best: a later scan whose points were all
+    evaluated so costs no call.  A point evaluated ahead is one that a
+    one-scan-per-call search would evaluate later, against an incumbent
+    at least as high, so its value (or -inf) decides the same.  Points
+    are counted when taken, in the order of a one-point-at-a-time search,
+    not when evaluated.  Returns (best params or None, best value,
+    evaluations, feasible count, pruned count).  The best-so-far point is
+    never abandoned, so refining can only improve the result.  Ties prefer
+    smaller mu, then smaller nu, then larger p_mu.
     """
-    rounded = _Rounded()
-    # the value of each key taken so far, and of each exact point evaluated
-    # but not yet taken
-    taken: dict[tuple[float, ...], float] = {}
-    ahead: dict[tuple[float, ...], float] = {}
-    evaluations = n_feasible = n_pruned = 0
-    best: np.ndarray | None = None
+    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
+    # the value of each point evaluated, and the points taken so far
+    values: dict[tuple[float, ...], float] = {}
+    taken: set[tuple[float, ...]] = set()
+    best: tuple[float, ...] | None = None
     best_value = -math.inf
 
-    def untaken(
-        points: np.ndarray, skip: Mapping
-    ) -> tuple[np.ndarray, list[tuple[float, ...]], dict[tuple[float, ...], int]]:
-        """The rows of ``points`` with nu < mu, their keys, and the index of
-        the first row of each key neither taken nor in ``skip``."""
-        points = points[points[:, 1] < points[:, 0]]
-        keys = _keys(points, rounded)
-        first: dict[tuple[float, ...], int] = {}
-        for i, key in enumerate(keys):
-            if key not in taken and key not in skip:
-                first.setdefault(key, i)
-        return points, keys, first
+    def rank(value: float, point: tuple[float, ...], i: int) -> tuple[float, ...]:
+        mu, nu, p_mu, p_z_tx, p_z_rx = point
+        return (-value, mu, nu, -p_mu, p_z_tx, p_z_rx, i)
+
+    def lattice(points: np.ndarray) -> np.ndarray:
+        points = np.clip(np.round(points, 12), lows, highs)
+        return points[points[:, 1] < points[:, 0]]
 
     def consider(points: np.ndarray, later: Callable[[], list[np.ndarray]]) -> bool:
         """Take ``points``, and say whether the best point moved."""
-        nonlocal evaluations, n_feasible, n_pruned, best, best_value
-        points, keys, first = untaken(points, {})
-        exact = list(map(tuple, points.tolist()))
-        fresh = [i for i in first.values() if exact[i] not in ahead]
-        if fresh:
-            spare, _, extra = untaken(np.concatenate([points[:0], *later()]), first)
-            spare_exact = list(map(tuple, spare.tolist()))
-            extra = [i for i in extra.values() if spare_exact[i] not in ahead]
-            values = objective(np.concatenate([points[fresh], spare[extra]]), best_value)
-            ahead.update(zip(
-                [exact[i] for i in fresh] + [spare_exact[i] for i in extra],
-                np.asarray(values, dtype=float).tolist(),
-            ))
-        # each key is taken at its first point, and counted there
-        for key, i in first.items():
-            value = taken[key] = ahead.pop(exact[i])
-            evaluations += 1
-            n_feasible += not math.isnan(value)
-            n_pruned += value == -math.inf
+        nonlocal best, best_value
+        rows = list(map(tuple, lattice(points).tolist()))
+        if any(row not in values for row in rows):
+            spare = [tuple(row) for scan in later() for row in lattice(scan).tolist()]
+            fresh = [row for row in dict.fromkeys(rows + spare) if row not in values]
+            found = objective(np.array(fresh), best_value)
+            values.update(zip(fresh, np.asarray(found, dtype=float).tolist()))
+        taken.update(rows)
         # the points are taken in order, as if evaluated one at a time: the
         # best of them and the incumbent (first, so it wins a full tie) by
         # value, then by tie-break key; equal rates resolve toward the
         # dimmer, cheaper source
-        ranked = [
-            (-value, mu, nu, -p_mu, p_z_tx, p_z_rx, i)
-            for i, (value, (mu, nu, p_mu, p_z_tx, p_z_rx)) in enumerate(zip(
-                map(taken.__getitem__, keys), exact))
-            if value > -math.inf
-        ]
+        ranked = [rank(values[row], row, i) for i, row in enumerate(rows)
+                  if values[row] > -math.inf]
         if best is not None:
-            mu, nu, p_mu, p_z_tx, p_z_rx = best.tolist()
-            ranked.append((-best_value, mu, nu, -p_mu, p_z_tx, p_z_rx, -1))
+            ranked.append(rank(best_value, best, -1))
         if not ranked:
             return False
         value, *_, winner = min(ranked)
         if winner < 0:
             return False
-        best, best_value = points[winner], -value
+        best, best_value = rows[winner], -value
         return True
+
+    def counts() -> tuple[int, int, int]:
+        """Evaluations, feasible and pruned points among those taken."""
+        found = [values[row] for row in taken]
+        return len(found), sum(not math.isnan(v) for v in found), found.count(-math.inf)
 
     axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     consider(grid, lambda: [])
     if best is None:
-        return None, -math.inf, evaluations, n_feasible, n_pruned
+        return None, -math.inf, *counts()
 
-    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
     cell = (highs - lows) / (space.grid_points - 1)
     coords = np.arange(len(PARAM_NAMES))
-    steps = np.arange(SCAN_POINTS, dtype=float)
 
     def scans(round_idx: int) -> np.ndarray:
         """The scan of each coordinate in round ``round_idx`` around the current
         best, shape (coordinates, SCAN_POINTS, coordinates)."""
-        radius = cell / 2.0**round_idx
-        start, stop = np.maximum(lows, best - radius), np.minimum(highs, best + radius)
-        # each coordinate's np.linspace(start, stop, SCAN_POINTS), computed as it does
-        delta = (stop - start)[:, None]
-        step = delta / (SCAN_POINTS - 1)
-        line = np.where(step == 0.0, steps / (SCAN_POINTS - 1) * delta, steps * step)
-        line += start[:, None]
-        line[:, -1] = stop
-        points = np.repeat(best[None, :], len(PARAM_NAMES) * SCAN_POINTS, axis=0)
-        points = points.reshape(len(PARAM_NAMES), SCAN_POINTS, -1)
-        points[coords, :, coords] = line
+        radius, centre = cell / 2.0**round_idx, np.array(best)
+        start, stop = np.maximum(lows, centre - radius), np.minimum(highs, centre + radius)
+        points = np.tile(centre, (len(PARAM_NAMES), SCAN_POINTS, 1))
+        points[coords, :, coords] = np.linspace(start, stop, SCAN_POINTS, axis=-1)
         return points
 
     for round_idx in range(DESCENT_ROUNDS):
@@ -320,7 +278,7 @@ def maximize(
                 around = scans(round_idx)
             moved = consider(around[j], lambda: list(around[j + 1:]))
 
-    return dict(zip(PARAM_NAMES, best.tolist())), best_value, evaluations, n_feasible, n_pruned
+    return dict(zip(PARAM_NAMES, best)), best_value, *counts()
 
 
 def optimize(
@@ -338,24 +296,19 @@ def optimize(
     so settings that cannot win are pruned, not solved exactly.  The best
     setting comes with its full report, from one ``block_report``.
     """
-    solved: list[tuple[np.ndarray, ...]] = []
+    lengths: dict[tuple[float, ...], int] = {}
 
     def objective(points: np.ndarray, incumbent: float) -> np.ndarray:
         stack = PulseConfig.stack(points, n_pulses=n_pulses)
         rate, L, pruned = evaluate(stack, ch, budget, alpha, eps, target_psec, incumbent)
-        solved.append((points, rate, L))
+        lengths.update(zip(map(tuple, points.tolist()), L.tolist()))
         return np.where(pruned, -math.inf, rate)
 
     best, rate, evaluations, n_feasible, pruned = maximize(space, objective)
     if best is None:
         return OptimizeResult(best=None, evaluations=evaluations, n_feasible=0, pruned=0)
     pc = PulseConfig(n_pulses=n_pulses, **best)
-    # L is that of the point evaluated for the best one's key, at its rate
-    points, rates, lengths = map(np.concatenate, zip(*solved))
-    tied = np.flatnonzero(rates == rate)
-    rounded = _Rounded()
-    [key] = _keys(np.array([list(best.values())]), rounded)
-    L = next(int(lengths[i]) for i, k in zip(tied, _keys(points[tied], rounded)) if k == key)
+    L = lengths[tuple(best.values())]
     report = block_report(model_links(pc, ch), pc, ch, budget, alpha, eps, L)
     return OptimizeResult(
         best=EvalResult(rate=rate, L=L, params=pc, report=report),

@@ -592,26 +592,17 @@ def _sifted_yield(
     return np.min([c.n_total("Z") for c in counts_by_link.values()], axis=0) / pc.n_pulses
 
 
-def longest_block_at_rate(
-    rate: float,
-    counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig,
-    ch: ChannelParams,
-) -> np.ndarray:
-    """Largest even L at which each setting signs at least ``rate`` bits per
-    second, by the float expression ``signature_time_and_rate`` rates
-    with; 0 where even L = 2 is slower.
+def longest_block_at_rate(rate: float, y: np.ndarray, clock_hz: float) -> np.ndarray:
+    """Largest even L at which each setting, of sifted yield ``y`` per
+    pulse on its slowest link, signs at least ``rate`` bits per second, by
+    the float expression ``signature_time_and_rate`` rates with; 0 where
+    even L = 2 is slower.
 
     A setting whose smallest feasible L exceeds this length signs strictly
     slower than ``rate``.
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    return _longest_block(rate, np.ravel(_sifted_yield(counts_by_link, pc)), ch.clock_hz)
-
-
-def _longest_block(rate: float, y: np.ndarray, clock_hz: float) -> np.ndarray:
-    """``longest_block_at_rate`` from each setting's sifted yield ``y``."""
 
     def reaches(L: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):

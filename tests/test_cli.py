@@ -235,6 +235,20 @@ class TestGoldenTranscripts:
         assert transcript.read_bytes() == (DATA / f"golden_{name}.jsonl").read_bytes()
 
 
+def assert_matches_curve(out, golden):
+    """The CSV ``out`` has the rows of the recorded ``golden``: the same
+    distances, L and feasibility, with rates and p_sec equal to within 1e-9."""
+    got = list(csv.DictReader(io.StringIO(out)))
+    with open(DATA / golden, newline="") as fp:
+        want = list(csv.DictReader(fp))
+    assert [(row["distance_km"], row["L"], row["feasible"]) for row in got] == [
+        (row["distance_km"], row["L"], row["feasible"]) for row in want
+    ]
+    for g, w in zip(got, want):
+        for key in ("rate_bits_per_s", "p_sec"):
+            assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9, abs=0.0)
+
+
 class TestRateCurve:
     def test_small_sweep_csv(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"
@@ -260,15 +274,14 @@ class TestRateCurve:
         rc = main(["rate-curve", "--config", DEVICE_CFG, "--grid-points", "2",
                    "--from", "0", "--to", "300", "--step", "50"])
         assert rc == 0
-        got = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        with open(DATA / "rate_curve_grid2.csv", newline="") as fp:
-            want = list(csv.DictReader(fp))
-        assert [(row["distance_km"], row["L"], row["feasible"]) for row in got] == [
-            (row["distance_km"], row["L"], row["feasible"]) for row in want
-        ]
-        for g, w in zip(got, want):
-            for key in ("rate_bits_per_s", "p_sec"):
-                assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9, abs=0.0)
+        assert_matches_curve(capsys.readouterr().out, "rate_curve_grid2.csv")
+
+    def test_default_sweep_matches_recorded_curve(self, capsys):
+        # rate_curve_grid4.csv is the default sweep (grid 4, 0-300 km, step
+        # 20) as the search wrote it before its points were put on the
+        # 12-decimal lattice
+        assert main(["rate-curve", "--config", DEVICE_CFG]) == 0
+        assert_matches_curve(capsys.readouterr().out, "rate_curve_grid4.csv")
 
     def test_dead_channel_rows_are_infeasible(self, capsys, tmp_path):
         # no detections at all: every setting's sifted pool is empty

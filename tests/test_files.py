@@ -255,12 +255,12 @@ def report_103km():
     counts = expected_statistics(pc, ch)
     cbl = {"bob_alice": counts, "charlie_alice": counts}
     budget = EpsilonBudget(eps_pe=5e-6)
-    return block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 89522), budget
+    return block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 89522), budget, pc
 
 
 class TestReportAndCurve:
     def test_report_text_is_line_parseable(self):
-        report, budget = report_103km()
+        report, budget, _ = report_103km()
         text = format_report(report, distance_km=103.0, budget=budget)
         parsed = dict(
             line.split(": ", 1) for line in text.strip().splitlines()
@@ -273,8 +273,8 @@ class TestReportAndCurve:
     def test_rate_curve_rows(self):
         from qds_onedecoy.optimizer import EvalResult, OptimizeResult
 
-        report, _ = report_103km()
-        best = EvalResult(rate=report.rate_bits_per_s, L=report.L, report=report)
+        report, _, pc = report_103km()
+        best = EvalResult(rate=report.rate_bits_per_s, L=report.L, params=pc, report=report)
         buf = io.StringIO()
         write_rate_curve(
             buf,

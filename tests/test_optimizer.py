@@ -53,19 +53,25 @@ concave_objective = batched(concave_value)
 
 
 def param_key(params):
-    return tuple(round(params[n], 12) for n in PARAM_NAMES)
+    return tuple(params[n] for n in PARAM_NAMES)
 
 
 def reference_maximize(space, objective):
     """The search with one objective call per pass, the grid and each
-    coordinate scan in turn, over parameter dicts: the oracle the
-    speculative ``maximize`` must match in all but its call count."""
+    coordinate scan in turn, over parameter dicts rounded to 12 decimals
+    and clipped to the box: the oracle the speculative ``maximize`` must
+    match in all but its call count."""
     cache = {}
     evaluations = n_feasible = 0
     best_params, best_value, best_key = None, -math.inf, None
+    lows, highs = zip(*map(space.bounds, PARAM_NAMES))
 
     def consider(candidates):
         nonlocal evaluations, n_feasible, best_params, best_value, best_key
+        candidates = [
+            dict(zip(PARAM_NAMES, np.clip(np.round(param_key(p), 12), lows, highs).tolist()))
+            for p in candidates
+        ]
         fresh = {}
         for params in candidates:
             key = param_key(params)
@@ -181,8 +187,8 @@ def objectives(draw):
     peak, blind to the coordinates of weight 0 (ties between points that
     differ only there), flattened into steps (ties across the box),
     infeasible above a threshold in one coordinate, and perturbed by the
-    coordinates' last bits (points that share a key but not their exact
-    coordinates take different values)."""
+    coordinates' last bits (points a rounding error apart would take
+    different values, had they not been put on one lattice point)."""
     space = SearchSpace()
     peak = {n: draw(st.floats(*space.bounds(n))) for n in PARAM_NAMES}
     weight = {n: draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])) for n in PARAM_NAMES}
@@ -226,9 +232,9 @@ class TestSpeculation:
         assert found[:4] == reference_maximize(space, batched(value))
 
     def test_points_sharing_a_key_take_the_first_points_value(self):
-        # a scan endpoint and the grid point it meets share a key but may
-        # differ in their last bits; a point evaluated ahead and never taken
-        # must not lend its value to a later point of its key
+        # a scan endpoint and the grid point it meets may differ in their
+        # last bits; both round to one lattice point, which is evaluated
+        # once and counted when first taken
         space = SearchSpace(grid_points=3)
         for seed in range(100):
             rng = random.Random(seed)
@@ -326,6 +332,25 @@ class TestOptimize:
         r2 = optimize(space, DESK_CH, DESK_BUDGET, 1e-3, 1e-10, 5e-2, n_pulses=1e7)
         assert r1.best.params == r2.best.params
         assert r1.best.rate == r2.best.rate
+
+    @pytest.mark.parametrize("bounds", [{"p_mu": (4e-13, 0.9)}, {"mu": (0.2000000000004, 0.9)}])
+    def test_every_point_lies_inside_a_box_finer_than_the_lattice(self, monkeypatch, bounds):
+        # a bound with more than 12 decimals rounds outside the box (p_mu's
+        # to 0.0, which no source can have): the point is clipped back
+        space = SearchSpace(grid_points=3, **bounds)
+        seen = []
+
+        def spy(stack, *args):
+            seen.append(np.hstack([getattr(stack, name) for name in PARAM_NAMES]))
+            return evaluate(stack, *args)
+
+        monkeypatch.setattr(optimizer, "evaluate", spy)
+        found = optimize(space, DEVICE.channel(103.0), DEVICE.budget, DEVICE.alpha,
+                         DEVICE.eps, DEVICE.target_psec, DEVICE.source.n_pulses)
+        assert found.best is not None
+        for name, column in zip(PARAM_NAMES, np.concatenate(seen).T):
+            lo, hi = space.bounds(name)
+            assert ((lo <= column) & (column <= hi)).all(), name
 
 
 DEVICE = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))

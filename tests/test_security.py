@@ -26,6 +26,7 @@ from qds_onedecoy.security import (
     SecurityReport,
     Thresholds,
     _bound_chain,
+    _sifted_yield,
     _stack_links,
     block_report,
     epsilon_f,
@@ -665,7 +666,7 @@ class TestFeasibilityFlips:
             return
         own = pool if isinstance(L, Infeasible) else L
         _, rate = signature_time_and_rate(own, cbl, pc, ch)
-        [cut] = longest_block_at_rate(rate * factor, cbl, pc, ch)
+        [cut] = longest_block_at_rate(rate * factor, np.ravel(_sifted_yield(cbl, pc)), ch.clock_hz)
         if isinstance(L, Infeasible):
             L = pool + 2
         assert_switches_once(cbl, pc, budget, k_test, L, min(pool, max(2, int(cut))), pool)
@@ -680,19 +681,22 @@ class TestLongestBlockAtRate:
         cbl = {"bob_alice": counts, "charlie_alice": counts}
         L = 2 * half
         _, rate = signature_time_and_rate(L, cbl, pc, ch)
+        y = np.ravel(_sifted_yield(cbl, pc))
         # the rate at L is reached at L and not at L + 2; a hair more is not
         # reached at L
-        assert longest_block_at_rate(rate, cbl, pc, ch).tolist() == [L]
+        assert longest_block_at_rate(rate, y, ch.clock_hz).tolist() == [L]
         faster = np.nextafter(rate, np.inf)
-        assert longest_block_at_rate(faster, cbl, pc, ch).tolist() == [L - 2]
+        assert longest_block_at_rate(faster, y, ch.clock_hz).tolist() == [L - 2]
 
     def test_dead_link_and_bad_rate(self):
         pc, ch, cbl, _ = paper_scale_setup()
         dead = {"bob_alice": cbl["bob_alice"], "x": ObservedCounts(0, 0, 0, 0, 0, 0, 0, 0)}
-        assert longest_block_at_rate(1e-9, dead, pc, ch).tolist() == [0]
+        y_dead = np.ravel(_sifted_yield(dead, pc))
+        assert longest_block_at_rate(1e-9, y_dead, ch.clock_hz).tolist() == [0]
+        y = np.ravel(_sifted_yield(cbl, pc))
         for rate in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                longest_block_at_rate(rate, cbl, pc, ch)
+                longest_block_at_rate(rate, y, ch.clock_hz)
 
 
 class TestSignatureTime:
