@@ -7,8 +7,9 @@ Four commands share one configuration format:
   rate-curve  optimised rate versus distance, as CSV
   demo-sign   bit-level protocol run with verdicts, desk scale only
 
-Exit codes: 0 success, 2 unusable input (parse or validation), 3
-infeasible request or protocol failure.
+Exit codes: 0 success, 2 unusable input (parse or validation, or a file
+that cannot be read or written), 3 infeasible request or protocol
+failure.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ValueError) as exc:
+    except (FileFormatError, ValueError, OSError) as exc:  # OSError names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Infeasible, ProtocolError) as exc:

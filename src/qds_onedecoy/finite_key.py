@@ -17,7 +17,6 @@ solve.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,7 +31,6 @@ __all__ = [
     "EpsilonBudget",
     "FiniteKeyEstimates",
     "EstimationError",
-    "tau_n",
     "scaled_count_bounds",
     "vacuum_upper",
     "single_photon_lower",
@@ -104,15 +102,6 @@ class FiniteKeyEstimates:
     vacuous: bool = False
 
 
-def tau_n(n: int, pc: PulseConfig) -> float | np.ndarray:
-    """Probability that a pulse of the two-intensity mix carries n photons."""
-    if n < 0:
-        raise ValueError(f"photon number must be non-negative, got {n}")
-    return (
-        pc.p_mu * np.exp(-pc.mu) * pc.mu**n + (1.0 - pc.p_mu) * np.exp(-pc.nu) * pc.nu**n
-    ) / math.factorial(n)
-
-
 class _Decoy(NamedTuple):
     """The factors of the decoy bounds that depend on the source settings
     alone, for a config (floats) or a stack (arrays).
@@ -152,7 +141,9 @@ def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
         raise EstimationError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
     mu, nu = pc.mu, pc.nu
     mu2, nu2 = mu**2, nu**2
-    # the two terms of tau_n; mu**0 and mu**1 are exact, so these are tau_n(0) and tau_n(1)
+    # the two terms of tau_n = (p_mu e^-mu mu^n + (1 - p_mu) e^-nu nu^n) / n!, the
+    # chance a pulse of the mix carries n photons; mu**0 and mu**1 are exact, so
+    # these give tau_0 and tau_1
     signal, decoy = pc.p_mu * np.exp(-mu), (1.0 - pc.p_mu) * np.exp(-nu)
     tau_1 = signal * mu + decoy * nu
     return _Decoy(

@@ -137,11 +137,17 @@ def evaluate(
     at the incumbent's rate (``longest_block_at_rate``), and comes back
     pruned when infeasible there, with L the lower bound cap + 2 and the
     rate there, below the incumbent.  Every setting that can tie or beat
-    the incumbent gets its exact L and rate.  With an incumbent of -inf
-    (none found yet), a batch of more than ``SEED_POINTS`` settings first
-    solves an evenly strided seed of them, and the rest against the best
-    rate found.  The counts, decoy factors and sifted yields of the batch
-    are built once, for both solves.
+    the incumbent gets its exact L and rate.
+
+    An incumbent of -inf (none found yet) says that every setting of the
+    batch is taken at once, so one that cannot tie the best of the batch
+    need not be solved exactly: it may come back pruned, with a lower
+    bound on L and the rate there, strictly below the batch's best.  A
+    batch of more than ``SEED_POINTS`` settings first solves an evenly
+    strided seed of them, which race (``min_signature_length``'s
+    ``race``), and the rest against the best rate found; the best seed is
+    solved exactly.  The counts, decoy factors and sifted yields of the
+    batch are built once, for both solves.
     """
     stack = pcs if isinstance(pcs, PulseConfig) else PulseConfig.stack(pcs)
     counts_by_link = model_links(stack, ch)
@@ -154,13 +160,15 @@ def evaluate(
     pruned = np.zeros(len(y), dtype=bool)
 
     def solve(rows: np.ndarray, incumbent: float | None) -> None:
-        cap = None
-        if incumbent is not None and incumbent > 0.0:
+        cap = race = None
+        if incumbent == -math.inf:
+            race = y[rows], ch.clock_hz
+        elif incumbent is not None and incumbent > 0.0:
             cap = longest_block_at_rate(incumbent, y[rows], ch.clock_hz)
         taken = ObservedCounts.from_cells(cells[..., rows, :])
         solved = min_signature_length(
             dict.fromkeys(counts_by_link, taken), decoy.take(rows), budget, alpha, eps,
-            target_psec, cap=cap,
+            target_psec, cap=cap, race=race,
         )
         # rate the feasible settings only: the others may have no yield
         found = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
@@ -191,8 +199,9 @@ def maximize(
     coordinates ``PARAM_NAMES`` as columns, and the incumbent (the best
     value so far, -inf before any) to one value per row: NaN or None when
     infeasible.  For a point that cannot reach the incumbent it may return
-    -inf instead of its value; such a point counts as feasible and
-    pruned.  Every point is rounded to 12 decimals and clipped to the box,
+    -inf instead of its value, and so in the grid call, whose points are
+    all taken, for one strictly below the best of the call; such a point
+    counts as feasible and pruned.  Every point is rounded to 12 decimals and clipped to the box,
     so that points a rounding error apart are one point, and only points
     with nu < mu are kept.  The objective is called once for the grid,
     then once for each coordinate scan that has points not yet evaluated,

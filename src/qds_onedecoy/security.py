@@ -67,8 +67,10 @@ class InfeasibleTarget(Infeasible):
 
 
 class Pruned(NamedTuple):
-    """Verdict of a capped solve: the setting is feasible at its pool but
-    not at its cap, so its smallest feasible L is at least ``lower``."""
+    """Verdict of a capped or racing solve: the setting is feasible at its
+    pool and its smallest feasible L is at least ``lower``, either because
+    it is infeasible at its cap (``lower`` is cap + 2) or because it raced
+    out, infeasible at ``lower`` - 2 and too slow at ``lower`` to win."""
 
     lower: int
 
@@ -414,14 +416,15 @@ def block_report(
     )
 
 
-def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: bool) -> np.ndarray:
+def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: int) -> np.ndarray:
     """Up to ``width`` even lengths strictly between each lo and hi, in
     ascending order, shape (len(lo), n) with n <= ``width``.
 
     A setting with fewer candidates than n takes every one, its last
     repeated; one with none (hi = lo + 2) takes hi.  The lengths are
-    evenly spaced, or with ``ratio`` (lo is then 0) spaced by a constant
-    ratio from 2 up.
+    evenly spaced (``ratio`` 0), or spaced by a constant ratio (lo is
+    then 0): from lo + 2 up (``ratio`` 1), or mirrored about hi, from
+    hi - 2 down (``ratio`` -1).
     """
     # in units of two, the candidates of each setting are 1 .. gap - 1 above lo
     gap = (hi - lo) // 2
@@ -430,7 +433,10 @@ def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: bool) -> np.ndarr
     j = np.minimum(np.arange(1, n + 1), taken)
     if ratio:
         # never below j: with every candidate taken that is each of them
-        units = np.maximum(np.floor(gap[:, None] ** ((j - 1) / taken)).astype(np.int64), j)
+        step = j if ratio > 0 else taken + 1 - j
+        units = np.maximum(np.floor(gap[:, None] ** ((step - 1) / taken)).astype(np.int64), step)
+        if ratio < 0:
+            units = gap[:, None] - units
     else:
         # j * gap // (taken + 1), split so that no product can overflow
         whole, part = np.divmod(gap[:, None], taken + 1)
@@ -452,6 +458,7 @@ def min_signature_length(
     target_psec: float,
     k_test: int | None = None,
     cap: np.ndarray | None = None,
+    race: tuple[np.ndarray, float] | None = None,
 ) -> list[int | Infeasible | Pruned]:
     """Smallest even block length meeting ``target_psec``, for every setting.
 
@@ -472,8 +479,10 @@ def min_signature_length(
     between its lo and hi (every candidate when fewer remain); each
     setting then keeps the probed lengths around its first feasible one,
     and is solved at hi once hi - lo <= 2.  The spread is even, except in
-    an uncapped first round, which climbs from 2 by a constant ratio
-    because L may lie anywhere on a log scale below the pool.
+    the first round: an uncapped one climbs from 2 by a constant ratio,
+    because L may lie anywhere on a log scale below the pool, and a capped
+    one descends from the cap by the same ratio, because a cap set where a
+    setting would tie a rival puts L just below it.
 
     ``cap``, one length per setting, bounds the search for callers that
     only need L when it is at most the cap.  The first round also probes
@@ -482,6 +491,14 @@ def min_signature_length(
     ``Pruned(cap + 2)`` there, which is not an ``Infeasible``.  The others
     search with hi at the cap and, by monotone feasibility, end on the L an
     uncapped solve would.
+
+    ``race``, each setting's sifted yield per pulse and the clock in Hz,
+    makes the settings race for the highest signing rate, by the expression
+    ``signature_time_and_rate`` rates with.  After each round a setting
+    still searching whose rate at lo + 2, the most it can reach, is
+    strictly below the best rate a setting has proven (its rate at hi,
+    where it is feasible) gets the verdict ``Pruned(lo + 2)``.  A setting
+    that ties or beats the best rate of the batch is never pruned.
     """
     if target_psec < budget.total:
         raise InfeasibleTarget(
@@ -524,7 +541,8 @@ def min_signature_length(
 
     first = True
     while len(rows):
-        points = _spread(lo, hi, SOLVER_LANES // len(rows), first and cap is None)
+        ratio = (1 if cap is None else -1) if first else 0
+        points = _spread(lo, hi, SOLVER_LANES // len(rows), ratio)
         # the first round also probes the longest block and hi, the cap (the
         # pool again when there is none); a cap below 2 admits no length
         head = [pool[rows, None], hi[:, None]] if first else []
@@ -543,6 +561,14 @@ def min_signature_length(
         lo, hi = ends[lanes, at], ends[lanes, at + 1]
         lengths[rows] = hi
         going = hi - lo > 2
+        if race is not None and going.any():
+            y, clock_hz = race
+            # every setting still solved holds a feasible length
+            live = np.flatnonzero(verdicts == _SOLVED)
+            best = (1.0 / _signing_time(lengths[live], y[live], clock_hz)).max()
+            beaten = going & (1.0 / _signing_time(lo + 2, y[rows], clock_hz) < best)
+            verdicts[rows[beaten]], lengths[rows[beaten]] = _PRUNED, lo[beaten] + 2
+            going &= ~beaten
         rows, lo, hi = rows[going], lo[going], hi[going]
     return [
         L if verdict == _SOLVED else Pruned(L) if verdict == _PRUNED

@@ -452,6 +452,23 @@ class TestBadValues:
          "--from 0 --to 1e+308 --step 1 sweeps 1e+308 distances, more than 10000"),
         (["rate-curve", "--config", DESK_CFG, "--to", "1e10", "--step", "1"],
          "--from 0 --to 1e+10 --step 1 sweeps 1e+10 distances, more than 10000"),
+        # files that cannot be read or written, named by the OS error
+        (["estimate", "--config", "{tmp}/no/such.cfg", "--counts", MODEL_103],
+         "No such file or directory: '{tmp}/no/such.cfg'"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/no/such.csv"],
+         "No such file or directory: '{tmp}/no/such.csv'"),
+        (["estimate", "--config", str(DATA), "--counts", MODEL_103],
+         f"Is a directory: '{DATA}'"),
+        # the report reaches stdout before the write fails
+        (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103,
+          "--out", "{tmp}/no/dir/report.txt"],
+         "No such file or directory: '{tmp}/no/dir/report.txt'"),
+        (["rate-curve", "--config", DESK_CFG, "--to", "1", "--grid-points", "2",
+          "--out", "{tmp}/no/dir/curve.csv"],
+         "No such file or directory: '{tmp}/no/dir/curve.csv'"),
+        (["demo-sign", "--config", DESK_CFG, "--distance", "5",
+          "--transcript", "{tmp}/no/dir/t.jsonl"],
+         "No such file or directory: '{tmp}/no/dir/t.jsonl'"),
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
         "counts-unknown-preamble-key", "counts-repeated-preamble-key",
@@ -466,6 +483,8 @@ class TestBadValues:
         "simulate-vacuum-decoy", "curve-vacuum-decoy", "demo-sign-vacuum-decoy", "config-e320-nu",
         "config-e300-p-mu", "config-e300-eps-pe", "config-e300-clock", "config-e20-dark",
         "curve-huge-grid", "curve-one-point-grid", "curve-e308-sweep", "curve-e10-sweep",
+        "missing-config", "missing-counts", "directory-config", "estimate-unwritable-out",
+        "curve-unwritable-out", "demo-sign-unwritable-transcript",
     ])
     def test_is_exit_2_and_named(self, capsys, tmp_path, argv, named):
         for name, text in BAD_FILES.items():
@@ -473,8 +492,8 @@ class TestBadValues:
         rc = main([arg.format(tmp=tmp_path) for arg in argv])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert named in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named.format(tmp=tmp_path) in err
 
 
 #: Values a fuzzed config key or count cell may take: any float repr, and

@@ -25,10 +25,19 @@ from qds_onedecoy.finite_key import (
     scaled_count_bounds,
     single_photon_error_upper,
     single_photon_lower,
-    tau_n,
     vacuum_upper,
 )
 from strategies import settings_in_space
+
+
+def tau_n(n, pc):
+    """Probability that a pulse of the two-intensity mix carries n photons,
+    the oracle of the decoy factors' tau_0 and tau_1."""
+    if n < 0:
+        raise ValueError(f"photon number must be non-negative, got {n}")
+    return (
+        pc.p_mu * np.exp(-pc.mu) * pc.mu**n + (1.0 - pc.p_mu) * np.exp(-pc.nu) * pc.nu**n
+    ) / math.factorial(n)
 
 
 def make_pc(**kw):

@@ -26,6 +26,7 @@ from qds_onedecoy.optimizer import (
 )
 from qds_onedecoy.protocol import model_links
 from qds_onedecoy.security import InfeasibleTarget, block_report
+from strategies import settings_in_space
 
 # analytic maximiser placed inside every box used below
 PEAK = {"mu": 0.55, "nu": 0.17, "p_mu": 0.72, "p_z_tx": 0.81, "p_z_rx": 0.66}
@@ -417,6 +418,28 @@ class TestIncumbentPruning:
         [bound], [lower], [beaten] = device_evaluate(point, ch, incumbent=faster)
         assert beaten
         assert bound < faster and lower <= L
+
+    @given(st.lists(settings_in_space, min_size=9, max_size=20), st.floats(0.0, 250.0))
+    @settings(max_examples=20, deadline=None)
+    def test_a_grid_call_prunes_only_settings_slower_than_its_best(self, pcs, km):
+        # every setting twice, so that the best of the batch always has a tie,
+        # and a batch past SEED_POINTS, so that its seed races
+        points = [[getattr(pc, name) for name in PARAM_NAMES] for pc in pcs] * 2
+        ch = DEVICE.channel(km)
+        exact, exact_L, none = device_evaluate(points, ch)
+        rate, L, pruned = device_evaluate(points, ch, incumbent=-math.inf)
+        assert not none.any()
+        feasible = ~np.isnan(exact)
+        assert (np.isnan(rate) == ~feasible).all()
+        kept = feasible & ~pruned
+        assert rate[kept].tobytes() == exact[kept].tobytes()
+        assert (L[kept] == exact_L[kept]).all()
+        if feasible.any():
+            best = exact[feasible].max()
+            assert (exact[pruned] < best).all()
+            assert not pruned[exact == best].any()
+        # a pruned setting's L is a lower bound, its rate an upper bound
+        assert (L[pruned] <= exact_L[pruned]).all() and (rate[pruned] >= exact[pruned]).all()
 
     def test_tied_points_still_reach_the_tie_break(self):
         # the objective ignores p_z_rx, so points that differ only there tie

@@ -27,6 +27,7 @@ from qds_onedecoy.security import (
     Thresholds,
     _bound_chain,
     _sifted_yield,
+    _signing_time,
     _stack_links,
     block_report,
     epsilon_f,
@@ -400,15 +401,16 @@ def uncapped_batch():
 
 #: (settings, lengths, sum of lengths) of every chain call one solve of
 #: ``capped_batch`` makes, for k_test None and 3000, recorded from the
-#: solver whose rounds spread their lengths between the last infeasible
-#: and the first feasible one (6 calls each before it), and the verdicts,
-#: recorded from the solver whose rounds rebuilt their counts and decoy
-#: factors row by row
+#: solver whose capped first round spreads its lengths down from the cap
+#: by a constant ratio (5 calls each before it, with an even first
+#: round: these caps sit far from most L), and the verdicts, recorded
+#: from the solver whose rounds rebuilt their counts and decoy factors
+#: row by row
 CAPPED_PROBES = {
-    None: [(12, 23, 307518616678), (7, 36, 478579032), (7, 36, 74482380),
-           (6, 42, 74330524), (1, 195, 16265340)],
-    3000: [(12, 23, 307518616678), (5, 51, 691449026), (5, 51, 114959684),
-           (3, 85, 168002290), (1, 49, 4223800)],
+    None: [(12, 23, 312548705464), (6, 42, 6500353146), (6, 42, 217896210),
+           (4, 64, 100799586), (2, 128, 157737600), (1, 9, 752400)],
+    3000: [(12, 23, 312548705464), (5, 51, 7909663750), (5, 51, 253750232),
+           (3, 85, 165188648), (1, 256, 22071040), (1, 2, 172470)],
 }
 CAPPED_VERDICTS = {
     None: [Pruned(30002), 78618, 256252, Pruned(2), 83592, 122924, Pruned(114390), 63886,
@@ -516,6 +518,64 @@ class TestCappedSolver:
         capped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
                                       cap=np.full(4, 10**15))
         assert [str(v) for v in capped] == [str(v) for v in uncapped]
+
+    @pytest.mark.parametrize("k_test", [None, 3000])
+    def test_caps_at_the_solved_lengths_settle_in_one_call(self, monkeypatch, k_test):
+        # a capped first round puts its nearest length at cap - 2, so a
+        # setting capped at its own L sees L - 2 fail and L pass at once
+        cbl, stack, _ = capped_batch()
+        budget = EpsilonBudget(eps_pe=5e-6)
+        solved = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
+        caps = np.array([0 if isinstance(L, Infeasible) else L for L in solved])
+        calls = []
+        chain = security._bound_chain
+
+        def spy(*args):
+            calls.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(security, "_bound_chain", spy)
+        capped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
+                                      k_test=k_test, cap=caps)
+        assert len(calls) == 1
+        assert [str(v) for v in capped] == [str(v) for v in solved]
+
+
+class TestRace:
+    """Racing settings for the highest rate prunes only settings strictly
+    slower than the best of the batch, with a lower bound on their L."""
+
+    @pytest.mark.parametrize("k_test", [None, 3000])
+    def test_race_prunes_only_the_slower_settings(self, k_test):
+        cbl, stack, _ = capped_batch()
+        budget, clock_hz = EpsilonBudget(eps_pe=5e-6), 1e9
+        y = np.ravel(_sifted_yield(cbl, stack))
+        exact = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
+        raced = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test,
+                                     race=(y, clock_hz))
+        rates = [None if isinstance(L, Infeasible) else 1.0 / _signing_time(L, yi, clock_hz)
+                 for L, yi in zip(exact, y)]
+        best = max(r for r in rates if r is not None)
+        assert any(isinstance(v, Pruned) for v in raced)
+        for L, rate, got in zip(exact, rates, raced):
+            if isinstance(got, Pruned):
+                assert rate < best and got.lower <= L
+            elif isinstance(L, Infeasible):
+                assert str(got) == str(L)
+            else:
+                assert got == L
+
+    @pytest.mark.parametrize("k_test", [None, 3000])
+    def test_settings_tied_at_their_lengths_all_solve(self, k_test):
+        # yields in proportion to each L, by a power of two, make every
+        # feasible setting sign at exactly one rate: none can be pruned
+        cbl, stack, _ = capped_batch()
+        budget = EpsilonBudget(eps_pe=5e-6)
+        exact = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
+        y = np.array([1.0 if isinstance(L, Infeasible) else L * 2.0**-40 for L in exact])
+        raced = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test,
+                                     race=(y, 1.0))
+        assert [str(v) for v in raced] == [str(v) for v in exact]
 
 
 class TestSolverOracle:
