@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -66,29 +67,22 @@ def _seed(args: argparse.Namespace, config) -> int:
     return args.seed
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out) -> None:
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fp:
-            fp.write(text)
+    if out:
+        out.write(text)
 
 
-def _report(config, counts_by_link, pc, ch, L: int | None = None):
+def _report(target, counts_by_link, pc, ch, L: int | None = None):
     """Security report at ``L``, or at the smallest L meeting the target.
 
-    Solving and reporting share the configured test-sample size.
+    Solving and reporting share the target, test-sample size included.
     """
     if L is None:
-        [L] = min_signature_length(
-            counts_by_link, pc, config.budget, config.alpha, config.eps,
-            config.target_psec, k_test=config.k_test,
-        )
+        [L] = min_signature_length(counts_by_link, pc, target)
         if isinstance(L, Infeasible):
             raise L
-    return block_report(
-        counts_by_link, pc, ch, config.budget, config.alpha, config.eps, L,
-        k_test=config.k_test,
-    )
+    return block_report(counts_by_link, pc, ch, target, L)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -96,8 +90,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     counts_by_link, distance_km, n_pulses = read_counts(args.counts)
     pc = config.pulse_config(n_pulses=n_pulses)
     ch = config.channel(distance_km)
-    report = _report(config, counts_by_link, pc, ch, args.block_length)
-    _emit(format_report(report, distance_km=distance_km, budget=config.budget), args.out)
+    report = _report(config.target, counts_by_link, pc, ch, args.block_length)
+    _emit(format_report(report, distance_km=distance_km, budget=config.target.budget), args.out)
     return 0
 
 
@@ -113,9 +107,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
     else:
         counts_by_link = model_links(pc, ch)
-    report = _report(config, counts_by_link, pc, ch)
+    report = _report(config.target, counts_by_link, pc, ch)
     L = report.L
-    text = format_report(report, distance_km=args.distance, budget=config.budget)
+    text = format_report(report, distance_km=args.distance, budget=config.target.budget)
 
     # end-to-end messaging demo at the solved block length; bit-level keys
     # when the pulse budget is desk scale and the pool can afford both
@@ -138,8 +132,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     text += f"demo_transcript_messages: {len(session.transcript)}\n"
     _emit(text, args.out)
     if args.transcript:
-        with open(args.transcript, "w") as fp:
-            session.export_transcript(fp)
+        session.export_transcript(args.transcript)
     return 0
 
 
@@ -169,17 +162,10 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
     # half-open sweep: --from is included, --to is not; --from equal to
     # --to yields a header-only file
     results = [
-        (distance, optimize(
-            space, config.channel(distance), config.budget, config.alpha,
-            config.eps, config.target_psec, n_pulses=config.source.n_pulses,
-        ))
+        (distance, optimize(space, config.channel(distance), config.target, config.source.n_pulses))
         for distance in np.arange(args.km_from, args.km_to, args.km_step).tolist()
     ]
-    if args.out:
-        with open(args.out, "w", newline="") as fp:
-            write_rate_curve(fp, results)
-    else:
-        write_rate_curve(sys.stdout, results)
+    write_rate_curve(args.out or sys.stdout, results)
     return 0
 
 
@@ -194,7 +180,7 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
         )
     ch = config.channel(args.distance)
     counts_by_link = model_links(pc, ch)
-    report = _report(config, counts_by_link, pc, ch)
+    report = _report(config.target, counts_by_link, pc, ch)
     L = report.L
     session = ProtocolSession(pc, ch, L, seed=seed, k_test=report.k_test)
     session.run_distribution()
@@ -224,8 +210,7 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
         print(f"charlie_accept: {str(charlie_ok).lower()}")
     print(f"transcript_messages: {len(session.transcript)}")
     if args.transcript:
-        with open(args.transcript, "w") as fp:
-            session.export_transcript(fp)
+        session.export_transcript(args.transcript)
     return 0
 
 
@@ -291,7 +276,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with contextlib.ExitStack() as outputs:
+            # every output is opened before the work, as a shell redirection
+            # opens it, so that a path that cannot be written fails at once;
+            # newline="" keeps the CSV writer's line ends as they are
+            for name in ("out", "transcript"):
+                if path := getattr(args, name, None):
+                    setattr(args, name, outputs.enter_context(open(path, "w", newline="")))
+            return args.func(args)
     except (FileFormatError, ValueError, OSError) as exc:  # OSError names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2

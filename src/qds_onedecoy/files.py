@@ -21,7 +21,7 @@ from .channel import _CELL_NAMES, BASES, INTENSITIES, ChannelParams, ObservedCou
 from .finite_key import BOUND_APPLICATIONS, EpsilonBudget
 from .optimizer import OptimizeResult
 from .protocol import LINKS
-from .security import SecurityReport
+from .security import SecurityReport, SecurityTarget
 
 __all__ = [
     "FileFormatError",
@@ -139,15 +139,11 @@ def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
 
 @dataclass(frozen=True)
 class Config:
-    """Run configuration: source, link (all but its distance), budget, analysis."""
+    """Run configuration: source, link (all but its distance), security target, seed."""
 
     source: PulseConfig
     link: ChannelParams
-    budget: EpsilonBudget
-    alpha: float
-    eps: float
-    target_psec: float
-    k_test: int | None = None
+    target: SecurityTarget
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -157,12 +153,6 @@ class Config:
                 f"nu must be positive: the decoy-state bounds need a decoy intensity, "
                 f"got {self.source.nu:g}"
             )
-        for name in ("alpha", "eps", "target_psec"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1), got {value:g}")
-        if self.k_test is not None and self.k_test < 1:
-            raise ValueError(f"k_test must be at least 1, got {self.k_test}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -174,11 +164,11 @@ class Config:
 
 
 # each flat key feeds the dataclass that declares it; the distance is
-# given per command and the three objects are not keys themselves
-_NOT_KEYS = {"distance_km", "source", "link", "budget"}
+# given per command and the four objects are not keys themselves
+_NOT_KEYS = {"distance_km", "source", "link", "target", "budget"}
 _CONFIG_KEYS = [
     f.name
-    for cls in (PulseConfig, ChannelParams, EpsilonBudget, Config)
+    for cls in (PulseConfig, ChannelParams, EpsilonBudget, SecurityTarget, Config)
     for f in fields(cls)
     if f.name not in _NOT_KEYS
 ]
@@ -225,7 +215,7 @@ def read_config(path: str) -> Config:
         return Config(
             source=PulseConfig(**pick(PulseConfig)),
             link=ChannelParams(distance_km=0.0, **pick(ChannelParams)),
-            budget=EpsilonBudget(**pick(EpsilonBudget)),
+            target=SecurityTarget(EpsilonBudget(**pick(EpsilonBudget)), **pick(SecurityTarget)),
             **pick(Config),  # type: ignore[arg-type]
         )
     except ValueError as exc:
@@ -278,8 +268,8 @@ def write_rate_curve(
     writer = csv.writer(fp)
     writer.writerow(["distance_km", "rate_bits_per_s", "L", "p_sec", "feasible"])
     for distance_km, result in results:
-        best = result.best
-        if best is None:
+        report = result.report
+        if report is None:
             writer.writerow([distance_km, 0.0, 0, 1.0, "false"])
         else:
-            writer.writerow([distance_km, best.rate, best.L, best.report.p_sec, "true"])
+            writer.writerow([distance_km, report.rate_bits_per_s, report.L, report.p_sec, "true"])

@@ -17,12 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelParams, ObservedCounts, PulseConfig
-from .finite_key import EpsilonBudget, _decoy
+from .finite_key import _decoy
 from .protocol import model_links
 from .security import (
     Infeasible,
     Pruned,
     SecurityReport,
+    SecurityTarget,
     _sifted_yield,
     _signing_time,
     block_report,
@@ -33,7 +34,6 @@ from .security import (
 __all__ = [
     "PARAM_NAMES",
     "SearchSpace",
-    "EvalResult",
     "OptimizeResult",
     "evaluate",
     "maximize",
@@ -82,22 +82,14 @@ class SearchSpace:
 
 
 @dataclass(frozen=True)
-class EvalResult:
-    """The best working point: its rate at the smallest feasible L, the
-    settings and the full report there."""
-
-    rate: float
-    L: int
-    params: PulseConfig
-    report: SecurityReport
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
-    """The best working point, the settings evaluated, how many of them
-    are feasible, and how many of those were pruned against an incumbent."""
+    """The best settings and the full report at their smallest feasible
+    L (both None when no setting is feasible), the settings evaluated, how
+    many of them are feasible, and how many of those were pruned against
+    an incumbent."""
 
-    best: EvalResult | None
+    params: PulseConfig | None
+    report: SecurityReport | None
     evaluations: int
     n_feasible: int
     pruned: int
@@ -116,10 +108,7 @@ SCAN_POINTS = 5
 def evaluate(
     pcs: PulseConfig | Sequence[PulseConfig],
     ch: ChannelParams,
-    budget: EpsilonBudget,
-    alpha: float,
-    eps: float,
-    target_psec: float,
+    target: SecurityTarget,
     incumbent: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rate at the smallest feasible block length of each source setting,
@@ -167,8 +156,7 @@ def evaluate(
             cap = longest_block_at_rate(incumbent, y[rows], ch.clock_hz)
         taken = ObservedCounts.from_cells(cells[..., rows, :])
         solved = min_signature_length(
-            dict.fromkeys(counts_by_link, taken), decoy.take(rows), budget, alpha, eps,
-            target_psec, cap=cap, race=race,
+            dict.fromkeys(counts_by_link, taken), decoy.take(rows), target, cap=cap, race=race
         )
         # rate the feasible settings only: the others may have no yield
         found = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
@@ -293,10 +281,7 @@ def maximize(
 def optimize(
     space: SearchSpace,
     ch: ChannelParams,
-    budget: EpsilonBudget,
-    alpha: float,
-    eps: float,
-    target_psec: float,
+    target: SecurityTarget,
     n_pulses: float,
 ) -> OptimizeResult:
     """Best source settings for one channel under one security target.
@@ -309,17 +294,13 @@ def optimize(
 
     def objective(points: np.ndarray, incumbent: float) -> np.ndarray:
         stack = PulseConfig.stack(points, n_pulses=n_pulses)
-        rate, L, pruned = evaluate(stack, ch, budget, alpha, eps, target_psec, incumbent)
+        rate, L, pruned = evaluate(stack, ch, target, incumbent)
         lengths.update(zip(map(tuple, points.tolist()), L.tolist()))
         return np.where(pruned, -math.inf, rate)
 
-    best, rate, evaluations, n_feasible, pruned = maximize(space, objective)
+    best, _, evaluations, n_feasible, pruned = maximize(space, objective)
     if best is None:
-        return OptimizeResult(best=None, evaluations=evaluations, n_feasible=0, pruned=0)
+        return OptimizeResult(None, None, evaluations, n_feasible=0, pruned=0)
     pc = PulseConfig(n_pulses=n_pulses, **best)
-    L = lengths[tuple(best.values())]
-    report = block_report(model_links(pc, ch), pc, ch, budget, alpha, eps, L)
-    return OptimizeResult(
-        best=EvalResult(rate=rate, L=L, params=pc, report=report),
-        evaluations=evaluations, n_feasible=n_feasible, pruned=pruned,
-    )
+    report = block_report(model_links(pc, ch), pc, ch, target, lengths[tuple(best.values())])
+    return OptimizeResult(pc, report, evaluations, n_feasible, pruned)

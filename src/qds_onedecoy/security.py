@@ -28,6 +28,7 @@ from .finite_key import (
 from .stat_math import binary_entropy, binary_entropy_inverse
 
 __all__ = [
+    "SecurityTarget",
     "Infeasible",
     "InfeasibleTarget",
     "Pruned",
@@ -56,6 +57,28 @@ DEFAULT_TEST_FRACTION = 0.05
 #: costs about 1.3 times one of 1, 390 against 300 us), so one setting
 #: narrows its interval 257-fold a round.
 SOLVER_LANES = 256
+
+
+@dataclass(frozen=True)
+class SecurityTarget:
+    """The security target a block is certified under: the estimation
+    budget, the forging terms alpha and eps, the target p_sec and the
+    test-sample size (``k_test_for``'s rule when None).  The names of its
+    other fields and of the budget's are run configuration keys."""
+
+    budget: EpsilonBudget
+    alpha: float
+    eps: float
+    target_psec: float
+    k_test: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "eps", "target_psec"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie strictly inside (0, 1), got {value:g}")
+        if self.k_test is not None and self.k_test < 1:
+            raise ValueError(f"k_test must be at least 1, got {self.k_test}")
 
 
 class Infeasible(Exception):
@@ -225,6 +248,10 @@ def epsilon_f(
     """
     if not np.minimum.reduce(L, axis=None) > 0:
         raise ValueError(f"block length must be positive, got {L}")
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
     return _forge_term(alpha, L, _entropy_rate(s_z1, L, phi_z1), s_upsilon, eps)
 
 
@@ -235,11 +262,7 @@ def _forge_term(
     s_upsilon: float | np.ndarray,
     eps: float,
 ) -> float | np.ndarray:
-    """``epsilon_f`` from the block's entropy rate."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    """``epsilon_f`` from the block's entropy rate, unchecked."""
     margin = rate - binary_entropy(s_upsilon)
     exponent = 0.5 * L * margin
     # 2^-exponent is finite exactly where exponent > -1024
@@ -318,29 +341,24 @@ class _Chain(NamedTuple):
 
 
 def _bound_chain(
-    counts: ObservedCounts,
-    pc: PulseConfig | _Decoy,
-    budget: EpsilonBudget,
-    alpha: float,
-    eps: float,
-    L: np.ndarray,
-    k: int | np.ndarray,
+    counts: ObservedCounts, pc: PulseConfig | _Decoy, target: SecurityTarget, L: np.ndarray
 ) -> _Chain:
     """The bound chain at block lengths ``L``, evaluated for a whole batch.
 
     ``counts`` holds pool-scale counts with batch axes (links, settings,
     1), one entry per distinct link; ``pc`` (a config, a
-    ``PulseConfig.stack`` or its ``finite_key._decoy`` factors), ``L`` and
-    the test-sample size ``k`` broadcast against its last two (settings x
-    block lengths in the solver).  Each link's test errors are those
-    expected on a k-bit sample drawn from its pool.  Of the links' block
-    estimates the verdict needs the worst s_z1, phi and saturation only;
-    ``_Chain.item`` merges the rest.  The block's entropy rate, and the
-    h(phi) in it, is computed once for p_E and eps_F.  Where a block is not
-    ``certified`` (saturated, or no margin between the error bound and the
-    tolerable rate) the thresholds and failure terms are computed from
-    placeholder rates and mean nothing.
+    ``PulseConfig.stack`` or its ``finite_key._decoy`` factors) and ``L``
+    broadcast against its last two (settings x block lengths in the
+    solver).  Each link's test errors are those expected on a sample of
+    ``k_test_for(L, target.k_test)`` bits drawn from its pool.  Of the
+    links' block estimates the verdict needs the worst s_z1, phi and
+    saturation only; ``_Chain.item`` merges the rest.  The block's entropy
+    rate, and the h(phi) in it, is computed once for p_E and eps_F.  Where
+    a block is not ``certified`` (saturated, or no margin between the error
+    bound and the tolerable rate) the thresholds and failure terms are
+    computed from placeholder rates and mean nothing.
     """
+    budget, k = target.budget, k_test_for(L, target.k_test)
     pool = counts.n_total("Z")
     est = block_scale(counts, _decoy(pc), budget, L, pool)
     e_upper = observed_error_upper(k * counts.m_total("Z") / pool, k, L, budget.eps_pe)
@@ -355,8 +373,8 @@ def _bound_chain(
     robust = p_robust(budget.eps_pe)
     rep_raw = _repudiation(s_alpha, s_upsilon, L)
     rep = np.minimum(1.0, rep_raw)
-    eps_forge = _forge_term(alpha, L, rate, s_upsilon, eps)
-    forge_raw = p_forge_raw(alpha, eps_forge, budget.eps_pe)
+    eps_forge = _forge_term(target.alpha, L, rate, s_upsilon, target.eps)
+    forge_raw = p_forge_raw(target.alpha, eps_forge, budget.eps_pe)
     forge = np.minimum(1.0, forge_raw)
     return _Chain(
         est, e_upper, p_e, certified, s_alpha, s_upsilon, robust, rep_raw, rep, eps_forge,
@@ -380,30 +398,24 @@ def block_report(
     counts_by_link: Mapping[str, ObservedCounts],
     pc: PulseConfig,
     ch: ChannelParams,
-    budget: EpsilonBudget,
-    alpha: float,
-    eps: float,
+    target: SecurityTarget,
     L: int,
-    k_test: int | None = None,
 ) -> SecurityReport:
     """Full security report for a fixed block length.
 
-    The bound chain the solver bisects, evaluated at one L, with the
-    test sample ``k_test_for(L, k_test)``.  Raises ``Infeasible`` when
-    the block cannot be certified.
+    The bound chain the solver searches, evaluated at one L, with the
+    test sample ``k_test_for(L, target.k_test)``.  Raises ``Infeasible``
+    when the block cannot be certified.
     """
     if L < 2 or L % 2 != 0:
         raise ValueError(f"block length must be an even integer >= 2, got {L}")
-    k_test = k_test_for(L, k_test)
     for link, counts in counts_by_link.items():
         pool = counts.n_total("Z")
         if L > pool:
             raise Infeasible(
                 f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
             )
-    view = _bound_chain(
-        _stack_links(counts_by_link), pc, budget, alpha, eps, np.array([[L]]), k_test
-    ).item()
+    view = _bound_chain(_stack_links(counts_by_link), pc, target, np.array([[L]])).item()
     if not view.pop("certified"):
         raise Infeasible(
             f"block of length {L} cannot be certified: tolerable rate "
@@ -412,7 +424,8 @@ def block_report(
         )
     time_s, rate = signature_time_and_rate(L, counts_by_link, pc, ch)
     return SecurityReport(
-        L=L, k_test=k_test, time_per_bit_s=float(time_s), rate_bits_per_s=float(rate), **view
+        L=L, k_test=k_test_for(L, target.k_test), time_per_bit_s=float(time_s),
+        rate_bits_per_s=float(rate), **view,
     )
 
 
@@ -452,23 +465,19 @@ _SOLVED, _PRUNED, _INFEASIBLE = range(3)
 def min_signature_length(
     counts_by_link: Mapping[str, ObservedCounts],
     pc: PulseConfig | _Decoy,
-    budget: EpsilonBudget,
-    alpha: float,
-    eps: float,
-    target_psec: float,
-    k_test: int | None = None,
+    target: SecurityTarget,
     cap: np.ndarray | None = None,
     race: tuple[np.ndarray, float] | None = None,
 ) -> list[int | Infeasible | Pruned]:
-    """Smallest even block length meeting ``target_psec``, for every setting.
+    """Smallest even block length meeting ``target.target_psec``, for every setting.
 
     ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
     each link's counts carry, or its ``finite_key._decoy`` factors.  The
     result has one entry per setting: the solved L, or the ``Infeasible``
     error saying why there is none; it is returned, not raised, so one
     hopeless setting does not stop the batch.  A length is feasible when
-    ``block_report`` certifies it under the same test-sample rule
-    (``k_test_for``) with p_sec <= target_psec.
+    ``block_report`` certifies it under the same ``target``, test-sample
+    rule included, with p_sec <= target.target_psec.
 
     Feasibility is monotone in L (longer blocks shrink every finite-size
     penalty), so each setting keeps lo, the longest length known to fail
@@ -500,12 +509,12 @@ def min_signature_length(
     where it is feasible) gets the verdict ``Pruned(lo + 2)``.  A setting
     that ties or beats the best rate of the batch is never pruned.
     """
-    if target_psec < budget.total:
+    target_psec = target.target_psec
+    if target_psec < target.budget.total:
         raise InfeasibleTarget(
             f"target {target_psec:.3g} is below the estimation floor "
-            f"{len(BOUND_APPLICATIONS)}*eps_pe = {budget.total:.3g}"
+            f"{len(BOUND_APPLICATIONS)}*eps_pe = {target.budget.total:.3g}"
         )
-    k_test_for(2, k_test)  # a bad size is an error even if nothing gets probed
     # one column per setting: the cells of each distinct link, then the
     # decoy factors, which each round indexes once for its settings
     cells = _stack_links(counts_by_link).cells
@@ -535,7 +544,7 @@ def min_signature_length(
         sub = table[:, rows]
         chain = _bound_chain(
             ObservedCounts.from_cells(sub[:n_cells].reshape(2, 2, 2, -1, len(rows), 1)),
-            _Decoy(*sub[n_cells:, :, None]), budget, alpha, eps, L, k_test_for(L, k_test),
+            _Decoy(*sub[n_cells:, :, None]), target, L,
         )
         return chain.certified & (chain.p_sec <= target_psec)
 

@@ -29,6 +29,7 @@ from qds_onedecoy.files import read_counts
 from qds_onedecoy.optimizer import SearchSpace, optimize
 from qds_onedecoy.protocol import attack_forge, attack_repudiation, exact_forge_success
 from qds_onedecoy.security import (
+    SecurityTarget,
     Thresholds,
     signature_time_and_rate,
     solve_p_e,
@@ -164,11 +165,11 @@ def test_criterion_4_end_to_end_rate_band(tmp_path, capsys):
         rates = {}
         for distance in (103.0, 280.0):
             ch = ChannelParams(distance_km=distance)
-            found = optimize(SearchSpace(), ch, budget, alpha, eps, target,
+            found = optimize(SearchSpace(), ch, SecurityTarget(budget, alpha, eps, target),
                              n_pulses=N_PULSES)
-            assert found.best is not None, f"no feasible point at {distance} km"
+            assert found.params is not None, f"no feasible point at {distance} km"
             cfg = tmp_path / f"opt_{distance:.0f}.cfg"
-            _write_config(cfg, found.best.params, eps_pe, alpha, eps, target)
+            _write_config(cfg, found.params, eps_pe, alpha, eps, target)
             rc = main(["simulate", "--config", str(cfg),
                        "--distance", f"{distance}"])
             out = capsys.readouterr().out

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qds_onedecoy import cli
 from qds_onedecoy.cli import build_parser, main
 from qds_onedecoy.files import CONFIG_ENV_VAR, read_counts
 
@@ -58,6 +59,15 @@ class TestEstimate:
         ])
         assert rc == 0
         assert out.read_text() == capsys.readouterr().out
+
+    def test_infeasible_run_leaves_its_out_file_empty(self, capsys, tmp_path):
+        # the file is opened before the solve, like a shell redirection
+        out = tmp_path / "report.txt"
+        out.write_text("an earlier report\n")
+        rc = main(["estimate", "--config", DEVICE_CFG, "--counts", MEASURED_103,
+                   "--out", str(out)])
+        assert rc == 3
+        assert out.read_text() == capsys.readouterr().out == ""
 
     def test_bad_counts_file_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -307,6 +317,25 @@ class TestRateCurve:
             "distance_km,rate_bits_per_s,L,p_sec,feasible"
         )
 
+    def test_unwritable_out_fails_before_any_search(self, capsys, monkeypatch, tmp_path):
+        def no_search(*args, **kwargs):
+            raise AssertionError("optimize ran before --out was opened")
+
+        monkeypatch.setattr(cli, "optimize", no_search)
+        rc = main(["rate-curve", "--config", DEVICE_CFG, "--out", str(tmp_path / "no" / "c.csv")])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
+    def test_configured_test_sample_is_solved_under(self, capsys, tmp_path):
+        k3000 = tmp_path / "k3000.cfg"
+        k3000.write_text(pathlib.Path(DEVICE_CFG).read_text() + "k_test = 3000\n")
+        rows = []
+        for config in (DEVICE_CFG, str(k3000)):
+            assert main(["rate-curve", "--config", config, "--from", "100", "--to", "101",
+                         "--grid-points", "2"]) == 0
+            rows += csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert [row["L"] for row in rows] == ["10590", "8216"]
+
     def test_bad_range_is_exit_2(self, capsys):
         rc = main(["rate-curve", "--config", DESK_CFG, "--from", "50",
                    "--to", "10", "--step", "20"])
@@ -459,7 +488,7 @@ class TestBadValues:
          "No such file or directory: '{tmp}/no/such.csv'"),
         (["estimate", "--config", str(DATA), "--counts", MODEL_103],
          f"Is a directory: '{DATA}'"),
-        # the report reaches stdout before the write fails
+        # every output is opened before the work, so nothing reaches stdout
         (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103,
           "--out", "{tmp}/no/dir/report.txt"],
          "No such file or directory: '{tmp}/no/dir/report.txt'"),
@@ -491,7 +520,8 @@ class TestBadValues:
             (tmp_path / name).write_text(text)
         rc = main([arg.format(tmp=tmp_path) for arg in argv])
         assert rc == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert named.format(tmp=tmp_path) in err
 

@@ -177,13 +177,13 @@ class TestConfig:
         assert config.source.n_pulses == 2e12
         assert config.link.duty_cycle == 0.86
         assert config.seed == 7
-        assert config.k_test is None
+        assert config.target.k_test is None
         pc = config.pulse_config()
         assert pc.p_z_tx == 0.85
         ch = config.channel(103.0)
         assert ch.distance_km == 103.0
         assert ch.duty_cycle == 0.86
-        assert config.budget.eps_pe == 5e-6
+        assert config.target.budget.eps_pe == 5e-6
 
     def test_invalid_source_rejected_at_load(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -247,7 +247,7 @@ class TestConfig:
 def report_103km():
     from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
     from qds_onedecoy.finite_key import EpsilonBudget
-    from qds_onedecoy.security import block_report
+    from qds_onedecoy.security import SecurityTarget, block_report
 
     pc = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.85, p_z_rx=0.85,
                      n_pulses=2e12)
@@ -255,7 +255,7 @@ def report_103km():
     counts = expected_statistics(pc, ch)
     cbl = {"bob_alice": counts, "charlie_alice": counts}
     budget = EpsilonBudget(eps_pe=5e-6)
-    return block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 89522), budget, pc
+    return block_report(cbl, pc, ch, SecurityTarget(budget, 1e-5, 1e-10, 1e-4), 89522), budget, pc
 
 
 class TestReportAndCurve:
@@ -271,16 +271,15 @@ class TestReportAndCurve:
         assert "epsilon_budget" in parsed
 
     def test_rate_curve_rows(self):
-        from qds_onedecoy.optimizer import EvalResult, OptimizeResult
+        from qds_onedecoy.optimizer import OptimizeResult
 
         report, _, pc = report_103km()
-        best = EvalResult(rate=report.rate_bits_per_s, L=report.L, params=pc, report=report)
         buf = io.StringIO()
         write_rate_curve(
             buf,
             [
-                (100.0, OptimizeResult(best=best, evaluations=9, n_feasible=4, pruned=2)),
-                (350.0, OptimizeResult(best=None, evaluations=9, n_feasible=0, pruned=0)),
+                (100.0, OptimizeResult(pc, report, evaluations=9, n_feasible=4, pruned=2)),
+                (350.0, OptimizeResult(None, None, evaluations=9, n_feasible=0, pruned=0)),
             ],
         )
         lines = buf.getvalue().strip().splitlines()

@@ -1,5 +1,6 @@
 """Optimizer tests on a closed-form objective and on the real pipeline."""
 
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -25,7 +26,12 @@ from qds_onedecoy.optimizer import (
     optimize,
 )
 from qds_onedecoy.protocol import model_links
-from qds_onedecoy.security import InfeasibleTarget, block_report
+from qds_onedecoy.security import (
+    InfeasibleTarget,
+    SecurityTarget,
+    block_report,
+    min_signature_length,
+)
 from strategies import settings_in_space
 
 # analytic maximiser placed inside every box used below
@@ -257,9 +263,9 @@ class TestSpeculation:
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "evaluate", counting)
-        found = optimize(SearchSpace(grid_points=3), DEVICE.channel(km), DEVICE.budget,
-                         DEVICE.alpha, DEVICE.eps, DEVICE.target_psec, DEVICE.source.n_pulses)
-        assert found.best is not None
+        found = optimize(SearchSpace(grid_points=3), DEVICE.channel(km), DEVICE.target,
+                         DEVICE.source.n_pulses)
+        assert found.report is not None
         # one pass is the grid, then one per coordinate scan
         assert len(calls) < 1 + DESCENT_ROUNDS * len(PARAM_NAMES)
 
@@ -285,29 +291,29 @@ class TestSearchSpaceValidation:
 
 DESK_CH = ChannelParams(distance_km=5.0)
 DESK_BUDGET = EpsilonBudget(eps_pe=1e-3)
+DESK_TARGET = SecurityTarget(DESK_BUDGET, alpha=1e-3, eps=1e-10, target_psec=5e-2)
 DESK_PC = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8, n_pulses=1e7)
 
 
 class TestEvaluate:
     def test_feasible_point_reports_rate(self):
-        [rate], [L], [pruned] = evaluate([DESK_PC], DESK_CH, DESK_BUDGET, alpha=1e-3,
-                                         eps=1e-10, target_psec=5e-2)
+        [rate], [L], [pruned] = evaluate([DESK_PC], DESK_CH, DESK_TARGET)
         assert rate > 0.0 and not pruned
         assert L % 2 == 0
         counts = expected_statistics(DESK_PC, DESK_CH)
         report = block_report({"bob_alice": counts, "charlie_alice": counts}, DESK_PC,
-                              DESK_CH, DESK_BUDGET, 1e-3, 1e-10, int(L))
+                              DESK_CH, DESK_TARGET, int(L))
         assert report.p_sec <= 5e-2
         assert report.rate_bits_per_s == rate
 
     def test_hopeless_point_is_nan(self):
         far = ChannelParams(distance_km=500.0)
-        rate, L, pruned = evaluate([DESK_PC], far, DESK_BUDGET, 1e-3, 1e-10, 5e-2)
+        rate, L, pruned = evaluate([DESK_PC], far, DESK_TARGET)
         assert np.isnan(rate).all() and L.tolist() == [0] and pruned.tolist() == [False]
 
     def test_bad_target_propagates(self):
         with pytest.raises(InfeasibleTarget):
-            evaluate([DESK_PC], DESK_CH, DESK_BUDGET, 1e-3, 1e-10, target_psec=1e-4)
+            evaluate([DESK_PC], DESK_CH, dataclasses.replace(DESK_TARGET, target_psec=1e-4))
 
 
 class TestOptimize:
@@ -316,23 +322,30 @@ class TestOptimize:
             mu=(0.4, 0.8), nu=(0.1, 0.3), p_mu=(0.5, 0.8),
             p_z_tx=(0.7, 0.9), p_z_rx=(0.7, 0.9), grid_points=2,
         )
-        result = optimize(space, DESK_CH, DESK_BUDGET, alpha=1e-3, eps=1e-10,
-                          target_psec=5e-2, n_pulses=1e7)
-        assert result.best is not None
-        assert result.best.rate > 0.0
+        result = optimize(space, DESK_CH, DESK_TARGET, n_pulses=1e7)
+        assert result.report is not None
+        assert result.report.rate_bits_per_s > 0.0
         assert result.n_feasible >= 1
         # the chosen point really lies in the box
-        assert space.mu[0] <= result.best.params.mu <= space.mu[1]
+        assert space.mu[0] <= result.params.mu <= space.mu[1]
 
     def test_runs_are_reproducible(self):
         space = SearchSpace(
             mu=(0.4, 0.8), nu=(0.1, 0.3), p_mu=(0.5, 0.8),
             p_z_tx=(0.7, 0.9), p_z_rx=(0.7, 0.9), grid_points=2,
         )
-        r1 = optimize(space, DESK_CH, DESK_BUDGET, 1e-3, 1e-10, 5e-2, n_pulses=1e7)
-        r2 = optimize(space, DESK_CH, DESK_BUDGET, 1e-3, 1e-10, 5e-2, n_pulses=1e7)
-        assert r1.best.params == r2.best.params
-        assert r1.best.rate == r2.best.rate
+        r1 = optimize(space, DESK_CH, DESK_TARGET, n_pulses=1e7)
+        r2 = optimize(space, DESK_CH, DESK_TARGET, n_pulses=1e7)
+        assert r1.params == r2.params
+        assert r1.report.rate_bits_per_s == r2.report.rate_bits_per_s
+
+    def test_solves_and_reports_under_the_target_test_sample(self):
+        # a configured k_test reaches the search's solves and the report alike
+        target, ch = dataclasses.replace(DEVICE.target, k_test=3000), DEVICE.channel(100.0)
+        found = optimize(SearchSpace(grid_points=2), ch, target, DEVICE.source.n_pulses)
+        assert found.report.k_test == 3000
+        [L] = min_signature_length(model_links(found.params, ch), found.params, target)
+        assert found.report.L == L
 
     @pytest.mark.parametrize("bounds", [{"p_mu": (4e-13, 0.9)}, {"mu": (0.2000000000004, 0.9)}])
     def test_every_point_lies_inside_a_box_finer_than_the_lattice(self, monkeypatch, bounds):
@@ -346,9 +359,8 @@ class TestOptimize:
             return evaluate(stack, *args)
 
         monkeypatch.setattr(optimizer, "evaluate", spy)
-        found = optimize(space, DEVICE.channel(103.0), DEVICE.budget, DEVICE.alpha,
-                         DEVICE.eps, DEVICE.target_psec, DEVICE.source.n_pulses)
-        assert found.best is not None
+        found = optimize(space, DEVICE.channel(103.0), DEVICE.target, DEVICE.source.n_pulses)
+        assert found.report is not None
         for name, column in zip(PARAM_NAMES, np.concatenate(seen).T):
             lo, hi = space.bounds(name)
             assert ((lo <= column) & (column <= hi)).all(), name
@@ -364,8 +376,7 @@ def device_evaluate(points, ch, incumbent=None, **fixed):
     for name, value in fixed.items():
         points[:, PARAM_NAMES.index(name)] = value
     stack = PulseConfig.stack(points, n_pulses=DEVICE.source.n_pulses)
-    return evaluate(stack, ch, DEVICE.budget, DEVICE.alpha, DEVICE.eps,
-                    DEVICE.target_psec, incumbent)
+    return evaluate(stack, ch, DEVICE.target, incumbent)
 
 
 def rate_objective(ch, prune, **fixed):
@@ -396,12 +407,10 @@ class TestIncumbentPruning:
         best, rate, evaluations, n_feasible = reference_maximize(space, exact)
         pc = PulseConfig(n_pulses=DEVICE.source.n_pulses, **best)
         L = lengths[param_key(best)]
-        report = block_report(model_links(pc, ch), pc, ch, DEVICE.budget,
-                              DEVICE.alpha, DEVICE.eps, L)
-        found = optimize(space, ch, DEVICE.budget, DEVICE.alpha, DEVICE.eps,
-                         DEVICE.target_psec, DEVICE.source.n_pulses)
-        assert found.best.params == pc
-        assert (found.best.rate, found.best.L, found.best.report) == (rate, L, report)
+        report = block_report(model_links(pc, ch), pc, ch, DEVICE.target, L)
+        found = optimize(space, ch, DEVICE.target, DEVICE.source.n_pulses)
+        assert found.params == pc
+        assert (found.report.rate_bits_per_s, found.report.L, found.report) == (rate, L, report)
         assert (found.evaluations, found.n_feasible) == (evaluations, n_feasible)
         assert 0 < found.pruned < n_feasible
 

@@ -31,7 +31,7 @@ from qds_onedecoy.protocol import (
     symmetrize,
     verify,
 )
-from qds_onedecoy.security import Thresholds, block_report
+from qds_onedecoy.security import SecurityTarget, Thresholds, block_report
 from qds_onedecoy.stat_math import binary_entropy_inverse
 
 DESK_PC = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8, n_pulses=2e6)
@@ -391,7 +391,7 @@ class TestSession:
         counts = expected_statistics(pc, ch)
         report = block_report(
             {"bob_alice": counts, "charlie_alice": counts}, pc, ch,
-            EpsilonBudget(eps_pe=5e-6), 1e-5, 1e-10, 89530,
+            SecurityTarget(EpsilonBudget(eps_pe=5e-6), 1e-5, 1e-10, 1e-4), 89530,
         )
         assert ProtocolSession(pc, ch, 89530).k_test == report.k_test == 4476
 

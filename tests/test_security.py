@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 from collections import defaultdict
 from unittest import mock
 
@@ -24,6 +25,7 @@ from qds_onedecoy.security import (
     InfeasibleTarget,
     Pruned,
     SecurityReport,
+    SecurityTarget,
     Thresholds,
     _bound_chain,
     _sifted_yield,
@@ -203,21 +205,25 @@ def paper_scale_setup(distance_km=103.0, eps_pe=5e-6):
     return pc, ch, cbl, EpsilonBudget(eps_pe=eps_pe)
 
 
+def target_for(budget, k_test=None, target_psec=1e-4):
+    """The security target these tests solve under, at alpha 1e-5 and eps 1e-10."""
+    return SecurityTarget(budget, 1e-5, 1e-10, target_psec, k_test)
+
+
 def paper_scale_chain(lengths):
     """The bound chain of ``paper_scale_setup`` at each of ``lengths``."""
     pc, _, cbl, budget = paper_scale_setup()
-    L = np.array(lengths)[None, :]
-    return _bound_chain(_stack_links(cbl), pc, budget, 1e-5, 1e-10, L, k_test_for(L))
+    return _bound_chain(_stack_links(cbl), pc, target_for(budget), np.array(lengths)[None, :])
 
 
 def solve_one(cbl, pc, budget, target_psec=1e-4, k_test=None):
-    [L] = min_signature_length(cbl, pc, budget, 1e-5, 1e-10, target_psec, k_test=k_test)
+    [L] = min_signature_length(cbl, pc, target_for(budget, k_test, target_psec))
     return L
 
 
 def certifies(cbl, pc, ch, budget, L, k_test=None, target_psec=1e-4):
     try:
-        report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L, k_test=k_test)
+        report = block_report(cbl, pc, ch, target_for(budget, k_test), L)
     except Infeasible:
         return False
     return report.p_sec <= target_psec
@@ -288,12 +294,12 @@ class TestMinSignatureLength:
         pc, ch, cbl, budget = paper_scale_setup()
         L = solve_one(cbl, pc, budget)
         assert L % 2 == 0
-        report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L)
+        report = block_report(cbl, pc, ch, target_for(budget), L)
         assert report.p_sec <= 1e-4
         # two steps shorter must fail the target (minimality)
         shorter = L - 2
         try:
-            rep2 = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, shorter)
+            rep2 = block_report(cbl, pc, ch, target_for(budget), shorter)
             assert rep2.p_sec > 1e-4
         except Infeasible:
             pass
@@ -350,7 +356,7 @@ class TestLockstepSolver:
         )
         together = min_signature_length(
             {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs),
-            budget, 1e-5, 1e-10, 1e-4, k_test=k_test,
+            target_for(budget, k_test),
         )
         alone = [
             solve_one({"bob_alice": c, "charlie_alice": c}, pc, budget, k_test=k_test)
@@ -466,8 +472,7 @@ class TestCappedSolver:
         counts = expected_statistics(PulseConfig.stack([pc] * len(caps)), ch)
         capped = min_signature_length(
             {"bob_alice": counts, "charlie_alice": counts},
-            PulseConfig.stack([pc] * len(caps)), budget, 1e-5, 1e-10, 1e-4,
-            k_test=k_test, cap=np.array(caps),
+            PulseConfig.stack([pc] * len(caps)), target_for(budget, k_test), cap=np.array(caps),
         )
         for cap, got in zip(caps, capped):
             if isinstance(L, Infeasible):
@@ -483,14 +488,13 @@ class TestCappedSolver:
         probes = []
         chain = security._bound_chain
 
-        def spy(counts, pc, budget, alpha, eps, L, k):
+        def spy(counts, pc, target, L):
             probes.append((*L.shape, int(L.sum())))
-            return chain(counts, pc, budget, alpha, eps, L, k)
+            return chain(counts, pc, target, L)
 
         monkeypatch.setattr(security, "_bound_chain", spy)
         cbl, stack = uncapped_batch()
-        solved = min_signature_length(cbl, stack, EpsilonBudget(eps_pe=5e-6), 1e-5,
-                                      1e-10, 1e-4, k_test=k_test)
+        solved = min_signature_length(cbl, stack, target_for(EpsilonBudget(eps_pe=5e-6), k_test))
         assert isinstance(solved[3], Infeasible)
         assert probes == UNCAPPED_PROBES[k_test]
 
@@ -499,14 +503,14 @@ class TestCappedSolver:
         probes = []
         chain = security._bound_chain
 
-        def spy(counts, pc, budget, alpha, eps, L, k):
+        def spy(counts, pc, target, L):
             probes.append((*L.shape, int(L.sum())))
-            return chain(counts, pc, budget, alpha, eps, L, k)
+            return chain(counts, pc, target, L)
 
         monkeypatch.setattr(security, "_bound_chain", spy)
         cbl, stack, caps = capped_batch()
-        solved = min_signature_length(cbl, stack, EpsilonBudget(eps_pe=5e-6), 1e-5,
-                                      1e-10, 1e-4, k_test=k_test, cap=caps)
+        solved = min_signature_length(cbl, stack, target_for(EpsilonBudget(eps_pe=5e-6), k_test),
+                                      cap=caps)
         assert [Infeasible if isinstance(v, Infeasible) else v for v in solved] == (
             CAPPED_VERDICTS[k_test])
         assert probes == CAPPED_PROBES[k_test]
@@ -514,8 +518,8 @@ class TestCappedSolver:
     def test_cap_beyond_the_pool_solves_in_full(self):
         cbl, stack = uncapped_batch()
         budget = EpsilonBudget(eps_pe=5e-6)
-        uncapped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4)
-        capped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
+        uncapped = min_signature_length(cbl, stack, target_for(budget))
+        capped = min_signature_length(cbl, stack, target_for(budget),
                                       cap=np.full(4, 10**15))
         assert [str(v) for v in capped] == [str(v) for v in uncapped]
 
@@ -525,7 +529,7 @@ class TestCappedSolver:
         # setting capped at its own L sees L - 2 fail and L pass at once
         cbl, stack, _ = capped_batch()
         budget = EpsilonBudget(eps_pe=5e-6)
-        solved = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
+        solved = min_signature_length(cbl, stack, target_for(budget, k_test))
         caps = np.array([0 if isinstance(L, Infeasible) else L for L in solved])
         calls = []
         chain = security._bound_chain
@@ -535,8 +539,7 @@ class TestCappedSolver:
             return chain(*args)
 
         monkeypatch.setattr(security, "_bound_chain", spy)
-        capped = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
-                                      k_test=k_test, cap=caps)
+        capped = min_signature_length(cbl, stack, target_for(budget, k_test), cap=caps)
         assert len(calls) == 1
         assert [str(v) for v in capped] == [str(v) for v in solved]
 
@@ -550,8 +553,8 @@ class TestRace:
         cbl, stack, _ = capped_batch()
         budget, clock_hz = EpsilonBudget(eps_pe=5e-6), 1e9
         y = np.ravel(_sifted_yield(cbl, stack))
-        exact = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
-        raced = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test,
+        exact = min_signature_length(cbl, stack, target_for(budget, k_test))
+        raced = min_signature_length(cbl, stack, target_for(budget, k_test),
                                      race=(y, clock_hz))
         rates = [None if isinstance(L, Infeasible) else 1.0 / _signing_time(L, yi, clock_hz)
                  for L, yi in zip(exact, y)]
@@ -571,9 +574,9 @@ class TestRace:
         # feasible setting sign at exactly one rate: none can be pruned
         cbl, stack, _ = capped_batch()
         budget = EpsilonBudget(eps_pe=5e-6)
-        exact = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test)
+        exact = min_signature_length(cbl, stack, target_for(budget, k_test))
         y = np.array([1.0 if isinstance(L, Infeasible) else L * 2.0**-40 for L in exact])
-        raced = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4, k_test=k_test,
+        raced = min_signature_length(cbl, stack, target_for(budget, k_test),
                                      race=(y, 1.0))
         assert [str(v) for v in raced] == [str(v) for v in exact]
 
@@ -602,8 +605,8 @@ class TestSolverOracle:
         keys = [_stack_links(cbl).cells[..., j, :].tobytes() for j in range(len(pcs))]
         chain = security._bound_chain
 
-        def spy(counts, pc, budget, alpha, eps, L, k):
-            result = chain(counts, pc, budget, alpha, eps, L, k)
+        def spy(counts, pc, target, L):
+            result = chain(counts, pc, target, L)
             feasible = result.certified & (result.p_sec <= 1e-4)
             for row, (lengths, ok) in enumerate(zip(L, feasible)):
                 probed[counts.cells[..., row, :].tobytes()] += zip(lengths.tolist(), ok.tolist())
@@ -621,8 +624,7 @@ class TestSolverOracle:
         for cap in (None, np.array(caps)):
             probed = defaultdict(list)
             with mock.patch.object(security, "_bound_chain", spy):
-                solved = min_signature_length(cbl, stack, budget, 1e-5, 1e-10, 1e-4,
-                                              k_test=k_test, cap=cap)
+                solved = min_signature_length(cbl, stack, target_for(budget, k_test), cap=cap)
             for j, (c, pc, ch) in enumerate(zip(alone, pcs, channels)):
                 verdict, _ = uncapped[j] if cap is None else reference_bisection(
                     {"bob_alice": c, "charlie_alice": c}, pc, ch, budget, k_test, caps[j],
@@ -654,12 +656,12 @@ class TestTinyPools:
         calls = []
         chain = security._bound_chain
 
-        def spy(counts, pc, budget, alpha, eps, L, k):
+        def spy(counts, pc, target, L):
             calls.append(L.shape)
             # each row's pool, from the counts the chain gets for it
             pool = np.minimum.reduce(counts.n_total("Z")) // 2 * 2
             assert (L % 2 == 0).all() and (L >= 2).all() and (L <= pool).all()
-            result = chain(counts, pc, budget, alpha, eps, L, k)
+            result = chain(counts, pc, target, L)
             if threshold is None:
                 return result
             return result._replace(certified=L >= threshold, p_sec=np.zeros(L.shape))
@@ -667,7 +669,7 @@ class TestTinyPools:
         monkeypatch.setattr(security, "_bound_chain", spy)
         solved = min_signature_length(
             {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack([pc] * len(alone)),
-            budget, 1e-5, 1e-10, 1e-4, cap=None if cap is None else np.full(len(alone), cap),
+            target_for(budget), cap=None if cap is None else np.full(len(alone), cap),
         )
         assert calls
         for c, got in zip(alone, solved):
@@ -683,10 +685,7 @@ def assert_switches_once(cbl, pc, budget, k_test, L, center, pool):
     """Feasibility over 600 even lengths on either side of ``center``,
     within [2, pool], is exactly ``length >= L``."""
     window = np.arange(max(2, center - 1200), min(pool, center + 1200) + 1, 2)
-    chain = _bound_chain(
-        _stack_links(cbl), pc, budget, 1e-5, 1e-10, window[None, :],
-        k_test_for(window, k_test),
-    )
+    chain = _bound_chain(_stack_links(cbl), pc, target_for(budget, k_test), window[None, :])
     feasible = chain.certified[0] & (chain.p_sec[0] <= 1e-4)
     assert (feasible == (window >= L)).all()
 
@@ -793,7 +792,7 @@ class TestBlockReport:
     def test_report_is_consistent(self):
         pc, ch, cbl, budget = paper_scale_setup()
         L = solve_one(cbl, pc, budget)
-        report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, L)
+        report = block_report(cbl, pc, ch, target_for(budget), L)
         assert report.p_sec == max(
             report.p_robust, report.p_repudiation, report.p_forge
         )
@@ -808,11 +807,11 @@ class TestBlockReport:
     def test_rejects_odd_length(self):
         pc, ch, cbl, budget = paper_scale_setup()
         with pytest.raises(ValueError):
-            block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 1001)
+            block_report(cbl, pc, ch, target_for(budget), 1001)
 
     def test_report_is_the_chain_at_one_length(self):
         pc, ch, cbl, budget = paper_scale_setup()
-        report = block_report(cbl, pc, ch, budget, 1e-5, 1e-10, 89522)
+        report = block_report(cbl, pc, ch, target_for(budget), 89522)
         view = paper_scale_chain([89522]).item()
         assert view.pop("certified") is True
         assert {name: getattr(report, name) for name in view} == view
@@ -835,6 +834,23 @@ class TestKTestFor:
         assert k_test_for(89522, 3000) == 3000
         with pytest.raises(ValueError):
             k_test_for(89522, 0)
+
+
+class TestSecurityTarget:
+    """The target checks its values where it is built, with the messages a
+    configuration file's errors carry."""
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha", 0.0, "alpha must lie strictly inside (0, 1), got 0"),
+        ("alpha", math.nan, "alpha must lie strictly inside (0, 1), got nan"),
+        ("eps", -1e-3, "eps must lie strictly inside (0, 1), got -0.001"),
+        ("eps", 1.0, "eps must lie strictly inside (0, 1), got 1"),
+        ("target_psec", 5.0, "target_psec must lie strictly inside (0, 1), got 5"),
+        ("k_test", 0, "k_test must be at least 1, got 0"),
+    ])
+    def test_rejects_out_of_range(self, name, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(target_for(EpsilonBudget(eps_pe=5e-6)), **{name: value})
 
 
 GOLDEN_DATA = pathlib.Path(__file__).parent / "data"
@@ -892,24 +908,22 @@ def bound_chain_record():
             ch = config.channel(km)
             cbl = model_links(stack, ch)
             for k_test in (None, 3000):
-                args = (config.budget, config.alpha, config.eps, config.target_psec)
-                solved = min_signature_length(cbl, stack, *args, k_test=k_test)
+                target = dataclasses.replace(config.target, k_test=k_test)
+                solved = min_signature_length(cbl, stack, target)
                 caps = [
                     1000 if isinstance(L, Infeasible) else L + 2 * (i % 3 - 1)
                     for i, L in enumerate(solved)
                 ]
-                capped = min_signature_length(cbl, stack, *args, k_test=k_test,
-                                              cap=np.array(caps))
+                capped = min_signature_length(cbl, stack, target, cap=np.array(caps))
                 reports = []
                 for row, L in zip(rows, solved):
                     if isinstance(L, Infeasible):
                         continue
                     pc = PulseConfig(**{**row, "n_pulses": n_pulses})
                     for length in (L, max(2, L // 4 * 2)):
-                        reports.append(_report_or_error(
-                            model_links(pc, ch), pc, ch, config.budget, config.alpha,
-                            config.eps, length, k_test=k_test,
-                        ))
+                        reports.append(
+                            _report_or_error(model_links(pc, ch), pc, ch, target, length)
+                        )
                 record.append({
                     "config": name, "km": km, "k_test": k_test,
                     "solved": [_verdict(v) for v in solved], "caps": caps,
@@ -921,13 +935,12 @@ def bound_chain_record():
         cbl, km, n_pulses = read_counts(str(GOLDEN_DATA / table))
         pc, ch = config.pulse_config(n_pulses), config.channel(km)
         for k_test in (None, 3000):
-            [L] = min_signature_length(cbl, pc, config.budget, config.alpha, config.eps,
-                                       config.target_psec, k_test=k_test)
+            target = dataclasses.replace(config.target, k_test=k_test)
+            [L] = min_signature_length(cbl, pc, target)
             record.append({
                 "table": table, "k_test": k_test, "solved": _verdict(L),
                 "report": None if isinstance(L, Infeasible) else _report_or_error(
-                    cbl, pc, ch, config.budget, config.alpha, config.eps, L,
-                    k_test=k_test),
+                    cbl, pc, ch, target, L),
             })
     return record
 
