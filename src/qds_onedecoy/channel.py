@@ -57,9 +57,14 @@ class PulseConfig:
     n_pulses: float
 
     def __post_init__(self) -> None:
-        # written over arrays, so a stack is checked in one pass; a bad
-        # row raises what a config of that row alone would
-        x = np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
+        self._check(np.array([getattr(self, name) for name in _PULSE_FIELDS], dtype=float))
+
+    def _check(self, x: np.ndarray) -> None:
+        """Validate the fields, given stacked as ``x``.
+
+        Written over arrays, so a stack is checked in one pass; a bad row
+        raises what a config of that row alone would.
+        """
         mu, nu, p_mu, _, _, n_pulses = x
         probabilities = x[2:5]
         ok = np.concatenate([
@@ -74,8 +79,8 @@ class PulseConfig:
         if not ok.all():
             row = int(np.argmin(ok.all(axis=0)))
             values = {
-                f.name: getattr(self, f.name) if x.ndim == 1 else column.flat[row].item()
-                for f, column in zip(fields(self), x)
+                name: getattr(self, name) if x.ndim == 1 else column.flat[row].item()
+                for name, column in zip(_PULSE_FIELDS, x)
             }
             raise ValueError(_PULSE_RULES[int(np.argmin(ok[:, row]))].format(**values))
 
@@ -92,20 +97,19 @@ class PulseConfig:
         in order.  The stack is validated once, as arrays: a bad row raises
         the error a config of that row alone would.
         """
-        names = [f.name for f in fields(cls)]
         if isinstance(rows, np.ndarray):
-            columns = dict(zip(names, rows.T))
+            columns = dict(zip(_PULSE_FIELDS, rows.T))
         else:
             rows = [vars(row) if isinstance(row, PulseConfig) else row for row in rows]
-            columns = {name: [row[name] for row in rows] for name in names if name not in shared}
+            columns = {name: [row[name] for row in rows]
+                       for name in _PULSE_FIELDS if name not in shared}
+        # the fields are views of one array, which is what gets checked
+        x = np.empty((len(_PULSE_FIELDS), len(rows), 1))
         stacked = object.__new__(cls)
-        for name in names:
-            if name in shared:
-                column = np.full(len(rows), shared[name], dtype=float)
-            else:
-                column = np.array(columns[name], dtype=float)
-            object.__setattr__(stacked, name, column[:, None])
-        stacked.__post_init__()
+        for name, column in zip(_PULSE_FIELDS, x):
+            column[:, 0] = shared[name] if name in shared else columns[name]
+            object.__setattr__(stacked, name, column)
+        stacked._check(x)
         return stacked
 
     def intensity(self, name: str) -> tuple[float, float]:
@@ -125,9 +129,11 @@ class PulseConfig:
         raise ValueError(f"unknown basis {basis!r}, expected 'Z' or 'X'")
 
 
+#: The field names of ``PulseConfig``, in order.
+_PULSE_FIELDS = tuple(f.name for f in fields(PulseConfig))
 #: What each check of ``PulseConfig.__post_init__`` demands, in its order.
 _PULSE_RULES = (
-    *(f"{f.name} must be finite, got {{{f.name}}}" for f in fields(PulseConfig)),
+    *(f"{name} must be finite, got {{{name}}}" for name in _PULSE_FIELDS),
     "intensities must satisfy 0 <= nu < mu, got mu={mu}, nu={nu}",
     "signal intensity must lie in (0, 1], got {mu}",
     *(f"{name} must lie strictly inside (0, 1), got {{{name}}}"
@@ -296,8 +302,9 @@ def gain_and_error(
 
 def _cell_factors(pc: PulseConfig, ch: ChannelParams) -> tuple[np.ndarray, ...]:
     """p_int, p_tx, p_rx, gain and error rate, broadcasting to (basis, intensity, ...batch)."""
-    lam, p_int = np.array([pc.intensity(name) for name in INTENSITIES]).swapaxes(0, 1)
-    p_tx, p_rx = np.array([pc.basis_probability(b) for b in BASES]).swapaxes(0, 1)[:, :, None]
+    # each factor its own contiguous array: strided views slow every product
+    lam, p_int = map(np.array, zip(*map(pc.intensity, INTENSITIES)))
+    p_tx, p_rx = (np.array(p)[:, None] for p in zip(*map(pc.basis_probability, BASES)))
     gain, err = gain_and_error(lam, ch)
     return p_int, p_tx, p_rx, gain, err
 
@@ -309,7 +316,10 @@ def expected_statistics(pc: PulseConfig, ch: ChannelParams) -> ObservedCounts:
     """
     p_int, p_tx, p_rx, gain, err = _cell_factors(pc, ch)
     n = pc.n_pulses * ch.duty_cycle * p_int * p_tx * p_rx * gain
-    return ObservedCounts.from_cells(np.stack([n, n * err], axis=2))
+    cells = np.empty((2, 2, 2, *n.shape[2:]))
+    cells[:, :, 0] = n
+    np.multiply(n, err, out=cells[:, :, 1])
+    return ObservedCounts.from_cells(cells)
 
 
 def sample_statistics(

@@ -148,22 +148,27 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
         raise FileFormatError(
             f"--from {args.km_from:g} exceeds --to {args.km_to:g}"
         )
-    # the length np.arange gives the sweep, counted before it is allocated
-    rows = (args.km_to - args.km_from) / args.km_step
+    # half-open sweep: --from is included, --to is not; --from equal to
+    # --to yields a header-only file.  np.arange's length, counted before it
+    # is allocated, rounds up, so a float step can add a distance at --to
+    # or past it, which is dropped before the sweep is counted.
+    rows = np.ceil((args.km_to - args.km_from) / args.km_step)
+    if rows <= _MAX_SWEEP_ROWS + 1:
+        sweep = np.arange(args.km_from, args.km_to, args.km_step)
+        sweep = sweep[sweep < args.km_to]
+        rows = len(sweep)
     if not rows <= _MAX_SWEEP_ROWS:
         raise FileFormatError(
             f"--from {args.km_from:g} --to {args.km_to:g} --step {args.km_step:g} sweeps "
-            f"{np.ceil(rows):g} distances, more than {_MAX_SWEEP_ROWS}"
+            f"{rows:g} distances, more than {_MAX_SWEEP_ROWS}"
         )
     try:
         space = SearchSpace(grid_points=args.grid_points)
     except ValueError as exc:
         raise FileFormatError(f"--grid-points: {exc}") from exc
-    # half-open sweep: --from is included, --to is not; --from equal to
-    # --to yields a header-only file
     results = [
         (distance, optimize(space, config.channel(distance), config.target, config.source.n_pulses))
-        for distance in np.arange(args.km_from, args.km_to, args.km_step).tolist()
+        for distance in sweep.tolist()
     ]
     write_rate_curve(args.out or sys.stdout, results)
     return 0

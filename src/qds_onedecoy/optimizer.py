@@ -20,11 +20,9 @@ from .channel import ChannelParams, ObservedCounts, PulseConfig
 from .finite_key import _decoy
 from .protocol import model_links
 from .security import (
-    Infeasible,
     Pruned,
     SecurityReport,
     SecurityTarget,
-    _sifted_yield,
     _signing_time,
     block_report,
     longest_block_at_rate,
@@ -140,10 +138,11 @@ def evaluate(
     """
     stack = pcs if isinstance(pcs, PulseConfig) else PulseConfig.stack(pcs)
     counts_by_link = model_links(stack, ch)
-    # the links share one counts object, whose rows each solve takes
-    [cells] = {id(c): c.cells for c in counts_by_link.values()}.values()
+    # the links share one counts object, whose rows each solve takes, so
+    # its sifted yield is the slowest link's
+    [counts] = {id(c): c for c in counts_by_link.values()}.values()
     decoy = _decoy(stack)
-    y = np.ravel(_sifted_yield(counts_by_link, stack))
+    y = (counts.n_total("Z") / stack.n_pulses).ravel()
     rate = np.full(len(y), np.nan)
     length = np.zeros(len(y), dtype=np.int64)
     pruned = np.zeros(len(y), dtype=bool)
@@ -154,15 +153,17 @@ def evaluate(
             race = y[rows], ch.clock_hz
         elif incumbent is not None and incumbent > 0.0:
             cap = longest_block_at_rate(incumbent, y[rows], ch.clock_hz)
-        taken = ObservedCounts.from_cells(cells[..., rows, :])
+        taken = ObservedCounts.from_cells(counts.cells[..., rows, :])
         solved = min_signature_length(
             dict.fromkeys(counts_by_link, taken), decoy.take(rows), target, cap=cap, race=race
         )
-        # rate the feasible settings only: the others may have no yield
-        found = [i for i, L in enumerate(solved) if not isinstance(L, Infeasible)]
-        at, verdicts = rows[found], [solved[i] for i in found]
-        pruned[at] = [isinstance(v, Pruned) for v in verdicts]
-        length[at] = [v.lower if isinstance(v, Pruned) else v for v in verdicts]
+        # each verdict as one number: L, a pruned lower bound negated, or 0
+        # when infeasible; rate the feasible settings only, as the others
+        # may have no yield
+        signed = np.array([v if type(v) is int else -v.lower if type(v) is Pruned else 0
+                           for v in solved], dtype=np.int64)
+        pruned[rows], length[rows] = signed < 0, np.abs(signed)
+        at = rows[signed != 0]
         rate[at] = 1.0 / _signing_time(length[at], y[at], ch.clock_hz)
 
     rows = np.arange(len(y))
@@ -215,16 +216,17 @@ def maximize(
         mu, nu, p_mu, p_z_tx, p_z_rx = point
         return (-value, mu, nu, -p_mu, p_z_tx, p_z_rx, i)
 
-    def lattice(points: np.ndarray) -> np.ndarray:
-        points = np.clip(np.round(points, 12), lows, highs)
-        return points[points[:, 1] < points[:, 0]]
+    def lattice(points: np.ndarray) -> list[list[tuple[float, ...]]]:
+        """Each scan of ``points`` (scans, points, coordinates) on the
+        lattice, as the rows with nu < mu."""
+        on = _on_lattice(points, lows, highs).tolist()
+        return [[tuple(row) for row in scan if row[1] < row[0]] for scan in on]
 
-    def consider(points: np.ndarray, later: Callable[[], list[np.ndarray]]) -> bool:
-        """Take ``points``, and say whether the best point moved."""
+    def consider(rows: list[tuple[float, ...]], later: list[list[tuple[float, ...]]]) -> bool:
+        """Take ``rows``, and say whether the best point moved."""
         nonlocal best, best_value
-        rows = list(map(tuple, lattice(points).tolist()))
         if any(row not in values for row in rows):
-            spare = [tuple(row) for scan in later() for row in lattice(scan).tolist()]
+            spare = [row for scan in later for row in scan]
             fresh = [row for row in dict.fromkeys(rows + spare) if row not in values]
             found = objective(np.array(fresh), best_value)
             values.update(zip(fresh, np.asarray(found, dtype=float).tolist()))
@@ -252,30 +254,50 @@ def maximize(
 
     axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    consider(grid, lambda: [])
+    [rows] = lattice(grid[None])
+    consider(rows, [])
     if best is None:
         return None, -math.inf, *counts()
 
     cell = (highs - lows) / (space.grid_points - 1)
-    coords = np.arange(len(PARAM_NAMES))
-
-    def scans(round_idx: int) -> np.ndarray:
-        """The scan of each coordinate in round ``round_idx`` around the current
-        best, shape (coordinates, SCAN_POINTS, coordinates)."""
-        radius, centre = cell / 2.0**round_idx, np.array(best)
-        start, stop = np.maximum(lows, centre - radius), np.minimum(highs, centre + radius)
-        points = np.tile(centre, (len(PARAM_NAMES), SCAN_POINTS, 1))
-        points[coords, :, coords] = np.linspace(start, stop, SCAN_POINTS, axis=-1)
-        return points
-
     for round_idx in range(DESCENT_ROUNDS):
         moved = True
         for j in range(len(PARAM_NAMES)):
             if moved:
-                around = scans(round_idx)
-            moved = consider(around[j], lambda: list(around[j + 1:]))
+                around = lattice(_scans(np.array(best), cell / 2.0**round_idx, lows, highs))
+            moved = consider(around[j], around[j + 1:])
 
     return dict(zip(PARAM_NAMES, best)), best_value, *counts()
+
+
+def _on_lattice(points: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """``points`` rounded to 12 decimals and clipped to the box [lows, highs]:
+    ``np.clip(np.round(points, 12), lows, highs)``, without ``np.clip``'s
+    Python wrapper."""
+    return np.minimum(np.maximum(points.round(12), lows), highs)
+
+
+#: The sample index of each point of a scan line, and the coordinate
+#: each scan moves.
+_SCAN_STEPS = np.arange(SCAN_POINTS, dtype=float)[:, None]
+_DIAGONAL = np.eye(len(PARAM_NAMES), dtype=bool)[:, None, :]
+
+
+def _scans(
+    centre: np.ndarray, radius: np.ndarray, lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """The scan of each coordinate around ``centre``, ``SCAN_POINTS`` evenly
+    spaced values of it within ``radius`` and the box, the others held at
+    ``centre``: shape (coordinates, SCAN_POINTS, coordinates).
+
+    The values are ``np.linspace(start, stop, SCAN_POINTS, axis=-1)``'s
+    float operations, i * step + start with the last value stop (its
+    branch for a step that underflows to 0 needs subnormal bounds).
+    """
+    start, stop = np.maximum(lows, centre - radius), np.minimum(highs, centre + radius)
+    lines = _SCAN_STEPS * ((stop - start) / (SCAN_POINTS - 1)) + start
+    lines[-1] = stop
+    return np.where(_DIAGONAL, lines.T[:, :, None], centre)
 
 
 def optimize(

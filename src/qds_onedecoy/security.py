@@ -390,7 +390,9 @@ def _stack_links(counts_by_link: Mapping[str, ObservedCounts]) -> ObservedCounts
     """
     if not counts_by_link:
         raise ValueError("at least one link is required")
-    cells = np.stack(list({id(c): c.cells for c in counts_by_link.values()}.values()), axis=3)
+    links = list({id(c): c.cells for c in counts_by_link.values()}.values())
+    # one counts object (the model's links) is viewed, not copied
+    cells = links[0][:, :, :, None] if len(links) == 1 else np.stack(links, axis=3)
     return ObservedCounts.from_cells(cells.reshape(*cells.shape[:4], -1, 1))
 
 
@@ -442,7 +444,7 @@ def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: int) -> np.ndarra
     # in units of two, the candidates of each setting are 1 .. gap - 1 above lo
     gap = (hi - lo) // 2
     n = max(1, min(width, int(np.maximum.reduce(gap)) - 1))
-    taken = np.clip(gap - 1, 1, n)[:, None]
+    taken = np.minimum(np.maximum(gap - 1, 1), n)[:, None]
     j = np.minimum(np.arange(1, n + 1), taken)
     if ratio:
         # never below j: with every candidate taken that is each of them
@@ -451,9 +453,9 @@ def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: int) -> np.ndarra
         if ratio < 0:
             units = gap[:, None] - units
     else:
-        # j * gap // (taken + 1), split so that no product can overflow
-        whole, part = np.divmod(gap[:, None], taken + 1)
-        units = j * whole + j * part // (taken + 1)
+        # gap < 2**51 (pools stop at 2**52) and j <= SOLVER_LANES, so the
+        # product stays far below 2**63
+        units = j * gap[:, None] // (taken + 1)
     return lo[:, None] + 2 * np.maximum(units, 1)
 
 
@@ -519,8 +521,9 @@ def min_signature_length(
     # decoy factors, which each round indexes once for its settings
     cells = _stack_links(counts_by_link).cells
     settings, n_cells = cells.shape[4], cells[..., 0, 0].size
-    factors = np.reshape(_decoy(pc), (len(_Decoy._fields), -1)) * np.ones(settings)
-    table = np.concatenate([cells.reshape(n_cells, settings), factors])
+    table = np.empty((n_cells + len(_Decoy._fields), settings))
+    table[:n_cells] = cells.reshape(n_cells, settings)
+    table[n_cells:] = np.array(_decoy(pc)).reshape(len(_Decoy._fields), -1)
     pool = (cells[0, 0, 0] + cells[0, 1, 0]).min(axis=0)[:, 0]
     if pool.max(initial=0.0) > 2.0**52:  # the chain takes lengths as floats: keep them exact
         raise ValueError(
@@ -534,17 +537,16 @@ def min_signature_length(
         hi = np.minimum(pool, np.maximum(cut, 2))
     # settings never made active keep these
     lengths, verdicts = pool.copy(), np.full(len(pool), _INFEASIBLE)
-    rows = np.flatnonzero(pool >= 2)
+    rows = (pool >= 2).nonzero()[0]
     lo, hi = np.zeros(len(rows), dtype=np.int64), hi[rows]
 
     def feasible(L: np.ndarray) -> np.ndarray:
         # the chain does all its arithmetic on L in floats: converting once
         # changes no value and spares each operation the cast
-        L = L.astype(float)
         sub = table[:, rows]
         chain = _bound_chain(
             ObservedCounts.from_cells(sub[:n_cells].reshape(2, 2, 2, -1, len(rows), 1)),
-            _Decoy(*sub[n_cells:, :, None]), target, L,
+            _Decoy._make(sub[n_cells:, :, None]), target, L.astype(float),
         )
         return chain.certified & (chain.p_sec <= target_psec)
 
@@ -552,16 +554,17 @@ def min_signature_length(
     while len(rows):
         ratio = (1 if cap is None else -1) if first else 0
         points = _spread(lo, hi, SOLVER_LANES // len(rows), ratio)
-        # the first round also probes the longest block and hi, the cap (the
-        # pool again when there is none); a cap below 2 admits no length
-        head = [pool[rows, None], hi[:, None]] if first else []
-        ok = feasible(np.concatenate([*head, points], axis=1))
+        if first:
+            # the first round also probes the longest block and hi, the cap
+            # (the pool again when there is none); a cap below 2 admits no length
+            points = np.concatenate([pool[rows, None], hi[:, None], points], axis=1)
+        ok = feasible(points)
         if first:
             pool_ok, cap_ok = ok[:, 0], ok[:, 1] & (cut[rows] >= 2)
             verdicts[rows] = np.where(cap_ok, _SOLVED, np.where(pool_ok, _PRUNED, _INFEASIBLE))
             lengths[rows] = np.where(cap_ok, hi, np.where(pool_ok, cut[rows] + 2, pool[rows]))
-            rows, lo, hi, points = rows[cap_ok], lo[cap_ok], hi[cap_ok], points[cap_ok]
-            ok = ok[cap_ok, 2:]
+            rows, lo, hi = rows[cap_ok], lo[cap_ok], hi[cap_ok]
+            points, ok = points[cap_ok, 2:], ok[cap_ok, 2:]
             first = False
         # the first feasible point becomes hi and the point before it lo
         ends = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
@@ -573,7 +576,7 @@ def min_signature_length(
         if race is not None and going.any():
             y, clock_hz = race
             # every setting still solved holds a feasible length
-            live = np.flatnonzero(verdicts == _SOLVED)
+            live = (verdicts == _SOLVED).nonzero()[0]
             best = (1.0 / _signing_time(lengths[live], y[live], clock_hz)).max()
             beaten = going & (1.0 / _signing_time(lo + 2, y[rows], clock_hz) < best)
             verdicts[rows[beaten]], lengths[rows[beaten]] = _PRUNED, lo[beaten] + 2
@@ -640,15 +643,15 @@ def longest_block_at_rate(rate: float, y: np.ndarray, clock_hz: float) -> np.nda
         raise ValueError(f"rate must be positive, got {rate}")
 
     def reaches(L: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (L > 0) & (1.0 / _signing_time(L, y, clock_hz) >= rate)
+        return (L > 0) & (1.0 / _signing_time(L, y, clock_hz) >= rate)
 
     # the exact cut, rounded down to even, is off by a step at most; the
     # expression is monotone in L, so stepping settles it.  Lengths past
     # 2**52 exceed any pool, and floats stop resolving steps of two there.
     L = np.minimum(np.floor(clock_hz * y / (4.0 * rate)) * 2.0, 2.0**52)
-    while (up := reaches(L + 2.0) & (L < 2.0**52)).any():
-        L += 2.0 * up
-    while (down := (L > 0) & ~reaches(L)).any():
-        L -= 2.0 * down
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero yield never reaches
+        while (up := reaches(L + 2.0) & (L < 2.0**52)).any():
+            L += 2.0 * up
+        while (down := (L > 0) & ~reaches(L)).any():
+            L -= 2.0 * down
     return L.astype(np.int64)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qds_onedecoy import cli
+from qds_onedecoy import cli, optimizer
 from qds_onedecoy.cli import build_parser, main
 from qds_onedecoy.files import CONFIG_ENV_VAR, read_counts
 
@@ -292,6 +292,27 @@ class TestRateCurve:
         # 12-decimal lattice
         assert main(["rate-curve", "--config", DEVICE_CFG]) == 0
         assert_matches_curve(capsys.readouterr().out, "rate_curve_grid4.csv")
+
+    def test_float_step_sweep_stops_before_to(self, capsys):
+        # np.arange(1, 1.3, 0.1) has a fourth distance, 1.3000000000000003
+        assert main(["rate-curve", "--config", DEVICE_CFG, "--from", "1", "--to", "1.3",
+                     "--step", "0.1", "--grid-points", "2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(row["distance_km"]) for row in rows] == [1.0, 1.1, 1.2000000000000002]
+
+    @pytest.mark.parametrize("limit, to, rc", [(3, "1.3", 0), (2, "1.25", 2)])
+    def test_row_limit_counts_the_distances_swept(self, capsys, monkeypatch, limit, to, rc):
+        # to 1.3, np.arange gives four distances, of which three are swept
+        monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", limit)
+        monkeypatch.setattr(cli, "optimize", lambda *args: optimizer.OptimizeResult(
+            None, None, evaluations=0, n_feasible=0, pruned=0))
+        assert main(["rate-curve", "--config", DEVICE_CFG, "--from", "1", "--to", to,
+                     "--step", "0.1"]) == rc
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert len(out.splitlines()) == 1 + 3
+        else:
+            assert "sweeps 3 distances, more than 2" in err
 
     def test_dead_channel_rows_are_infeasible(self, capsys, tmp_path):
         # no detections at all: every setting's sifted pool is empty

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qds_onedecoy import optimizer
+from qds_onedecoy import optimizer, security
 from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
 from qds_onedecoy.files import read_config
 from qds_onedecoy.finite_key import EpsilonBudget
@@ -268,6 +268,84 @@ class TestSpeculation:
         assert found.report is not None
         # one pass is the grid, then one per coordinate scan
         assert len(calls) < 1 + DESCENT_ROUNDS * len(PARAM_NAMES)
+
+
+#: The work of one ``optimize`` at grid 3 on device.cfg, by distance: chain
+#: calls (the final report's included), ``evaluate`` calls, and the points
+#: evaluated, feasible and pruned, recorded from the search whose capped
+#: first rounds spread down from the cap and whose seed solve races
+SEARCH_WORK = {
+    0.0: (27, 13, 289, 289, 272),
+    100.0: (31, 13, 292, 291, 276),
+    200.0: (33, 14, 295, 277, 259),
+    280.0: (23, 9, 278, 171, 161),
+}
+
+
+@pytest.mark.parametrize("km", sorted(SEARCH_WORK))
+def test_search_work_is_pinned(monkeypatch, km):
+    calls = {"chain": 0, "evaluate": 0}
+
+    def counting(name, fn):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(security, "_bound_chain", counting("chain", security._bound_chain))
+    monkeypatch.setattr(optimizer, "evaluate", counting("evaluate", evaluate))
+    found = optimize(SearchSpace(grid_points=3), DEVICE.channel(km), DEVICE.target,
+                     DEVICE.source.n_pulses)
+    assert (calls["chain"], calls["evaluate"], found.evaluations, found.n_feasible,
+            found.pruned) == SEARCH_WORK[km]
+
+
+def reference_scans(centre, radius, lows, highs):
+    """The coordinate scans as built with ``np.tile`` and
+    ``np.linspace(..., axis=-1)``: the oracle of ``optimizer._scans``."""
+    start, stop = np.maximum(lows, centre - radius), np.minimum(highs, centre + radius)
+    points = np.tile(centre, (len(PARAM_NAMES), SCAN_POINTS, 1))
+    coords = np.arange(len(PARAM_NAMES))
+    points[coords, :, coords] = np.linspace(start, stop, SCAN_POINTS, axis=-1)
+    return points
+
+
+@st.composite
+def boxes_and_centres(draw):
+    """A search box, its grid cell and a centre on the 12-decimal lattice in it."""
+    edges = [sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=2, unique=True)))
+             for _ in PARAM_NAMES]
+    lows, highs = np.array(edges).T
+    cell = (highs - lows) / (draw(st.integers(2, 10)) - 1)
+    share = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)))
+    centre = np.clip(np.round(lows + share * (highs - lows), 12), lows, highs)
+    return lows, highs, cell, centre
+
+
+class TestWrittenOutIdioms:
+    """The scan lines and the lattice are written with plain ufuncs; each
+    must be bit for bit the numpy idiom it replaces."""
+
+    @given(boxes_and_centres())
+    @settings(max_examples=200, deadline=None)
+    def test_scans_match_linspace(self, drawn):
+        lows, highs, cell, centre = drawn
+        for round_idx in range(DESCENT_ROUNDS):
+            radius = cell / 2.0**round_idx
+            got = optimizer._scans(centre, radius, lows, highs)
+            assert got.tobytes() == reference_scans(centre, radius, lows, highs).tobytes()
+
+    @given(boxes_and_centres(), st.lists(st.floats(-0.5, 1.5), min_size=5, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_matches_clip(self, drawn, values):
+        lows, highs, cell, centre = drawn
+        scans = [optimizer._scans(centre, cell / 2.0**r, lows, highs) for r in range(DESCENT_ROUNDS)]
+        points = np.concatenate(
+            [scan.reshape(-1, len(PARAM_NAMES)) for scan in scans]
+            + [np.resize(np.array(values), (len(values), len(PARAM_NAMES)))]
+        )
+        want = np.clip(np.round(points, 12), lows, highs)
+        assert optimizer._on_lattice(points, lows, highs).tobytes() == want.tobytes()
 
 
 class TestSearchSpaceValidation:

@@ -383,6 +383,40 @@ class TestLockstepSolver:
             assert not certifies(cbl, pc, ch, budget, L - 2, k_test)
 
 
+def reference_spread(lo, hi, width, ratio):
+    """The solver's lane spread as written with ``np.clip`` and an even
+    spread split so that no product can overflow: the oracle
+    ``security._spread`` must match bit for bit."""
+    gap = (hi - lo) // 2
+    n = max(1, min(width, int(np.maximum.reduce(gap)) - 1))
+    taken = np.clip(gap - 1, 1, n)[:, None]
+    j = np.minimum(np.arange(1, n + 1), taken)
+    if ratio:
+        step = j if ratio > 0 else taken + 1 - j
+        units = np.maximum(np.floor(gap[:, None] ** ((step - 1) / taken)).astype(np.int64), step)
+        if ratio < 0:
+            units = gap[:, None] - units
+    else:
+        whole, part = np.divmod(gap[:, None], taken + 1)
+        units = j * whole + j * part // (taken + 1)
+    return lo[:, None] + 2 * np.maximum(units, 1)
+
+
+class TestSpread:
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**50), st.integers(1, 2**50)), min_size=1,
+                 max_size=40),
+        st.integers(1, security.SOLVER_LANES), st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_clip_form(self, brackets, width, ratio):
+        # even lo (0 for a ratio spread) and hi = lo + 2 * gap, below 2**52
+        lo = np.array([0 if ratio else 2 * a for a, _ in brackets], dtype=np.int64)
+        hi = lo + 2 * np.array([gap for _, gap in brackets], dtype=np.int64)
+        got, want = security._spread(lo, hi, width, ratio), reference_spread(lo, hi, width, ratio)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 #: (settings, lengths, sum of lengths) of every chain call one uncapped
 #: solve of ``uncapped_batch`` makes, for k_test None and 3000, recorded
 #: from the solver whose rounds spread their lengths between the last
