@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BASES, ObservedCounts, PulseConfig
+from .channel import ObservedCounts, PulseConfig
 from .stat_math import gamma_correction, hoeffding_delta, serfling_error_upper
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "EstimationError",
     "scaled_count_bounds",
     "vacuum_upper",
-    "single_photon_lower",
-    "single_photon_error_upper",
     "phase_error_upper",
     "observed_error_upper",
     "estimate_counts",
@@ -201,6 +199,10 @@ def _cell_bounds(
     One Hoeffding deviation serves each (basis, n/m) total; with it each
     cell is bounded as ``scaled_count_bounds`` bounds it (decoy cells from
     below, signal cells from above) and each basis as ``vacuum_upper``.
+    The single-photon bound is clamped to [0, basis total], and a
+    non-positive bracket certifies nothing (0).  The error bound,
+    tau_1 / (mu - nu) * (m_mu_upper - m_nu_lower), is clamped to
+    [0, normalised X error total].
     """
     cells = counts.cells
     totals = cells[:, 0] + cells[:, 1]
@@ -215,38 +217,6 @@ def _cell_bounds(
     v1 = d.v1_factor * (signal_upper[1, 1] - decoy_lower[1, 1])
     ceiling = d.mu_scale * cells[1, 0, 1] + d.nu_scale * cells[1, 1, 1]
     return s1, s0, np.minimum(np.maximum(0.0, v1), ceiling)
-
-
-def single_photon_lower(
-    counts: ObservedCounts,
-    basis: str | tuple[str, ...],
-    pc: PulseConfig | _Decoy,
-    budget: EpsilonBudget,
-) -> float | np.ndarray:
-    """Lower bound on single-photon detections in ``basis`` (or in both, for ``BASES``).
-
-    Two-intensity decoy bound: the decoy count pins the low-photon-number
-    yields, the signal count and the vacuum bound remove the multiphoton
-    and background contributions.  Clamped to [0, basis total]; a
-    non-positive bracket means the statistics cannot certify any
-    single-photon events, and 0 is returned (``estimate_counts`` flags
-    the estimates as ``vacuous``).
-    """
-    s1, _, _ = _cell_bounds(counts, _decoy(pc), budget.eps_pe)
-    return s1 if basis == BASES else s1[BASES.index(basis)]
-
-
-def single_photon_error_upper(
-    counts: ObservedCounts, pc: PulseConfig | _Decoy, budget: EpsilonBudget
-) -> float | np.ndarray:
-    """Upper bound on errors among single-photon detections in the X basis.
-
-    v_1 <= tau_1 / (mu - nu) * (m_mu_upper - m_nu_lower), with the
-    intensity-normalised error bounds sharing one deviation on the total
-    X error count.  Clamped below by 0 and above by the normalised total
-    error count.
-    """
-    return _cell_bounds(counts, _decoy(pc), budget.eps_pe)[2]
 
 
 def phase_error_upper(

@@ -124,71 +124,14 @@ def rng_stream(seed: int, *labels: str) -> np.random.Generator:
 
 
 def _digest(payload: object) -> str:
-    """First 16 hex digits of SHA-256 over the payload's canonical JSON."""
-    return hashlib.sha256(_canonical(payload)).hexdigest()[:16]
+    """First 16 hex digits of SHA-256 over the payload's sorted-key JSON,
+    with every array written in full as the list it holds."""
+    text = json.dumps(payload, sort_keys=True, default=_listed)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _canonical(value: object) -> bytes:
-    """``json.dumps(value, sort_keys=True, default=str).encode()``, with
-    each integer array written as the list it holds without building it.
-
-    Dicts (str keys only) are walked so that nested arrays are found; an
-    array of any other dtype or shape raises TypeError rather than
-    digesting numpy's truncated repr.
-    """
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("canonical payload keys must be str")
-        return b"{" + b", ".join(
-            json.dumps(key).encode() + b": " + _canonical(value[key]) for key in sorted(value)
-        ) + b"}"
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind not in "iu" or value.ndim != 1:
-            raise TypeError(
-                f"only 1-D integer arrays have a canonical encoding, got "
-                f"{value.ndim}-D {value.dtype}"
-            )
-        return _int_list(value)
-    return json.dumps(value, sort_keys=True, default=str).encode()
-
-
-def _int_list(a: np.ndarray) -> bytes:
-    """A 1-D integer array as the JSON list ``json.dumps(a.tolist())`` writes.
-
-    Each value gets one uint8 row: an optional sign, its decimal digits
-    left-padded with zeros to the widest value, and the ", " separator;
-    the padding, unused signs and the last separator are then masked off.
-    """
-    n = len(a)
-    if n == 0:
-        return b"[]"
-    signed = a.dtype.kind == "i" and bool((a < 0).any())
-    # int64 wraps |min| to min, which as uint64 is the magnitude again
-    mag = np.abs(a.astype(np.int64)).astype(np.uint64) if signed else a
-    top = int(mag.max())
-    width = len(str(top))
-    mag = mag.astype(np.uint32 if top < 2**32 else np.uint64)
-    lead = int(signed)
-    row = np.empty((n, lead + width + 2), dtype=np.uint8)
-    if signed:
-        row[:, 0] = ord("-")
-    row[:, -2] = ord(",")
-    row[:, -1] = ord(" ")
-    q, ten = mag, mag.dtype.type(10)
-    for col in range(lead + width - 1, lead, -1):
-        quot = q // ten
-        row[:, col] = q - quot * ten + ord("0")
-        q = quot
-    row[:, lead] = q + ord("0")
-    if not signed and (width == 1 or int(mag.min()) >= 10 ** (width - 1)):
-        return b"[" + row.tobytes()[:-2] + b"]"  # every value is full width
-    keep = np.ones(row.shape, dtype=bool)
-    if signed:
-        keep[:, 0] = a < 0
-    for col in range(width - 1):
-        keep[:, lead + col] = mag >= 10 ** (width - 1 - col)
-    keep[-1, -2:] = False
-    return b"[" + row[keep].tobytes() + b"]"
+def _listed(value: object) -> object:
+    return value.tolist() if isinstance(value, np.ndarray) else str(value)
 
 
 def run_kgp(

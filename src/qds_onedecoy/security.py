@@ -417,6 +417,11 @@ def block_report(
             raise Infeasible(
                 f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
             )
+        if target.k_test is not None and target.k_test > pool:
+            raise Infeasible(
+                f"link {link!r}: test sample of {target.k_test} bits exceeds the "
+                f"sifted pool {pool:.0f}"
+            )
     view = _bound_chain(_stack_links(counts_by_link), pc, target, np.array([[L]])).item()
     if not view.pop("certified"):
         raise Infeasible(
@@ -530,6 +535,8 @@ def min_signature_length(
             f"sifted Z pool of {pool.max():.17g} bits exceeds 2**52, the longest "
             f"block length the solver resolves"
         )
+    # a test sample larger than the pool rules out every length
+    sampled = pool >= (target.k_test or 0)
     pool = pool.astype(np.int64) // 2 * 2
     cut = hi = pool
     if cap is not None:
@@ -537,7 +544,7 @@ def min_signature_length(
         hi = np.minimum(pool, np.maximum(cut, 2))
     # settings never made active keep these
     lengths, verdicts = pool.copy(), np.full(len(pool), _INFEASIBLE)
-    rows = (pool >= 2).nonzero()[0]
+    rows = ((pool >= 2) & sampled).nonzero()[0]
     lo, hi = np.zeros(len(rows), dtype=np.int64), hi[rows]
 
     def feasible(L: np.ndarray) -> np.ndarray:
@@ -585,9 +592,11 @@ def min_signature_length(
     return [
         L if verdict == _SOLVED else Pruned(L) if verdict == _PRUNED
         else Infeasible("sifted pool is empty") if L < 2
+        else Infeasible(f"test sample of {target.k_test} bits exceeds the sifted "
+                        f"pool size {L}") if not fits
         else Infeasible(f"no block length up to the pool size {L} reaches the "
                         f"target {target_psec:.3g}")
-        for L, verdict in zip(lengths.tolist(), verdicts.tolist())
+        for L, verdict, fits in zip(lengths.tolist(), verdicts.tolist(), sampled.tolist())
     ]
 
 

@@ -144,6 +144,17 @@ class TestEstimate:
         assert rc == 3
         assert "no block length up to the pool size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["estimate", "--counts", MODEL_103],
+                                         ["simulate", "--distance", "103"]],
+                             ids=["estimate", "simulate"])
+    def test_test_sample_past_the_pool_is_exit_3(self, capsys, tmp_path, command):
+        # the 103 km pool holds 3.9e9 sifted bits, far fewer than the sample
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pathlib.Path(DEVICE_CFG).read_text() + f"k_test = {10**15}\n")
+        rc = main([command[0], "--config", str(cfg), *command[1:]])
+        assert rc == 3
+        assert f"test sample of {10**15} bits exceeds the sifted pool" in capsys.readouterr().err
+
     def test_target_below_floor_is_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -356,6 +367,15 @@ class TestRateCurve:
                          "--grid-points", "2"]) == 0
             rows += csv.DictReader(io.StringIO(capsys.readouterr().out))
         assert [row["L"] for row in rows] == ["10590", "8216"]
+
+    def test_test_sample_past_the_pool_rows_are_infeasible(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pathlib.Path(DEVICE_CFG).read_text() + f"k_test = {10**15}\n")
+        rc = main(["rate-curve", "--config", str(cfg), "--from", "100", "--to", "101",
+                   "--grid-points", "2"])
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(row["L"], row["feasible"]) for row in rows] == [("0", "false")]
 
     def test_bad_range_is_exit_2(self, capsys):
         rc = main(["rate-curve", "--config", DESK_CFG, "--from", "50",

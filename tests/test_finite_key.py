@@ -23,8 +23,6 @@ from qds_onedecoy.finite_key import (
     observed_error_upper,
     phase_error_upper,
     scaled_count_bounds,
-    single_photon_error_upper,
-    single_photon_lower,
     vacuum_upper,
 )
 from strategies import settings_in_space
@@ -134,7 +132,7 @@ class TestSinglePhotonLower:
         assert counts.n("Z", "mu") == pytest.approx(3491264.565, abs=1.0)
         assert counts.n("Z", "nu") == pytest.approx(749063.2808, abs=1.0)
         budget = EpsilonBudget(eps_pe=1.0)
-        s1 = single_photon_lower(counts, "Z", pc, budget)
+        s1 = estimate_counts(counts, pc, budget).s_z1_lower
         assert s1 == pytest.approx(2491043.124, rel=1e-8)
         true_s1 = (
             pc.n_pulses
@@ -148,7 +146,7 @@ class TestSinglePhotonLower:
         for mu, nu in [(0.4, 0.1), (0.6, 0.2), (0.8, 0.3)]:
             pc = make_pc(mu=mu, nu=nu)
             counts = self.expected_noise_free_counts(pc, eta=0.02)
-            s1 = single_photon_lower(counts, "Z", pc, EpsilonBudget(eps_pe=1.0))
+            s1 = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1.0)).s_z1_lower
             true_s1 = (
                 pc.n_pulses
                 * (pc.p_mu * mu * math.exp(-mu) + (1 - pc.p_mu) * nu * math.exp(-nu))
@@ -160,8 +158,8 @@ class TestSinglePhotonLower:
     def test_fluctuations_only_lower_the_bound(self):
         pc = make_pc()
         counts = self.expected_noise_free_counts(pc, eta=0.01)
-        point = single_photon_lower(counts, "Z", pc, EpsilonBudget(eps_pe=1.0))
-        bounded = single_photon_lower(counts, "Z", pc, EpsilonBudget(eps_pe=1e-5))
+        point = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1.0)).s_z1_lower
+        bounded = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1e-5)).s_z1_lower
         assert bounded < point
 
     def test_vacuous_statistics_return_zero_and_flag(self):
@@ -169,26 +167,27 @@ class TestSinglePhotonLower:
         counts = make_counts(n_z_mu=50, m_z_mu=5, n_z_nu=3, m_z_nu=1,
                              n_x_mu=1e6, m_x_mu=1e3, n_x_nu=5e5, m_x_nu=500)
         budget = EpsilonBudget(eps_pe=1e-5)
-        assert single_photon_lower(counts, "Z", pc, budget) == 0.0
-        assert single_photon_lower(counts, "X", pc, budget) > 0.0
-        assert estimate_counts(counts, pc, budget).vacuous
+        est = estimate_counts(counts, pc, budget)
+        assert est.s_z1_lower == 0.0
+        assert est.s_x1_lower > 0.0
+        assert est.vacuous
 
     def test_empty_basis_returns_zero(self):
         pc = make_pc()
-        assert single_photon_lower(make_counts(), "Z", pc, EpsilonBudget(eps_pe=0.5)) == 0.0
+        assert estimate_counts(make_counts(), pc, EpsilonBudget(eps_pe=0.5)).s_z1_lower == 0.0
 
     def test_requires_real_decoy(self):
         pc = make_pc(nu=0.0)
         counts = make_counts(n_z_mu=100.0)
         with pytest.raises(EstimationError):
-            single_photon_lower(counts, "Z", pc, EpsilonBudget(eps_pe=0.5))
+            estimate_counts(counts, pc, EpsilonBudget(eps_pe=0.5))
 
 
 class TestSinglePhotonErrorUpper:
     def test_point_estimate(self):
         pc = make_pc()
         counts = make_counts(n_x_mu=1e5, m_x_mu=500.0, n_x_nu=2e4, m_x_nu=100.0)
-        v1 = single_photon_error_upper(counts, pc, EpsilonBudget(eps_pe=1.0))
+        v1 = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1.0)).v_x1_upper
         t1 = tau_n(1, pc)
         manual = t1 / (pc.mu - pc.nu) * (
             math.exp(pc.mu) / pc.p_mu * 500.0
@@ -199,14 +198,14 @@ class TestSinglePhotonErrorUpper:
     def test_clamped_to_normalised_total(self):
         pc = make_pc()
         counts = make_counts(n_x_mu=1e3, m_x_mu=3.0, n_x_nu=1e3, m_x_nu=0.0)
-        v1 = single_photon_error_upper(counts, pc, EpsilonBudget(eps_pe=1e-10))
+        v1 = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1e-10)).v_x1_upper
         ceiling = math.exp(pc.mu) / pc.p_mu * 3.0
         assert v1 <= ceiling + 1e-9
 
     def test_never_negative(self):
         pc = make_pc()
         counts = make_counts(n_x_mu=1e4, m_x_mu=0.0, n_x_nu=1e4, m_x_nu=50.0)
-        assert single_photon_error_upper(counts, pc, EpsilonBudget(eps_pe=1.0)) == 0.0
+        assert estimate_counts(counts, pc, EpsilonBudget(eps_pe=1.0)).v_x1_upper == 0.0
 
 
 class TestPhaseErrorUpper:
@@ -345,10 +344,10 @@ def reference_error_upper(counts, pc, eps):
 
 
 def composed_estimates(counts, pc, budget):
-    """``estimate_counts`` spelled with the public helpers."""
+    """``estimate_counts`` spelled with the cell-by-cell bounds."""
     eps = budget.eps_pe
-    s_z1, s_x1 = single_photon_lower(counts, BASES, pc, budget)
-    v_x1 = single_photon_error_upper(counts, pc, budget)
+    s_z1, s_x1 = (reference_single_photon_lower(counts, basis, pc, eps) for basis in BASES)
+    v_x1 = reference_error_upper(counts, pc, eps)
     certified = (s_x1 > 0.0) & (s_z1 > 0.0)
     phi = np.where(certified, phase_error_upper(np.where(certified, s_x1, 1.0), v_x1,
                                                 np.where(certified, s_z1, 1.0), eps), 0.5)
@@ -371,8 +370,8 @@ def count_rows(draw):
 
 
 class TestOnePassEstimator:
-    """``estimate_counts`` against the public helpers it is a composition
-    of, and those against the cell-by-cell bounds, with ``==``."""
+    """``estimate_counts`` against the cell-by-cell bounds and the public
+    helpers it is a composition of, with ``==``."""
 
     def check(self, rows, pc, budget):
         # each row as one setting of a batch, as the solver stacks them
@@ -380,11 +379,6 @@ class TestOnePassEstimator:
         est = estimate_counts(counts, pc, budget)
         for field, expected in zip(fields(est), composed_estimates(counts, pc, budget)):
             assert np.array_equal(getattr(est, field.name), expected), field.name
-        for basis in BASES:
-            assert np.array_equal(single_photon_lower(counts, basis, pc, budget),
-                                  reference_single_photon_lower(counts, basis, pc, budget.eps_pe))
-        assert np.array_equal(single_photon_error_upper(counts, pc, budget),
-                              reference_error_upper(counts, pc, budget.eps_pe))
         for row, r in enumerate(rows):
             alone = estimate_counts(r, pc, budget)
             for field in fields(est):

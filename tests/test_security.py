@@ -314,6 +314,22 @@ class TestMinSignatureLength:
         assert certifies(cbl, pc, ch, budget, L, k_test)
         assert not certifies(cbl, pc, ch, budget, L - 2, k_test)
 
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_test_sample_past_the_pool_agrees_with_block_report(self, above):
+        # a test sample the pool holds is solved as usual; one bit more rules
+        # out every length, in the solver and in the report alike
+        pc, ch, cbl, budget = paper_scale_setup()
+        k_test = math.floor(min(c.n_total("Z") for c in cbl.values())) + above
+        L = solve_one(cbl, pc, budget, k_test=k_test)
+        verdict, _ = reference_bisection(cbl, pc, ch, budget, k_test)
+        if not above:
+            assert L == verdict
+            return
+        assert verdict is Infeasible
+        assert isinstance(L, Infeasible) and f"test sample of {k_test} bits" in str(L)
+        with pytest.raises(Infeasible, match=f"test sample of {k_test} bits"):
+            block_report(cbl, pc, ch, target_for(budget, k_test), 2)
+
     def test_unreachable_target_is_infeasible(self):
         pc, ch, cbl, budget = paper_scale_setup(distance_km=500.0)
         result = solve_one(cbl, pc, budget)
