@@ -79,9 +79,11 @@ def _report(target, counts_by_link, pc, ch, L: int | None = None):
     Solving and reporting share the target, test-sample size included.
     """
     if L is None:
-        [L] = min_signature_length(counts_by_link, pc, target)
-        if isinstance(L, Infeasible):
-            raise L
+        solved = min_signature_length(counts_by_link, pc, target)
+        error = solved.error(0, target)
+        if error is not None:
+            raise error
+        L = int(solved.L[0])
     return block_report(counts_by_link, pc, ch, target, L)
 
 

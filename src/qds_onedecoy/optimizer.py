@@ -20,9 +20,9 @@ from .channel import ChannelParams, ObservedCounts, PulseConfig
 from .finite_key import _decoy
 from .protocol import model_links
 from .security import (
-    Pruned,
     SecurityReport,
     SecurityTarget,
+    Verdicts,
     _signing_time,
     block_report,
     longest_block_at_rate,
@@ -84,7 +84,13 @@ class OptimizeResult:
     """The best settings and the full report at their smallest feasible
     L (both None when no setting is feasible), the settings evaluated, how
     many of them are feasible, and how many of those were pruned against
-    an incumbent."""
+    an incumbent.
+
+    ``pruned`` depends on the incumbent each setting was evaluated
+    against: one that ``maximize`` evaluates ahead, against a lower
+    incumbent, may get an exact rate where a search of one scan at a time
+    would prune it.  ``evaluations`` and ``n_feasible`` do not.
+    """
 
     params: PulseConfig | None
     report: SecurityReport | None
@@ -153,17 +159,17 @@ def evaluate(
             race = y[rows], ch.clock_hz
         elif incumbent is not None and incumbent > 0.0:
             cap = longest_block_at_rate(incumbent, y[rows], ch.clock_hz)
-        taken = ObservedCounts.from_cells(counts.cells[..., rows, :])
-        solved = min_signature_length(
-            dict.fromkeys(counts_by_link, taken), decoy.take(rows), target, cap=cap, race=race
+        # a solve of every row takes the batch's counts and factors as they are
+        every = len(rows) == len(y)
+        taken = counts if every else ObservedCounts.from_cells(counts.cells[..., rows, :])
+        L, code = min_signature_length(
+            dict.fromkeys(counts_by_link, taken), decoy if every else decoy.take(rows), target,
+            cap=cap, race=race,
         )
-        # each verdict as one number: L, a pruned lower bound negated, or 0
-        # when infeasible; rate the feasible settings only, as the others
-        # may have no yield
-        signed = np.array([v if type(v) is int else -v.lower if type(v) is Pruned else 0
-                           for v in solved], dtype=np.int64)
-        pruned[rows], length[rows] = signed < 0, np.abs(signed)
-        at = rows[signed != 0]
+        # rate the settings with a length only, as the others may have no yield
+        found = code <= Verdicts.PRUNED
+        pruned[rows], length[rows] = code == Verdicts.PRUNED, np.where(found, L, 0)
+        at = rows[found]
         rate[at] = 1.0 / _signing_time(length[at], y[at], ch.clock_hz)
 
     rows = np.arange(len(y))
@@ -190,20 +196,30 @@ def maximize(
     infeasible.  For a point that cannot reach the incumbent it may return
     -inf instead of its value, and so in the grid call, whose points are
     all taken, for one strictly below the best of the call; such a point
-    counts as feasible and pruned.  Every point is rounded to 12 decimals and clipped to the box,
-    so that points a rounding error apart are one point, and only points
-    with nu < mu are kept.  The objective is called once for the grid,
-    then once for each coordinate scan that has points not yet evaluated,
-    with those and the unevaluated points of the round's later scans,
-    built around the current best: a later scan whose points were all
+    counts as feasible and pruned.  Every point is rounded to 12 decimals
+    and clipped to the box, so that points a rounding error apart are one
+    point, and only points with nu < mu are kept.
+
+    The objective is called once for the grid, then once for each
+    coordinate scan that has points not yet evaluated.  That call also
+    takes the unevaluated points of the round's later scans, built around
+    the current best, and, for every unevaluated point of this scan and
+    of those, its branch scan: the next coordinate's scan built around
+    that point at the same radius.  Whichever point wins a scan, the scan
+    after it is then already evaluated, and a scan whose points were all
     evaluated so costs no call.  A point evaluated ahead is one that a
-    one-scan-per-call search would evaluate later, against an incumbent
-    at least as high, so its value (or -inf) decides the same.  Points
-    are counted when taken, in the order of a one-point-at-a-time search,
-    not when evaluated.  Returns (best params or None, best value,
-    evaluations, feasible count, pruned count).  The best-so-far point is
-    never abandoned, so refining can only improve the result.  Ties prefer
-    smaller mu, then smaller nu, then larger p_mu.
+    one-scan-per-call search would evaluate later, if at all, against an
+    incumbent at least as high, so its value (or -inf) decides the same:
+    the best point, its value, the evaluations and the feasible count do
+    not depend on what is evaluated ahead.  The pruned count does, as the
+    incumbent each point is evaluated against decides whether it comes
+    back pruned.  Points are counted when taken, in the order of a
+    one-point-at-a-time search, not when evaluated.
+
+    Returns (best params or None, best value, evaluations, feasible count,
+    pruned count).  The best-so-far point is never abandoned, so refining
+    can only improve the result.  Ties prefer smaller mu, then smaller nu,
+    then larger p_mu.
     """
     lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
     # the value of each point evaluated, and the points taken so far
@@ -222,14 +238,28 @@ def maximize(
         on = _on_lattice(points, lows, highs).tolist()
         return [[tuple(row) for row in scan if row[1] < row[0]] for scan in on]
 
-    def consider(rows: list[tuple[float, ...]], later: list[list[tuple[float, ...]]]) -> bool:
-        """Take ``rows``, and say whether the best point moved."""
-        nonlocal best, best_value
-        if any(row not in values for row in rows):
-            spare = [row for scan in later for row in scan]
-            fresh = [row for row in dict.fromkeys(rows + spare) if row not in values]
+    def fetch(rows: list[tuple[float, ...]]) -> None:
+        """Evaluate the points of ``rows`` not yet evaluated, in one call."""
+        fresh = [row for row in dict.fromkeys(rows) if row not in values]
+        if fresh:
             found = objective(np.array(fresh), best_value)
             values.update(zip(fresh, np.asarray(found, dtype=float).tolist()))
+
+    def ahead(j: int, around: list[list[tuple[float, ...]]], radius: np.ndarray) -> None:
+        """Evaluate the scans of coordinates j on of ``around`` and the
+        branch scan of each of their unevaluated points."""
+        fresh = {row: k for k in range(j, len(around)) for row in around[k] if row not in values}
+        centres = [(row, k + 1) for row, k in fresh.items() if k + 1 < len(around)]
+        branches = []
+        if centres:
+            rows, nexts = zip(*centres)
+            scans = _scans(np.array(rows), radius, lows, highs)
+            branches = lattice(scans[np.arange(len(rows)), nexts])
+        fetch([*fresh, *(row for scan in branches for row in scan)])
+
+    def consider(rows: list[tuple[float, ...]]) -> bool:
+        """Take ``rows``, and say whether the best point moved."""
+        nonlocal best, best_value
         taken.update(rows)
         # the points are taken in order, as if evaluated one at a time: the
         # best of them and the incumbent (first, so it wins a full tie) by
@@ -255,17 +285,21 @@ def maximize(
     axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     [rows] = lattice(grid[None])
-    consider(rows, [])
+    fetch(rows)
+    consider(rows)
     if best is None:
         return None, -math.inf, *counts()
 
     cell = (highs - lows) / (space.grid_points - 1)
     for round_idx in range(DESCENT_ROUNDS):
+        radius = cell / 2.0**round_idx
         moved = True
         for j in range(len(PARAM_NAMES)):
             if moved:
-                around = lattice(_scans(np.array(best), cell / 2.0**round_idx, lows, highs))
-            moved = consider(around[j], around[j + 1:])
+                around = lattice(_scans(np.array(best), radius, lows, highs))
+            if any(row not in values for row in around[j]):
+                ahead(j, around, radius)
+            moved = consider(around[j])
 
     return dict(zip(PARAM_NAMES, best)), best_value, *counts()
 
@@ -288,16 +322,18 @@ def _scans(
 ) -> np.ndarray:
     """The scan of each coordinate around ``centre``, ``SCAN_POINTS`` evenly
     spaced values of it within ``radius`` and the box, the others held at
-    ``centre``: shape (coordinates, SCAN_POINTS, coordinates).
+    ``centre``: shape (coordinates, SCAN_POINTS, coordinates), after the
+    leading axes of a batch of centres.
 
     The values are ``np.linspace(start, stop, SCAN_POINTS, axis=-1)``'s
     float operations, i * step + start with the last value stop (its
-    branch for a step that underflows to 0 needs subnormal bounds).
+    branch for a step that underflows to 0 needs subnormal bounds), so
+    every centre of a batch gets the scans it gets alone.
     """
     start, stop = np.maximum(lows, centre - radius), np.minimum(highs, centre + radius)
-    lines = _SCAN_STEPS * ((stop - start) / (SCAN_POINTS - 1)) + start
-    lines[-1] = stop
-    return np.where(_DIAGONAL, lines.T[:, :, None], centre)
+    lines = _SCAN_STEPS * ((stop - start) / (SCAN_POINTS - 1))[..., None, :] + start[..., None, :]
+    lines[..., -1, :] = stop
+    return np.where(_DIAGONAL, np.swapaxes(lines, -1, -2)[..., None], centre[..., None, None, :])
 
 
 def optimize(
@@ -317,7 +353,9 @@ def optimize(
     def objective(points: np.ndarray, incumbent: float) -> np.ndarray:
         stack = PulseConfig.stack(points, n_pulses=n_pulses)
         rate, L, pruned = evaluate(stack, ch, target, incumbent)
-        lengths.update(zip(map(tuple, points.tolist()), L.tolist()))
+        # the winner has an exact rate: keep L for those points only
+        exact = ~pruned & ~np.isnan(rate)
+        lengths.update(zip(map(tuple, points[exact].tolist()), L[exact].tolist()))
         return np.where(pruned, -math.inf, rate)
 
     best, _, evaluations, n_feasible, pruned = maximize(space, objective)

@@ -31,7 +31,7 @@ __all__ = [
     "SecurityTarget",
     "Infeasible",
     "InfeasibleTarget",
-    "Pruned",
+    "Verdicts",
     "Thresholds",
     "SecurityReport",
     "solve_p_e",
@@ -89,13 +89,37 @@ class InfeasibleTarget(Infeasible):
     """The target failure probability is below the structural floor."""
 
 
-class Pruned(NamedTuple):
-    """Verdict of a capped or racing solve: the setting is feasible at its
-    pool and its smallest feasible L is at least ``lower``, either because
-    it is infeasible at its cap (``lower`` is cap + 2) or because it raced
-    out, infeasible at ``lower`` - 2 and too slow at ``lower`` to win."""
+class Verdicts(NamedTuple):
+    """The verdicts of ``min_signature_length``, arrays with one entry per
+    setting: a block length ``L`` and a verdict code.
 
-    lower: int
+    ``SOLVED``: L is the smallest feasible length.  ``PRUNED``: the
+    setting is feasible at its pool and its smallest feasible L is at
+    least ``L``, either because it is infeasible at its cap (``L`` is cap
+    + 2) or because it raced out, infeasible at L - 2 and too slow at L
+    to win.  The other three codes are the causes of infeasibility, with
+    ``L`` the setting's even Z pool; ``error`` rebuilds the ``Infeasible``
+    error that says which.
+    """
+
+    L: np.ndarray
+    code: np.ndarray
+
+    SOLVED, PRUNED, EMPTY_POOL, SAMPLE_PAST_POOL, UNREACHED = range(5)
+
+    def error(self, i: int, target: SecurityTarget) -> Infeasible | None:
+        """The ``Infeasible`` error of setting ``i`` under ``target``, the
+        one its solve used; None when the setting has an L."""
+        code, L = int(self.code[i]), int(self.L[i])
+        if code == self.EMPTY_POOL:
+            return Infeasible("sifted pool is empty")
+        if code == self.SAMPLE_PAST_POOL:
+            return Infeasible(f"test sample of {target.k_test} bits exceeds the sifted "
+                              f"pool size {L}")
+        if code == self.UNREACHED:
+            return Infeasible(f"no block length up to the pool size {L} reaches the "
+                              f"target {target.target_psec:.3g}")
+        return None
 
 
 def k_test_for(L: int | np.ndarray, k_test: int | None = None) -> int | np.ndarray:
@@ -464,25 +488,21 @@ def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: int) -> np.ndarra
     return lo[:, None] + 2 * np.maximum(units, 1)
 
 
-#: Verdicts of ``min_signature_length`` while it solves: the smallest
-#: feasible L, a ``Pruned`` lower bound, or infeasible (L is then the pool).
-_SOLVED, _PRUNED, _INFEASIBLE = range(3)
-
-
 def min_signature_length(
     counts_by_link: Mapping[str, ObservedCounts],
     pc: PulseConfig | _Decoy,
     target: SecurityTarget,
     cap: np.ndarray | None = None,
     race: tuple[np.ndarray, float] | None = None,
-) -> list[int | Infeasible | Pruned]:
+) -> Verdicts:
     """Smallest even block length meeting ``target.target_psec``, for every setting.
 
     ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
     each link's counts carry, or its ``finite_key._decoy`` factors.  The
-    result has one entry per setting: the solved L, or the ``Infeasible``
-    error saying why there is none; it is returned, not raised, so one
-    hopeless setting does not stop the batch.  A length is feasible when
+    ``Verdicts`` have one entry per setting: the solved L, or the cause
+    of infeasibility, which ``Verdicts.error`` turns into the
+    ``Infeasible`` error; it is returned, not raised, so one hopeless
+    setting does not stop the batch.  A length is feasible when
     ``block_report`` certifies it under the same ``target``, test-sample
     rule included, with p_sec <= target.target_psec.
 
@@ -503,8 +523,8 @@ def min_signature_length(
     ``cap``, one length per setting, bounds the search for callers that
     only need L when it is at most the cap.  The first round also probes
     each setting's cap (its even floor, within the pool), and a setting
-    feasible at its pool but not at its cap gets the verdict
-    ``Pruned(cap + 2)`` there, which is not an ``Infeasible``.  The others
+    feasible at its pool but not at its cap is pruned there, with L
+    cap + 2, which is not an infeasible verdict.  The others
     search with hi at the cap and, by monotone feasibility, end on the L an
     uncapped solve would.
 
@@ -513,7 +533,7 @@ def min_signature_length(
     ``signature_time_and_rate`` rates with.  After each round a setting
     still searching whose rate at lo + 2, the most it can reach, is
     strictly below the best rate a setting has proven (its rate at hi,
-    where it is feasible) gets the verdict ``Pruned(lo + 2)``.  A setting
+    where it is feasible) is pruned, with L lo + 2.  A setting
     that ties or beats the best rate of the batch is never pruned.
     """
     target_psec = target.target_psec
@@ -538,12 +558,14 @@ def min_signature_length(
     # a test sample larger than the pool rules out every length
     sampled = pool >= (target.k_test or 0)
     pool = pool.astype(np.int64) // 2 * 2
+    # settings never made active keep these
+    lengths = pool.copy()
+    codes = np.where(pool < 2, Verdicts.EMPTY_POOL,
+                        np.where(sampled, Verdicts.UNREACHED, Verdicts.SAMPLE_PAST_POOL))
     cut = hi = pool
     if cap is not None:
         cut = np.maximum(np.asarray(cap, dtype=np.int64) // 2 * 2, 0)
         hi = np.minimum(pool, np.maximum(cut, 2))
-    # settings never made active keep these
-    lengths, verdicts = pool.copy(), np.full(len(pool), _INFEASIBLE)
     rows = ((pool >= 2) & sampled).nonzero()[0]
     lo, hi = np.zeros(len(rows), dtype=np.int64), hi[rows]
 
@@ -568,7 +590,9 @@ def min_signature_length(
         ok = feasible(points)
         if first:
             pool_ok, cap_ok = ok[:, 0], ok[:, 1] & (cut[rows] >= 2)
-            verdicts[rows] = np.where(cap_ok, _SOLVED, np.where(pool_ok, _PRUNED, _INFEASIBLE))
+            codes[rows] = np.where(
+                cap_ok, Verdicts.SOLVED, np.where(pool_ok, Verdicts.PRUNED, Verdicts.UNREACHED)
+            )
             lengths[rows] = np.where(cap_ok, hi, np.where(pool_ok, cut[rows] + 2, pool[rows]))
             rows, lo, hi = rows[cap_ok], lo[cap_ok], hi[cap_ok]
             points, ok = points[cap_ok, 2:], ok[cap_ok, 2:]
@@ -583,21 +607,13 @@ def min_signature_length(
         if race is not None and going.any():
             y, clock_hz = race
             # every setting still solved holds a feasible length
-            live = (verdicts == _SOLVED).nonzero()[0]
+            live = (codes == Verdicts.SOLVED).nonzero()[0]
             best = (1.0 / _signing_time(lengths[live], y[live], clock_hz)).max()
             beaten = going & (1.0 / _signing_time(lo + 2, y[rows], clock_hz) < best)
-            verdicts[rows[beaten]], lengths[rows[beaten]] = _PRUNED, lo[beaten] + 2
+            codes[rows[beaten]], lengths[rows[beaten]] = Verdicts.PRUNED, lo[beaten] + 2
             going &= ~beaten
         rows, lo, hi = rows[going], lo[going], hi[going]
-    return [
-        L if verdict == _SOLVED else Pruned(L) if verdict == _PRUNED
-        else Infeasible("sifted pool is empty") if L < 2
-        else Infeasible(f"test sample of {target.k_test} bits exceeds the sifted "
-                        f"pool size {L}") if not fits
-        else Infeasible(f"no block length up to the pool size {L} reaches the "
-                        f"target {target_psec:.3g}")
-        for L, verdict, fits in zip(lengths.tolist(), verdicts.tolist(), sampled.tolist())
-    ]
+    return Verdicts(lengths, codes)
 
 
 def signature_time_and_rate(

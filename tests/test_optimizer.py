@@ -29,6 +29,7 @@ from qds_onedecoy.protocol import model_links
 from qds_onedecoy.security import (
     InfeasibleTarget,
     SecurityTarget,
+    Verdicts,
     block_report,
     min_signature_length,
 )
@@ -228,8 +229,31 @@ def pruning(value):
     return objective
 
 
+def coupled(space, start=0.1, shift=-0.9, jitter=0.0):
+    """A one-point objective over ``space`` on which each move along one
+    coordinate shifts the optimum along the next: in box units u, concave
+    around u_0 = start and each u_j+1 = 0.5 + shift * (u_j - 0.5), plus
+    ``jitter`` times the coordinates' last bits."""
+    bounds = [space.bounds(name) for name in PARAM_NAMES]
+
+    def value(params):
+        u = [(params[name] - lo) / (hi - lo) for name, (lo, hi) in zip(PARAM_NAMES, bounds)]
+        v = 1.0 - (u[0] - start) ** 2
+        for prev, this in zip(u, u[1:]):
+            v -= (this - 0.5 - shift * (prev - 0.5)) ** 2
+        return v + jitter * sum(low_bits(params[name]) for name in PARAM_NAMES)
+
+    return value
+
+
+#: Objective calls of ``maximize`` on ``coupled`` by grid_points: the grid
+#: call and one per scan whose points no earlier call evaluated ahead
+COUPLED_CALLS = {2: 12, 3: 10}
+
+
 class TestSpeculation:
-    """Evaluating later scans ahead changes the call count and nothing else."""
+    """Evaluating later and branch scans ahead changes the call count, and
+    the pruned count, and nothing else."""
 
     @given(objectives(), st.integers(2, 4), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -254,6 +278,33 @@ class TestSpeculation:
             found = maximize(space, batched(value))
             assert found[:4] == reference_maximize(space, batched(value)), seed
 
+    @pytest.mark.parametrize("grid", sorted(COUPLED_CALLS))
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_coupled_coordinates_match_one_scan_per_call(self, grid, prune):
+        # each scan that moves the best point moves the next scan's
+        # optimum: the branch scan around the winner is that next scan
+        space = SearchSpace(grid_points=grid)
+        value = coupled(space)
+        objective, calls = pruning(value) if prune else batched(value), []
+
+        def spy(points, incumbent):
+            calls.append(len(points))
+            return objective(points, incumbent)
+
+        found = maximize(space, spy)
+        assert found[:4] == reference_maximize(space, batched(value))
+        assert len(calls) == COUPLED_CALLS[grid]
+
+    def test_a_branch_point_lends_its_value_to_its_own_coordinates_only(self):
+        # values that depend on the coordinates' last bits: a branch point's
+        # value taken for a point a rounding error away would show
+        space = SearchSpace(grid_points=3)
+        for seed in range(40):
+            rng = random.Random(seed)
+            value = coupled(space, rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0), jitter=1e-3)
+            found = maximize(space, batched(value))
+            assert found[:4] == reference_maximize(space, batched(value)), seed
+
     @pytest.mark.parametrize("km", [0.0, 103.0, 204.0, 280.0])
     def test_fewer_objective_calls_than_passes(self, monkeypatch, km):
         calls = []
@@ -270,15 +321,23 @@ class TestSpeculation:
         assert len(calls) < 1 + DESCENT_ROUNDS * len(PARAM_NAMES)
 
 
-#: The work of one ``optimize`` at grid 3 on device.cfg, by distance: chain
-#: calls (the final report's included), ``evaluate`` calls, and the points
-#: evaluated, feasible and pruned, recorded from the search whose capped
-#: first rounds spread down from the cap and whose seed solve races
+#: The points of one ``optimize`` at grid 3 on device.cfg, by distance:
+#: evaluated and feasible.  What is evaluated ahead must not move them.
+SEARCH_POINTS = {
+    0.0: (289, 289),
+    100.0: (292, 291),
+    200.0: (295, 277),
+    280.0: (278, 171),
+}
+#: The work of the same searches: chain calls (the final report's
+#: included), ``evaluate`` calls and pruned points, recorded from the
+#: search that evaluates a branch scan around each point ahead, whose
+#: capped first rounds spread down from the cap and whose seed solve races
 SEARCH_WORK = {
-    0.0: (27, 13, 289, 289, 272),
-    100.0: (31, 13, 292, 291, 276),
-    200.0: (33, 14, 295, 277, 259),
-    280.0: (23, 9, 278, 171, 161),
+    0.0: (26, 8, 269),
+    100.0: (26, 8, 273),
+    200.0: (29, 9, 254),
+    280.0: (19, 6, 161),
 }
 
 
@@ -296,8 +355,8 @@ def test_search_work_is_pinned(monkeypatch, km):
     monkeypatch.setattr(optimizer, "evaluate", counting("evaluate", evaluate))
     found = optimize(SearchSpace(grid_points=3), DEVICE.channel(km), DEVICE.target,
                      DEVICE.source.n_pulses)
-    assert (calls["chain"], calls["evaluate"], found.evaluations, found.n_feasible,
-            found.pruned) == SEARCH_WORK[km]
+    assert (found.evaluations, found.n_feasible) == SEARCH_POINTS[km]
+    assert (calls["chain"], calls["evaluate"], found.pruned) == SEARCH_WORK[km]
 
 
 def reference_scans(centre, radius, lows, highs):
@@ -334,6 +393,19 @@ class TestWrittenOutIdioms:
             radius = cell / 2.0**round_idx
             got = optimizer._scans(centre, radius, lows, highs)
             assert got.tobytes() == reference_scans(centre, radius, lows, highs).tobytes()
+
+    @given(st.lists(boxes_and_centres(), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_batch_of_centres_gets_each_centres_scans(self, drawn):
+        # the branch scans are built for many centres at once
+        lows, highs, cell, _ = drawn[0]
+        centres = np.array([np.clip(centre, lows, highs) for *_, centre in drawn])
+        for round_idx in range(DESCENT_ROUNDS):
+            radius = cell / 2.0**round_idx
+            batch = optimizer._scans(centres, radius, lows, highs)
+            assert batch.shape == (len(centres), len(PARAM_NAMES), SCAN_POINTS, len(PARAM_NAMES))
+            for centre, got in zip(centres, batch):
+                assert got.tobytes() == reference_scans(centre, radius, lows, highs).tobytes()
 
     @given(boxes_and_centres(), st.lists(st.floats(-0.5, 1.5), min_size=5, max_size=50))
     @settings(max_examples=200, deadline=None)
@@ -422,8 +494,9 @@ class TestOptimize:
         target, ch = dataclasses.replace(DEVICE.target, k_test=3000), DEVICE.channel(100.0)
         found = optimize(SearchSpace(grid_points=2), ch, target, DEVICE.source.n_pulses)
         assert found.report.k_test == 3000
-        [L] = min_signature_length(model_links(found.params, ch), found.params, target)
-        assert found.report.L == L
+        solved = min_signature_length(model_links(found.params, ch), found.params, target)
+        assert solved.code.tolist() == [Verdicts.SOLVED]
+        assert [found.report.L] == solved.L.tolist()
 
     @pytest.mark.parametrize("bounds", [{"p_mu": (4e-13, 0.9)}, {"mu": (0.2000000000004, 0.9)}])
     def test_every_point_lies_inside_a_box_finer_than_the_lattice(self, monkeypatch, bounds):

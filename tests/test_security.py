@@ -10,6 +10,7 @@ import math
 import pathlib
 import re
 from collections import defaultdict
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,10 @@ from qds_onedecoy import security
 from qds_onedecoy.security import (
     Infeasible,
     InfeasibleTarget,
-    Pruned,
     SecurityReport,
     SecurityTarget,
     Thresholds,
+    Verdicts,
     _bound_chain,
     _sifted_yield,
     _signing_time,
@@ -216,8 +217,32 @@ def paper_scale_chain(lengths):
     return _bound_chain(_stack_links(cbl), pc, target_for(budget), np.array(lengths)[None, :])
 
 
+class Pruned(NamedTuple):
+    """A pruned verdict as these tests write it: the smallest feasible L is
+    at least ``lower``."""
+
+    lower: int
+
+
+def solve_all(cbl, pc, target, **kwargs):
+    """``min_signature_length``'s verdicts, one entry per setting: the
+    solved L, ``Pruned`` with its lower bound, or the ``Infeasible`` error
+    that ``Verdicts.error`` rebuilds, which is None exactly where there is
+    an L."""
+    solved = min_signature_length(cbl, pc, target, **kwargs)
+    assert isinstance(solved, Verdicts) and solved.L.shape == solved.code.shape
+    assert solved.L.dtype.kind == solved.code.dtype.kind == "i"
+    found = []
+    for i, (L, code) in enumerate(zip(solved.L.tolist(), solved.code.tolist())):
+        error = solved.error(i, target)
+        assert (error is None) == (code in (Verdicts.SOLVED, Verdicts.PRUNED))
+        found.append(L if code == Verdicts.SOLVED else Pruned(L) if code == Verdicts.PRUNED
+                     else error)
+    return found
+
+
 def solve_one(cbl, pc, budget, target_psec=1e-4, k_test=None):
-    [L] = min_signature_length(cbl, pc, target_for(budget, k_test, target_psec))
+    [L] = solve_all(cbl, pc, target_for(budget, k_test, target_psec))
     return L
 
 
@@ -370,7 +395,7 @@ class TestLockstepSolver:
         counts = ObservedCounts.from_cells(
             np.stack([c.cells for c in alone_counts], axis=3)[..., None]
         )
-        together = min_signature_length(
+        together = solve_all(
             {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs),
             target_for(budget, k_test),
         )
@@ -520,7 +545,7 @@ class TestCappedSolver:
             return
         # one batch of the same setting, one cap per row
         counts = expected_statistics(PulseConfig.stack([pc] * len(caps)), ch)
-        capped = min_signature_length(
+        capped = solve_all(
             {"bob_alice": counts, "charlie_alice": counts},
             PulseConfig.stack([pc] * len(caps)), target_for(budget, k_test), cap=np.array(caps),
         )
@@ -544,7 +569,7 @@ class TestCappedSolver:
 
         monkeypatch.setattr(security, "_bound_chain", spy)
         cbl, stack = uncapped_batch()
-        solved = min_signature_length(cbl, stack, target_for(EpsilonBudget(eps_pe=5e-6), k_test))
+        solved = solve_all(cbl, stack, target_for(EpsilonBudget(eps_pe=5e-6), k_test))
         assert isinstance(solved[3], Infeasible)
         assert probes == UNCAPPED_PROBES[k_test]
 
@@ -559,7 +584,7 @@ class TestCappedSolver:
 
         monkeypatch.setattr(security, "_bound_chain", spy)
         cbl, stack, caps = capped_batch()
-        solved = min_signature_length(cbl, stack, target_for(EpsilonBudget(eps_pe=5e-6), k_test),
+        solved = solve_all(cbl, stack, target_for(EpsilonBudget(eps_pe=5e-6), k_test),
                                       cap=caps)
         assert [Infeasible if isinstance(v, Infeasible) else v for v in solved] == (
             CAPPED_VERDICTS[k_test])
@@ -568,8 +593,8 @@ class TestCappedSolver:
     def test_cap_beyond_the_pool_solves_in_full(self):
         cbl, stack = uncapped_batch()
         budget = EpsilonBudget(eps_pe=5e-6)
-        uncapped = min_signature_length(cbl, stack, target_for(budget))
-        capped = min_signature_length(cbl, stack, target_for(budget),
+        uncapped = solve_all(cbl, stack, target_for(budget))
+        capped = solve_all(cbl, stack, target_for(budget),
                                       cap=np.full(4, 10**15))
         assert [str(v) for v in capped] == [str(v) for v in uncapped]
 
@@ -579,7 +604,7 @@ class TestCappedSolver:
         # setting capped at its own L sees L - 2 fail and L pass at once
         cbl, stack, _ = capped_batch()
         budget = EpsilonBudget(eps_pe=5e-6)
-        solved = min_signature_length(cbl, stack, target_for(budget, k_test))
+        solved = solve_all(cbl, stack, target_for(budget, k_test))
         caps = np.array([0 if isinstance(L, Infeasible) else L for L in solved])
         calls = []
         chain = security._bound_chain
@@ -589,7 +614,7 @@ class TestCappedSolver:
             return chain(*args)
 
         monkeypatch.setattr(security, "_bound_chain", spy)
-        capped = min_signature_length(cbl, stack, target_for(budget, k_test), cap=caps)
+        capped = solve_all(cbl, stack, target_for(budget, k_test), cap=caps)
         assert len(calls) == 1
         assert [str(v) for v in capped] == [str(v) for v in solved]
 
@@ -603,8 +628,8 @@ class TestRace:
         cbl, stack, _ = capped_batch()
         budget, clock_hz = EpsilonBudget(eps_pe=5e-6), 1e9
         y = np.ravel(_sifted_yield(cbl, stack))
-        exact = min_signature_length(cbl, stack, target_for(budget, k_test))
-        raced = min_signature_length(cbl, stack, target_for(budget, k_test),
+        exact = solve_all(cbl, stack, target_for(budget, k_test))
+        raced = solve_all(cbl, stack, target_for(budget, k_test),
                                      race=(y, clock_hz))
         rates = [None if isinstance(L, Infeasible) else 1.0 / _signing_time(L, yi, clock_hz)
                  for L, yi in zip(exact, y)]
@@ -624,9 +649,9 @@ class TestRace:
         # feasible setting sign at exactly one rate: none can be pruned
         cbl, stack, _ = capped_batch()
         budget = EpsilonBudget(eps_pe=5e-6)
-        exact = min_signature_length(cbl, stack, target_for(budget, k_test))
+        exact = solve_all(cbl, stack, target_for(budget, k_test))
         y = np.array([1.0 if isinstance(L, Infeasible) else L * 2.0**-40 for L in exact])
-        raced = min_signature_length(cbl, stack, target_for(budget, k_test),
+        raced = solve_all(cbl, stack, target_for(budget, k_test),
                                      race=(y, 1.0))
         assert [str(v) for v in raced] == [str(v) for v in exact]
 
@@ -674,7 +699,7 @@ class TestSolverOracle:
         for cap in (None, np.array(caps)):
             probed = defaultdict(list)
             with mock.patch.object(security, "_bound_chain", spy):
-                solved = min_signature_length(cbl, stack, target_for(budget, k_test), cap=cap)
+                solved = solve_all(cbl, stack, target_for(budget, k_test), cap=cap)
             for j, (c, pc, ch) in enumerate(zip(alone, pcs, channels)):
                 verdict, _ = uncapped[j] if cap is None else reference_bisection(
                     {"bob_alice": c, "charlie_alice": c}, pc, ch, budget, k_test, caps[j],
@@ -717,7 +742,7 @@ class TestTinyPools:
             return result._replace(certified=L >= threshold, p_sec=np.zeros(L.shape))
 
         monkeypatch.setattr(security, "_bound_chain", spy)
-        solved = min_signature_length(
+        solved = solve_all(
             {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack([pc] * len(alone)),
             target_for(budget), cap=None if cap is None else np.full(len(alone), cap),
         )
@@ -959,12 +984,12 @@ def bound_chain_record():
             cbl = model_links(stack, ch)
             for k_test in (None, 3000):
                 target = dataclasses.replace(config.target, k_test=k_test)
-                solved = min_signature_length(cbl, stack, target)
+                solved = solve_all(cbl, stack, target)
                 caps = [
                     1000 if isinstance(L, Infeasible) else L + 2 * (i % 3 - 1)
                     for i, L in enumerate(solved)
                 ]
-                capped = min_signature_length(cbl, stack, target, cap=np.array(caps))
+                capped = solve_all(cbl, stack, target, cap=np.array(caps))
                 reports = []
                 for row, L in zip(rows, solved):
                     if isinstance(L, Infeasible):
@@ -986,7 +1011,7 @@ def bound_chain_record():
         pc, ch = config.pulse_config(n_pulses), config.channel(km)
         for k_test in (None, 3000):
             target = dataclasses.replace(config.target, k_test=k_test)
-            [L] = min_signature_length(cbl, pc, target)
+            [L] = solve_all(cbl, pc, target)
             record.append({
                 "table": table, "k_test": k_test, "solved": _verdict(L),
                 "report": None if isinstance(L, Infeasible) else _report_or_error(
