@@ -189,8 +189,8 @@ _CELL_NAMES = tuple(
     for intensity in INTENSITIES
     for kind in "nm"
 )
-#: Index of a basis in ``ObservedCounts.cells``; ``BASES`` selects both.
-_BASIS_INDEX = {"Z": 0, "X": 1, BASES: slice(None)}
+#: Index of a basis in ``ObservedCounts.cells``.
+_BASIS_INDEX = {"Z": 0, "X": 1}
 _INTENSITY_INDEX = {"mu": 0, "nu": 1}
 
 
@@ -202,8 +202,7 @@ class ObservedCounts:
     integers (one sampled run) or reals (expectations or rescaled
     blocks); every cell must satisfy 0 <= m <= n < inf.  Trailing axes (a
     stack's, or block lengths) hold a batch: the accessors then return
-    arrays over it.  An accessor given ``BASES`` for the basis
-    returns both bases along a new leading axis.
+    arrays over it.
     """
 
     __slots__ = ("cells",)

@@ -90,8 +90,11 @@ def _report(target, counts_by_link, pc, ch, L: int | None = None):
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     counts_by_link, distance_km, n_pulses = read_counts(args.counts)
-    pc = config.pulse_config(n_pulses=n_pulses)
-    ch = config.channel(distance_km)
+    try:
+        pc = config.pulse_config(n_pulses=n_pulses)
+        ch = config.channel(distance_km)
+    except ValueError as exc:  # the configuration is valid: the table's preamble is not
+        raise FileFormatError(f"{args.counts}: {exc}") from exc
     report = _report(config.target, counts_by_link, pc, ch, args.block_length)
     _emit(format_report(report, distance_km=distance_km, budget=config.target.budget), args.out)
     return 0

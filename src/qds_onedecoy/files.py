@@ -201,8 +201,9 @@ def read_config(path: str) -> Config:
             try:
                 values[key] = int(value) if key in _INT_KEYS else _finite(value)
             except ValueError as exc:
+                kind = "an integer" if key in _INT_KEYS else "a number"
                 raise FileFormatError(
-                    f"{path}:{lineno}: value for {key!r} is not a number: {value!r}"
+                    f"{path}:{lineno}: value for {key!r} is not {kind}: {value!r}"
                 ) from exc
     missing = set(_CONFIG_KEYS) - _OPTIONAL_KEYS - set(values)
     if missing:

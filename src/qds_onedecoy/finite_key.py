@@ -126,10 +126,6 @@ class _Decoy(NamedTuple):
             return self.nu_scale
         raise ValueError(f"unknown intensity {intensity!r}, expected 'mu' or 'nu'")
 
-    def take(self, rows: np.ndarray) -> "_Decoy":
-        """The rows ``rows`` of a stack's factors."""
-        return _Decoy(*(factor[rows] for factor in self))
-
 
 def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
     """The decoy factors of ``pc``; given factors, those."""

@@ -16,13 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelParams, ObservedCounts, PulseConfig
-from .finite_key import _decoy
+from .channel import ChannelParams, PulseConfig
 from .protocol import model_links
 from .security import (
     SecurityReport,
     SecurityTarget,
     Verdicts,
+    _sifted_yield,
     _signing_time,
     block_report,
     longest_block_at_rate,
@@ -110,78 +110,65 @@ SCAN_POINTS = 5
 
 
 def evaluate(
-    pcs: PulseConfig | Sequence[PulseConfig],
+    points: np.ndarray,
     ch: ChannelParams,
     target: SecurityTarget,
-    incumbent: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n_pulses: float,
+    incumbent: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
     """Rate at the smallest feasible block length of each source setting,
     the settings solved as one batch.
 
-    ``pcs`` is a ``PulseConfig.stack`` or a sequence of configs to stack.
-    Returns three arrays over the settings: the rate of ``block_report``
-    at the solved L (NaN where infeasible), that L (0 where infeasible),
-    and whether the setting was pruned.  A target below the structural
-    floor is a configuration error and propagates instead of reading as
-    infeasible.
+    ``points`` holds one setting per row, the coordinates ``PARAM_NAMES``
+    as columns, each sending ``n_pulses`` pulses.  Returns two arrays
+    over the settings, in the encoding ``maximize`` ranks: the rate of
+    ``block_report`` at the solved L, NaN where infeasible and -inf where
+    pruned; and that L where the rate is exact, 0 elsewhere.  A target
+    below the structural floor is a configuration error and propagates
+    instead of reading as infeasible.
 
-    Given an ``incumbent`` rate, a setting that cannot reach it is only
-    shown so: it is solved with its cap at the longest block that signs
-    at the incumbent's rate (``longest_block_at_rate``), and comes back
-    pruned when infeasible there, with L the lower bound cap + 2 and the
-    rate there, below the incumbent.  Every setting that can tie or beat
-    the incumbent gets its exact L and rate.
+    Given a positive ``incumbent`` rate (the default, 0, prunes nothing),
+    a setting that cannot reach it is only shown so: it is solved with
+    its cap at the longest block that signs at the incumbent's rate
+    (``longest_block_at_rate``), and comes back pruned when infeasible
+    there.  Every setting that can tie or beat the incumbent gets its
+    exact L and rate.
 
     An incumbent of -inf (none found yet) says that every setting of the
     batch is taken at once, so one that cannot tie the best of the batch
-    need not be solved exactly: it may come back pruned, with a lower
-    bound on L and the rate there, strictly below the batch's best.  A
-    batch of more than ``SEED_POINTS`` settings first solves an evenly
-    strided seed of them, which race (``min_signature_length``'s
-    ``race``), and the rest against the best rate found; the best seed is
-    solved exactly.  The counts, decoy factors and sifted yields of the
-    batch are built once, for both solves.
+    need not be solved exactly: it may come back pruned.  A batch of more
+    than ``SEED_POINTS`` settings first solves an evenly strided seed of
+    them, which race (``min_signature_length``'s ``race``), and the rest
+    against the best rate found; the best seed is solved exactly.  Each
+    solve builds the stack, counts and sifted yields of its own rows.
     """
-    stack = pcs if isinstance(pcs, PulseConfig) else PulseConfig.stack(pcs)
-    counts_by_link = model_links(stack, ch)
-    # the links share one counts object, whose rows each solve takes, so
-    # its sifted yield is the slowest link's
-    [counts] = {id(c): c for c in counts_by_link.values()}.values()
-    decoy = _decoy(stack)
-    y = (counts.n_total("Z") / stack.n_pulses).ravel()
-    rate = np.full(len(y), np.nan)
-    length = np.zeros(len(y), dtype=np.int64)
-    pruned = np.zeros(len(y), dtype=bool)
+    rate = np.full(len(points), np.nan)
+    length = np.zeros(len(points), dtype=np.int64)
 
-    def solve(rows: np.ndarray, incumbent: float | None) -> None:
+    def solve(rows: np.ndarray, incumbent: float) -> None:
+        stack = PulseConfig.stack(points[rows], n_pulses=n_pulses)
+        counts_by_link = model_links(stack, ch)
+        y = _sifted_yield(counts_by_link, stack).ravel()
         cap = race = None
         if incumbent == -math.inf:
-            race = y[rows], ch.clock_hz
-        elif incumbent is not None and incumbent > 0.0:
-            cap = longest_block_at_rate(incumbent, y[rows], ch.clock_hz)
-        # a solve of every row takes the batch's counts and factors as they are
-        every = len(rows) == len(y)
-        taken = counts if every else ObservedCounts.from_cells(counts.cells[..., rows, :])
-        L, code = min_signature_length(
-            dict.fromkeys(counts_by_link, taken), decoy if every else decoy.take(rows), target,
-            cap=cap, race=race,
-        )
-        # rate the settings with a length only, as the others may have no yield
-        found = code <= Verdicts.PRUNED
-        pruned[rows], length[rows] = code == Verdicts.PRUNED, np.where(found, L, 0)
-        at = rows[found]
-        rate[at] = 1.0 / _signing_time(length[at], y[at], ch.clock_hz)
+            race = y, ch.clock_hz
+        elif incumbent > 0.0:
+            cap = longest_block_at_rate(incumbent, y, ch.clock_hz)
+        L, code = min_signature_length(counts_by_link, stack, target, cap=cap, race=race)
+        # rate the solved settings only, as the others may have no yield
+        exact = code == Verdicts.SOLVED
+        rate[rows[code == Verdicts.PRUNED]] = -math.inf
+        rate[rows[exact]] = 1.0 / _signing_time(L[exact], y[exact], ch.clock_hz)
+        length[rows[exact]] = L[exact]
 
-    rows = np.arange(len(y))
-    if incumbent == -math.inf and len(y) > SEED_POINTS:
-        stride = -(-len(y) // SEED_POINTS)
-        seed = rows[::stride]
-        solve(seed, incumbent)
-        found = rate[seed][~np.isnan(rate[seed])]
-        incumbent = max([incumbent, *found.tolist()])
+    rows = np.arange(len(points))
+    if incumbent == -math.inf and len(points) > SEED_POINTS:
+        stride = -(-len(points) // SEED_POINTS)
+        solve(rows[::stride], incumbent)
+        incumbent = np.fmax.reduce(rate[::stride], initial=-math.inf)
         rows = rows[rows % stride != 0]
     solve(rows, incumbent)
-    return rate, length, pruned
+    return rate, length
 
 
 def maximize(
@@ -351,16 +338,15 @@ def optimize(
     lengths: dict[tuple[float, ...], int] = {}
 
     def objective(points: np.ndarray, incumbent: float) -> np.ndarray:
-        stack = PulseConfig.stack(points, n_pulses=n_pulses)
-        rate, L, pruned = evaluate(stack, ch, target, incumbent)
+        rate, L = evaluate(points, ch, target, n_pulses, incumbent)
         # the winner has an exact rate: keep L for those points only
-        exact = ~pruned & ~np.isnan(rate)
+        exact = L > 0
         lengths.update(zip(map(tuple, points[exact].tolist()), L[exact].tolist()))
-        return np.where(pruned, -math.inf, rate)
+        return rate
 
     best, _, evaluations, n_feasible, pruned = maximize(space, objective)
-    if best is None:
-        return OptimizeResult(None, None, evaluations, n_feasible=0, pruned=0)
-    pc = PulseConfig(n_pulses=n_pulses, **best)
-    report = block_report(model_links(pc, ch), pc, ch, target, lengths[tuple(best.values())])
+    pc = report = None
+    if best is not None:
+        pc = PulseConfig(n_pulses=n_pulses, **best)
+        report = block_report(model_links(pc, ch), pc, ch, target, lengths[tuple(best.values())])
     return OptimizeResult(pc, report, evaluations, n_feasible, pruned)

@@ -490,7 +490,7 @@ def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: int) -> np.ndarra
 
 def min_signature_length(
     counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig | _Decoy,
+    pc: PulseConfig,
     target: SecurityTarget,
     cap: np.ndarray | None = None,
     race: tuple[np.ndarray, float] | None = None,
@@ -498,13 +498,13 @@ def min_signature_length(
     """Smallest even block length meeting ``target.target_psec``, for every setting.
 
     ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
-    each link's counts carry, or its ``finite_key._decoy`` factors.  The
-    ``Verdicts`` have one entry per setting: the solved L, or the cause
-    of infeasibility, which ``Verdicts.error`` turns into the
-    ``Infeasible`` error; it is returned, not raised, so one hopeless
-    setting does not stop the batch.  A length is feasible when
-    ``block_report`` certifies it under the same ``target``, test-sample
-    rule included, with p_sec <= target.target_psec.
+    each link's counts carry.  The ``Verdicts`` have one entry per
+    setting: the solved L, or the cause of infeasibility, which
+    ``Verdicts.error`` turns into the ``Infeasible`` error; it is
+    returned, not raised, so one hopeless setting does not stop the
+    batch.  A length is feasible when ``block_report`` certifies it
+    under the same ``target``, test-sample rule included, with p_sec <=
+    target.target_psec.
 
     Feasibility is monotone in L (longer blocks shrink every finite-size
     penalty), so each setting keeps lo, the longest length known to fail

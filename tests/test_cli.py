@@ -419,6 +419,7 @@ BAD_FILES = {
     "past_2e52_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", f"n_pulses = {2**52 + 2**40}"),
     "e290_cells.csv": _scaled_cells(MODEL_TEXT, 1e290),
     "e300_pulses.csv": MODEL_TEXT.replace("# n_pulses=2000000000000.0", "# n_pulses=1e300"),
+    "negative_distance.csv": MODEL_TEXT.replace("# distance_km=103.0", "# distance_km=-5"),
     "one_link.csv": "".join(
         line for line in MODEL_TEXT.splitlines(keepends=True) if "charlie" not in line
     ),
@@ -485,7 +486,9 @@ class TestBadValues:
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/e290_cells.csv"],
          "link 'bob_alice': 4.05264e+299 detections exceed the n_pulses=2e+12 pulses sent"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/e300_pulses.csv"],
-         "n_pulses must be at most 2**52"),
+         "e300_pulses.csv: n_pulses must be at most 2**52"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/negative_distance.csv"],
+         "negative_distance.csv: distance must be non-negative, got -5.0"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/one_link.csv"],
          "one_link.csv: link 'charlie_alice' is missing cells"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/carol_link.csv"],
@@ -548,7 +551,8 @@ class TestBadValues:
         "simulate-negative-seed", "demo-sign-negative-seed",
         "sampled-e300-pulses", "sampled-e19-pulses", "model-e300-pulses",
         "model-past-2e52-pulses",
-        "counts-e290-cells", "counts-e300-pulses", "counts-one-link", "counts-carol-link",
+        "counts-e290-cells", "counts-e300-pulses", "counts-negative-distance", "counts-one-link",
+        "counts-carol-link",
         "counts-three-links", "config-e300-mu", "config-vacuum-decoy",
         "simulate-vacuum-decoy", "curve-vacuum-decoy", "demo-sign-vacuum-decoy", "config-e320-nu",
         "config-e300-p-mu", "config-e300-eps-pe", "config-e300-clock", "config-e20-dark",

@@ -231,6 +231,14 @@ class TestConfig:
         with pytest.raises(FileFormatError, match="not a number"):
             read_config(str(path))
 
+    @pytest.mark.parametrize("key, value", [("k_test", "3e3"), ("seed", "1.5")])
+    def test_non_integer_value_of_an_integer_key(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("seed = 7", f"{key} = {value}"))
+        named = f"value for '{key}' is not an integer: '{value}'"
+        with pytest.raises(FileFormatError, match=re.escape(named)):
+            read_config(str(path))
+
     def test_n_pulses_override(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT)

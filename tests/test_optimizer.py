@@ -445,10 +445,15 @@ DESK_TARGET = SecurityTarget(DESK_BUDGET, alpha=1e-3, eps=1e-10, target_psec=5e-
 DESK_PC = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8, n_pulses=1e7)
 
 
+def point_of(pc):
+    """The one-row point array of a config."""
+    return np.array([[getattr(pc, name) for name in PARAM_NAMES]])
+
+
 class TestEvaluate:
     def test_feasible_point_reports_rate(self):
-        [rate], [L], [pruned] = evaluate([DESK_PC], DESK_CH, DESK_TARGET)
-        assert rate > 0.0 and not pruned
+        [rate], [L] = evaluate(point_of(DESK_PC), DESK_CH, DESK_TARGET, DESK_PC.n_pulses)
+        assert rate > 0.0
         assert L % 2 == 0
         counts = expected_statistics(DESK_PC, DESK_CH)
         report = block_report({"bob_alice": counts, "charlie_alice": counts}, DESK_PC,
@@ -458,12 +463,40 @@ class TestEvaluate:
 
     def test_hopeless_point_is_nan(self):
         far = ChannelParams(distance_km=500.0)
-        rate, L, pruned = evaluate([DESK_PC], far, DESK_TARGET)
-        assert np.isnan(rate).all() and L.tolist() == [0] and pruned.tolist() == [False]
+        rate, L = evaluate(point_of(DESK_PC), far, DESK_TARGET, DESK_PC.n_pulses)
+        assert np.isnan(rate).all() and L.tolist() == [0]
 
     def test_bad_target_propagates(self):
         with pytest.raises(InfeasibleTarget):
-            evaluate([DESK_PC], DESK_CH, dataclasses.replace(DESK_TARGET, target_psec=1e-4))
+            evaluate(point_of(DESK_PC), DESK_CH,
+                     dataclasses.replace(DESK_TARGET, target_psec=1e-4), DESK_PC.n_pulses)
+
+    @given(st.lists(settings_in_space, min_size=1, max_size=8), st.floats(0.0, 300.0),
+           st.integers(0, 7), st.sampled_from([1.0, 0.9, 1.1]))
+    @settings(max_examples=20, deadline=None)
+    def test_rates_are_exact_pruned_or_infeasible(self, pcs, km, pick, factor):
+        # NaN for infeasible, -inf for pruned, else the exact rate with its L
+        points, ch = np.vstack([point_of(pc) for pc in pcs]), DEVICE.channel(km)
+        stack = PulseConfig.stack(points, n_pulses=DEVICE.source.n_pulses)
+        verdicts = min_signature_length(model_links(stack, ch), stack, DEVICE.target)
+        exact, exact_L = device_evaluate(points, ch)
+        solved = verdicts.code == Verdicts.SOLVED
+        assert (np.isfinite(exact) == solved).all() and (np.isnan(exact) == ~solved).all()
+        assert (exact_L == np.where(solved, verdicts.L, 0)).all()
+        for params, rate, L in zip(as_dicts(points[solved]), exact[solved], exact_L[solved]):
+            pc = PulseConfig(n_pulses=DEVICE.source.n_pulses, **params)
+            report = block_report(model_links(pc, ch), pc, ch, DEVICE.target, int(L))
+            assert report.rate_bits_per_s == rate
+        if not solved.any():
+            return
+        # against a positive incumbent, exactly the slower settings are pruned
+        incumbent = float(np.sort(exact[solved])[pick % solved.sum()] * factor)
+        rate, L = device_evaluate(points, ch, incumbent)
+        slower = exact < incumbent
+        assert (np.isneginf(rate) == slower).all()
+        kept = ~slower
+        assert rate[kept].tobytes() == exact[kept].tobytes()
+        assert (L[kept] == exact_L[kept]).all() and (L[slower] == 0).all()
 
 
 class TestOptimize:
@@ -505,9 +538,9 @@ class TestOptimize:
         space = SearchSpace(grid_points=3, **bounds)
         seen = []
 
-        def spy(stack, *args):
-            seen.append(np.hstack([getattr(stack, name) for name in PARAM_NAMES]))
-            return evaluate(stack, *args)
+        def spy(points, *args):
+            seen.append(points)
+            return evaluate(points, *args)
 
         monkeypatch.setattr(optimizer, "evaluate", spy)
         found = optimize(space, DEVICE.channel(103.0), DEVICE.target, DEVICE.source.n_pulses)
@@ -520,21 +553,19 @@ class TestOptimize:
 DEVICE = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
 
 
-def device_evaluate(points, ch, incumbent=None, **fixed):
+def device_evaluate(points, ch, incumbent=0.0, **fixed):
     """``evaluate`` of a point array under the device configuration;
     ``fixed`` overrides parameters of every point."""
     points = np.array(points, dtype=float)
     for name, value in fixed.items():
         points[:, PARAM_NAMES.index(name)] = value
-    stack = PulseConfig.stack(points, n_pulses=DEVICE.source.n_pulses)
-    return evaluate(stack, ch, DEVICE.target, incumbent)
+    return evaluate(points, ch, DEVICE.target, DEVICE.source.n_pulses, incumbent)
 
 
 def rate_objective(ch, prune, **fixed):
     """A ``maximize`` objective of rates, pruning against its incumbent or not."""
     def objective(points, incumbent):
-        rate, _, pruned = device_evaluate(points, ch, incumbent if prune else None, **fixed)
-        return np.where(pruned, -math.inf, rate)
+        return device_evaluate(points, ch, incumbent if prune else 0.0, **fixed)[0]
 
     return objective
 
@@ -549,8 +580,8 @@ class TestIncumbentPruning:
         lengths = {}
 
         def exact(points, incumbent):
-            rate, L, pruned = device_evaluate(points, ch)
-            assert not pruned.any()
+            rate, L = device_evaluate(points, ch)
+            assert not np.isneginf(rate).any()
             for params, length in zip(as_dicts(points), L.tolist()):
                 lengths[param_key(params)] = length
             return rate
@@ -568,16 +599,14 @@ class TestIncumbentPruning:
     def test_exact_tie_with_the_incumbent_is_solved_not_pruned(self):
         ch = DEVICE.channel(103.0)
         point = [[0.6, 0.2, 0.6, 0.85, 0.85]]
-        [rate], [L], [pruned] = device_evaluate(point, ch)
-        assert not pruned
+        [rate], [L] = device_evaluate(point, ch)
+        assert rate > 0.0
         tied = device_evaluate(point, ch, incumbent=rate)
-        assert [a.tolist() for a in tied] == [[rate], [L], [False]]
-        # one ulp faster than the point can sign: pruned, with a rate bound
-        # below the incumbent and a length bound at most its L
+        assert [a.tolist() for a in tied] == [[rate], [L]]
+        # one ulp faster than the point can sign: pruned
         faster = float(np.nextafter(rate, np.inf))
-        [bound], [lower], [beaten] = device_evaluate(point, ch, incumbent=faster)
-        assert beaten
-        assert bound < faster and lower <= L
+        beaten = device_evaluate(point, ch, incumbent=faster)
+        assert [a.tolist() for a in beaten] == [[-math.inf], [0]]
 
     @given(st.lists(settings_in_space, min_size=9, max_size=20), st.floats(0.0, 250.0))
     @settings(max_examples=20, deadline=None)
@@ -586,20 +615,18 @@ class TestIncumbentPruning:
         # and a batch past SEED_POINTS, so that its seed races
         points = [[getattr(pc, name) for name in PARAM_NAMES] for pc in pcs] * 2
         ch = DEVICE.channel(km)
-        exact, exact_L, none = device_evaluate(points, ch)
-        rate, L, pruned = device_evaluate(points, ch, incumbent=-math.inf)
-        assert not none.any()
-        feasible = ~np.isnan(exact)
+        exact, exact_L = device_evaluate(points, ch)
+        rate, L = device_evaluate(points, ch, incumbent=-math.inf)
+        assert not np.isneginf(exact).any()
+        feasible, pruned = ~np.isnan(exact), np.isneginf(rate)
         assert (np.isnan(rate) == ~feasible).all()
         kept = feasible & ~pruned
         assert rate[kept].tobytes() == exact[kept].tobytes()
-        assert (L[kept] == exact_L[kept]).all()
+        assert (L[kept] == exact_L[kept]).all() and (L[~kept] == 0).all()
         if feasible.any():
             best = exact[feasible].max()
             assert (exact[pruned] < best).all()
             assert not pruned[exact == best].any()
-        # a pruned setting's L is a lower bound, its rate an upper bound
-        assert (L[pruned] <= exact_L[pruned]).all() and (rate[pruned] >= exact[pruned]).all()
 
     def test_tied_points_still_reach_the_tie_break(self):
         # the objective ignores p_z_rx, so points that differ only there tie
