@@ -33,7 +33,7 @@ from .files import (
 )
 from .optimizer import SearchSpace, optimize
 from .protocol import LINKS, ProtocolError, ProtocolSession, model_links, rng_stream
-from .security import Infeasible, block_report, min_signature_length
+from .security import Infeasible, block_report
 
 __all__ = ["main"]
 
@@ -73,18 +73,12 @@ def _emit(text: str, out) -> None:
         out.write(text)
 
 
-def _report(target, counts_by_link, pc, ch, L: int | None = None):
-    """Security report at ``L``, or at the smallest L meeting the target.
-
-    Solving and reporting share the target, test-sample size included.
-    """
-    if L is None:
-        solved = min_signature_length(counts_by_link, pc, target)
-        error = solved.error(0, target)
-        if error is not None:
-            raise error
-        L = int(solved.L[0])
-    return block_report(counts_by_link, pc, ch, target, L)
+def _channel(config, args: argparse.Namespace):
+    """The configured link at ``--distance``; a bad distance names the flag."""
+    try:
+        return config.channel(args.distance)
+    except ValueError as exc:
+        raise FileFormatError(f"--distance: {exc}") from exc
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -95,7 +89,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         ch = config.channel(distance_km)
     except ValueError as exc:  # the configuration is valid: the table's preamble is not
         raise FileFormatError(f"{args.counts}: {exc}") from exc
-    report = _report(config.target, counts_by_link, pc, ch, args.block_length)
+    report = block_report(counts_by_link, pc, ch, config.target, args.block_length)
     _emit(format_report(report, distance_km=distance_km, budget=config.target.budget), args.out)
     return 0
 
@@ -104,7 +98,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _seed(args, config)
     pc = config.pulse_config()
-    ch = config.channel(args.distance)
+    ch = _channel(config, args)
     if args.sampled:
         counts_by_link = {
             link: sample_statistics(pc, ch, rng_stream(seed, link, "counts"))
@@ -112,7 +106,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
     else:
         counts_by_link = model_links(pc, ch)
-    report = _report(config.target, counts_by_link, pc, ch)
+    report = block_report(counts_by_link, pc, ch, config.target)
     L = report.L
     text = format_report(report, distance_km=args.distance, budget=config.target.budget)
 
@@ -147,6 +141,8 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
     for flag, value in flags.items():
         if not math.isfinite(value):
             raise FileFormatError(f"{flag} must be finite, got {value:g}")
+    if args.km_from < 0:
+        raise FileFormatError(f"--from must be non-negative, got {args.km_from:g}")
     if args.km_step <= 0:
         raise FileFormatError(f"--step must be positive, got {args.km_step:g}")
     if args.km_from > args.km_to:
@@ -188,9 +184,9 @@ def cmd_demo_sign(args: argparse.Namespace) -> int:
             f"demo-sign materialises key bits and needs n_pulses <= "
             f"{DESK_SCALE_MAX_PULSES:.0e}, got {pc.n_pulses:.3g}"
         )
-    ch = config.channel(args.distance)
+    ch = _channel(config, args)
     counts_by_link = model_links(pc, ch)
-    report = _report(config.target, counts_by_link, pc, ch)
+    report = block_report(counts_by_link, pc, ch, config.target)
     L = report.L
     session = ProtocolSession(pc, ch, L, seed=seed, k_test=report.k_test)
     session.run_distribution()

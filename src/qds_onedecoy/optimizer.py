@@ -154,7 +154,7 @@ def evaluate(
             race = y, ch.clock_hz
         elif incumbent > 0.0:
             cap = longest_block_at_rate(incumbent, y, ch.clock_hz)
-        L, code = min_signature_length(counts_by_link, stack, target, cap=cap, race=race)
+        L, code, _ = min_signature_length(counts_by_link, stack, target, cap=cap, race=race)
         # rate the solved settings only, as the others may have no yield
         exact = code == Verdicts.SOLVED
         rate[rows[code == Verdicts.PRUNED]] = -math.inf

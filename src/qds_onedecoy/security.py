@@ -11,7 +11,7 @@ into signing time.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class InfeasibleTarget(Infeasible):
 
 class Verdicts(NamedTuple):
     """The verdicts of ``min_signature_length``, arrays with one entry per
-    setting: a block length ``L`` and a verdict code.
+    setting: a block length ``L`` and a verdict code, and the solve's
+    ``rounds``, each the settings it probed, their lengths and the
+    ``_Chain`` it evaluated there.
 
     ``SOLVED``: L is the smallest feasible length.  ``PRUNED``: the
     setting is feasible at its pool and its smallest feasible L is at
@@ -104,6 +106,7 @@ class Verdicts(NamedTuple):
 
     L: np.ndarray
     code: np.ndarray
+    rounds: Sequence[tuple[np.ndarray, np.ndarray, _Chain]] = ()
 
     SOLVED, PRUNED, EMPTY_POOL, SAMPLE_PAST_POOL, UNREACHED = range(5)
 
@@ -120,6 +123,16 @@ class Verdicts(NamedTuple):
             return Infeasible(f"no block length up to the pool size {L} reaches the "
                               f"target {target.target_psec:.3g}")
         return None
+
+    def _item(self, i: int) -> dict[str, object]:
+        """``_Chain.item`` of solved setting ``i`` at its L, read from the
+        last round that probed that length."""
+        L = self.L[i]
+        for rows, points, chain in reversed(self.rounds):
+            j = rows.searchsorted(i)
+            if j < len(rows) and rows[j] == i and (hit := (points[j] == L).nonzero()[0]).size:
+                return chain.item(j, hit[0])
+        raise ValueError(f"setting {i} was not probed at its block length {L}")
 
 
 def k_test_for(L: int | np.ndarray, k_test: int | None = None) -> int | np.ndarray:
@@ -351,14 +364,19 @@ class _Chain(NamedTuple):
     p_forge: np.ndarray
     p_sec: np.ndarray
 
-    def item(self) -> dict[str, object]:
-        """A batch of one as Python scalars by field name: ``certified`` and
-        the fields of ``SecurityReport``, with the links' estimates merged
-        and the thresholds checked as their own types."""
-        view = {name: np.asarray(value).item() for name, value in zip(self._fields[1:], self[1:])}
+    def item(self, *lane: int) -> dict[str, object]:
+        """One lane as Python scalars by field name: ``certified`` and the
+        fields of ``SecurityReport``, with the links' estimates merged and
+        the thresholds checked as their own types.  ``lane`` indexes the
+        (settings, lengths) axes, as ``ndarray.item`` does; a batch of one
+        needs none."""
+        view = {
+            name: value if name == "p_robust" else value.item(*lane)
+            for name, value in zip(self._fields[1:], self[1:])
+        }
         merged = merge_block_estimates(self.estimates)
         view["estimates"] = FiniteKeyEstimates(
-            *(np.asarray(getattr(merged, f.name)).item() for f in fields(merged))
+            *(getattr(merged, f.name).item(*lane) for f in fields(merged))
         )
         view["thresholds"] = Thresholds(view.pop("s_alpha"), view.pop("s_upsilon"))
         return view
@@ -425,28 +443,39 @@ def block_report(
     pc: PulseConfig,
     ch: ChannelParams,
     target: SecurityTarget,
-    L: int,
+    L: int | None = None,
 ) -> SecurityReport:
-    """Full security report for a fixed block length.
+    """Full security report at block length ``L``, or at the smallest L
+    meeting ``target`` when L is None.
 
     The bound chain the solver searches, evaluated at one L, with the
     test sample ``k_test_for(L, target.k_test)``.  Raises ``Infeasible``
-    when the block cannot be certified.
+    when the block cannot be certified, or, when solving, the error
+    ``Verdicts.error`` gives for a setting with no L.  A solved report is
+    read from the lane of the solver's chain that proved L: the chain is
+    elementwise over its batch, so that lane holds the floats a chain
+    call at L alone would compute.
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"block length must be an even integer >= 2, got {L}")
-    for link, counts in counts_by_link.items():
-        pool = counts.n_total("Z")
-        if L > pool:
-            raise Infeasible(
-                f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
-            )
-        if target.k_test is not None and target.k_test > pool:
-            raise Infeasible(
-                f"link {link!r}: test sample of {target.k_test} bits exceeds the "
-                f"sifted pool {pool:.0f}"
-            )
-    view = _bound_chain(_stack_links(counts_by_link), pc, target, np.array([[L]])).item()
+    if L is None:
+        solved = min_signature_length(counts_by_link, pc, target)
+        if (error := solved.error(0, target)) is not None:
+            raise error
+        L, view = int(solved.L[0]), solved._item(0)
+    else:
+        if L < 2 or L % 2 != 0:
+            raise ValueError(f"block length must be an even integer >= 2, got {L}")
+        for link, counts in counts_by_link.items():
+            pool = counts.n_total("Z")
+            if L > pool:
+                raise Infeasible(
+                    f"link {link!r}: block length {L} exceeds the sifted pool {pool:.0f}"
+                )
+            if target.k_test is not None and target.k_test > pool:
+                raise Infeasible(
+                    f"link {link!r}: test sample of {target.k_test} bits exceeds the "
+                    f"sifted pool {pool:.0f}"
+                )
+        view = _bound_chain(_stack_links(counts_by_link), pc, target, np.array([[L]])).item()
     if not view.pop("certified"):
         raise Infeasible(
             f"block of length {L} cannot be certified: tolerable rate "
@@ -502,9 +531,10 @@ def min_signature_length(
     setting: the solved L, or the cause of infeasibility, which
     ``Verdicts.error`` turns into the ``Infeasible`` error; it is
     returned, not raised, so one hopeless setting does not stop the
-    batch.  A length is feasible when ``block_report`` certifies it
-    under the same ``target``, test-sample rule included, with p_sec <=
-    target.target_psec.
+    batch.  They keep each round's chain, from which ``block_report``
+    reads a solved setting's report.  A length is feasible when
+    ``block_report`` certifies it under the same ``target``, test-sample
+    rule included, with p_sec <= target.target_psec.
 
     Feasibility is monotone in L (longer blocks shrink every finite-size
     penalty), so each setting keeps lo, the longest length known to fail
@@ -568,6 +598,7 @@ def min_signature_length(
         hi = np.minimum(pool, np.maximum(cut, 2))
     rows = ((pool >= 2) & sampled).nonzero()[0]
     lo, hi = np.zeros(len(rows), dtype=np.int64), hi[rows]
+    rounds = []
 
     def feasible(L: np.ndarray) -> np.ndarray:
         # the chain does all its arithmetic on L in floats: converting once
@@ -577,6 +608,7 @@ def min_signature_length(
             ObservedCounts.from_cells(sub[:n_cells].reshape(2, 2, 2, -1, len(rows), 1)),
             _Decoy._make(sub[n_cells:, :, None]), target, L.astype(float),
         )
+        rounds.append((rows, L, chain))
         return chain.certified & (chain.p_sec <= target_psec)
 
     first = True
@@ -613,7 +645,7 @@ def min_signature_length(
             codes[rows[beaten]], lengths[rows[beaten]] = Verdicts.PRUNED, lo[beaten] + 2
             going &= ~beaten
         rows, lo, hi = rows[going], lo[going], hi[going]
-    return Verdicts(lengths, codes)
+    return Verdicts(lengths, codes, rounds)
 
 
 def signature_time_and_rate(

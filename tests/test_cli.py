@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qds_onedecoy import cli, optimizer
+from qds_onedecoy import cli, optimizer, security
 from qds_onedecoy.cli import build_parser, main
 from qds_onedecoy.files import CONFIG_ENV_VAR, read_counts
 
@@ -236,6 +236,29 @@ class TestDemoSign:
         assert "n_pulses" in capsys.readouterr().err
 
 
+class TestChainCalls:
+    """A solved report is read from the chain lane in which the solve proved
+    its L: no command runs the bound chain again at that L."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103], 3),
+        (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103,
+          "--block-length", "89522"], 1),
+        (["simulate", "--config", DEVICE_CFG, "--distance", "103"], 3),
+    ], ids=["estimate-solved", "estimate-fixed-length", "simulate"])
+    def test_chain_calls_are_pinned(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        chain = security._bound_chain
+
+        def spy(*args):
+            seen.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(security, "_bound_chain", spy)
+        assert main(argv) == 0
+        assert len(seen) == calls
+
+
 class TestGoldenTranscripts:
     """Stdout and transcript of two seeded runs, byte for byte: message
     digests are stable across versions."""
@@ -456,6 +479,14 @@ class TestBadValues:
          "twice_pulses.csv: line 3: preamble key 'n_pulses' is repeated"),
         (["simulate", "--config", DEVICE_CFG, "--distance", "nan"], "distance_km"),
         (["demo-sign", "--config", DESK_CFG, "--distance", "inf"], "distance_km"),
+        (["simulate", "--config", DESK_CFG, "--distance", "-5"],
+         "--distance: distance must be non-negative, got -5.0"),
+        (["demo-sign", "--config", DESK_CFG, "--distance", "-5"],
+         "--distance: distance must be non-negative, got -5.0"),
+        (["simulate", "--config", DESK_CFG, "--distance", "inf"],
+         "--distance: distance_km must be finite, got inf"),
+        (["rate-curve", "--config", DESK_CFG, "--from", "-5", "--to", "1"],
+         "--from must be non-negative, got -5"),
         (["rate-curve", "--config", DESK_CFG, "--from", "nan"], "--from"),
         (["rate-curve", "--config", DESK_CFG, "--to", "inf"], "--to"),
         (["rate-curve", "--config", DESK_CFG, "--step=-inf"], "--step must be finite"),
@@ -545,7 +576,9 @@ class TestBadValues:
     ], ids=[
         "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
         "counts-unknown-preamble-key", "counts-repeated-preamble-key",
-        "simulate-nan-distance", "demo-sign-inf-distance", "curve-nan-from", "curve-inf-to",
+        "simulate-nan-distance", "demo-sign-inf-distance", "simulate-negative-distance",
+        "demo-sign-negative-distance", "simulate-inf-distance", "curve-negative-from",
+        "curve-nan-from", "curve-inf-to",
         "curve-minus-inf-step", "config-negative-eps", "config-zero-alpha",
         "config-target-above-one", "config-zero-k-test", "config-negative-seed",
         "simulate-negative-seed", "demo-sign-negative-seed",

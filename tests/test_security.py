@@ -15,10 +15,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qds_onedecoy.channel import ChannelParams, ObservedCounts, PulseConfig, expected_statistics
+from qds_onedecoy.channel import (
+    ChannelParams,
+    ObservedCounts,
+    PulseConfig,
+    expected_statistics,
+    sample_statistics,
+)
 from qds_onedecoy.finite_key import EpsilonBudget, FiniteKeyEstimates
 from qds_onedecoy import security
 from qds_onedecoy.security import (
@@ -878,6 +884,35 @@ class TestBlockReport:
         assert report.p_repudiation == min(1.0, report.p_repudiation_raw)
         assert report.p_forge == min(1.0, report.p_forge_raw)
         assert report.k_test == k_test_for(L) == max(1, round(0.05 * L))
+
+    @given(settings_in_space, st.floats(0.0, 300.0), st.sampled_from([None, 3000]),
+           st.one_of(st.none(), st.integers(0, 2**32 - 2)))
+    @settings(max_examples=40, deadline=None)
+    # no L: no length reaches the target, or the test sample exceeds the pool
+    @example(paper_scale_setup()[0], 500.0, None, None)
+    @example(paper_scale_setup()[0], 103.0, 10**12, 7)
+    def test_solved_report_is_the_report_at_the_solved_length(self, pc, km, k_test, seed):
+        # the solve reads its report from the chain lane that proved L, which
+        # must hold the floats a chain call at L alone gives; sampled links
+        # (seed given) differ, so the lane merges two distinct tables
+        ch = ChannelParams(distance_km=km)
+        if seed is None:
+            counts = expected_statistics(pc, ch)
+            cbl = {"bob_alice": counts, "charlie_alice": counts}
+        else:
+            cbl = {link: sample_statistics(pc, ch, seed + i)
+                   for i, link in enumerate(("bob_alice", "charlie_alice"))}
+            assert cbl["bob_alice"] != cbl["charlie_alice"]
+        target = target_for(EpsilonBudget(eps_pe=5e-6), k_test)
+        solved = min_signature_length(cbl, pc, target)
+        error = solved.error(0, target)
+        if error is None:
+            at_L = block_report(cbl, pc, ch, target, int(solved.L[0]))
+            assert block_report(cbl, pc, ch, target) == at_L
+            return
+        with pytest.raises(Infeasible) as raised:
+            block_report(cbl, pc, ch, target)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
 
     def test_rejects_odd_length(self):
         pc, ch, cbl, budget = paper_scale_setup()
