@@ -67,16 +67,19 @@ class PulseConfig:
         """
         mu, nu, p_mu, _, _, n_pulses = x
         probabilities = x[2:5]
-        ok = np.concatenate([
-            np.isfinite(x),
-            [(0.0 <= nu) & (nu < mu), (mu > 0.0) & (mu <= 1.0)],
-            (0.0 < probabilities) & (probabilities < 1.0),
-            # the decoy bounds divide by nu and p_mu; pools, and so block lengths,
-            # stay below n_pulses, and the solver's float lengths are exact to 2**52
-            [((nu == 0.0) | (nu >= 1e-100)) & (p_mu >= 1e-100)],
-            [n_pulses >= 1, n_pulses <= 2.0**52],
-        ]).reshape(len(_PULSE_RULES), -1)
-        if not ok.all():
+        # one row per rule of ``_PULSE_RULES``, in its order
+        ok = np.empty((len(_PULSE_RULES), *x.shape[1:]), dtype=bool)
+        np.isfinite(x, out=ok[:6])
+        np.logical_and(0.0 <= nu, nu < mu, out=ok[6:7])
+        np.logical_and(mu > 0.0, mu <= 1.0, out=ok[7:8])
+        np.logical_and(0.0 < probabilities, probabilities < 1.0, out=ok[8:11])
+        # the decoy bounds divide by nu and p_mu; pools, and so block lengths,
+        # stay below n_pulses, and the solver's float lengths are exact to 2**52
+        np.logical_and((nu == 0.0) | (nu >= 1e-100), p_mu >= 1e-100, out=ok[11:12])
+        np.greater_equal(n_pulses, 1, out=ok[12:13])
+        np.less_equal(n_pulses, 2.0**52, out=ok[13:14])
+        if np.count_nonzero(ok) < ok.size:
+            ok = ok.reshape(len(_PULSE_RULES), -1)
             row = int(np.argmin(ok.all(axis=0)))
             values = {
                 name: getattr(self, name) if x.ndim == 1 else column.flat[row].item()
@@ -290,7 +293,7 @@ def gain_and_error(
     y0 = background_yield(ch)
     x = -eta * np.asarray(lam, dtype=float)
     # math.exp, not np.exp, which can differ in the last bit that 1 - t magnifies
-    t = np.fromiter(map(math.exp, x.flat), float, x.size).reshape(x.shape)
+    t = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
     gain = 1.0 - (1.0 - y0) * t
     live = gain > 0.0
     eq = 0.5 * y0 * t + ch.misalignment * (1.0 - t)
@@ -314,10 +317,10 @@ def expected_statistics(pc: PulseConfig, ch: ChannelParams) -> ObservedCounts:
     Given a ``PulseConfig.stack``, the counts carry its batch axes.
     """
     p_int, p_tx, p_rx, gain, err = _cell_factors(pc, ch)
-    n = pc.n_pulses * ch.duty_cycle * p_int * p_tx * p_rx * gain
+    n = pc.n_pulses * ch.duty_cycle * p_int * p_tx * p_rx
     cells = np.empty((2, 2, 2, *n.shape[2:]))
-    cells[:, :, 0] = n
-    np.multiply(n, err, out=cells[:, :, 1])
+    np.multiply(n, gain, out=cells[:, :, 0])
+    np.multiply(cells[:, :, 0], err, out=cells[:, :, 1])
     return ObservedCounts.from_cells(cells)
 
 

@@ -89,7 +89,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         ch = config.channel(distance_km)
     except ValueError as exc:  # the configuration is valid: the table's preamble is not
         raise FileFormatError(f"{args.counts}: {exc}") from exc
-    report = block_report(counts_by_link, pc, ch, config.target, args.block_length)
+    try:
+        report = block_report(counts_by_link, pc, ch, config.target, args.block_length)
+    except ValueError as exc:
+        if args.block_length is None:
+            raise
+        # the configuration and the table are valid: the length is not
+        raise FileFormatError(f"--block-length: {exc}") from exc
     _emit(format_report(report, distance_km=distance_km, budget=config.target.budget), args.out)
     return 0
 

@@ -133,20 +133,20 @@ def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
         return pc
     if not np.minimum.reduce(pc.nu, axis=None) > 0.0:
         raise EstimationError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
-    mu, nu = pc.mu, pc.nu
-    mu2, nu2 = mu**2, nu**2
+    mu, nu, p_nu = pc.mu, pc.nu, 1.0 - pc.p_mu
+    mu2, nu2, gap = mu**2, nu**2, mu - nu
     # the two terms of tau_n = (p_mu e^-mu mu^n + (1 - p_mu) e^-nu nu^n) / n!, the
     # chance a pulse of the mix carries n photons; mu**0 and mu**1 are exact, so
     # these give tau_0 and tau_1
-    signal, decoy = pc.p_mu * np.exp(-mu), (1.0 - pc.p_mu) * np.exp(-nu)
+    signal, decoy = pc.p_mu * np.exp(-mu), p_nu * np.exp(-nu)
     tau_1 = signal * mu + decoy * nu
     return _Decoy(
         mu_scale=np.exp(mu) / pc.p_mu,
-        nu_scale=np.exp(nu) / (1.0 - pc.p_mu),
+        nu_scale=np.exp(nu) / p_nu,
         signal_weight=nu2 / mu2,
         vacuum_weight=(mu2 - nu2) / (mu2 * (signal + decoy)),
-        s1_factor=tau_1 * mu / (nu * (mu - nu)),
-        v1_factor=tau_1 / (mu - nu),
+        s1_factor=tau_1 * mu / (nu * gap),
+        v1_factor=tau_1 / gap,
     )
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelParams, PulseConfig
+from .channel import ChannelParams, ObservedCounts, PulseConfig
+from .finite_key import _Decoy, _decoy
 from .protocol import model_links
 from .security import (
     SecurityReport,
@@ -139,27 +141,36 @@ def evaluate(
     need not be solved exactly: it may come back pruned.  A batch of more
     than ``SEED_POINTS`` settings first solves an evenly strided seed of
     them, which race (``min_signature_length``'s ``race``), and the rest
-    against the best rate found; the best seed is solved exactly.  Each
-    solve builds the stack, counts and sifted yields of its own rows.
+    against the best rate found; the best seed is solved exactly.  The
+    stack, counts, decoy factors and sifted yields are built once for the
+    batch, and a solve of some of its settings takes their rows.
     """
+    stack = PulseConfig.stack(points, n_pulses=n_pulses)
+    counts_by_link = model_links(stack, ch)
+    factors, y = _decoy(stack), _sifted_yield(counts_by_link, stack).ravel()
     rate = np.full(len(points), np.nan)
     length = np.zeros(len(points), dtype=np.int64)
 
     def solve(rows: np.ndarray, incumbent: float) -> None:
-        stack = PulseConfig.stack(points[rows], n_pulses=n_pulses)
-        counts_by_link = model_links(stack, ch)
-        y = _sifted_yield(counts_by_link, stack).ravel()
+        links, decoy, yields = counts_by_link, factors, y
+        if len(rows) < len(points):
+            # the model is elementwise, so a row of the batch's counts and
+            # factors is that setting's; the model's links share one counts object
+            cells = next(iter(counts_by_link.values())).cells[..., rows, :]
+            links = dict.fromkeys(counts_by_link, ObservedCounts.from_cells(cells))
+            decoy, yields = _Decoy(*(f[rows] for f in factors)), y[rows]
         cap = race = None
         if incumbent == -math.inf:
-            race = y, ch.clock_hz
+            race = yields, ch.clock_hz
         elif incumbent > 0.0:
-            cap = longest_block_at_rate(incumbent, y, ch.clock_hz)
-        L, code, _ = min_signature_length(counts_by_link, stack, target, cap=cap, race=race)
+            cap = longest_block_at_rate(incumbent, yields, ch.clock_hz)
+        L, code, _ = min_signature_length(links, decoy, target, cap=cap, race=race)
         # rate the solved settings only, as the others may have no yield
         exact = code == Verdicts.SOLVED
         rate[rows[code == Verdicts.PRUNED]] = -math.inf
-        rate[rows[exact]] = 1.0 / _signing_time(L[exact], y[exact], ch.clock_hz)
-        length[rows[exact]] = L[exact]
+        at, L = rows[exact], L[exact]
+        rate[at] = 1.0 / _signing_time(L, yields[exact], ch.clock_hz)
+        length[at] = L
 
     rows = np.arange(len(points))
     if incumbent == -math.inf and len(points) > SEED_POINTS:
@@ -203,78 +214,87 @@ def maximize(
     back pruned.  Points are counted when taken, in the order of a
     one-point-at-a-time search, not when evaluated.
 
+    The points evaluated and their values are kept in arrays, and a scan
+    is ranked on them; a point is found by the bytes of its coordinates.
+
     Returns (best params or None, best value, evaluations, feasible count,
     pruned count).  The best-so-far point is never abandoned, so refining
     can only improve the result.  Ties prefer smaller mu, then smaller nu,
     then larger p_mu.
     """
     lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
-    # the value of each point evaluated, and the points taken so far
-    values: dict[tuple[float, ...], float] = {}
-    taken: set[tuple[float, ...]] = set()
-    best: tuple[float, ...] | None = None
-    best_value = -math.inf
+    seen = _Evaluated()
+    # the index of the best point in ``seen``, 0 before any, and the
+    # indices of the points taken, one array per scan
+    best, best_value = 0, -math.inf
+    taken: list[np.ndarray] = []
 
-    def rank(value: float, point: tuple[float, ...], i: int) -> tuple[float, ...]:
-        mu, nu, p_mu, p_z_tx, p_z_rx = point
-        return (-value, mu, nu, -p_mu, p_z_tx, p_z_rx, i)
+    def lattice(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``points`` on the lattice, and which of them have nu < mu."""
+        on = _on_lattice(points, lows, highs)
+        return on, on[..., 1] < on[..., 0]
 
-    def lattice(points: np.ndarray) -> list[list[tuple[float, ...]]]:
-        """Each scan of ``points`` (scans, points, coordinates) on the
-        lattice, as the rows with nu < mu."""
-        on = _on_lattice(points, lows, highs).tolist()
-        return [[tuple(row) for row in scan if row[1] < row[0]] for scan in on]
+    def fetch(points: np.ndarray) -> np.ndarray:
+        """Evaluate the rows of ``points`` not yet evaluated, in one call,
+        and return the index of every row."""
+        fresh, index = seen.fresh(points)
+        if len(fresh):
+            seen.add(np.asarray(objective(fresh, best_value), dtype=float))
+        return index
 
-    def fetch(rows: list[tuple[float, ...]]) -> None:
-        """Evaluate the points of ``rows`` not yet evaluated, in one call."""
-        fresh = [row for row in dict.fromkeys(rows) if row not in values]
-        if fresh:
-            found = objective(np.array(fresh), best_value)
-            values.update(zip(fresh, np.asarray(found, dtype=float).tolist()))
-
-    def ahead(j: int, around: list[list[tuple[float, ...]]], radius: np.ndarray) -> None:
+    def ahead(j: int, around: np.ndarray, at: np.ndarray, radius: np.ndarray) -> None:
         """Evaluate the scans of coordinates j on of ``around`` and the
-        branch scan of each of their unevaluated points."""
-        fresh = {row: k for k in range(j, len(around)) for row in around[k] if row not in values}
-        centres = [(row, k + 1) for row, k in fresh.items() if k + 1 < len(around)]
-        branches = []
-        if centres:
-            rows, nexts = zip(*centres)
-            scans = _scans(np.array(rows), radius, lows, highs)
-            branches = lattice(scans[np.arange(len(rows)), nexts])
-        fetch([*fresh, *(row for scan in branches for row in scan)])
+        branch scan of each of their unevaluated points, and fill in their
+        indices in ``at``, the indices of ``around``'s points in ``seen``."""
+        missing = at[j:] < 0
+        fresh = around[j:][missing]
+        nexts = missing.nonzero()[0] + (j + 1)
+        centres = nexts < len(PARAM_NAMES)
+        batch = fresh
+        if np.count_nonzero(centres):
+            scans = _scans(fresh[centres], radius, lows, highs)
+            on, kept = lattice(scans[np.arange(len(scans)), nexts[centres]])
+            batch = np.concatenate([fresh, on[kept]])
+        at[j:][missing] = fetch(batch)[:len(fresh)]
 
-    def consider(rows: list[tuple[float, ...]]) -> bool:
-        """Take ``rows``, and say whether the best point moved."""
+    def consider(at: np.ndarray) -> bool:
+        """Take the points at indices ``at`` in ``seen`` (0 for none), and
+        say whether the best point moved."""
         nonlocal best, best_value
-        taken.update(rows)
+        taken.append(at)
         # the points are taken in order, as if evaluated one at a time: the
         # best of them and the incumbent (first, so it wins a full tie) by
         # value, then by tie-break key; equal rates resolve toward the
         # dimmer, cheaper source
-        ranked = [rank(values[row], row, i) for i, row in enumerate(rows)
-                  if values[row] > -math.inf]
-        if best is not None:
-            ranked.append(rank(best_value, best, -1))
-        if not ranked:
+        value = seen.values[at]
+        top = np.fmax.reduce(value, initial=-math.inf)
+        if top == -math.inf or top < best_value:
             return False
-        value, *_, winner = min(ranked)
-        if winner < 0:
+        # the incumbent met again in a scan (its centre) cannot beat itself
+        tied = at[(value == top) & (at != best)]
+        if not len(tied):
             return False
-        best, best_value = rows[winner], -value
+        if top == best_value:
+            tied = np.concatenate([[best], tied])
+        if len(tied) > 1:
+            tied = tied[np.lexsort((seen.points[tied] * _TIE_SIGNS).T[::-1])]
+        if tied[0] == best:
+            return False
+        best, best_value = int(tied[0]), float(top)
         return True
 
     def counts() -> tuple[int, int, int]:
         """Evaluations, feasible and pruned points among those taken."""
-        found = [values[row] for row in taken]
-        return len(found), sum(not math.isnan(v) for v in found), found.count(-math.inf)
+        mask = np.zeros(len(seen.values), dtype=bool)
+        mask[np.concatenate(taken)] = True
+        found = seen.values[1:][mask[1:]]
+        return len(found), int((~np.isnan(found)).sum()), int(np.isneginf(found).sum())
 
     axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    [rows] = lattice(grid[None])
-    fetch(rows)
-    consider(rows)
-    if best is None:
+    on, keep = lattice(grid)
+    consider(fetch(on[keep]))
+    if not best:
         return None, -math.inf, *counts()
 
     cell = (highs - lows) / (space.grid_points - 1)
@@ -283,12 +303,60 @@ def maximize(
         moved = True
         for j in range(len(PARAM_NAMES)):
             if moved:
-                around = lattice(_scans(np.array(best), radius, lows, highs))
-            if any(row not in values for row in around[j]):
-                ahead(j, around, radius)
-            moved = consider(around[j])
+                around, keep = lattice(_scans(seen.points[best], radius, lows, highs))
+                at = seen.find(around, keep)
+            if np.count_nonzero(at[j] < 0):
+                ahead(j, around, at, radius)
+            moved = consider(at[j])
 
-    return dict(zip(PARAM_NAMES, best)), best_value, *counts()
+    return dict(zip(PARAM_NAMES, seen.points[best].tolist())), best_value, *counts()
+
+
+#: The tie-break key of a point is its coordinates times these, compared
+#: in order: smaller mu, then smaller nu, then larger p_mu.
+_TIE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+#: A point's coordinates as one value, their bytes: for the positive
+#: coordinates of a box, equal bytes are equal floats.
+_POINT = np.dtype((np.void, 8 * len(PARAM_NAMES)))
+
+
+class _Evaluated:
+    """The points ``maximize`` has evaluated, in order, and their values,
+    after one entry at index 0 that stands for no point: its value is NaN.
+    A point is found by its exact coordinates, through an index from their
+    bytes (``_POINT``) to its row."""
+
+    def __init__(self) -> None:
+        self.points = np.full((1, len(PARAM_NAMES)), np.nan)
+        self.values = np.full(1, np.nan)
+        self._rows: dict[bytes, int] = {}
+
+    def find(self, points: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The index of each point of ``points`` (..., coordinates): -1
+        where it is not evaluated, and 0 where ``keep`` is false."""
+        keys = points.view(_POINT).ravel().tolist()
+        found = np.fromiter(map(self._rows.get, keys, repeat(-1)), np.intp, len(keys))
+        return found.reshape(keep.shape) * keep
+
+    def fresh(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Of the rows of ``points``, the first of each point not yet
+        evaluated, in order, recorded as evaluated (their values follow
+        with ``add``), and the index of every row."""
+        place, new, index = self._rows.setdefault, [], []
+        # the next index: a key not yet in the index takes it
+        after = len(self.values)
+        for i, key in enumerate(points.view(_POINT).ravel().tolist()):
+            if (at := place(key, after)) == after:
+                new.append(i)
+                after += 1
+            index.append(at)
+        fresh = points[new]
+        self.points = np.concatenate([self.points, fresh])
+        return fresh, np.array(index, dtype=np.intp)
+
+    def add(self, values: np.ndarray) -> None:
+        """Record the values of the points ``fresh`` returned last."""
+        self.values = np.concatenate([self.values, values])
 
 
 def _on_lattice(points: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -320,7 +388,7 @@ def _scans(
     start, stop = np.maximum(lows, centre - radius), np.minimum(highs, centre + radius)
     lines = _SCAN_STEPS * ((stop - start) / (SCAN_POINTS - 1))[..., None, :] + start[..., None, :]
     lines[..., -1, :] = stop
-    return np.where(_DIAGONAL, np.swapaxes(lines, -1, -2)[..., None], centre[..., None, None, :])
+    return np.where(_DIAGONAL, lines.swapaxes(-1, -2)[..., None], centre[..., None, None, :])
 
 
 def optimize(
@@ -335,18 +403,20 @@ def optimize(
     so settings that cannot win are pruned, not solved exactly.  The best
     setting comes with its full report, from one ``block_report``.
     """
-    lengths: dict[tuple[float, ...], int] = {}
+    # every batch evaluated and its lengths; the winner, which has an
+    # exact rate and so its L, is evaluated once
+    solved: list[tuple[np.ndarray, np.ndarray]] = []
 
     def objective(points: np.ndarray, incumbent: float) -> np.ndarray:
         rate, L = evaluate(points, ch, target, n_pulses, incumbent)
-        # the winner has an exact rate: keep L for those points only
-        exact = L > 0
-        lengths.update(zip(map(tuple, points[exact].tolist()), L[exact].tolist()))
+        solved.append((points, L))
         return rate
 
     best, _, evaluations, n_feasible, pruned = maximize(space, objective)
     pc = report = None
     if best is not None:
         pc = PulseConfig(n_pulses=n_pulses, **best)
-        report = block_report(model_links(pc, ch), pc, ch, target, lengths[tuple(best.values())])
+        points, lengths = map(np.concatenate, zip(*solved))
+        [at] = (points == [best[name] for name in PARAM_NAMES]).all(axis=1).nonzero()[0]
+        report = block_report(model_links(pc, ch), pc, ch, target, int(lengths[at]))
     return OptimizeResult(pc, report, evaluations, n_feasible, pruned)

@@ -369,14 +369,18 @@ class _Chain(NamedTuple):
         fields of ``SecurityReport``, with the links' estimates merged and
         the thresholds checked as their own types.  ``lane`` indexes the
         (settings, lengths) axes, as ``ndarray.item`` does; a batch of one
-        needs none."""
+        needs none.  Each link's estimates are read at the lane before
+        they are merged, which takes the same worst case of each field."""
         view = {
             name: value if name == "p_robust" else value.item(*lane)
             for name, value in zip(self._fields[1:], self[1:])
         }
-        merged = merge_block_estimates(self.estimates)
+        at = (slice(None), *lane)
+        merged = merge_block_estimates(FiniteKeyEstimates(
+            *(getattr(self.estimates, f.name)[at] for f in fields(FiniteKeyEstimates))
+        ))
         view["estimates"] = FiniteKeyEstimates(
-            *(getattr(merged, f.name).item(*lane) for f in fields(merged))
+            *(getattr(merged, f.name).item() for f in fields(merged))
         )
         view["thresholds"] = Thresholds(view.pop("s_alpha"), view.pop("s_upsilon"))
         return view
@@ -430,12 +434,17 @@ def _stack_links(counts_by_link: Mapping[str, ObservedCounts]) -> ObservedCounts
     Each link's counts are one setting's or carry a stack's (settings, 1)
     axes.  A counts object that several links share is estimated once.
     """
-    if not counts_by_link:
-        raise ValueError("at least one link is required")
-    links = list({id(c): c.cells for c in counts_by_link.values()}.values())
+    links = [c.cells for c in _distinct_links(counts_by_link)]
     # one counts object (the model's links) is viewed, not copied
     cells = links[0][:, :, :, None] if len(links) == 1 else np.stack(links, axis=3)
     return ObservedCounts.from_cells(cells.reshape(*cells.shape[:4], -1, 1))
+
+
+def _distinct_links(counts_by_link: Mapping[str, ObservedCounts]) -> list[ObservedCounts]:
+    """The distinct counts objects of the links, in order."""
+    if not counts_by_link:
+        raise ValueError("at least one link is required")
+    return list({id(c): c for c in counts_by_link.values()}.values())
 
 
 def block_report(
@@ -499,27 +508,30 @@ def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: int) -> np.ndarra
     then 0): from lo + 2 up (``ratio`` 1), or mirrored about hi, from
     hi - 2 down (``ratio`` -1).
     """
-    # in units of two, the candidates of each setting are 1 .. gap - 1 above lo
-    gap = (hi - lo) // 2
-    n = max(1, min(width, int(np.maximum.reduce(gap)) - 1))
-    taken = np.minimum(np.maximum(gap - 1, 1), n)[:, None]
-    j = np.minimum(np.arange(1, n + 1), taken)
+    # in units of two, the candidates of each setting are 1 .. gap - 1 above
+    # lo, of which it takes n or all, ``taken``; ``parts`` is taken + 1, and
+    # ``room``, the gap but at least 2, gives every setting at least one unit
+    gap = (hi - lo)[:, None] // 2
+    n = max(1, min(width, int(np.maximum.reduce(gap, axis=None)) - 1))
+    room = np.maximum(gap, 2)
+    parts = np.minimum(room, n + 1)
+    j = np.minimum(np.arange(1, n + 1), parts - 1)
     if ratio:
         # never below j: with every candidate taken that is each of them
-        step = j if ratio > 0 else taken + 1 - j
-        units = np.maximum(np.floor(gap[:, None] ** ((step - 1) / taken)).astype(np.int64), step)
+        step = j if ratio > 0 else parts - j
+        units = np.maximum(np.floor(gap ** ((step - 1) / (parts - 1))).astype(np.int64), step)
         if ratio < 0:
-            units = gap[:, None] - units
+            units = np.maximum(gap - units, 1)
     else:
-        # gap < 2**51 (pools stop at 2**52) and j <= SOLVER_LANES, so the
-        # product stays far below 2**63
-        units = j * gap[:, None] // (taken + 1)
-    return lo[:, None] + 2 * np.maximum(units, 1)
+        # j * room >= parts, so units >= 1; room < 2**51 (pools stop at
+        # 2**52) and j <= SOLVER_LANES, so the product stays far below 2**63
+        units = j * room // parts
+    return lo[:, None] + 2 * units
 
 
 def min_signature_length(
     counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig,
+    pc: PulseConfig | _Decoy,
     target: SecurityTarget,
     cap: np.ndarray | None = None,
     race: tuple[np.ndarray, float] | None = None,
@@ -527,11 +539,11 @@ def min_signature_length(
     """Smallest even block length meeting ``target.target_psec``, for every setting.
 
     ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
-    each link's counts carry.  The ``Verdicts`` have one entry per
-    setting: the solved L, or the cause of infeasibility, which
-    ``Verdicts.error`` turns into the ``Infeasible`` error; it is
-    returned, not raised, so one hopeless setting does not stop the
-    batch.  They keep each round's chain, from which ``block_report``
+    each link's counts carry, or its ``finite_key._decoy`` factors.  The
+    ``Verdicts`` have one entry per setting: the solved L, or the cause of
+    infeasibility, which ``Verdicts.error`` turns into the ``Infeasible``
+    error; it is returned, not raised, so one hopeless setting does not
+    stop the batch.  They keep each round's chain, from which ``block_report``
     reads a solved setting's report.  A length is feasible when
     ``block_report`` certifies it under the same ``target``, test-sample
     rule included, with p_sec <= target.target_psec.
@@ -573,78 +585,87 @@ def min_signature_length(
             f"{len(BOUND_APPLICATIONS)}*eps_pe = {target.budget.total:.3g}"
         )
     # one column per setting: the cells of each distinct link, then the
-    # decoy factors, which each round indexes once for its settings
+    # decoy factors, which a round indexes for its settings when they change
     cells = _stack_links(counts_by_link).cells
     settings, n_cells = cells.shape[4], cells[..., 0, 0].size
     table = np.empty((n_cells + len(_Decoy._fields), settings))
     table[:n_cells] = cells.reshape(n_cells, settings)
     table[n_cells:] = np.array(_decoy(pc)).reshape(len(_Decoy._fields), -1)
-    pool = (cells[0, 0, 0] + cells[0, 1, 0]).min(axis=0)[:, 0]
-    if pool.max(initial=0.0) > 2.0**52:  # the chain takes lengths as floats: keep them exact
+    pool = np.minimum.reduce(cells[0, 0, 0] + cells[0, 1, 0])[:, 0]
+    # the chain takes lengths as floats: keep them exact
+    if np.maximum.reduce(pool, initial=0.0) > 2.0**52:
         raise ValueError(
             f"sifted Z pool of {pool.max():.17g} bits exceeds 2**52, the longest "
             f"block length the solver resolves"
         )
     # a test sample larger than the pool rules out every length
     sampled = pool >= (target.k_test or 0)
-    pool = pool.astype(np.int64) // 2 * 2
+    pool = pool.astype(np.int64) & -2  # rounded down to even, as every length below
     # settings never made active keep these
     lengths = pool.copy()
     codes = np.where(pool < 2, Verdicts.EMPTY_POOL,
-                        np.where(sampled, Verdicts.UNREACHED, Verdicts.SAMPLE_PAST_POOL))
-    cut = hi = pool
-    if cap is not None:
-        cut = np.maximum(np.asarray(cap, dtype=np.int64) // 2 * 2, 0)
-        hi = np.minimum(pool, np.maximum(cut, 2))
+                     np.where(sampled, Verdicts.UNREACHED, Verdicts.SAMPLE_PAST_POOL))
     rows = ((pool >= 2) & sampled).nonzero()[0]
-    lo, hi = np.zeros(len(rows), dtype=np.int64), hi[rows]
+    # the first round probes the longest block, hi and lanes down from 2
+    # (uncapped) or from the cap; hi is the cap (the pool again when there
+    # is none), and a setting feasible at its pool but not there is pruned
+    # with L cap + 2, or at once when the cap is below 2
+    ratio, hi = 1, pool[rows]
+    longest = hi
+    if cap is not None:
+        cut = np.maximum(np.asarray(cap, dtype=np.int64)[rows] & -2, 0)
+        ratio, hi, pruned_at, cap_ok = -1, np.minimum(hi, np.maximum(cut, 2)), cut + 2, cut >= 2
+    lo = np.zeros(len(rows), dtype=np.int64)
     rounds = []
+    # the chain's counts and decoy factors of the settings in ``rows``
+    batch = None
 
-    def feasible(L: np.ndarray) -> np.ndarray:
+    while len(rows):
+        if batch is None:
+            sub = table[:, rows] if len(rows) < settings else table
+            batch = (ObservedCounts.from_cells(sub[:n_cells].reshape(2, 2, 2, -1, len(rows), 1)),
+                     _Decoy(*sub[n_cells:, :, None]))
+        points = _spread(lo, hi, SOLVER_LANES // len(rows), ratio)
+        if ratio:
+            points = np.concatenate([longest[:, None], hi[:, None], points], axis=1)
         # the chain does all its arithmetic on L in floats: converting once
         # changes no value and spares each operation the cast
-        sub = table[:, rows]
-        chain = _bound_chain(
-            ObservedCounts.from_cells(sub[:n_cells].reshape(2, 2, 2, -1, len(rows), 1)),
-            _Decoy._make(sub[n_cells:, :, None]), target, L.astype(float),
-        )
-        rounds.append((rows, L, chain))
-        return chain.certified & (chain.p_sec <= target_psec)
-
-    first = True
-    while len(rows):
-        ratio = (1 if cap is None else -1) if first else 0
-        points = _spread(lo, hi, SOLVER_LANES // len(rows), ratio)
-        if first:
-            # the first round also probes the longest block and hi, the cap
-            # (the pool again when there is none); a cap below 2 admits no length
-            points = np.concatenate([pool[rows, None], hi[:, None], points], axis=1)
-        ok = feasible(points)
-        if first:
-            pool_ok, cap_ok = ok[:, 0], ok[:, 1] & (cut[rows] >= 2)
-            codes[rows] = np.where(
-                cap_ok, Verdicts.SOLVED, np.where(pool_ok, Verdicts.PRUNED, Verdicts.UNREACHED)
-            )
-            lengths[rows] = np.where(cap_ok, hi, np.where(pool_ok, cut[rows] + 2, pool[rows]))
-            rows, lo, hi = rows[cap_ok], lo[cap_ok], hi[cap_ok]
-            points, ok = points[cap_ok, 2:], ok[cap_ok, 2:]
-            first = False
-        # the first feasible point becomes hi and the point before it lo
+        chain = _bound_chain(*batch, target, points.astype(float))
+        rounds.append((rows, points, chain))
+        ok = chain.certified & (chain.p_sec <= target_psec)
+        if ratio:
+            kept = ok[:, 1] if cap is None else ok[:, 1] & cap_ok
+            codes[rows] = np.where(kept, Verdicts.SOLVED,
+                                   np.where(ok[:, 0], Verdicts.PRUNED, Verdicts.UNREACHED))
+            if cap is not None:
+                lengths[rows] = np.where(ok[:, 0], pruned_at, longest)
+            points, ok = points[:, 2:], ok[:, 2:]
+            if np.count_nonzero(kept) < len(rows):
+                rows, lo, hi, points, ok = rows[kept], lo[kept], hi[kept], points[kept], ok[kept]
+                batch = None
+                if not len(rows):
+                    break
+            ratio = 0
+        # the first feasible point (hi where there is none, as if feasible)
+        # becomes hi and the point before it lo, read from the flat ends
         ends = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
-        at = np.where(ok.any(axis=1), ok.argmax(axis=1), ok.shape[1])
-        lanes = np.arange(len(rows))
-        lo, hi = ends[lanes, at], ends[lanes, at + 1]
+        at = np.concatenate([ok, np.ones((len(ok), 1), dtype=bool)], axis=1).argmax(axis=1)
+        at += np.arange(0, ends.size, ends.shape[1])
+        ends = ends.ravel()
+        lo, hi = ends[at], ends[at + 1]
         lengths[rows] = hi
         going = hi - lo > 2
-        if race is not None and going.any():
+        if race is not None and np.count_nonzero(going):
             y, clock_hz = race
             # every setting still solved holds a feasible length
-            live = (codes == Verdicts.SOLVED).nonzero()[0]
-            best = (1.0 / _signing_time(lengths[live], y[live], clock_hz)).max()
+            live = codes == Verdicts.SOLVED
+            best = np.maximum.reduce(1.0 / _signing_time(lengths[live], y[live], clock_hz))
             beaten = going & (1.0 / _signing_time(lo + 2, y[rows], clock_hz) < best)
             codes[rows[beaten]], lengths[rows[beaten]] = Verdicts.PRUNED, lo[beaten] + 2
             going &= ~beaten
-        rows, lo, hi = rows[going], lo[going], hi[going]
+        if np.count_nonzero(going) < len(rows):
+            rows, lo, hi = rows[going], lo[going], hi[going]
+            batch = None
     return Verdicts(lengths, codes, rounds)
 
 
@@ -682,9 +703,8 @@ def _sifted_yield(
     counts_by_link: Mapping[str, ObservedCounts], pc: PulseConfig
 ) -> float | np.ndarray:
     """Sifted Z detections per emitted pulse on the slowest link."""
-    if not counts_by_link:
-        raise ValueError("at least one link is required")
-    return np.min([c.n_total("Z") for c in counts_by_link.values()], axis=0) / pc.n_pulses
+    pools = [c.n_total("Z") for c in _distinct_links(counts_by_link)]
+    return (pools[0] if len(pools) == 1 else np.min(pools, axis=0)) / pc.n_pulses
 
 
 def longest_block_at_rate(rate: float, y: np.ndarray, clock_hz: float) -> np.ndarray:
@@ -703,12 +723,20 @@ def longest_block_at_rate(rate: float, y: np.ndarray, clock_hz: float) -> np.nda
         return (L > 0) & (1.0 / _signing_time(L, y, clock_hz) >= rate)
 
     # the exact cut, rounded down to even, is off by a step at most; the
-    # expression is monotone in L, so stepping settles it.  Lengths past
-    # 2**52 exceed any pool, and floats stop resolving steps of two there.
+    # expression is monotone in L, so stepping settles it: up while L + 2
+    # reaches, then down while L does not, both read in one pass.  Lengths
+    # past 2**52 exceed any pool, and floats stop resolving steps of two there.
     L = np.minimum(np.floor(clock_hz * y / (4.0 * rate)) * 2.0, 2.0**52)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero yield never reaches
-        while (up := reaches(L + 2.0) & (L < 2.0**52)).any():
-            L += 2.0 * up
-        while (down := (L > 0) & ~reaches(L)).any():
-            L -= 2.0 * down
-    return L.astype(np.int64)
+        while True:
+            at, above = reaches(L + _HERE_AND_NEXT)
+            if np.count_nonzero(up := above & (L < 2.0**52)):
+                L += 2.0 * up
+            elif np.count_nonzero(down := (L > 0) & ~at):
+                L -= 2.0 * down
+            else:
+                return L.astype(np.int64)
+
+
+#: A length and the next even one, down a new leading axis.
+_HERE_AND_NEXT = np.array([[0.0], [2.0]])

@@ -487,6 +487,12 @@ class TestBadValues:
          "--distance: distance_km must be finite, got inf"),
         (["rate-curve", "--config", DESK_CFG, "--from", "-5", "--to", "1"],
          "--from must be non-negative, got -5"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103, "--block-length", "3"],
+         "--block-length: block length must be an even integer >= 2, got 3"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103, "--block-length", "-4"],
+         "--block-length: block length must be an even integer >= 2, got -4"),
+        (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103, "--block-length", "0"],
+         "--block-length: block length must be an even integer >= 2, got 0"),
         (["rate-curve", "--config", DESK_CFG, "--from", "nan"], "--from"),
         (["rate-curve", "--config", DESK_CFG, "--to", "inf"], "--to"),
         (["rate-curve", "--config", DESK_CFG, "--step=-inf"], "--step must be finite"),
@@ -578,7 +584,8 @@ class TestBadValues:
         "counts-unknown-preamble-key", "counts-repeated-preamble-key",
         "simulate-nan-distance", "demo-sign-inf-distance", "simulate-negative-distance",
         "demo-sign-negative-distance", "simulate-inf-distance", "curve-negative-from",
-        "curve-nan-from", "curve-inf-to",
+        "estimate-odd-block-length", "estimate-negative-block-length",
+        "estimate-zero-block-length", "curve-nan-from", "curve-inf-to",
         "curve-minus-inf-step", "config-negative-eps", "config-zero-alpha",
         "config-target-above-one", "config-zero-k-test", "config-negative-seed",
         "simulate-negative-seed", "demo-sign-negative-seed",

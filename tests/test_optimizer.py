@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -115,6 +116,117 @@ def reference_maximize(space, objective):
                                          SCAN_POINTS)
             ])
     return best_params, best_value, evaluations, n_feasible
+
+
+def tuple_maximize(space, objective):
+    """``maximize`` as written over per-point tuples, a dict of values and
+    rank tuples: the oracle of the search over arrays, which must match it
+    in every result and every objective call."""
+    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
+    values, taken = {}, set()
+    best, best_value = None, -math.inf
+
+    def rank(value, point, i):
+        mu, nu, p_mu, p_z_tx, p_z_rx = point
+        return (-value, mu, nu, -p_mu, p_z_tx, p_z_rx, i)
+
+    def lattice(points):
+        on = optimizer._on_lattice(points, lows, highs).tolist()
+        return [[tuple(row) for row in scan if row[1] < row[0]] for scan in on]
+
+    def fetch(rows):
+        fresh = [row for row in dict.fromkeys(rows) if row not in values]
+        if fresh:
+            found = objective(np.array(fresh), best_value)
+            values.update(zip(fresh, np.asarray(found, dtype=float).tolist()))
+
+    def ahead(j, around, radius):
+        fresh = {row: k for k in range(j, len(around)) for row in around[k] if row not in values}
+        centres = [(row, k + 1) for row, k in fresh.items() if k + 1 < len(around)]
+        branches = []
+        if centres:
+            rows, nexts = zip(*centres)
+            scans = optimizer._scans(np.array(rows), radius, lows, highs)
+            branches = lattice(scans[np.arange(len(rows)), nexts])
+        fetch([*fresh, *(row for scan in branches for row in scan)])
+
+    def consider(rows):
+        nonlocal best, best_value
+        taken.update(rows)
+        ranked = [rank(values[row], row, i) for i, row in enumerate(rows)
+                  if values[row] > -math.inf]
+        if best is not None:
+            ranked.append(rank(best_value, best, -1))
+        if not ranked:
+            return False
+        value, *_, winner = min(ranked)
+        if winner < 0:
+            return False
+        best, best_value = rows[winner], -value
+        return True
+
+    def counts():
+        found = [values[row] for row in taken]
+        return len(found), sum(not math.isnan(v) for v in found), found.count(-math.inf)
+
+    axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    [rows] = lattice(grid[None])
+    fetch(rows)
+    consider(rows)
+    if best is None:
+        return None, -math.inf, *counts()
+    cell = (highs - lows) / (space.grid_points - 1)
+    for round_idx in range(DESCENT_ROUNDS):
+        radius = cell / 2.0**round_idx
+        moved = True
+        for j in range(len(PARAM_NAMES)):
+            if moved:
+                around = lattice(optimizer._scans(np.array(best), radius, lows, highs))
+            if any(row not in values for row in around[j]):
+                ahead(j, around, radius)
+            moved = consider(around[j])
+    return dict(zip(PARAM_NAMES, best)), best_value, *counts()
+
+
+@st.composite
+def search_spaces(draw):
+    """A search box of random bounds, mu's in (0, 1] and the others' in
+    (0, 1), and a grid of 2 to 4 points a side."""
+    bounds = {}
+    for name in PARAM_NAMES:
+        top = 1.0 if name == "mu" else 0.999
+        lo, hi = sorted(draw(st.lists(st.floats(1e-3, top), min_size=2, max_size=2, unique=True)))
+        bounds[name] = (lo, hi)
+    return SearchSpace(grid_points=draw(st.integers(2, 4)), **bounds)
+
+
+@st.composite
+def rough_objectives(draw):
+    """A batch objective over a box of few distinct values: a concave bump
+    in box units rounded to ``levels`` steps, so that points tie exactly,
+    NaN or -inf on a share of the points picked by their bytes, and, when
+    pruning, -inf for every value below the incumbent."""
+    space = draw(search_spaces())
+    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
+    peak = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)))
+    levels = draw(st.sampled_from([1, 3, 20, 1000]))
+    nan_every, inf_every = draw(st.sampled_from([0, 2, 5])), draw(st.sampled_from([0, 3, 7]))
+    prune = draw(st.booleans())
+
+    def value(row):
+        key = zlib.crc32(row.tobytes())
+        if nan_every and key % nan_every == 0:
+            return math.nan
+        if inf_every and key % inf_every == 1:
+            return -math.inf
+        return round((1.0 - (((row - lows) / (highs - lows) - peak) ** 2).sum()) * levels) / levels
+
+    def objective(points, incumbent):
+        values = [value(row) for row in points]
+        return [-math.inf if prune and v < incumbent else v for v in values]
+
+    return space, objective
 
 
 class TestMaximize:
@@ -249,6 +361,35 @@ def coupled(space, start=0.1, shift=-0.9, jitter=0.0):
 #: Objective calls of ``maximize`` on ``coupled`` by grid_points: the grid
 #: call and one per scan whose points no earlier call evaluated ahead
 COUPLED_CALLS = {2: 12, 3: 10}
+
+
+class TestArraySearch:
+    """``maximize`` keeps its points and values in arrays; it must make the
+    calls, and give the results, of the search over tuples it replaces."""
+
+    @given(rough_objectives())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_tuple_search(self, drawn):
+        space, objective = drawn
+        calls = {"array": [], "tuple": []}
+
+        def recording(log):
+            def call(points, incumbent):
+                log.append((points.tobytes(), incumbent))
+                return objective(points, incumbent)
+            return call
+
+        got = maximize(space, recording(calls["array"]))
+        want = tuple_maximize(space, recording(calls["tuple"]))
+        assert got[0] == want[0]
+        assert got[1:] == want[1:] or (math.isnan(got[1]) and math.isnan(want[1]))
+        assert calls["array"] == calls["tuple"]
+
+    @pytest.mark.parametrize("km", [0.0, 103.0, 280.0])
+    def test_matches_the_tuple_search_on_the_device(self, km):
+        ch, space = DEVICE.channel(km), SearchSpace(grid_points=2)
+        objective = rate_objective(ch, prune=True)
+        assert maximize(space, objective) == tuple_maximize(space, objective)
 
 
 class TestSpeculation:
