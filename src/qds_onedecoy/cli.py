@@ -117,16 +117,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     text = format_report(report, distance_km=args.distance, budget=config.target.budget)
 
     # end-to-end messaging demo at the solved block length; bit-level keys
-    # when the pulse budget is desk scale and the pool can afford both
-    # message-value blocks, synthetic keys at the model error rate otherwise
+    # when the pulse budget is desk scale and the report's pool and both
+    # links' sampled pools can afford both message-value blocks, synthetic
+    # keys at the model error rate otherwise
     pool = min(c.n_total("Z") for c in counts_by_link.values())
     bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES and pool >= 2 * L + report.k_test
-    session = ProtocolSession(
-        pc, ch, L, seed=seed, k_test=report.k_test, synthetic=not bit_mode
-    )
-    session.run_distribution()
+    session = ProtocolSession(pc, ch, L, seed=seed, k_test=report.k_test, synthetic=not bit_mode)
+    session.run_distribution(fallback=True)
     bob, charlie = session.run_messaging(args.message_bit, report.thresholds)
-    text += f"demo_mode: {'bit-level' if bit_mode else 'synthetic'}\n"
+    text += f"demo_mode: {'bit-level' if session.bit_mode else 'synthetic'}\n"
     text += f"demo_message_bit: {args.message_bit}\n"
     text += f"demo_bob_accept: {str(bob[0]).lower()}\n"
     text += (

@@ -126,24 +126,14 @@ def evaluate(
     over the settings, in the encoding ``maximize`` ranks: the rate of
     ``block_report`` at the solved L, NaN where infeasible and -inf where
     pruned; and that L where the rate is exact, 0 elsewhere.  A target
-    below the structural floor is a configuration error and propagates
-    instead of reading as infeasible.
+    below the structural floor propagates instead of reading as infeasible.
 
-    Given a positive ``incumbent`` rate (the default, 0, prunes nothing),
-    a setting that cannot reach it is only shown so: it is solved with
-    its cap at the longest block that signs at the incumbent's rate
-    (``longest_block_at_rate``), and comes back pruned when infeasible
-    there.  Every setting that can tie or beat the incumbent gets its
-    exact L and rate.
-
-    An incumbent of -inf (none found yet) says that every setting of the
-    batch is taken at once, so one that cannot tie the best of the batch
-    need not be solved exactly: it may come back pruned.  A batch of more
-    than ``SEED_POINTS`` settings first solves an evenly strided seed of
-    them, which race (``min_signature_length``'s ``race``), and the rest
-    against the best rate found; the best seed is solved exactly.  The
-    stack, counts, decoy factors and sifted yields are built once for the
-    batch, and a solve of some of its settings takes their rows.
+    A positive ``incumbent`` rate (0, the default, prunes nothing) may
+    prune a setting that cannot reach it; one that can tie or beat it gets
+    its exact rate and L.  An incumbent of -inf says that the whole batch
+    is taken at once: a setting that cannot tie the best of the batch may
+    come back pruned.  README, "How the block length is solved", gives the
+    design.
     """
     stack = PulseConfig.stack(points, n_pulses=n_pulses)
     counts_by_link = model_links(stack, ch)
@@ -186,41 +176,25 @@ def maximize(
     space: SearchSpace,
     objective: Callable[[np.ndarray, float], Sequence[float | None] | np.ndarray],
 ) -> tuple[dict[str, float] | None, float, int, int, int]:
-    """Grid pass plus shrinking coordinate scans over the box.
+    """Grid pass plus ``DESCENT_ROUNDS`` rounds of shrinking coordinate
+    scans over the box.
 
     ``objective`` maps an array of points, one row each with the
     coordinates ``PARAM_NAMES`` as columns, and the incumbent (the best
-    value so far, -inf before any) to one value per row: NaN or None when
-    infeasible.  For a point that cannot reach the incumbent it may return
-    -inf instead of its value, and so in the grid call, whose points are
-    all taken, for one strictly below the best of the call; such a point
-    counts as feasible and pruned.  Every point is rounded to 12 decimals
-    and clipped to the box, so that points a rounding error apart are one
-    point, and only points with nu < mu are kept.
-
-    The objective is called once for the grid, then once for each
-    coordinate scan that has points not yet evaluated.  That call also
-    takes the unevaluated points of the round's later scans, built around
-    the current best, and, for every unevaluated point of this scan and
-    of those, its branch scan: the next coordinate's scan built around
-    that point at the same radius.  Whichever point wins a scan, the scan
-    after it is then already evaluated, and a scan whose points were all
-    evaluated so costs no call.  A point evaluated ahead is one that a
-    one-scan-per-call search would evaluate later, if at all, against an
-    incumbent at least as high, so its value (or -inf) decides the same:
-    the best point, its value, the evaluations and the feasible count do
-    not depend on what is evaluated ahead.  The pruned count does, as the
-    incumbent each point is evaluated against decides whether it comes
-    back pruned.  Points are counted when taken, in the order of a
-    one-point-at-a-time search, not when evaluated.
-
-    The points evaluated and their values are kept in arrays, and a scan
-    is ranked on them; a point is found by the bytes of its coordinates.
+    value so far, -inf before any) to one value per row, NaN or None when
+    infeasible.  It may return -inf for a point that cannot reach the
+    incumbent, and in the grid call, whose points are all taken, for one
+    strictly below the best of the call; such a point counts as feasible
+    and pruned.  Every point is rounded to 12 decimals and clipped to the
+    box, and only points with nu < mu are kept.
 
     Returns (best params or None, best value, evaluations, feasible count,
-    pruned count).  The best-so-far point is never abandoned, so refining
-    can only improve the result.  Ties prefer smaller mu, then smaller nu,
-    then larger p_mu.
+    pruned count).  Points may be evaluated ahead of their scan, but are
+    counted when taken, so the best point, its value, the evaluations and
+    the feasible count are those of a one-point-at-a-time search; the
+    pruned count depends on the incumbent each point met.  The best point
+    is never abandoned, and ties prefer smaller mu, then smaller nu, then
+    larger p_mu.  README, "How the block length is solved", gives the design.
     """
     lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
     seen = _Evaluated()

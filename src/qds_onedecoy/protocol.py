@@ -285,10 +285,7 @@ class ProtocolSession:
         self.L = int(L)
         self.seed = int(seed)
         self.k_test = k_test_for(L, k_test)
-        if synthetic is None:
-            self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES
-        else:
-            self.bit_mode = not synthetic
+        self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES if synthetic is None else not synthetic
         self._distribution_started = False
         self.transcript: list[ClassicalMessage] = []
         self.kgp_results: dict[str, KgpResult] = {}
@@ -317,8 +314,7 @@ class ProtocolSession:
         and return the recipient's bits, both blocks in message-value order."""
         need = 2 * self.L
         if self.bit_mode:
-            kgp = run_kgp(link, self.pc, self.ch, self.seed, self.k_test, min_pool=need)
-            self.kgp_results[link] = kgp
+            kgp = self.kgp_results[link]
             self._send("basis_announce", recipient, "alice", {"link": link, "n": len(kgp.tx_pool)})
             self._send("sift_result", "alice", recipient, {"link": link})
             self._send(
@@ -342,12 +338,25 @@ class ProtocolSession:
             self._signing_keys[(m, link)] = rx[m * self.L:(m + 1) * self.L]
         return tx
 
-    def run_distribution(self) -> None:
+    def run_distribution(self, fallback: bool = False) -> None:
         """Fill and symmetrise the key blocks of both message values, once
-        per session; a session whose distribution failed stays unusable."""
+        per session; a session whose distribution failed stays unusable.
+
+        Both links are sampled before any message is sent.  When a sampled
+        pool cannot supply the test sample and both blocks, this raises
+        ``ProtocolError``, or with ``fallback`` draws synthetic blocks.
+        """
         if self._distribution_started:
             raise ProtocolError("distribution already ran on this session")
         self._distribution_started = True
+        if self.bit_mode:
+            try:
+                self.kgp_results = {link: run_kgp(link, self.pc, self.ch, self.seed, self.k_test,
+                                                  min_pool=2 * self.L) for link in LINKS}
+            except ProtocolError:
+                if not fallback:
+                    raise
+                self.bit_mode = False
         bob_bits = self._link_blocks("bob_alice", "bob")
         charlie_bits = self._link_blocks("charlie_alice", "charlie")
         for m in (0, 1):

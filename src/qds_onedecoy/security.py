@@ -54,8 +54,8 @@ DEFAULT_TEST_FRACTION = 0.05
 #: Block lengths one round of the lockstep solver may evaluate, shared
 #: equally by the settings it is still solving.  A round costs mostly its
 #: fixed numpy overhead up to a few hundred lengths (a chain call of 256
-#: costs about 1.3 times one of 1, 390 against 300 us), so one setting
-#: narrows its interval 257-fold a round.
+#: costs about 1.25 times one of 1, 435 against 350 us on a 2-vCPU VM),
+#: so one setting narrows its interval 257-fold a round.
 SOLVER_LANES = 256
 
 
@@ -538,45 +538,24 @@ def min_signature_length(
 ) -> Verdicts:
     """Smallest even block length meeting ``target.target_psec``, for every setting.
 
-    ``pc`` is one config or a ``PulseConfig.stack``, whose batch axes
-    each link's counts carry, or its ``finite_key._decoy`` factors.  The
-    ``Verdicts`` have one entry per setting: the solved L, or the cause of
-    infeasibility, which ``Verdicts.error`` turns into the ``Infeasible``
-    error; it is returned, not raised, so one hopeless setting does not
-    stop the batch.  They keep each round's chain, from which ``block_report``
-    reads a solved setting's report.  A length is feasible when
-    ``block_report`` certifies it under the same ``target``, test-sample
-    rule included, with p_sec <= target.target_psec.
+    ``pc`` is one config, or a ``PulseConfig.stack`` whose batch axes each
+    link's counts carry, or its ``finite_key._decoy`` factors.  A length
+    is feasible when ``block_report`` certifies it under the same
+    ``target``, test-sample rule included, with p_sec <= target_psec; the
+    search relies on feasibility being monotone in L.  Returns
+    ``Verdicts`` with one entry per setting, so one hopeless setting does
+    not stop the batch, and each round's chain, whose lanes hold the
+    floats a chain call at that length alone gives.  Without ``race``, a
+    setting gets the verdict it gets solved alone.  A target below the
+    estimation floor raises ``InfeasibleTarget``.
 
-    Feasibility is monotone in L (longer blocks shrink every finite-size
-    penalty), so each setting keeps lo, the longest length known to fail
-    (0 at first), and hi, the shortest known to pass (its pool, which the
-    first round probes too), and the settings narrow them in lockstep.
-    Each round evaluates, in one call of the bound chain, every active
-    setting's equal share of ``SOLVER_LANES`` even lengths spread strictly
-    between its lo and hi (every candidate when fewer remain); each
-    setting then keeps the probed lengths around its first feasible one,
-    and is solved at hi once hi - lo <= 2.  The spread is even, except in
-    the first round: an uncapped one climbs from 2 by a constant ratio,
-    because L may lie anywhere on a log scale below the pool, and a capped
-    one descends from the cap by the same ratio, because a cap set where a
-    setting would tie a rival puts L just below it.
-
-    ``cap``, one length per setting, bounds the search for callers that
-    only need L when it is at most the cap.  The first round also probes
-    each setting's cap (its even floor, within the pool), and a setting
-    feasible at its pool but not at its cap is pruned there, with L
-    cap + 2, which is not an infeasible verdict.  The others
-    search with hi at the cap and, by monotone feasibility, end on the L an
-    uncapped solve would.
-
-    ``race``, each setting's sifted yield per pulse and the clock in Hz,
-    makes the settings race for the highest signing rate, by the expression
-    ``signature_time_and_rate`` rates with.  After each round a setting
-    still searching whose rate at lo + 2, the most it can reach, is
-    strictly below the best rate a setting has proven (its rate at hi,
-    where it is feasible) is pruned, with L lo + 2.  A setting
-    that ties or beats the best rate of the batch is never pruned.
+    ``cap`` gives one length per setting, and no cap is a cap at the pool:
+    a setting feasible at its pool whose L exceeds its cap is ``PRUNED``
+    with L cap + 2.  ``race`` gives each setting's sifted yield per pulse
+    and the clock in Hz: a setting that cannot reach, at lo + 2, a
+    signing rate another setting has proven is ``PRUNED`` with L lo + 2;
+    a tie is never pruned.  README, "How the block length is solved",
+    gives the design.
     """
     target_psec = target.target_psec
     if target_psec < target.budget.total:
@@ -606,16 +585,13 @@ def min_signature_length(
     codes = np.where(pool < 2, Verdicts.EMPTY_POOL,
                      np.where(sampled, Verdicts.UNREACHED, Verdicts.SAMPLE_PAST_POOL))
     rows = ((pool >= 2) & sampled).nonzero()[0]
-    # the first round probes the longest block, hi and lanes down from 2
-    # (uncapped) or from the cap; hi is the cap (the pool again when there
-    # is none), and a setting feasible at its pool but not there is pruned
-    # with L cap + 2, or at once when the cap is below 2
-    ratio, hi = 1, pool[rows]
-    longest = hi
-    if cap is not None:
-        cut = np.maximum(np.asarray(cap, dtype=np.int64)[rows] & -2, 0)
-        ratio, hi, pruned_at, cap_ok = -1, np.minimum(hi, np.maximum(cut, 2)), cut + 2, cut >= 2
-    lo = np.zeros(len(rows), dtype=np.int64)
+    # an uncapped solve is the solve capped at the pool.  The first round
+    # probes the pool, hi (the cap within the pool) and lanes up from 2
+    # (uncapped) or down from the cap; a setting feasible at its pool but
+    # not at its cap is pruned with L cap + 2, at once when the cap is below 2
+    ratio, cap = (1, pool) if cap is None else (-1, np.asarray(cap, dtype=np.int64))
+    longest, cut = pool[rows], np.maximum(cap[rows] & -2, 0)
+    hi, lo = np.minimum(longest, np.maximum(cut, 2)), np.zeros(len(rows), dtype=np.int64)
     rounds = []
     # the chain's counts and decoy factors of the settings in ``rows``
     batch = None
@@ -634,11 +610,10 @@ def min_signature_length(
         rounds.append((rows, points, chain))
         ok = chain.certified & (chain.p_sec <= target_psec)
         if ratio:
-            kept = ok[:, 1] if cap is None else ok[:, 1] & cap_ok
+            kept = ok[:, 1] & (cut >= 2)
             codes[rows] = np.where(kept, Verdicts.SOLVED,
                                    np.where(ok[:, 0], Verdicts.PRUNED, Verdicts.UNREACHED))
-            if cap is not None:
-                lengths[rows] = np.where(ok[:, 0], pruned_at, longest)
+            lengths[rows] = np.where(ok[:, 0], cut + 2, longest)
             points, ok = points[:, 2:], ok[:, 2:]
             if np.count_nonzero(kept) < len(rows):
                 rows, lo, hi, points, ok = rows[kept], lo[kept], hi[kept], points[kept], ok[kept]

@@ -2,9 +2,12 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,7 +18,9 @@ from hypothesis import strategies as st
 
 from qds_onedecoy import cli, optimizer, security
 from qds_onedecoy.cli import build_parser, main
-from qds_onedecoy.files import CONFIG_ENV_VAR, read_counts
+from qds_onedecoy.channel import sample_statistics
+from qds_onedecoy.files import CONFIG_ENV_VAR, read_config, read_counts
+from qds_onedecoy.protocol import LINKS, rng_stream
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEVICE_CFG = str(DATA / "device.cfg")
@@ -216,6 +221,31 @@ class TestSimulate:
             parsed = _parse_report(capsys.readouterr().out)
             rates[distance] = float(parsed["rate_bits_per_s"])
         assert rates["0"] > 10.0 * rates["103"]
+
+    def test_short_sampled_pool_falls_back_to_synthetic(self, capsys):
+        # at 63.412 km two solved blocks and the test sample need about the
+        # whole expected pool, so for most seeds a link's sampled pool is
+        # short: the demo then runs on synthetic keys instead of exiting 3
+        config = read_config(DESK_CFG)
+        pc, ch = config.pulse_config(), config.channel(63.412)
+        modes = []
+        for seed in range(40):
+            assert main(["simulate", "--config", DESK_CFG, "--distance", "63.412",
+                         "--seed", str(seed)]) == 0
+            parsed = _parse_report(capsys.readouterr().out)
+            need = 2 * int(parsed["block_length"]) + int(parsed["test_sample"])
+            short = any(
+                sample_statistics(pc, ch, rng_stream(seed, link, "kgp")).n_total("Z") < need
+                for link in LINKS
+            )
+            assert parsed["demo_mode"] == ("synthetic" if short else "bit-level"), seed
+            assert parsed["demo_bob_accept"] == parsed["demo_charlie_accept"] == "true"
+            modes.append(parsed["demo_mode"])
+        assert modes.count("synthetic") == 29
+        # demo-sign has no synthetic keys: a short pool still ends it
+        assert main(["demo-sign", "--config", DESK_CFG, "--distance", "63.412",
+                     "--seed", "0"]) == 3
+        assert "cannot supply" in capsys.readouterr().err
 
 
 class TestDemoSign:
@@ -740,6 +770,36 @@ class TestFuzz:
                 "rate-curve", "--config", str(cfg), "--grid-points", "2",
                 "--from", repr(distance), "--to", repr(distance + 1.0),
             ]))
+
+
+def readme_section(heading: str) -> str:
+    """The README's ``## heading`` section, up to the next ``## `` heading."""
+    text = (DATA.parent.parent / "README.md").read_text()
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadme:
+    def test_quick_start_commands_exit_0(self, capsys, tmp_path):
+        text = readme_section("Quick start").replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("qds ")]
+        assert [argv[0] for argv in commands] == ["estimate", "simulate", "demo-sign", "rate-curve"]
+        for argv in commands:
+            # every output file is written under tmp_path
+            for i, arg in enumerate(argv[:-1]):
+                if arg in ("--out", "--transcript"):
+                    argv[i + 1] = str(tmp_path / argv[i + 1])
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+
+    def test_library_layout_names_public_entry_points(self):
+        [block] = re.findall(r"```\n(.*?)```", readme_section("Library layout"), re.S)
+        entries = re.split(r"^qds_onedecoy\.", block, flags=re.M)[1:]
+        assert len(entries) == 8
+        for entry in entries:
+            module, text = entry.split(None, 1)
+            names = re.findall(r"\w+", text.split(":", 1)[1])
+            public = importlib.import_module(f"qds_onedecoy.{module}").__all__
+            assert set(names) <= set(public), module
 
 
 class TestParser:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qds_onedecoy import optimizer, security
 from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+from qds_onedecoy.cli import main
 from qds_onedecoy.files import read_config
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.optimizer import (
@@ -482,8 +483,8 @@ SEARCH_WORK = {
 }
 
 
-@pytest.mark.parametrize("km", sorted(SEARCH_WORK))
-def test_search_work_is_pinned(monkeypatch, km):
+def count_search_work(monkeypatch) -> dict[str, int]:
+    """Counts of ``_bound_chain`` and ``evaluate`` calls from now on."""
     calls = {"chain": 0, "evaluate": 0}
 
     def counting(name, fn):
@@ -494,10 +495,24 @@ def test_search_work_is_pinned(monkeypatch, km):
 
     monkeypatch.setattr(security, "_bound_chain", counting("chain", security._bound_chain))
     monkeypatch.setattr(optimizer, "evaluate", counting("evaluate", evaluate))
+    return calls
+
+
+@pytest.mark.parametrize("km", sorted(SEARCH_WORK))
+def test_search_work_is_pinned(monkeypatch, km):
+    calls = count_search_work(monkeypatch)
     found = optimize(SearchSpace(grid_points=3), DEVICE.channel(km), DEVICE.target,
                      DEVICE.source.n_pulses)
     assert (found.evaluations, found.n_feasible) == SEARCH_POINTS[km]
     assert (calls["chain"], calls["evaluate"], found.pruned) == SEARCH_WORK[km]
+
+
+def test_default_sweep_work_is_pinned(monkeypatch, capsys):
+    # the default ``qds rate-curve`` sweep: 15 distances at grid 4
+    calls = count_search_work(monkeypatch)
+    assert main(["rate-curve", "--config", DEVICE_PATH]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 16
+    assert (calls["chain"], calls["evaluate"]) == (377, 118)
 
 
 def reference_scans(centre, radius, lows, highs):
@@ -691,7 +706,8 @@ class TestOptimize:
             assert ((lo <= column) & (column <= hi)).all(), name
 
 
-DEVICE = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
+DEVICE_PATH = str(pathlib.Path(__file__).parent / "data" / "device.cfg")
+DEVICE = read_config(DEVICE_PATH)
 
 
 def device_evaluate(points, ch, incumbent=0.0, **fixed):

@@ -378,6 +378,15 @@ class TestSession:
         with pytest.raises(ProtocolError):
             session.run_distribution()
 
+    def test_short_pool_with_fallback_runs_synthetic(self):
+        # both links are sampled before any message, then neither is used
+        session = ProtocolSession(DESK_PC, DESK_CH, L=10**6, seed=9)
+        session.run_distribution(fallback=True)
+        assert not session.bit_mode and session.kgp_results == {}
+        assert session.transcript[0].payload == {"link": "bob_alice", "synthetic": True}
+        bob, _ = session.run_messaging(1, self.relaxed_thresholds())
+        assert bob[0]
+
     def test_synthetic_mode_is_forced_above_desk_scale(self):
         big = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
                           n_pulses=1e12)
