@@ -299,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Infeasible, ProtocolError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        cause = getattr(exc, "cause", "")
+        print(f"infeasible: {exc}" + (f": {cause}" if cause else ""), file=sys.stderr)
         return 3
 
 

@@ -59,6 +59,10 @@ __all__ = [
 #: Quantum links, named recipient-to-signer.
 LINKS = ("bob_alice", "charlie_alice")
 
+#: Block bits a chunked pass takes at once: synthetic flips are drawn,
+#: and a half's positions found, this many at a time.
+_CHUNK = 1 << 16
+
 
 class ProtocolError(Exception):
     """A party was driven outside the allowed protocol flow, distribution
@@ -182,18 +186,51 @@ def run_kgp(
     )
 
 
+def _forward_half(rng: np.random.Generator, L: int) -> np.ndarray:
+    """The half of an L-bit block a recipient forwards, drawn from ``rng``,
+    as a bool mask."""
+    forward = np.zeros(L, dtype=bool)
+    forward[rng.choice(L, size=L // 2, replace=False)] = True
+    return forward
+
+
+def _positions(
+    mask: np.ndarray, bits: np.ndarray | None = None, kept: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The positions ``mask`` sets (clears, when ``kept``), ascending, in the
+    smallest unsigned type that holds its last position, and ``bits`` at
+    them when given.  They are found a chunk at a time, so neither they nor
+    the mask's complement are ever held whole as native integers or bools."""
+    n = len(mask)
+    count = np.count_nonzero(mask)
+    positions = np.empty(n - count if kept else count, np.min_scalar_type(n - 1))
+    picked = None if bits is None else np.empty(len(positions), bits.dtype)
+    at = 0
+    for start in range(0, n, _CHUNK):
+        part = mask[start:start + _CHUNK]
+        found = np.flatnonzero(~part if kept else part)
+        end = at + len(found)
+        if picked is not None:
+            picked[at:end] = bits[start:start + _CHUNK][found]
+        found += start
+        positions[at:end] = found
+        at = end
+    return positions, picked
+
+
 def symmetrize(
     bob_bits: np.ndarray,
     charlie_bits: np.ndarray,
-    rng_bob: np.random.Generator,
-    rng_charlie: np.random.Generator,
+    bob_forward: np.ndarray,
+    charlie_forward: np.ndarray,
 ) -> tuple[tuple[HalfKey, HalfKey], tuple[HalfKey, HalfKey]]:
-    """Exchange random halves between the two recipients' blocks.
+    """Exchange the forwarded halves between the two recipients' blocks.
 
-    Each recipient independently chooses half of his positions to
-    forward and keeps the complement, so Alice cannot know which copy of
-    a given position will be checked where.  Returns Bob's and Charlie's
-    symmetrised keys, each the (own, received) pair of halves he holds.
+    Each recipient forwards the half of his positions that his mask
+    (``_forward_half``) marks and keeps the complement, so Alice cannot
+    know which copy of a given position will be checked where.  Returns
+    Bob's and Charlie's symmetrised keys, each the (own, received) pair of
+    halves he holds, with positions as ``_positions`` gives them.
     """
     L = len(bob_bits)
     if len(charlie_bits) != L:
@@ -202,22 +239,20 @@ def symmetrize(
         )
     if L < 2 or L % 2 != 0:
         raise ProtocolError(f"block length must be an even integer >= 2, got {L}")
-    half = L // 2
+    for mask in (bob_forward, charlie_forward):
+        if mask.dtype != bool or len(mask) != L or np.count_nonzero(mask) != L // 2:
+            raise ProtocolError("each forwarding mask must mark half of its block")
 
-    def split(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        forward = np.zeros(L, dtype=bool)
-        forward[rng.choice(L, size=half, replace=False)] = True
-        return np.flatnonzero(~forward), np.flatnonzero(forward)
+    def half(link: str, bits: np.ndarray, mask: np.ndarray, kept: bool = False) -> HalfKey:
+        return HalfKey(link, *_positions(mask, bits, kept))
 
-    bob_keep, bob_forward = split(rng_bob)
-    charlie_keep, charlie_forward = split(rng_charlie)
     bob_sym = (
-        HalfKey("bob_alice", bob_keep, bob_bits[bob_keep]),
-        HalfKey("charlie_alice", charlie_forward, charlie_bits[charlie_forward]),
+        half("bob_alice", bob_bits, bob_forward, kept=True),
+        half("charlie_alice", charlie_bits, charlie_forward),
     )
     charlie_sym = (
-        HalfKey("charlie_alice", charlie_keep, charlie_bits[charlie_keep]),
-        HalfKey("bob_alice", bob_forward, bob_bits[bob_forward]),
+        half("charlie_alice", charlie_bits, charlie_forward, kept=True),
+        half("bob_alice", bob_bits, bob_forward),
     )
     return bob_sym, charlie_sym
 
@@ -236,11 +271,16 @@ def _count_mismatches(keys: dict[str, np.ndarray], half: HalfKey) -> int:
         raise ProtocolError(
             f"positions fall outside the declared block of length {len(key)}"
         )
+    # compact positions are cast once, as indexing by them casts on every
+    # lookup; mismatches are counted before the distinctness mask is made,
+    # so the cast, the lookup and the mask are never all held at once
+    pos = pos.astype(np.intp, copy=False)
+    mismatches = int(np.count_nonzero(key[pos] != half.bits))
     seen = np.zeros(len(key), dtype=bool)
     seen[pos] = True
     if np.count_nonzero(seen) != len(pos):
         raise ProtocolError("positions must be distinct")
-    return int(np.count_nonzero(key[pos] != half.bits))
+    return mismatches
 
 
 def verify(
@@ -261,11 +301,12 @@ def verify(
 class ProtocolSession:
     """One full protocol run among the three parties.
 
-    Distribution fills the key blocks for both message values; messaging
-    signs one value and runs both verifications.  At desk scale
-    (``n_pulses`` small enough) key bits come from sampled link runs;
-    otherwise synthetic blocks are drawn at the model error rate, which
-    exercises the identical messaging path.
+    Distribution fills the key blocks for both message values and sends
+    each recipient's forwarded half of each; messaging signs one value,
+    symmetrises that value's keys alone and runs both verifications.  At
+    desk scale (``n_pulses`` small enough) key bits come from sampled link
+    runs; otherwise synthetic blocks are drawn at the model error rate,
+    which exercises the identical messaging path.
     """
 
     def __init__(
@@ -290,7 +331,10 @@ class ProtocolSession:
         self.transcript: list[ClassicalMessage] = []
         self.kgp_results: dict[str, KgpResult] = {}
         self._signing_keys: dict[tuple[int, str], np.ndarray] = {}
-        self._symmetrized: dict[tuple[int, str], tuple[HalfKey, HalfKey]] = {}
+        # each recipient's bits, both blocks, and per message value not yet
+        # signed the (Bob, Charlie) masks of the halves they forwarded
+        self._recipient_bits: tuple[np.ndarray, ...] = ()
+        self._forwarded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._consumed: set[int] = set()
 
     # -- classical channel -------------------------------------------------
@@ -330,7 +374,11 @@ class ProtocolSession:
             qber = counts.m_total("Z") / n if n > 0 else 0.0
             rng = rng_stream(self.seed, link, "synthetic")
             tx = rng.integers(0, 2, size=need, dtype=np.uint8)
-            rx = tx ^ (rng.random(need) < qber).astype(np.uint8)
+            rx = tx.copy()
+            # chunk by chunk, the draws one call would make, without a float per bit
+            for start in range(0, need, _CHUNK):
+                part = rx[start:start + _CHUNK]
+                part ^= rng.random(len(part)) < qber
             self._send("basis_announce", recipient, "alice", {"link": link, "synthetic": True})
         # signed keys are digested when the transcript is read: keep them as sent
         tx.flags.writeable = rx.flags.writeable = False
@@ -339,12 +387,15 @@ class ProtocolSession:
         return tx
 
     def run_distribution(self, fallback: bool = False) -> None:
-        """Fill and symmetrise the key blocks of both message values, once
-        per session; a session whose distribution failed stays unusable.
+        """Fill the key blocks of both message values and send each
+        recipient's forwarded halves, once per session; a session whose
+        distribution failed stays unusable.
 
         Both links are sampled before any message is sent.  When a sampled
         pool cannot supply the test sample and both blocks, this raises
         ``ProtocolError``, or with ``fallback`` draws synthetic blocks.
+        The halves are kept as masks: ``run_messaging`` symmetrises the
+        signed value's keys alone.
         """
         if self._distribution_started:
             raise ProtocolError("distribution already ran on this session")
@@ -357,27 +408,19 @@ class ProtocolSession:
                 if not fallback:
                     raise
                 self.bit_mode = False
-        bob_bits = self._link_blocks("bob_alice", "bob")
-        charlie_bits = self._link_blocks("charlie_alice", "charlie")
+        self._recipient_bits = (self._link_blocks("bob_alice", "bob"),
+                                self._link_blocks("charlie_alice", "charlie"))
         for m in (0, 1):
-            sl = slice(m * self.L, (m + 1) * self.L)
-            bob_sym, charlie_sym = symmetrize(
-                bob_bits[sl],
-                charlie_bits[sl],
-                rng_stream(self.seed, "bob", "symmetrize", str(m)),
-                rng_stream(self.seed, "charlie", "symmetrize", str(m)),
+            forwarded = tuple(
+                _forward_half(rng_stream(self.seed, recipient, "symmetrize", str(m)), self.L)
+                for recipient in ("bob", "charlie")
             )
-            self._symmetrized[(m, "bob")] = bob_sym
-            self._symmetrized[(m, "charlie")] = charlie_sym
-            # each sender forwards the half the other now holds as received
-            for sender, receiver, (_, forwarded) in (
-                ("bob", "charlie", charlie_sym), ("charlie", "bob", bob_sym)
-            ):
-                forwarded.positions.flags.writeable = False  # sent, digested when read
-                self._send(
-                    "symmetrization_forward", sender, receiver,
-                    {"m": m, "positions": forwarded.positions},
-                )
+            self._forwarded[m] = forwarded
+            for sender, receiver, mask in zip(("bob", "charlie"), ("charlie", "bob"), forwarded):
+                positions, _ = _positions(mask)
+                positions.flags.writeable = False  # sent, digested when read
+                self._send("symmetrization_forward", sender, receiver,
+                           {"m": m, "positions": positions})
 
     # -- messaging stage ---------------------------------------------------
 
@@ -385,7 +428,7 @@ class ProtocolSession:
         """Alice declares her measured key per link for one message value."""
         if message_bit not in (0, 1):
             raise ValueError(f"message bit must be 0 or 1, got {message_bit}")
-        if not self._symmetrized:
+        if not self._recipient_bits:
             raise ProtocolError("cannot sign before distribution has completed")
         if message_bit in self._consumed:
             raise ProtocolError(
@@ -407,14 +450,19 @@ class ProtocolSession:
         """
         keys = self.sign(message_bit)
         declaration = self.transcript[-1]  # the signature message just sent
-        bob = verify(keys, self._symmetrized[(message_bit, "bob")], th.s_alpha)
+        block = slice(message_bit * self.L, (message_bit + 1) * self.L)
+        bob_bits, charlie_bits = (bits[block] for bits in self._recipient_bits)
+        # a signed value's split is spent: its masks go with the call
+        bob_sym, charlie_sym = symmetrize(bob_bits, charlie_bits,
+                                          *self._forwarded.pop(message_bit))
+        bob = verify(keys, bob_sym, th.s_alpha)
         if not bob[0]:
             self._send("reject", "bob", "alice", {"m": message_bit})
             self._send("abort", "bob", "charlie", {"m": message_bit})
             return bob, None
         self._send("accept", "bob", "alice", {"m": message_bit})
         self._send("forwarded_signature", "bob", "charlie", declaration)
-        charlie = verify(keys, self._symmetrized[(message_bit, "charlie")], th.s_upsilon)
+        charlie = verify(keys, charlie_sym, th.s_upsilon)
         verdict = "accept" if charlie[0] else "reject"
         self._send(verdict, "charlie", "alice", {"m": message_bit})
         self._send(verdict, "charlie", "bob", {"m": message_bit})

@@ -82,7 +82,12 @@ class SecurityTarget:
 
 
 class Infeasible(Exception):
-    """The requested security level cannot be certified from these statistics."""
+    """The requested security level cannot be certified from these statistics.
+
+    ``cause``, when not empty, says why, apart from the message.
+    """
+
+    cause = ""
 
 
 class InfeasibleTarget(Infeasible):
@@ -120,9 +125,25 @@ class Verdicts(NamedTuple):
             return Infeasible(f"test sample of {target.k_test} bits exceeds the sifted "
                               f"pool size {L}")
         if code == self.UNREACHED:
-            return Infeasible(f"no block length up to the pool size {L} reaches the "
-                              f"target {target.target_psec:.3g}")
+            error = Infeasible(f"no block length up to the pool size {L} reaches the "
+                               f"target {target.target_psec:.3g}")
+            error.cause = self._cause(i)
+            return error
         return None
+
+    def _cause(self, i: int) -> str:
+        """Why unreached setting ``i`` falls short at its pool, read from the
+        lane the first round probed there (column 0); "" without rounds."""
+        if not self.rounds:
+            return ""
+        rows, _, chain = self.rounds[0]
+        view = chain.item(rows.searchsorted(i), 0)
+        if view["estimates"].saturated:
+            return "phase error saturated"
+        if not view["certified"]:
+            return (f"no threshold margin (p_E {view['p_e']:.6g} vs observed bound "
+                    f"{view['e_upper']:.6g})")
+        return f"p_sec {view['p_sec']:.3g} above the target"
 
     def _item(self, i: int) -> dict[str, object]:
         """``_Chain.item`` of solved setting ``i`` at its L, read from the

@@ -171,6 +171,30 @@ class TestEstimate:
         assert rc == 3
         assert capsys.readouterr().err.startswith("infeasible:")
 
+    @pytest.mark.parametrize("table", ["counts_103km.csv", "counts_204km.csv"])
+    def test_saturated_tables_name_the_cause(self, capsys, table):
+        rc = main(["estimate", "--config", DEVICE_CFG, "--counts", str(DATA / table)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "no block length up to the pool size" in err
+        assert err.rstrip().endswith(": phase error saturated")
+
+    @pytest.mark.parametrize("setting, cause", [
+        ("target_psec = 1e-4\nk_test = 10",
+         ": no threshold margin (p_E 0.5 vs observed bound 0.784232)"),
+        # the forging term alone is at least alpha + 10 eps_pe = 6e-5
+        ("target_psec = 5.5e-5", ": p_sec 7e-05 above the target"),
+    ], ids=["no-margin", "above-target"])
+    def test_unreached_target_names_the_cause(self, capsys, tmp_path, setting, cause):
+        # the cause is read from the pool lane the solve's first round probed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pathlib.Path(DEVICE_CFG).read_text().replace("target_psec = 1e-4", setting))
+        rc = main(["estimate", "--config", str(cfg), "--counts", MODEL_103])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "no block length up to the pool size" in err
+        assert err.rstrip().endswith(cause)
+
 
 class TestSimulate:
     def test_desk_scale_runs_bit_level(self, capsys, tmp_path):

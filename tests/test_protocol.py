@@ -10,6 +10,8 @@ import io
 import itertools
 import json
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +21,14 @@ from hypothesis.extra.numpy import arrays
 
 from qds_onedecoy import protocol
 from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+from qds_onedecoy.files import read_config
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.protocol import (
+    LINKS,
     HalfKey,
     ProtocolError,
     ProtocolSession,
+    _forward_half,
     attack_forge,
     attack_repudiation,
     exact_forge_success,
@@ -103,7 +108,8 @@ class TestSymmetrize:
         bob_bits = rng_stream(1, "b").integers(0, 2, L, dtype=np.uint8)
         charlie_bits = rng_stream(1, "c").integers(0, 2, L, dtype=np.uint8)
         (bob_own, bob_recv), (charlie_own, charlie_recv) = symmetrize(
-            bob_bits, charlie_bits, rng_stream(1, "rb"), rng_stream(1, "rc")
+            bob_bits, charlie_bits,
+            _forward_half(rng_stream(1, "rb"), L), _forward_half(rng_stream(1, "rc"), L),
         )
         # Bob's kept positions and the ones he forwarded partition his block
         merged = np.sort(np.concatenate([bob_own.positions, charlie_recv.positions]))
@@ -112,7 +118,7 @@ class TestSymmetrize:
         assert (merged_c == np.arange(L)).all()
         assert len(bob_own.positions) == L // 2
         for half in (bob_own, charlie_own):
-            assert half.positions.dtype == np.intp
+            assert half.positions.dtype == np.min_scalar_type(L - 1)
             assert (np.diff(half.positions) > 0).all()
 
     def test_bits_travel_with_positions(self):
@@ -120,7 +126,8 @@ class TestSymmetrize:
         bob_bits = np.arange(L, dtype=np.uint8) % 2
         charlie_bits = (np.arange(L, dtype=np.uint8) + 1) % 2
         (_, bob_recv), (_, charlie_recv) = symmetrize(
-            bob_bits, charlie_bits, rng_stream(2, "rb"), rng_stream(2, "rc")
+            bob_bits, charlie_bits,
+            _forward_half(rng_stream(2, "rb"), L), _forward_half(rng_stream(2, "rc"), L),
         )
         assert (bob_recv.bits == charlie_bits[bob_recv.positions]).all()
         assert (charlie_recv.bits == bob_bits[charlie_recv.positions]).all()
@@ -136,7 +143,8 @@ class TestSymmetrize:
         bob_bits = rng_stream(L, "b").integers(0, 2, L, dtype=np.uint8)
         charlie_bits = rng_stream(L, "c").integers(0, 2, L, dtype=np.uint8)
         (bob_own, bob_recv), (charlie_own, charlie_recv) = symmetrize(
-            bob_bits, charlie_bits, rng_stream(L, "rb"), rng_stream(L, "rc")
+            bob_bits, charlie_bits,
+            _forward_half(rng_stream(L, "rb"), L), _forward_half(rng_stream(L, "rc"), L),
         )
         bob_keep, bob_forward = sorted_split(rng_stream(L, "rb"), L)
         charlie_keep, charlie_forward = sorted_split(rng_stream(L, "rc"), L)
@@ -144,17 +152,17 @@ class TestSymmetrize:
             (bob_own, bob_keep, bob_bits), (bob_recv, charlie_forward, charlie_bits),
             (charlie_own, charlie_keep, charlie_bits), (charlie_recv, bob_forward, bob_bits),
         ]:
-            assert half.positions.dtype == positions.dtype
+            assert half.positions.dtype == np.min_scalar_type(L - 1)
             assert np.array_equal(half.positions, positions)
             assert np.array_equal(half.bits, bits[positions])
 
     def test_rejects_mismatched_or_odd_lengths(self):
         with pytest.raises(ProtocolError):
             symmetrize(np.zeros(4, np.uint8), np.zeros(6, np.uint8),
-                       rng_stream(0, "a"), rng_stream(0, "b"))
+                       _forward_half(rng_stream(0, "a"), 4), _forward_half(rng_stream(0, "b"), 6))
         with pytest.raises(ProtocolError):
             symmetrize(np.zeros(5, np.uint8), np.zeros(5, np.uint8),
-                       rng_stream(0, "a"), rng_stream(0, "b"))
+                       _forward_half(rng_stream(0, "a"), 5), _forward_half(rng_stream(0, "b"), 5))
 
 
 def crafted_keys(L=100):
@@ -471,6 +479,68 @@ class TestSession:
         for array in sent:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+    def test_only_the_signed_value_is_symmetrised(self, monkeypatch):
+        built = []
+        real = protocol.symmetrize
+        monkeypatch.setattr(protocol, "symmetrize", lambda *args: built.append(real(*args)) or built[-1])
+        session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
+        session.run_distribution()
+        assert built == []
+        sent = {(m.payload["m"], m.sender): m.payload["positions"] for m in session.transcript
+                if m.kind == "symmetrization_forward"}
+        for calls, bit in enumerate((1, 0), start=1):
+            session.run_messaging(bit, self.relaxed_thresholds())
+            assert len(built) == calls
+            (_, bob_received), (_, charlie_received) = built[-1]
+            for positions, half in [(sent[(bit, "bob")], charlie_received),
+                                    (sent[(bit, "charlie")], bob_received)]:
+                assert positions.dtype == half.positions.dtype == np.min_scalar_type(1000 - 1)
+                assert np.array_equal(positions, half.positions)
+
+    @pytest.mark.parametrize("twice_L", [
+        protocol._CHUNK - 4, protocol._CHUNK, protocol._CHUNK + 4,
+        2 * protocol._CHUNK + protocol._CHUNK // 2,
+    ], ids=["below", "on", "above", "between"])
+    def test_chunked_flips_are_the_one_shot_flips(self, twice_L):
+        L = twice_L // 2
+        session = ProtocolSession(DESK_PC, DESK_CH, L=L, seed=7, synthetic=True)
+        session.run_distribution()
+        counts = expected_statistics(DESK_PC, DESK_CH)
+        qber = counts.m_total("Z") / counts.n_total("Z")
+        keys = [session.sign(m) for m in (0, 1)]
+        for link in LINKS:
+            rng = rng_stream(7, link, "synthetic")
+            tx = rng.integers(0, 2, size=2 * L, dtype=np.uint8)
+            flips = rng.random(2 * L) < qber
+            assert flips.any()
+            rx = tx ^ flips
+            for m in (0, 1):
+                assert np.array_equal(keys[m][link], rx[m * L:(m + 1) * L])
+
+    def test_footprint_per_block_bit(self):
+        # a synthetic session at L = 2e5 holds the keys, the recipients' bits,
+        # the forwarding masks and the sent positions: 20 bytes per block bit
+        config = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
+        pc, ch, L = config.pulse_config(), config.channel(10.0), 200_000
+        # lazy imports and first-call caches stay out of the count
+        ProtocolSession(pc, ch, L=2000, seed=1).run_distribution()
+        session = ProtocolSession(pc, ch, L=L, seed=1)
+        assert not session.bit_mode
+        tracemalloc.start()
+        try:
+            session.run_distribution()
+            numpy_arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+            held = sum(stat.size for stat in numpy_arrays.statistics("filename"))
+            tracemalloc.reset_peak()
+            session.run_messaging(1, self.relaxed_thresholds())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 24 * L
+        assert peak <= 36 * L
 
     def test_transcript_sequence_is_strictly_increasing(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
