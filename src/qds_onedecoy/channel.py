@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "BASES",
     "INTENSITIES",
+    "LINKS",
     "PulseConfig",
     "ChannelParams",
     "ObservedCounts",
@@ -31,6 +32,8 @@ __all__ = [
 
 BASES = ("Z", "X")
 INTENSITIES = ("mu", "nu")
+#: Quantum links, named recipient-to-signer.
+LINKS = ("bob_alice", "charlie_alice")
 
 #: Largest pulse number for which bit-level key strings are materialised.
 #: Above this the package works with aggregate counts only.

@@ -8,20 +8,26 @@ ignored so typos fail loudly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import _CELL_NAMES, BASES, INTENSITIES, ChannelParams, ObservedCounts, PulseConfig
+from .channel import (
+    _CELL_NAMES, BASES, INTENSITIES, LINKS, ChannelParams, ObservedCounts, PulseConfig,
+)
 from .finite_key import BOUND_APPLICATIONS, EpsilonBudget
-from .optimizer import OptimizeResult
-from .protocol import LINKS
-from .security import SecurityReport, SecurityTarget
+from .security import SecurityTarget
+
+if TYPE_CHECKING:
+    from .optimizer import OptimizeResult
+    from .security import SecurityReport
 
 __all__ = [
     "FileFormatError",
@@ -51,10 +57,20 @@ def _finite(text: str) -> float:
     return value
 
 
+@contextlib.contextmanager
+def _open_text(path: str, newline: str | None = None) -> Iterator[io.TextIOBase]:
+    """Open UTF-8 text, with or without a byte-order mark; a bad byte names the file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fp:
+        try:
+            yield fp
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_counts(path: str) -> tuple[dict[str, ObservedCounts], float, float]:
     """Read a counts table; returns (counts per link, distance_km, n_pulses)."""
     preamble: dict[str, float] = {}
-    with open(path, newline="") as fp:
+    with _open_text(path, newline="") as fp:
         body: list[str] = []
         body_lines: list[int] = []  # the file line of each body line
         for number, line in enumerate(fp, start=1):
@@ -179,7 +195,7 @@ _INT_KEYS = {"k_test", "seed"}
 def read_config(path: str) -> Config:
     """Parse a flat key = value configuration file, validating every value at load."""
     values: dict[str, float] = {}
-    with open(path) as fp:
+    with _open_text(path) as fp:
         for lineno, raw in enumerate(fp, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

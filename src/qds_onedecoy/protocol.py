@@ -30,6 +30,7 @@ import numpy as np
 
 from .channel import (
     DESK_SCALE_MAX_PULSES,
+    LINKS,
     ChannelParams,
     ObservedCounts,
     PulseConfig,
@@ -55,9 +56,6 @@ __all__ = [
     "attack_forge",
     "exact_forge_success",
 ]
-
-#: Quantum links, named recipient-to-signer.
-LINKS = ("bob_alice", "charlie_alice")
 
 #: Block bits a chunked pass takes at once: synthetic flips are drawn,
 #: and a half's positions found, this many at a time.

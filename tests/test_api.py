@@ -1,11 +1,16 @@
-"""The public surface: every exported name resolves, and none looks like a test."""
+"""The public surface: every exported name resolves, on first use, and none looks like a test."""
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import qds_onedecoy
+from qds_onedecoy import protocol
 
 MODULES = ["qds_onedecoy"] + [
     f"qds_onedecoy.{info.name}" for info in pkgutil.iter_modules(qds_onedecoy.__path__)
@@ -32,3 +37,61 @@ def test_no_public_name_is_collected_as_a_test(name):
     # pytest collects an imported test_* function (or Test* class) as a test
     module = importlib.import_module(name)
     assert [attr for attr in vars(module) if attr.lower().startswith("test")] == []
+
+
+def test_reading_a_config_loads_five_modules():
+    # a fresh interpreter: this one has every layer loaded already
+    root = pathlib.Path(__file__).parent.parent
+    script = (
+        "import sys\n"
+        "import qds_onedecoy\n"
+        f"qds_onedecoy.read_config({str(root / 'tests' / 'data' / 'device.cfg')!r})\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('qds_onedecoy.'))\n"
+        "print(loaded(), '_hashlib' in sys.modules)\n"
+        "qds_onedecoy.optimize\n"
+        "print(loaded())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    five = ["channel", "files", "finite_key", "security", "stat_math"]
+    seven = sorted(five + ["optimizer", "protocol"])
+    assert proc.stdout.splitlines() == [
+        str([f"qds_onedecoy.{name}" for name in five]) + " False",
+        str([f"qds_onedecoy.{name}" for name in seven]),
+    ]
+
+
+class TestPackageNames:
+    def test_each_name_is_the_owning_module_object(self):
+        for name in qds_onedecoy.__all__:
+            if name == "__version__":
+                continue
+            owners = [
+                module for module in MODULES[1:]
+                if name in importlib.import_module(module).__all__
+            ]
+            assert owners, name
+            for module in owners:
+                assert getattr(importlib.import_module(module), name) is getattr(qds_onedecoy, name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(qds_onedecoy.__all__) <= set(dir(qds_onedecoy))
+
+    def test_unknown_name_raises_attribute_error_naming_the_module(self):
+        with pytest.raises(AttributeError, match="'qds_onedecoy' has no attribute 'no_such_name'"):
+            qds_onedecoy.no_such_name
+
+    def test_a_patched_function_is_what_the_package_returns(self, monkeypatch):
+        original = protocol.attack_forge
+
+        def fake(*args, **kwargs):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(protocol, "attack_forge", fake)
+        assert qds_onedecoy.attack_forge is fake
+        monkeypatch.undo()
+        assert qds_onedecoy.attack_forge is original
+        assert set(vars(qds_onedecoy)) & set(qds_onedecoy.__all__) == {"__version__"}

@@ -665,6 +665,33 @@ class TestBadValues:
         assert named.format(tmp=tmp_path) in err
 
 
+class TestTextEncoding:
+    #: bytes no UTF-8 decoder accepts, after a plain-text start
+    BINARY = b"# distance_km=103.0\n\xd0\x00\xff\xfe"
+
+    @pytest.mark.parametrize("flag", ["--config", "--counts"])
+    def test_binary_input_is_exit_2_and_named(self, capsys, tmp_path, flag):
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(self.BINARY)
+        argv = ["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103]
+        argv[argv.index(flag) + 1] = str(binary)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {binary}: not UTF-8 text: ") and err.count("\n") == 1
+
+    def test_byte_order_mark_is_read(self, capsys, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a byte-order mark
+        for name, source in (("bom.cfg", DEVICE_CFG), ("bom.csv", MODEL_103)):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + pathlib.Path(source).read_bytes())
+        assert main(["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103]) == 0
+        plain = capsys.readouterr().out
+        rc = main(["estimate", "--config", str(tmp_path / "bom.cfg"),
+                   "--counts", str(tmp_path / "bom.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out == plain
+
+
 #: Values a fuzzed config key or count cell may take: any float repr, and
 #: magnitudes, junk and integers the parsers must sort out.
 FUZZ_VALUES = st.one_of(
