@@ -4,8 +4,9 @@ Fiber, source and detector parameters go in; finite-size-certified
 signature block lengths, failure probabilities and signing rates come
 out, together with a desk-scale, bit-level run of the protocol itself.
 
-A public name imports its submodule on first use, so reading a config
-does not load the optimizer or the protocol.
+A public name, or a submodule named as an attribute, imports its
+submodule on first use, so reading a config does not load the optimizer
+or the protocol.
 """
 
 import importlib
@@ -31,6 +32,7 @@ _EXPORTS = {
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "stat_math"}
 
 __version__ = "0.1.0"
 
@@ -41,10 +43,12 @@ def __getattr__(name: str) -> object:
     # not stored here: a function patched where its module binds it (by a
     # tracer or a test) is what the package returns, and restoring it
     # leaves no stale copy behind
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
 
 
 def __dir__() -> list[str]:
-    return list(__all__)
+    return sorted({*globals(), *__all__})

@@ -12,6 +12,7 @@ import pytest
 import qds_onedecoy
 from qds_onedecoy import protocol
 
+ROOT = pathlib.Path(__file__).parent.parent
 MODULES = ["qds_onedecoy"] + [
     f"qds_onedecoy.{info.name}" for info in pkgutil.iter_modules(qds_onedecoy.__path__)
 ]
@@ -39,29 +40,48 @@ def test_no_public_name_is_collected_as_a_test(name):
     assert [attr for attr in vars(module) if attr.lower().startswith("test")] == []
 
 
-def test_reading_a_config_loads_five_modules():
+def _fresh(script: str) -> list[str]:
     # a fresh interpreter: this one has every layer loaded already
-    root = pathlib.Path(__file__).parent.parent
-    script = (
-        "import sys\n"
-        "import qds_onedecoy\n"
-        f"qds_onedecoy.read_config({str(root / 'tests' / 'data' / 'device.cfg')!r})\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('qds_onedecoy.'))\n"
-        "print(loaded(), '_hashlib' in sys.modules)\n"
-        "qds_onedecoy.optimize\n"
-        "print(loaded())\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
+    return proc.stdout.splitlines()
+
+
+def test_reading_a_config_loads_five_modules():
+    # measured against what numpy itself loads: numpy 1.x imports
+    # numpy.random, and through secrets and hmac _hashlib, on `import numpy`
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import qds_onedecoy\n"
+        f"qds_onedecoy.read_config({str(ROOT / 'tests' / 'data' / 'device.cfg')!r})\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('qds_onedecoy.'))\n"
+        "print(loaded(), '_hashlib' in set(sys.modules) - before)\n"
+        "qds_onedecoy.optimize\n"
+        "print(loaded())\n"
+    )
     five = ["channel", "files", "finite_key", "security", "stat_math"]
     seven = sorted(five + ["optimizer", "protocol"])
-    assert proc.stdout.splitlines() == [
+    assert _fresh(script) == [
         str([f"qds_onedecoy.{name}" for name in five]) + " False",
         str([f"qds_onedecoy.{name}" for name in seven]),
     ]
+
+
+def test_each_submodule_resolves_after_a_bare_import():
+    names = MODULES[1:]
+    script = (
+        "import importlib\n"
+        "import qds_onedecoy\n"
+        f"for name in {names!r}:\n"
+        "    print(getattr(qds_onedecoy, name.rpartition('.')[2]) is importlib.import_module(name))\n"
+        "print(qds_onedecoy.protocol.rng_stream.__module__, qds_onedecoy.security.SecurityTarget.__name__)\n"
+    )
+    assert _fresh(script) == ["True"] * len(names) + ["qds_onedecoy.protocol SecurityTarget"]
 
 
 class TestPackageNames:
@@ -79,6 +99,8 @@ class TestPackageNames:
 
     def test_dir_lists_every_public_name(self):
         assert set(qds_onedecoy.__all__) <= set(dir(qds_onedecoy))
+        # and what a module lists anyway: its dunders and loaded submodules
+        assert {"__path__", "__file__", "protocol"} <= set(dir(qds_onedecoy))
 
     def test_unknown_name_raises_attribute_error_naming_the_module(self):
         with pytest.raises(AttributeError, match="'qds_onedecoy' has no attribute 'no_such_name'"):
