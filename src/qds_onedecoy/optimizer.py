@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -197,78 +196,69 @@ def maximize(
     larger p_mu.  README, "How the block length is solved", gives the design.
     """
     lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
-    seen = _Evaluated()
-    # the index of the best point in ``seen``, 0 before any, and the
-    # indices of the points taken, one array per scan
-    best, best_value = 0, -math.inf
-    taken: list[np.ndarray] = []
+    # the value of each evaluated point and the points taken, by their
+    # coordinate bytes (``_POINT``), and the best point, None before any
+    values: dict[bytes, float] = {}
+    taken: dict[bytes, None] = {}
+    best, best_value = None, -math.inf
 
-    def lattice(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``points`` on the lattice, and which of them have nu < mu."""
+    def lattice(points: np.ndarray) -> list[list[bytes]]:
+        """The keys of each scan of ``points`` (scans, points, coordinates)
+        on the lattice, those with nu < mu only."""
         on = _on_lattice(points, lows, highs)
-        return on, on[..., 1] < on[..., 0]
+        keys, keep = on.view(_POINT)[..., 0].tolist(), (on[..., 1] < on[..., 0]).tolist()
+        return [[key for key, kept in zip(scan, mask) if kept] for scan, mask in zip(keys, keep)]
 
-    def fetch(points: np.ndarray) -> np.ndarray:
-        """Evaluate the rows of ``points`` not yet evaluated, in one call,
-        and return the index of every row."""
-        fresh, index = seen.fresh(points)
-        if len(fresh):
-            seen.add(np.asarray(objective(fresh, best_value), dtype=float))
-        return index
+    def fetch(keys: list[bytes]) -> None:
+        """Evaluate the points of ``keys`` not yet evaluated, in one call."""
+        fresh = [key for key in dict.fromkeys(keys) if key not in values]
+        if fresh:
+            points = np.frombuffer(b"".join(fresh)).reshape(-1, len(PARAM_NAMES)).copy()
+            found = np.asarray(objective(points, best_value), dtype=float)
+            values.update(zip(fresh, found.tolist()))
 
-    def ahead(j: int, around: np.ndarray, at: np.ndarray, radius: np.ndarray) -> None:
-        """Evaluate the scans of coordinates j on of ``around`` and the
-        branch scan of each of their unevaluated points, and fill in their
-        indices in ``at``, the indices of ``around``'s points in ``seen``."""
-        missing = at[j:] < 0
-        fresh = around[j:][missing]
-        nexts = missing.nonzero()[0] + (j + 1)
-        centres = nexts < len(PARAM_NAMES)
-        batch = fresh
-        if np.count_nonzero(centres):
-            scans = _scans(fresh[centres], radius, lows, highs)
-            on, kept = lattice(scans[np.arange(len(scans)), nexts[centres]])
-            batch = np.concatenate([fresh, on[kept]])
-        at[j:][missing] = fetch(batch)[:len(fresh)]
+    def ahead(j: int, around: list[list[bytes]], radius: np.ndarray) -> None:
+        """Evaluate the scans of coordinates j on in ``around`` and the
+        branch scan of each of their unevaluated points."""
+        fresh = [(key, k) for k in range(j, len(around)) for key in around[k] if key not in values]
+        centres = [(key, k + 1) for key, k in fresh if k + 1 < len(around)]
+        branches = []
+        if centres:
+            keys, nexts = zip(*centres)
+            centre = np.frombuffer(b"".join(keys)).reshape(-1, len(PARAM_NAMES))
+            branches = lattice(_scans(centre, radius, lows, highs)[np.arange(len(keys)), nexts])
+        fetch([key for key, _ in fresh] + [key for scan in branches for key in scan])
 
-    def consider(at: np.ndarray) -> bool:
-        """Take the points at indices ``at`` in ``seen`` (0 for none), and
-        say whether the best point moved."""
+    def consider(keys: list[bytes]) -> bool:
+        """Take the points of ``keys``, and say whether the best point moved."""
         nonlocal best, best_value
-        taken.append(at)
+        taken.update(dict.fromkeys(keys))
         # the points are taken in order, as if evaluated one at a time: the
         # best of them and the incumbent (first, so it wins a full tie) by
         # value, then by tie-break key; equal rates resolve toward the
         # dimmer, cheaper source
-        value = seen.values[at]
-        top = np.fmax.reduce(value, initial=-math.inf)
+        top = max((values[key] for key in keys if not math.isnan(values[key])), default=-math.inf)
         if top == -math.inf or top < best_value:
             return False
-        # the incumbent met again in a scan (its centre) cannot beat itself
-        tied = at[(value == top) & (at != best)]
-        if not len(tied):
+        tied = [best] if top == best_value else []
+        tied += [key for key in keys if values[key] == top]
+        winner = min(tied, key=lambda key: (np.frombuffer(key) * _TIE_SIGNS).tolist())
+        if winner == best:
             return False
-        if top == best_value:
-            tied = np.concatenate([[best], tied])
-        if len(tied) > 1:
-            tied = tied[np.lexsort((seen.points[tied] * _TIE_SIGNS).T[::-1])]
-        if tied[0] == best:
-            return False
-        best, best_value = int(tied[0]), float(top)
+        best, best_value = winner, top
         return True
 
     def counts() -> tuple[int, int, int]:
         """Evaluations, feasible and pruned points among those taken."""
-        mask = np.zeros(len(seen.values), dtype=bool)
-        mask[np.concatenate(taken)] = True
-        found = seen.values[1:][mask[1:]]
-        return len(found), int((~np.isnan(found)).sum()), int(np.isneginf(found).sum())
+        found = [values[key] for key in taken]
+        return len(found), sum(not math.isnan(v) for v in found), found.count(-math.inf)
 
     axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    on, keep = lattice(grid)
-    consider(fetch(on[keep]))
-    if not best:
+    [keys] = lattice(grid[None])
+    fetch(keys)
+    consider(keys)
+    if best is None:
         return None, -math.inf, *counts()
 
     cell = (highs - lows) / (space.grid_points - 1)
@@ -277,60 +267,21 @@ def maximize(
         moved = True
         for j in range(len(PARAM_NAMES)):
             if moved:
-                around, keep = lattice(_scans(seen.points[best], radius, lows, highs))
-                at = seen.find(around, keep)
-            if np.count_nonzero(at[j] < 0):
-                ahead(j, around, at, radius)
-            moved = consider(at[j])
+                around = lattice(_scans(np.frombuffer(best), radius, lows, highs))
+            if any(key not in values for key in around[j]):
+                ahead(j, around, radius)
+            moved = consider(around[j])
 
-    return dict(zip(PARAM_NAMES, seen.points[best].tolist())), best_value, *counts()
+    return dict(zip(PARAM_NAMES, np.frombuffer(best).tolist())), best_value, *counts()
 
 
 #: The tie-break key of a point is its coordinates times these, compared
 #: in order: smaller mu, then smaller nu, then larger p_mu.
 _TIE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
-#: A point's coordinates as one value, their bytes: for the positive
-#: coordinates of a box, equal bytes are equal floats.
+#: A point's coordinates as one value, their bytes, which ``maximize`` keys
+#: its points by: for the positive coordinates of a box, equal bytes are
+#: equal floats.
 _POINT = np.dtype((np.void, 8 * len(PARAM_NAMES)))
-
-
-class _Evaluated:
-    """The points ``maximize`` has evaluated, in order, and their values,
-    after one entry at index 0 that stands for no point: its value is NaN.
-    A point is found by its exact coordinates, through an index from their
-    bytes (``_POINT``) to its row."""
-
-    def __init__(self) -> None:
-        self.points = np.full((1, len(PARAM_NAMES)), np.nan)
-        self.values = np.full(1, np.nan)
-        self._rows: dict[bytes, int] = {}
-
-    def find(self, points: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The index of each point of ``points`` (..., coordinates): -1
-        where it is not evaluated, and 0 where ``keep`` is false."""
-        keys = points.view(_POINT).ravel().tolist()
-        found = np.fromiter(map(self._rows.get, keys, repeat(-1)), np.intp, len(keys))
-        return found.reshape(keep.shape) * keep
-
-    def fresh(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Of the rows of ``points``, the first of each point not yet
-        evaluated, in order, recorded as evaluated (their values follow
-        with ``add``), and the index of every row."""
-        place, new, index = self._rows.setdefault, [], []
-        # the next index: a key not yet in the index takes it
-        after = len(self.values)
-        for i, key in enumerate(points.view(_POINT).ravel().tolist()):
-            if (at := place(key, after)) == after:
-                new.append(i)
-                after += 1
-            index.append(at)
-        fresh = points[new]
-        self.points = np.concatenate([self.points, fresh])
-        return fresh, np.array(index, dtype=np.intp)
-
-    def add(self, values: np.ndarray) -> None:
-        """Record the values of the points ``fresh`` returned last."""
-        self.values = np.concatenate([self.values, values])
 
 
 def _on_lattice(points: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

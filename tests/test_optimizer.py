@@ -296,6 +296,26 @@ class TestMaximize:
         _, _, evaluations, _, _ = maximize(SearchSpace(grid_points=3), spy)
         assert len(seen) == len(set(seen)) >= evaluations
 
+    def test_each_call_gets_its_own_writable_points(self):
+        # an objective may overwrite the array it is given, and keep it
+        space = SearchSpace(grid_points=3)
+        plain, calls, kept = [], [], []
+
+        def recording(points, incumbent):
+            plain.append((points.tobytes(), incumbent))
+            return concave_objective(points, incumbent)
+
+        def spy(points, incumbent):
+            calls.append((points.tobytes(), incumbent))
+            values = concave_objective(points, incumbent)
+            points[:] = -1.0
+            kept.append(points)
+            return values
+
+        assert maximize(space, spy) == maximize(space, recording)
+        assert calls == plain
+        assert all((points == -1.0).all() for points in kept)
+
 
 def low_bits(x):
     """The last bits of a float: points a rounding error apart differ here."""
@@ -365,8 +385,9 @@ COUPLED_CALLS = {2: 12, 3: 10}
 
 
 class TestArraySearch:
-    """``maximize`` keeps its points and values in arrays; it must make the
-    calls, and give the results, of the search over tuples it replaces."""
+    """``maximize`` keeps one dict from a point's coordinate bytes to its
+    value; it must make the calls, and give the results, of the search over
+    tuples it replaces."""
 
     @given(rough_objectives())
     @settings(max_examples=150, deadline=None)
