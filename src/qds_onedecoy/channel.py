@@ -27,6 +27,7 @@ __all__ = [
     "background_yield",
     "gain_and_error",
     "expected_statistics",
+    "model_links",
     "sample_statistics",
 ]
 
@@ -325,6 +326,11 @@ def expected_statistics(pc: PulseConfig, ch: ChannelParams) -> ObservedCounts:
     np.multiply(n, gain, out=cells[:, :, 0])
     np.multiply(cells[:, :, 0], err, out=cells[:, :, 1])
     return ObservedCounts.from_cells(cells)
+
+
+def model_links(pc: PulseConfig, ch: ChannelParams) -> dict[str, ObservedCounts]:
+    """Both links modelled alike: each name maps to one shared expected counts object."""
+    return dict.fromkeys(LINKS, expected_statistics(pc, ch))
 
 
 def sample_statistics(

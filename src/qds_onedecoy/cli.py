@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .channel import DESK_SCALE_MAX_PULSES, sample_statistics
+from .channel import DESK_SCALE_MAX_PULSES, LINKS, model_links, sample_statistics
 from .files import (
     FileFormatError,
     default_config_path,
@@ -31,8 +31,6 @@ from .files import (
     read_counts,
     write_rate_curve,
 )
-from .optimizer import SearchSpace, optimize
-from .protocol import LINKS, ProtocolError, ProtocolSession, model_links, rng_stream
 from .security import Infeasible, block_report
 
 __all__ = ["main"]
@@ -81,6 +79,14 @@ def _channel(config, args: argparse.Namespace):
         raise FileFormatError(f"--distance: {exc}") from exc
 
 
+def optimize(*args, **kwargs):
+    """``optimizer.optimize``; only ``rate-curve`` loads the optimizer, as
+    only ``simulate`` and ``demo-sign`` load the protocol and OpenSSL."""
+    from .optimizer import optimize
+
+    return optimize(*args, **kwargs)
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     counts_by_link, distance_km, n_pulses = read_counts(args.counts)
@@ -101,6 +107,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .protocol import ProtocolSession, rng_stream
+
     config = _load_config(args)
     seed = _seed(args, config)
     pc = config.pulse_config()
@@ -141,6 +149,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_rate_curve(args: argparse.Namespace) -> int:
+    from .optimizer import SearchSpace
+
     config = _load_config(args)
     flags = {"--from": args.km_from, "--to": args.km_to, "--step": args.km_step}
     for flag, value in flags.items():
@@ -181,6 +191,8 @@ def cmd_rate_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_sign(args: argparse.Namespace) -> int:
+    from .protocol import ProtocolSession
+
     config = _load_config(args)
     seed = _seed(args, config)
     pc = config.pulse_config()
@@ -298,9 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, ValueError, OSError) as exc:  # OSError names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (Infeasible, ProtocolError) as exc:
-        cause = getattr(exc, "cause", "")
-        print(f"infeasible: {exc}" + (f": {cause}" if cause else ""), file=sys.stderr)
+    except Infeasible as exc:  # a ProtocolError among them
+        print(f"infeasible: {exc}" + (f": {exc.cause}" if exc.cause else ""), file=sys.stderr)
         return 3
 
 

@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelParams, ObservedCounts, PulseConfig
+from .channel import ChannelParams, ObservedCounts, PulseConfig, model_links
 from .finite_key import _Decoy, _decoy
-from .protocol import model_links
 from .security import (
     SecurityReport,
     SecurityTarget,

@@ -37,7 +37,7 @@ from .channel import (
     expected_statistics,
     sample_statistics,
 )
-from .security import Thresholds, k_test_for
+from .security import Infeasible, Thresholds, k_test_for
 from .stat_math import binary_entropy
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ClassicalMessage",
     "HalfKey",
     "KgpResult",
-    "model_links",
     "rng_stream",
     "run_kgp",
     "symmetrize",
@@ -62,9 +61,10 @@ __all__ = [
 _CHUNK = 1 << 16
 
 
-class ProtocolError(Exception):
+class ProtocolError(Infeasible):
     """A party was driven outside the allowed protocol flow, distribution
-    could not produce enough key material, or a key block was reused."""
+    could not produce enough key material, or a key block was reused.
+    An ``Infeasible``, so the CLI reports it without loading this module."""
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,6 @@ class KgpResult:
     tx_pool: np.ndarray
     rx_pool: np.ndarray
     test_errors: int
-
-
-def model_links(pc: PulseConfig, ch: ChannelParams) -> dict[str, ObservedCounts]:
-    """Both links modelled alike: each name maps to one shared expected counts object."""
-    return dict.fromkeys(LINKS, expected_statistics(pc, ch))
 
 
 def rng_stream(seed: int, *labels: str) -> np.random.Generator:

@@ -138,8 +138,8 @@ class Verdicts(NamedTuple):
             return ""
         rows, _, chain = self.rounds[0]
         view = chain.item(rows.searchsorted(i), 0)
-        if view["estimates"].saturated:
-            return "phase error saturated"
+        if cause := _estimates_cause(view["estimates"]):
+            return cause
         if not view["certified"]:
             return (f"no threshold margin (p_E {view['p_e']:.6g} vs observed bound "
                     f"{view['e_upper']:.6g})")
@@ -154,6 +154,16 @@ class Verdicts(NamedTuple):
             if j < len(rows) and rows[j] == i and (hit := (points[j] == L).nonzero()[0]).size:
                 return chain.item(j, hit[0])
         raise ValueError(f"setting {i} was not probed at its block length {L}")
+
+
+def _estimates_cause(est: FiniteKeyEstimates) -> str:
+    """Why estimates certify no block, or "": a vacuous bound, which also
+    sets the phase error to 1/2, before a saturated one."""
+    if est.vacuous:
+        return "no single-photon content certified"
+    if est.saturated:
+        return "phase error saturated"
+    return ""
 
 
 def k_test_for(L: int | np.ndarray, k_test: int | None = None) -> int | np.ndarray:
@@ -507,10 +517,11 @@ def block_report(
                 )
         view = _bound_chain(_stack_links(counts_by_link), pc, target, np.array([[L]])).item()
     if not view.pop("certified"):
+        cause = _estimates_cause(view["estimates"])
         raise Infeasible(
             f"block of length {L} cannot be certified: tolerable rate "
             f"{view['p_e']:.6g} vs observed bound {view['e_upper']:.6g}"
-            + (" (phase error saturated)" if view["estimates"].saturated else "")
+            + (f" ({cause})" if cause else "")
         )
     time_s, rate = signature_time_and_rate(L, counts_by_link, pc, ch)
     return SecurityReport(

@@ -13,6 +13,7 @@ import qds_onedecoy
 from qds_onedecoy import protocol
 
 ROOT = pathlib.Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 MODULES = ["qds_onedecoy"] + [
     f"qds_onedecoy.{info.name}" for info in pkgutil.iter_modules(qds_onedecoy.__path__)
 ]
@@ -65,11 +66,39 @@ def test_reading_a_config_loads_five_modules():
         "print(loaded())\n"
     )
     five = ["channel", "files", "finite_key", "security", "stat_math"]
-    seven = sorted(five + ["optimizer", "protocol"])
+    six = sorted(five + ["optimizer"])
     assert _fresh(script) == [
         str([f"qds_onedecoy.{name}" for name in five]) + " False",
-        str([f"qds_onedecoy.{name}" for name in seven]),
+        str([f"qds_onedecoy.{name}" for name in six]),
     ]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["estimate", "--config", str(DATA / "device.cfg"),
+      "--counts", str(DATA / "model_103km.csv")], []),
+    (["rate-curve", "--config", str(DATA / "device.cfg"), "--from", "100", "--to", "101",
+      "--grid-points", "2"], ["optimizer"]),
+    (["simulate", "--config", str(DATA / "desk.cfg"), "--distance", "10"], ["protocol"]),
+], ids=["estimate", "rate-curve", "simulate"])
+def test_each_command_loads_only_its_layers(argv, layers):
+    # of the optimizer and the protocol, only what the command runs; and
+    # without the protocol no libcrypto, which its hashlib would load (and
+    # which numpy 1.x loads itself, so it is not checked with the protocol)
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from qds_onedecoy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "new = set(sys.modules) - before\n"
+        "print(code, sorted(m for m in new if m.endswith(('.optimizer', '.protocol'))))\n"
+        "print('_hashlib' in new)\n"
+    )
+    code_and_layers, libcrypto = _fresh(script)
+    assert code_and_layers == "0 " + str([f"qds_onedecoy.{name}" for name in layers])
+    if "protocol" not in layers:
+        assert libcrypto == "False"
 
 
 def test_each_submodule_resolves_after_a_bare_import():

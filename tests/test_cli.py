@@ -177,7 +177,7 @@ class TestEstimate:
         assert rc == 3
         err = capsys.readouterr().err
         assert "no block length up to the pool size" in err
-        assert err.rstrip().endswith(": phase error saturated")
+        assert err.rstrip().endswith(": no single-photon content certified")
 
     @pytest.mark.parametrize("setting, cause", [
         ("target_psec = 1e-4\nk_test = 10",

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qds_onedecoy import optimizer, security
-from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics, model_links
 from qds_onedecoy.cli import main
 from qds_onedecoy.files import read_config
 from qds_onedecoy.finite_key import EpsilonBudget
@@ -27,7 +27,6 @@ from qds_onedecoy.optimizer import (
     maximize,
     optimize,
 )
-from qds_onedecoy.protocol import model_links
 from qds_onedecoy.security import (
     InfeasibleTarget,
     SecurityTarget,

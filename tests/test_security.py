@@ -1006,7 +1006,7 @@ def bound_chain_record():
     The measured tables are reported at their solved L as well.
     """
     from qds_onedecoy.files import read_config, read_counts
-    from qds_onedecoy.protocol import model_links
+    from qds_onedecoy.channel import model_links
 
     record = []
     for name, distances in GOLDEN_RUNS.items():
