@@ -15,6 +15,9 @@ All randomness is derived from named substreams of one seed, so runs
 are reproducible end to end, transcript included.  A message keeps its
 payload and is digested only when the transcript is read; the key and
 position arrays a payload refers to are read-only from when it is sent.
+A forwarded half's split is drawn only when read, by messaging for the
+signed value or by a reader of the transcript; its positions are
+read-only from then.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import IO
 
 import numpy as np
@@ -71,15 +74,21 @@ class ProtocolError(Infeasible):
 class ClassicalMessage:
     """One authenticated classical transmission and the payload it carried.
 
-    The payload is digested when ``digest`` is first read, at most once;
-    a message whose payload is another message carries that one's digest.
+    ``sent`` is the payload, or a ``functools.partial`` of no arguments
+    that builds it when ``payload`` is first read, at most once.  The
+    payload is digested when ``digest`` is first read, at most once; a
+    message whose payload is another message carries that one's digest.
     """
 
     seq: int
     kind: str
     sender: str
     receiver: str
-    payload: object = field(repr=False, compare=False)
+    sent: object = field(repr=False, compare=False)
+
+    @cached_property
+    def payload(self) -> object:
+        return self.sent() if isinstance(self.sent, partial) else self.sent
 
     @cached_property
     def digest(self) -> str:
@@ -185,6 +194,18 @@ def _forward_half(rng: np.random.Generator, L: int) -> np.ndarray:
     forward = np.zeros(L, dtype=bool)
     forward[rng.choice(L, size=L // 2, replace=False)] = True
     return forward
+
+
+def _split(seed: int, L: int, m: int, recipient: str) -> np.ndarray:
+    """The half a recipient forwards of message value ``m``'s block."""
+    return _forward_half(rng_stream(seed, recipient, "symmetrize", str(m)), L)
+
+
+def _sent_half(seed: int, L: int, m: int, recipient: str) -> dict[str, object]:
+    """The payload of a recipient's forwarded half: its positions, read-only."""
+    positions, _ = _positions(_split(seed, L, m, recipient))
+    positions.flags.writeable = False  # sent, digested when read
+    return {"m": m, "positions": positions}
 
 
 def _positions(
@@ -295,11 +316,12 @@ class ProtocolSession:
     """One full protocol run among the three parties.
 
     Distribution fills the key blocks for both message values and sends
-    each recipient's forwarded half of each; messaging signs one value,
-    symmetrises that value's keys alone and runs both verifications.  At
-    desk scale (``n_pulses`` small enough) key bits come from sampled link
-    runs; otherwise synthetic blocks are drawn at the model error rate,
-    which exercises the identical messaging path.
+    each recipient's forwarded half of each, drawn only when read;
+    messaging signs one value, draws that value's splits, symmetrises its
+    keys alone and runs both verifications.  At desk scale (``n_pulses``
+    small enough) key bits come from sampled link runs; otherwise
+    synthetic blocks are drawn at the model error rate, which exercises
+    the identical messaging path.
     """
 
     def __init__(
@@ -324,10 +346,8 @@ class ProtocolSession:
         self.transcript: list[ClassicalMessage] = []
         self.kgp_results: dict[str, KgpResult] = {}
         self._signing_keys: dict[tuple[int, str], np.ndarray] = {}
-        # each recipient's bits, both blocks, and per message value not yet
-        # signed the (Bob, Charlie) masks of the halves they forwarded
+        # each recipient's bits, both blocks in message-value order
         self._recipient_bits: tuple[np.ndarray, ...] = ()
-        self._forwarded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._consumed: set[int] = set()
 
     # -- classical channel -------------------------------------------------
@@ -387,8 +407,9 @@ class ProtocolSession:
         Both links are sampled before any message is sent.  When a sampled
         pool cannot supply the test sample and both blocks, this raises
         ``ProtocolError``, or with ``fallback`` draws synthetic blocks.
-        The halves are kept as masks: ``run_messaging`` symmetrises the
-        signed value's keys alone.
+        No split is drawn here: each forwarded half is sent as a
+        ``partial`` of ``_sent_half``, which holds no session, and
+        ``run_messaging`` draws the signed value's splits itself.
         """
         if self._distribution_started:
             raise ProtocolError("distribution already ran on this session")
@@ -404,16 +425,9 @@ class ProtocolSession:
         self._recipient_bits = (self._link_blocks("bob_alice", "bob"),
                                 self._link_blocks("charlie_alice", "charlie"))
         for m in (0, 1):
-            forwarded = tuple(
-                _forward_half(rng_stream(self.seed, recipient, "symmetrize", str(m)), self.L)
-                for recipient in ("bob", "charlie")
-            )
-            self._forwarded[m] = forwarded
-            for sender, receiver, mask in zip(("bob", "charlie"), ("charlie", "bob"), forwarded):
-                positions, _ = _positions(mask)
-                positions.flags.writeable = False  # sent, digested when read
+            for sender, receiver in (("bob", "charlie"), ("charlie", "bob")):
                 self._send("symmetrization_forward", sender, receiver,
-                           {"m": m, "positions": positions})
+                           partial(_sent_half, self.seed, self.L, m, sender))
 
     # -- messaging stage ---------------------------------------------------
 
@@ -445,9 +459,8 @@ class ProtocolSession:
         declaration = self.transcript[-1]  # the signature message just sent
         block = slice(message_bit * self.L, (message_bit + 1) * self.L)
         bob_bits, charlie_bits = (bits[block] for bits in self._recipient_bits)
-        # a signed value's split is spent: its masks go with the call
-        bob_sym, charlie_sym = symmetrize(bob_bits, charlie_bits,
-                                          *self._forwarded.pop(message_bit))
+        bob_sym, charlie_sym = symmetrize(bob_bits, charlie_bits, *(
+            _split(self.seed, self.L, message_bit, r) for r in ("bob", "charlie")))
         bob = verify(keys, bob_sym, th.s_alpha)
         if not bob[0]:
             self._send("reject", "bob", "alice", {"m": message_bit})

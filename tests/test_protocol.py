@@ -5,6 +5,7 @@ guess patterns, which is tractable at the block lengths used here.
 """
 
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -12,6 +13,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -498,6 +500,54 @@ class TestSession:
                 assert positions.dtype == half.positions.dtype == np.min_scalar_type(1000 - 1)
                 assert np.array_equal(positions, half.positions)
 
+    def test_splits_are_drawn_when_read(self, monkeypatch):
+        calls = []
+        real = protocol._forward_half
+        monkeypatch.setattr(protocol, "_forward_half", lambda *args: calls.append(1) or real(*args))
+
+        def forwarded_digests(session):
+            buf = io.StringIO()
+            session.export_transcript(buf)
+            records = [json.loads(line) for line in buf.getvalue().splitlines()]
+            return [r["digest"] for r in records if r["kind"] == "symmetrization_forward"]
+
+        session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
+        session.run_distribution()
+        assert len(calls) == 0
+        session.run_messaging(1, self.relaxed_thresholds())
+        assert len(calls) == 2
+        forwarded = [m for m in session.transcript if m.kind == "symmetrization_forward"]
+        assert len(forwarded) == 4
+        for _ in range(2):
+            assert all(len(m.payload["positions"]) == 500 for m in forwarded)
+            assert len(calls) == 6
+        after = forwarded_digests(session)
+
+        early = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
+        early.run_distribution()
+        before = forwarded_digests(early)
+        early.run_messaging(1, self.relaxed_thresholds())
+        assert before == after
+
+    @pytest.mark.parametrize("exported", [False, True], ids=["unread", "exported"])
+    def test_dropped_session_is_freed_by_reference_counting(self, exported):
+        # a sent half that held its session would make a cycle through the
+        # transcript, and the session would wait for the cycle collector
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
+            session.run_distribution()
+            session.run_messaging(1, self.relaxed_thresholds())
+            if exported:
+                session.export_transcript(io.StringIO())
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     @pytest.mark.parametrize("twice_L", [
         protocol._CHUNK - 4, protocol._CHUNK, protocol._CHUNK + 4,
         2 * protocol._CHUNK + protocol._CHUNK // 2,
@@ -519,8 +569,8 @@ class TestSession:
                 assert np.array_equal(keys[m][link], rx[m * L:(m + 1) * L])
 
     def test_footprint_per_block_bit(self):
-        # a synthetic session at L = 2e5 holds the keys, the recipients' bits,
-        # the forwarding masks and the sent positions: 20 bytes per block bit
+        # a synthetic session at L = 2e5 holds the keys and the recipients'
+        # bits, 8 bytes per block bit; no split is drawn before messaging
         config = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
         pc, ch, L = config.pulse_config(), config.channel(10.0), 200_000
         # lazy imports and first-call caches stay out of the count
@@ -530,6 +580,7 @@ class TestSession:
         tracemalloc.start()
         try:
             session.run_distribution()
+            distribution_peak = tracemalloc.get_traced_memory()[1]
             numpy_arrays = tracemalloc.take_snapshot().filter_traces(
                 [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
             )
@@ -539,8 +590,9 @@ class TestSession:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert held <= 24 * L
-        assert peak <= 36 * L
+        assert held <= 10 * L
+        assert distribution_peak <= 14 * L
+        assert peak <= 28 * L
 
     def test_transcript_sequence_is_strictly_increasing(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
