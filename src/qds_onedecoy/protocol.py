@@ -17,7 +17,8 @@ payload and is digested only when the transcript is read; the key and
 position arrays a payload refers to are read-only from when it is sent.
 A forwarded half's split is drawn only when read, by messaging for the
 signed value or by a reader of the transcript; its positions are
-read-only from then.
+read-only from then, and messaging lends the signed value's to the
+transcript, so a reader draws only the unsigned value's splits.
 """
 
 from __future__ import annotations
@@ -201,10 +202,15 @@ def _split(seed: int, L: int, m: int, recipient: str) -> np.ndarray:
     return _forward_half(rng_stream(seed, recipient, "symmetrize", str(m)), L)
 
 
-def _sent_half(seed: int, L: int, m: int, recipient: str) -> dict[str, object]:
-    """The payload of a recipient's forwarded half: its positions, read-only."""
-    positions, _ = _positions(_split(seed, L, m, recipient))
-    positions.flags.writeable = False  # sent, digested when read
+def _sent_half(
+    seed: int, L: int, m: int, recipient: str, lent: dict[tuple[int, str], np.ndarray]
+) -> dict[str, object]:
+    """The payload of a recipient's forwarded half: its positions, read-only,
+    as messaging lent them to ``lent`` or drawn now."""
+    positions = lent.pop((m, recipient), None)
+    if positions is None:
+        positions, _ = _positions(_split(seed, L, m, recipient))
+        positions.flags.writeable = False  # sent, digested when read
     return {"m": m, "positions": positions}
 
 
@@ -349,6 +355,8 @@ class ProtocolSession:
         # each recipient's bits, both blocks in message-value order
         self._recipient_bits: tuple[np.ndarray, ...] = ()
         self._consumed: set[int] = set()
+        # forwarded positions messaging found, by (value, sender), until sent
+        self._lent: dict[tuple[int, str], np.ndarray] = {}
 
     # -- classical channel -------------------------------------------------
 
@@ -408,8 +416,9 @@ class ProtocolSession:
         pool cannot supply the test sample and both blocks, this raises
         ``ProtocolError``, or with ``fallback`` draws synthetic blocks.
         No split is drawn here: each forwarded half is sent as a
-        ``partial`` of ``_sent_half``, which holds no session, and
-        ``run_messaging`` draws the signed value's splits itself.
+        ``partial`` of ``_sent_half`` and the session's ``_lent`` dict,
+        neither of which holds the session, and ``run_messaging`` draws
+        the signed value's splits itself and lends their positions.
         """
         if self._distribution_started:
             raise ProtocolError("distribution already ran on this session")
@@ -427,7 +436,7 @@ class ProtocolSession:
         for m in (0, 1):
             for sender, receiver in (("bob", "charlie"), ("charlie", "bob")):
                 self._send("symmetrization_forward", sender, receiver,
-                           partial(_sent_half, self.seed, self.L, m, sender))
+                           partial(_sent_half, self.seed, self.L, m, sender, self._lent))
 
     # -- messaging stage ---------------------------------------------------
 
@@ -461,6 +470,10 @@ class ProtocolSession:
         bob_bits, charlie_bits = (bits[block] for bits in self._recipient_bits)
         bob_sym, charlie_sym = symmetrize(bob_bits, charlie_bits, *(
             _split(self.seed, self.L, message_bit, r) for r in ("bob", "charlie")))
+        # each received half is the other's sent one: lend it to the transcript
+        for sender, (_, received) in (("charlie", bob_sym), ("bob", charlie_sym)):
+            received.positions.flags.writeable = False
+            self._lent[(message_bit, sender)] = received.positions
         bob = verify(keys, bob_sym, th.s_alpha)
         if not bob[0]:
             self._send("reject", "bob", "alice", {"m": message_bit})
@@ -479,10 +492,14 @@ class ProtocolSession:
 
 
 def _check_attack(trials: int, L: int) -> None:
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if L < 2 or L % 2 != 0:
         raise ValueError(f"block length must be an even integer >= 2, got {L}")
+    if L > 2**52:
+        raise ValueError(f"block length must be at most 2**52, the pool cap, got {L}")
 
 
 def attack_repudiation(
@@ -495,17 +512,21 @@ def attack_repudiation(
     few corrupted bits to Bob's kept half (he accepts at s_alpha) and
     many to the half forwarded to Charlie (he rejects at s_upsilon).
     Success means Bob accepts while Charlie rejects.
+
+    The halving is independent of the corruption, so each half's count is
+    Binomial(L/2, rate) and the two are independent.  Each trial's kept
+    half is drawn; the forwarded half is drawn only for the trials Bob
+    accepts, since only they can succeed.
     """
     _check_attack(trials, L)
     if not 0.0 <= corruption_rate <= 1.0:
         raise ValueError(f"corruption rate must lie in [0, 1], got {corruption_rate}")
     rng = rng_stream(seed, "attack", "repudiation")
     half = L // 2
-    corrupted = rng.binomial(L, corruption_rate, size=trials)
-    in_bob_half = rng.hypergeometric(corrupted, L - corrupted, half)
-    bob_accepts = in_bob_half < th.s_alpha * half
-    charlie_rejects = (corrupted - in_bob_half) >= th.s_upsilon * half
-    return float(np.mean(bob_accepts & charlie_rejects))
+    accepted = np.count_nonzero(rng.binomial(half, corruption_rate, size=trials)
+                                < th.s_alpha * half)
+    forwarded = rng.binomial(half, corruption_rate, size=accepted)
+    return float(np.count_nonzero(forwarded >= th.s_upsilon * half) / trials)
 
 
 def attack_forge(trials: int, L: int, th: Thresholds, seed: int = 0) -> float:
@@ -522,20 +543,14 @@ def attack_forge(trials: int, L: int, th: Thresholds, seed: int = 0) -> float:
     return float(np.mean(guess_mismatches < th.s_upsilon * half))
 
 
-def _strictly_below(limit: float) -> int:
-    """Largest integer strictly below ``limit`` (limit itself excluded)."""
-    nearest = round(limit)
-    if math.isclose(limit, nearest, rel_tol=0.0, abs_tol=1e-9):
-        return int(nearest) - 1
-    return math.floor(limit)
-
-
 def exact_forge_success(L: int, s_upsilon: float) -> float:
     """Exact success probability of the guessing forger.
 
     The guessed half accumulates Binomial(L/2, 1/2) mismatches; success
-    is the strict tail below s_upsilon * L/2, enumerated exactly in
-    integer arithmetic and correctly rounded.  With n = L/2 and a tail
+    is the strict tail j < s_upsilon * L/2, with the limit computed in
+    floats as ``verify`` and ``attack_forge`` compute it (a limit of
+    7.000000000000001 admits j = 7), enumerated exactly in integer
+    arithmetic and correctly rounded.  With n = L/2 and a tail
     of j <= a n terms, a < 1/2, sum C(n, j) <= 2^(n h(a)); when that puts
     the tail below 2^-1100 it rounds to 0.0, which is returned unsummed.
     A non-finite s_upsilon or s_upsilon * L/2 raises ValueError.
@@ -547,7 +562,7 @@ def exact_forge_success(L: int, s_upsilon: float) -> float:
         raise ValueError(
             f"s_upsilon must be finite, got {s_upsilon} (s_upsilon * L/2 = {s_upsilon * half})"
         )
-    j_max = _strictly_below(s_upsilon * half)
+    j_max = math.ceil(s_upsilon * half) - 1
     if j_max < 0:
         return 0.0
     # below 2^-1075, half the least subnormal, the rounded quotient is 0.0

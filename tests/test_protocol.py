@@ -14,6 +14,7 @@ import math
 import pathlib
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -520,7 +521,8 @@ class TestSession:
         assert len(forwarded) == 4
         for _ in range(2):
             assert all(len(m.payload["positions"]) == 500 for m in forwarded)
-            assert len(calls) == 6
+            # messaging lent the signed value's positions: only the unsigned value's are drawn
+            assert len(calls) == 4
         after = forwarded_digests(session)
 
         early = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
@@ -528,6 +530,27 @@ class TestSession:
         before = forwarded_digests(early)
         early.run_messaging(1, self.relaxed_thresholds())
         assert before == after
+
+    def test_messaging_lends_the_signed_halves(self, monkeypatch):
+        drawn, built = [], []
+        real_split, real_symmetrize = protocol._split, protocol.symmetrize
+        monkeypatch.setattr(protocol, "_split", lambda *args: drawn.append(args[2:]) or real_split(*args))
+        monkeypatch.setattr(protocol, "symmetrize",
+                            lambda *args: built.append(real_symmetrize(*args)) or built[-1])
+        session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
+        session.run_distribution()
+        session.run_messaging(1, self.relaxed_thresholds())
+        assert drawn == [(1, "bob"), (1, "charlie")]
+        session.export_transcript(io.StringIO())
+        assert drawn[2:] == [(0, "bob"), (0, "charlie")]
+        (_, bob_received), (_, charlie_received) = built[0]
+        sent = {(m.payload["m"], m.sender): m.payload["positions"] for m in session.transcript
+                if m.kind == "symmetrization_forward"}
+        # the very arrays symmetrize found, read-only, and no longer held apart from the payload
+        assert sent[(1, "bob")] is charlie_received.positions
+        assert sent[(1, "charlie")] is bob_received.positions
+        assert not sent[(1, "bob")].flags.writeable and not sent[(1, "charlie")].flags.writeable
+        assert session._lent == {}
 
     @pytest.mark.parametrize("exported", [False, True], ids=["unread", "exported"])
     def test_dropped_session_is_freed_by_reference_counting(self, exported):
@@ -647,13 +670,23 @@ class TestAttacks:
             half = max(half, 1200)
             a = binary_entropy_inverse(1.0 - (1100 + near_cutoff) / half)
             s_u = (math.floor(a * half) + 0.5) / half
-        j_max = protocol._strictly_below(s_u * half)
+        # j < s_u * half as the float limit decides it, the rule of verify
+        j_max = math.ceil(s_u * half) - 1
         # reference: the whole tail in integer arithmetic, no shortcut
         total, term = 0, 1
         for j in range(min(j_max, half) + 1):
             total += term
             term = term * (half - j) // (j + 1)
         assert exact_forge_success(2 * half, s_u) == total / 2**half
+
+    def test_exact_forge_counts_the_limit_as_verify_does(self):
+        # 0.07 * 100 = 7.000000000000001: verify accepts 7 mismatches, so the tail keeps j = 7
+        L, s_u = 200, 0.07
+        assert s_u * (L // 2) > 7
+        assert verify(crafted_keys(L), crafted_sym(L, 7), s_u)[0]
+        assert not verify(crafted_keys(L), crafted_sym(L, 8), s_u)[0]
+        reference = sum(math.comb(L // 2, j) for j in range(8)) / 2 ** (L // 2)
+        assert exact_forge_success(L, s_u) == reference
 
     def test_exact_forge_degenerate_threshold(self):
         assert exact_forge_success(20, 0.0) == 0.0
@@ -676,6 +709,74 @@ class TestAttacks:
             sigma = math.sqrt(max(empirical, 1.0 / trials) / trials)
             assert empirical <= bound + 3 * sigma
 
+    @pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(9, 10)])
+    def test_halves_of_a_binomial_corruption_are_independent_binomials(self, r):
+        # Bin(L, r)(c) Hyp(b | c, L - c, L/2) = Bin(L/2, r)(b) Bin(L/2, r)(c - b), exactly
+        def pmf(n, k):
+            return math.comb(n, k) * r**k * (1 - r) ** (n - k)
+
+        for L in range(2, 25, 2):
+            h = L // 2
+            for c in range(L + 1):
+                for b in range(max(0, c - h), min(c, h) + 1):
+                    hyp = Fraction(math.comb(c, b) * math.comb(L - c, h - b), math.comb(L, h))
+                    assert pmf(L, c) * hyp == pmf(h, b) * pmf(h, c - b)
+
+    @pytest.mark.parametrize("L, s_a, s_u, r", [
+        (40, 0.1, 0.3, 0.2), (100, 0.05, 0.15, 0.1), (200, 0.1, 0.2, 0.15),
+    ])
+    def test_repudiation_simulation_matches_exact_law(self, L, s_a, s_u, r):
+        def success(pmf_h, limit_below, limit_at):
+            return (sum(p for j, p in enumerate(pmf_h) if j < limit_below)
+                    * sum(p for j, p in enumerate(pmf_h) if j >= limit_at))
+
+        def total_then_split(rng, trials):
+            # the sampler of the total count split by a hypergeometric draw
+            corrupted = rng.binomial(L, r, size=trials)
+            in_bob_half = rng.hypergeometric(corrupted, L - corrupted, half)
+            return float(np.mean((in_bob_half < s_a * half)
+                                 & (corrupted - in_bob_half >= s_u * half)))
+
+        half, trials = L // 2, 20_000
+        pmf_h = [math.comb(half, j) * r**j * (1 - r) ** (half - j) for j in range(half + 1)]
+        exact = success(pmf_h, s_a * half, s_u * half)
+        assert 1e-3 < exact < 0.3
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        th = Thresholds(s_alpha=s_a, s_upsilon=s_u)
+        for seed in (3, 4):
+            assert abs(attack_repudiation(trials, L, th, r, seed=seed) - exact) < 4 * sigma
+            reference = total_then_split(rng_stream(seed, "attack", "repudiation"), trials)
+            assert abs(reference - exact) < 4 * sigma
+
+    # demo-sign's thresholds at 30 km, and a short block where Bob accepts some trials
+    @pytest.mark.parametrize("L, s_a, s_u, none_accepted", [
+        (42_816, 0.0636911, 0.0822552, True), (40, 0.1, 0.3, False),
+    ], ids=["demo-30km", "short"])
+    def test_repudiation_draws_charlie_half_for_accepted_trials(
+        self, monkeypatch, L, s_a, s_u, none_accepted
+    ):
+        draws = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def binomial(self, n, p, size):
+                draws.append(self.rng.binomial(n, p, size))
+                return draws[-1]
+
+        real = protocol.rng_stream
+        monkeypatch.setattr(protocol, "rng_stream", lambda *labels: Spy(real(*labels)))
+        th = Thresholds(s_alpha=s_a, s_upsilon=s_u)
+        rate = (s_a + s_u) / 2
+        result = attack_repudiation(20_000, L, th, rate, seed=5)
+        accepted = np.count_nonzero(draws[0] < s_a * (L // 2))
+        assert [len(d) for d in draws] == [20_000, accepted]
+        assert result == np.count_nonzero(draws[1] >= s_u * (L // 2)) / 20_000
+        # at demo-sign lengths the midway rate sits far above Bob's limit:
+        # one draw of 20,000 is the whole call
+        assert (accepted == 0) == none_accepted
+
     def test_repudiation_without_corruption_never_succeeds(self):
         th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
         assert attack_repudiation(5000, 1000, th, 0.0, seed=1) == 0.0
@@ -694,6 +795,26 @@ class TestAttacks:
             attack_forge(trials, 2000, th)
         with pytest.raises(ValueError, match="trials must be at least 1"):
             attack_repudiation(trials, 2000, th, 0.1)
+
+    @pytest.mark.parametrize("attack", ["forge", "repudiation"])
+    @pytest.mark.parametrize("trials, L, match", [
+        (1.5, 2000, "trials must be an integer"),
+        (100.0, 2000, "trials must be an integer"),
+        ("100", 2000, "trials must be an integer"),
+        (100, 1e300, "block length must be at most 2\\*\\*52"),
+        (100, 2**52 + 2, "block length must be at most 2\\*\\*52"),
+    ], ids=["fractional-trials", "float-trials", "text-trials", "L-1e300", "L-past-cap"])
+    def test_attacks_reject_bad_sizes(self, attack, trials, L, match):
+        th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
+        run = {"forge": lambda: attack_forge(trials, L, th),
+               "repudiation": lambda: attack_repudiation(trials, L, th, 0.1)}[attack]
+        with pytest.raises(ValueError, match=match):
+            run()
+
+    def test_attacks_take_numpy_integer_trials(self):
+        th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
+        assert attack_forge(np.int64(100), 2000, th) == attack_forge(100, 2000, th)
+        assert isinstance(attack_repudiation(np.int64(100), 2000, th, 0.1), float)
 
     @pytest.mark.parametrize("s_u", [math.inf, -math.inf, math.nan, 1e308, -1e308])
     def test_exact_forge_rejects_non_finite_threshold(self, s_u):
