@@ -31,8 +31,6 @@ __all__ = [
     "EpsilonBudget",
     "FiniteKeyEstimates",
     "EstimationError",
-    "scaled_count_bounds",
-    "vacuum_upper",
     "phase_error_upper",
     "observed_error_upper",
     "estimate_counts",
@@ -118,14 +116,6 @@ class _Decoy(NamedTuple):
     s1_factor: float | np.ndarray  # tau_1 mu / (nu (mu - nu))
     v1_factor: float | np.ndarray  # tau_1 / (mu - nu)
 
-    def scale(self, intensity: str) -> float | np.ndarray:
-        """e^lam / p_lam for intensity 'mu' or 'nu'."""
-        if intensity == "mu":
-            return self.mu_scale
-        if intensity == "nu":
-            return self.nu_scale
-        raise ValueError(f"unknown intensity {intensity!r}, expected 'mu' or 'nu'")
-
 
 def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
     """The decoy factors of ``pc``; given factors, those."""
@@ -150,53 +140,21 @@ def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
     )
 
 
-def scaled_count_bounds(
-    count: float | np.ndarray,
-    basis_total: float | np.ndarray,
-    intensity: str,
-    pc: PulseConfig | _Decoy,
-    eps: float,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Bounds on the intensity-normalised count (e^lam / p_lam)(count -/+ delta).
-
-    The Hoeffding deviation is taken on the basis total, of which the
-    per-intensity count is one summand.  The lower bound is floored at
-    zero since it estimates a number of events.
-    """
-    scale = _decoy(pc).scale(intensity)
-    if not np.maximum.reduce(count - basis_total, axis=None) <= 0:
-        raise ValueError(
-            f"cell count {count} cannot exceed its basis total {basis_total}"
-        )
-    delta = hoeffding_delta(basis_total, eps)
-    lower = np.maximum(0.0, scale * (count - delta))
-    upper = scale * (count + delta)
-    return lower, upper
-
-
-def vacuum_upper(m_basis_total: float | np.ndarray, eps: float) -> float | np.ndarray:
-    """Upper bound on vacuum-pulse detections in a basis.
-
-    Vacuum detections are background clicks, so at most twice the error
-    count of that basis (background clicks are uncorrelated with the bit
-    value): 2 (m + delta(m, eps)).
-    """
-    if not np.minimum.reduce(m_basis_total, axis=None) >= 0:
-        raise ValueError(f"error count must be non-negative, got {m_basis_total}")
-    return 2.0 * (m_basis_total + hoeffding_delta(m_basis_total, eps))
-
-
 def _cell_bounds(
     counts: ObservedCounts, d: _Decoy, eps: float
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Single-photon lower and vacuum upper bounds of each basis (first
     axis), and the X single-photon error bound, in one pass over the cells.
 
-    One Hoeffding deviation serves each (basis, n/m) total; with it each
-    cell is bounded as ``scaled_count_bounds`` bounds it (decoy cells from
-    below, signal cells from above) and each basis as ``vacuum_upper``.
-    The single-photon bound is clamped to [0, basis total], and a
-    non-positive bracket certifies nothing (0).  The error bound,
+    One Hoeffding deviation delta serves each (basis, n/m) total, of which
+    each cell is one summand.  With it a cell's intensity-normalised count
+    is bounded as (e^lam / p_lam)(count -/+ delta): decoy cells from below,
+    floored at zero since they estimate a number of events, and signal
+    cells from above.  Vacuum detections are background clicks,
+    uncorrelated with the bit value, so a basis holds at most
+    2 (m + delta(m, eps)) of them, twice its error count.  The
+    single-photon bound is clamped to [0, basis total], and a non-positive
+    bracket certifies nothing (0).  The error bound,
     tau_1 / (mu - nu) * (m_mu_upper - m_nu_lower), is clamped to
     [0, normalised X error total].
     """

@@ -174,19 +174,20 @@ def run_kgp(
             f"{k_test}-bit test sample and {min_pool} key bits"
         )
     tx = rng.integers(0, 2, size=n_pool, dtype=np.uint8)
-    mask = np.zeros(n_pool, dtype=np.uint8)
-    mask[rng.choice(n_pool, size=m_pool, replace=False)] = 1
-    rx = tx ^ mask
+    # rx marks the error positions, then becomes tx with them flipped
+    rx = np.zeros(n_pool, dtype=np.uint8)
+    rx[rng.choice(n_pool, size=m_pool, replace=False)] = 1
     test_idx = rng.choice(n_pool, size=k_test, replace=False)
-    test_errors = int(mask[test_idx].sum())
+    test_errors = int(rx[test_idx].sum())
+    rx ^= tx
     keep = np.ones(n_pool, dtype=bool)
     keep[test_idx] = False
-    return KgpResult(
-        counts=counts,
-        tx_pool=tx[keep],
-        rx_pool=rx[keep],
-        test_errors=test_errors,
-    )
+    # each whole string is dropped once its pool is compacted
+    tx_pool = tx[keep]
+    del tx
+    rx_pool = rx[keep]
+    del rx
+    return KgpResult(counts=counts, tx_pool=tx_pool, rx_pool=rx_pool, test_errors=test_errors)
 
 
 def _forward_half(rng: np.random.Generator, L: int) -> np.ndarray:

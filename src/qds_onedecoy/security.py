@@ -37,8 +37,6 @@ __all__ = [
     "solve_p_e",
     "thresholds_from_rates",
     "p_robust",
-    "p_repudiation_raw",
-    "epsilon_f",
     "p_forge_raw",
     "p_sec",
     "merge_block_estimates",
@@ -285,42 +283,11 @@ def p_robust(eps_pe: float) -> float:
     return min(1.0, 2.0 * eps_pe)
 
 
-def p_repudiation_raw(th: Thresholds, L: int | np.ndarray) -> float | np.ndarray:
-    """Unclamped repudiation bound 2 exp(-(s_upsilon - s_alpha)^2 L / 4)."""
-    if not np.minimum.reduce(L, axis=None) > 0:
-        raise ValueError(f"block length must be positive, got {L}")
-    return _repudiation(th.s_alpha, th.s_upsilon, L)
-
-
 def _repudiation(
     s_alpha: float | np.ndarray, s_upsilon: float | np.ndarray, L: int | np.ndarray
 ) -> float | np.ndarray:
-    """``p_repudiation_raw`` from the two thresholds, unchecked."""
+    """Unclamped repudiation bound 2 exp(-(s_upsilon - s_alpha)^2 L / 4)."""
     return 2.0 * np.exp(-((s_upsilon - s_alpha) ** 2) * L / 4.0)
-
-
-def epsilon_f(
-    alpha: float,
-    L: int | np.ndarray,
-    s_z1: float | np.ndarray,
-    phi_z1: float | np.ndarray,
-    s_upsilon: float | np.ndarray,
-    eps: float,
-) -> float | np.ndarray:
-    """Forger's success term (2^(-L/2 * margin) + eps) / alpha.
-
-    The margin is the certified min-entropy rate of the block,
-    2 s_z1 / L * (1 - h(phi)), minus the entropy h(s_upsilon) the forger
-    may spend on admissible mismatches.  A negative margin overflows
-    toward infinity, which the clamped forging probability turns into 1.
-    """
-    if not np.minimum.reduce(L, axis=None) > 0:
-        raise ValueError(f"block length must be positive, got {L}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    return _forge_term(alpha, L, _entropy_rate(s_z1, L, phi_z1), s_upsilon, eps)
 
 
 def _forge_term(
@@ -330,14 +297,18 @@ def _forge_term(
     s_upsilon: float | np.ndarray,
     eps: float,
 ) -> float | np.ndarray:
-    """``epsilon_f`` from the block's entropy rate, unchecked."""
-    margin = rate - binary_entropy(s_upsilon)
-    exponent = 0.5 * L * margin
-    # 2^-exponent is finite exactly where exponent > -1024
-    finite = exponent > -1024.0
-    term = np.where(finite, np.exp2(-np.where(finite, exponent, 0.0)), np.inf)
-    with np.errstate(over="ignore"):  # a finite but huge term divides out to inf
-        return ((term + eps) / alpha)[()]
+    """Forger's success term eps_F = (2^(-L/2 * margin) + eps) / alpha.
+
+    The margin is the block's certified min-entropy rate ``rate``,
+    2 s_z1 / L * (1 - h(phi)), minus the entropy h(s_upsilon) the forger
+    may spend on admissible mismatches.  A negative margin overflows
+    toward infinity, which the clamped forging probability turns into 1.
+    """
+    exponent = 0.5 * L * (rate - binary_entropy(s_upsilon))
+    # 2^-exponent overflows to inf exactly where exponent <= -1024, and a
+    # finite but huge term divides out to inf
+    with np.errstate(over="ignore"):
+        return ((np.exp2(-exponent) + eps) / alpha)[()]
 
 
 def p_forge_raw(

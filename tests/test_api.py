@@ -4,6 +4,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -39,6 +40,20 @@ def test_no_public_name_is_collected_as_a_test(name):
     # pytest collects an imported test_* function (or Test* class) as a test
     module = importlib.import_module(name)
     assert [attr for attr in vars(module) if attr.lower().startswith("test")] == []
+
+
+def test_readme_layout_lists_only_public_names():
+    # each entry of README's "Library layout" block: a module, its role,
+    # then after the role's colon the names, each in the module's __all__
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library layout", 1)[1].split("```")[1]
+    entries = re.split(r"^(?=qds_onedecoy\.)", block, flags=re.M)[1:]
+    assert len(entries) == len(MODULES) - 1
+    for entry in entries:
+        module, _, text = entry.partition(" ")
+        names = re.findall(r"\w+", text.partition(":")[2])
+        assert names, module
+        assert set(names) <= set(importlib.import_module(module).__all__), module
 
 
 def _fresh(script: str) -> list[str]:

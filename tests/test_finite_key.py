@@ -22,9 +22,8 @@ from qds_onedecoy.finite_key import (
     estimate_counts,
     observed_error_upper,
     phase_error_upper,
-    scaled_count_bounds,
-    vacuum_upper,
 )
+from qds_onedecoy.stat_math import hoeffding_delta
 from strategies import settings_in_space
 
 
@@ -82,36 +81,62 @@ class TestTau:
 
 
 class TestScaledCountBounds:
+    """The intensity-normalised cell bounds (e^lam / p_lam)(count -/+ delta)
+    that ``estimate_counts`` applies, read through the X single-photon
+    error bound: the signal error cell's upper bound less the decoy error
+    cell's lower bound, times tau_1 / (mu - nu) (above 1 here), clamped to
+    [0, normalised X error total]."""
+
     def test_no_fluctuation_collapses(self):
+        # at eps = 1 delta is 0: the signal cell's bound is its scaled
+        # count, which is also the ceiling v1 clamps to
         pc = make_pc()
-        lower, upper = scaled_count_bounds(3.49126e6, 4.2e6, "mu", pc, eps=1.0)
-        assert lower == upper
+        counts = make_counts(n_x_mu=4.2e6, m_x_mu=3.49126e6)
+        v1 = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1.0)).v_x1_upper
         # e^0.5 / 0.7 * 3.49126e6, recomputed at high precision
-        assert lower == pytest.approx(8223020.891, abs=1.0)
+        assert v1 == pytest.approx(8223020.891, abs=1.0)
 
     def test_ordering_and_floor(self):
         pc = make_pc()
-        lower, upper = scaled_count_bounds(100.0, 1e6, "nu", pc, eps=1e-5)
-        assert 0.0 <= lower < upper
-        # a count far below the deviation floors at zero
-        lo, _ = scaled_count_bounds(1.0, 1e6, "nu", pc, eps=1e-5)
-        assert lo == 0.0
+        factor = tau_n(1, pc) / (pc.mu - pc.nu)
+        # a decoy error count far below its deviation floors at zero, so v1
+        # is the upper bound of the (empty) signal cell alone
+        counts = make_counts(n_x_nu=1e6, m_x_nu=5.0)
+        v1 = estimate_counts(counts, pc, EpsilonBudget(eps_pe=1e-5)).v_x1_upper
+        delta = hoeffding_delta(5.0, 1e-5)
+        assert 5.0 < delta
+        assert v1 == pytest.approx(factor * math.exp(pc.mu) / pc.p_mu * delta, rel=1e-12)
+        # a wider deviation lowers the decoy bound and raises the signal one
+        counts = make_counts(n_x_mu=1e6, m_x_mu=1e3, n_x_nu=1e6, m_x_nu=400.0)
+        loose, tight = (estimate_counts(counts, pc, EpsilonBudget(eps)).v_x1_upper
+                        for eps in (1e-5, 1e-2))
+        assert 0.0 < tight < loose
 
     def test_rejects_count_above_total(self):
-        with pytest.raises(ValueError):
-            scaled_count_bounds(10.0, 5.0, "mu", make_pc(), eps=0.5)
+        # a basis total sums its cells, so a cell can exceed it only beside
+        # a negative one, which counts reject before any bound is taken
+        with pytest.raises(ValueError, match="0 <= m <= n"):
+            make_counts(n_z_mu=10.0, n_z_nu=-5.0)
 
 
 class TestVacuumUpper:
+    """The vacuum bound 2 (m + delta(m, eps)) on a basis's background clicks,
+    read as the Z basis's ``s_z0_upper``."""
+
+    def vacuum(self, m_z, eps):
+        counts = make_counts(n_z_mu=1e3, m_z_mu=m_z)
+        return estimate_counts(counts, make_pc(), EpsilonBudget(eps_pe=eps)).s_z0_upper
+
     def test_no_fluctuation(self):
-        assert vacuum_upper(120.0, eps=1.0) == 240.0
+        assert self.vacuum(120.0, eps=1.0) == 240.0
 
     def test_grows_with_uncertainty(self):
-        assert vacuum_upper(120.0, 1e-5) > vacuum_upper(120.0, 1e-2)
+        assert self.vacuum(120.0, 1e-5) > self.vacuum(120.0, 1e-2)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            vacuum_upper(-1.0, 0.5)
+        # a negative error count is refused where counts enter
+        with pytest.raises(ValueError, match="0 <= m <= n"):
+            make_counts(n_z_mu=1e3, m_z_mu=-1.0)
 
 
 class TestSinglePhotonLower:
@@ -320,23 +345,39 @@ EDGE_ROWS = [
 EDGE_FLAGS = [(True, True), (False, False), (True, True), (False, True)]
 
 
+def scaled_bounds(count, basis_total, intensity, pc, eps):
+    """Lower and upper bound on the normalised count (e^lam / p_lam)(count -/+
+    delta), delta the Hoeffding deviation of the basis total; the lower
+    floored at zero."""
+    lam, p_lam = (pc.mu, pc.p_mu) if intensity == "mu" else (pc.nu, 1.0 - pc.p_mu)
+    scale = np.exp(lam) / p_lam
+    delta = hoeffding_delta(basis_total, eps)
+    return np.maximum(0.0, scale * (count - delta)), scale * (count + delta)
+
+
+def vacuum_bound(m_basis_total, eps):
+    """At most twice the basis's error count, background clicks being
+    uncorrelated with the bit value: 2 (m + delta(m, eps))."""
+    return 2.0 * (m_basis_total + hoeffding_delta(m_basis_total, eps))
+
+
 def reference_single_photon_lower(counts, basis, pc, eps):
-    """The decoy bound of one basis from the cell-by-cell helpers."""
+    """The decoy bound of one basis, written out cell by cell."""
     n_tot = counts.n_total(basis)
-    nu_lower, _ = scaled_count_bounds(counts.n(basis, "nu"), n_tot, "nu", pc, eps)
-    _, mu_upper = scaled_count_bounds(counts.n(basis, "mu"), n_tot, "mu", pc, eps)
+    nu_lower, _ = scaled_bounds(counts.n(basis, "nu"), n_tot, "nu", pc, eps)
+    _, mu_upper = scaled_bounds(counts.n(basis, "mu"), n_tot, "mu", pc, eps)
     mu2, nu2 = pc.mu**2, pc.nu**2
     bracket = (nu_lower - nu2 / mu2 * mu_upper
-               - (mu2 - nu2) / (mu2 * tau_n(0, pc)) * vacuum_upper(counts.m_total(basis), eps))
+               - (mu2 - nu2) / (mu2 * tau_n(0, pc)) * vacuum_bound(counts.m_total(basis), eps))
     s1 = tau_n(1, pc) * pc.mu / (pc.nu * (pc.mu - pc.nu)) * bracket
     return np.where(s1 > 0.0, np.minimum(s1, n_tot), 0.0)
 
 
 def reference_error_upper(counts, pc, eps):
-    """The X single-photon error bound from the cell-by-cell helpers."""
+    """The X single-photon error bound, written out cell by cell."""
     m_tot = counts.m_total("X")
-    _, m_mu_upper = scaled_count_bounds(counts.m("X", "mu"), m_tot, "mu", pc, eps)
-    m_nu_lower, _ = scaled_count_bounds(counts.m("X", "nu"), m_tot, "nu", pc, eps)
+    _, m_mu_upper = scaled_bounds(counts.m("X", "mu"), m_tot, "mu", pc, eps)
+    m_nu_lower, _ = scaled_bounds(counts.m("X", "nu"), m_tot, "nu", pc, eps)
     v1 = tau_n(1, pc) / (pc.mu - pc.nu) * (m_mu_upper - m_nu_lower)
     ceiling = (np.exp(pc.mu) / pc.p_mu * counts.m("X", "mu")
                + np.exp(pc.nu) / (1.0 - pc.p_mu) * counts.m("X", "nu"))
@@ -351,7 +392,7 @@ def composed_estimates(counts, pc, budget):
     certified = (s_x1 > 0.0) & (s_z1 > 0.0)
     phi = np.where(certified, phase_error_upper(np.where(certified, s_x1, 1.0), v_x1,
                                                 np.where(certified, s_z1, 1.0), eps), 0.5)
-    return [s_z1, phi, vacuum_upper(counts.m_total("Z"), eps), s_x1, v_x1,
+    return [s_z1, phi, vacuum_bound(counts.m_total("Z"), eps), s_x1, v_x1,
             phi >= 0.5, ~certified]
 
 
@@ -370,8 +411,8 @@ def count_rows(draw):
 
 
 class TestOnePassEstimator:
-    """``estimate_counts`` against the cell-by-cell bounds and the public
-    helpers it is a composition of, with ``==``."""
+    """``estimate_counts`` against the cell-by-cell bounds written out
+    above from ``hoeffding_delta`` and the formulas, with ``==``."""
 
     def check(self, rows, pc, budget):
         # each row as one setting of a batch, as the solver stacks them
@@ -403,9 +444,6 @@ def nan_calls():
     pc, budget = make_pc(), EpsilonBudget(eps_pe=1e-5)
     pool = float(counts.n_total("Z"))
     return {
-        "vacuum_upper-m": (vacuum_upper, (math.nan, 0.1), "error count"),
-        "scaled_count_bounds-count": (
-            scaled_count_bounds, (math.nan, 100.0, "mu", pc, 0.1), "cannot exceed"),
         "phase_error_upper-s_x1": (phase_error_upper, (math.nan, 1.0, 100.0, 1e-5), "s_x1"),
         "phase_error_upper-s_z1": (phase_error_upper, (100.0, 1.0, math.nan, 1e-5), "s_z1"),
         "block_scale-L": (block_scale, (counts, pc, budget, math.nan, pool), "block length"),

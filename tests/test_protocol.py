@@ -94,6 +94,18 @@ class TestRunKgp:
         se = rates.std(ddof=1) / math.sqrt(len(rates))
         assert abs(rates.mean() - model) < 5 * se
 
+    def test_footprint_per_pool_bit(self):
+        # at its peak run_kgp holds the two bit strings, the keep mask and
+        # one compacted pool: 4 bytes per sifted bit
+        run_kgp("bob_alice", DESK_PC, DESK_CH, seed=5, k_test=200)  # first-call caches
+        tracemalloc.start()
+        try:
+            result = run_kgp("bob_alice", DESK_PC, DESK_CH, seed=5, k_test=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * result.counts.n_total("Z")
+
     def test_aborts_when_pool_too_small(self):
         with pytest.raises(ProtocolError, match="cannot supply"):
             run_kgp("bob_alice", DESK_PC, DESK_CH, seed=1, k_test=100, min_pool=10**9)

@@ -38,14 +38,15 @@ from qds_onedecoy.security import (
     _sifted_yield,
     _signing_time,
     _stack_links,
+    _entropy_rate,
+    _forge_term,
+    _repudiation,
     block_report,
-    epsilon_f,
     k_test_for,
     longest_block_at_rate,
     merge_block_estimates,
     min_signature_length,
     p_forge_raw,
-    p_repudiation_raw,
     p_robust,
     p_sec,
     signature_time_and_rate,
@@ -137,31 +138,33 @@ class TestProbabilityBounds:
         assert p_robust(0.9) == 1.0
 
     def test_repudiation_formula(self):
-        th = Thresholds(0.05, 0.15)
         expected = 2.0 * math.exp(-(0.1**2) * 2000 / 4.0)
-        assert p_repudiation_raw(th, 2000) == pytest.approx(expected, rel=1e-12)
+        assert _repudiation(0.05, 0.15, 2000) == pytest.approx(expected, rel=1e-12)
+        # each chain lane is the formula at its own thresholds
+        chain = paper_scale_chain([2000, 89522])
+        gap = chain.s_upsilon[0] - chain.s_alpha[0]
+        assert chain.p_repudiation_raw[0] == pytest.approx(
+            2.0 * np.exp(-(gap**2) * np.array([2000, 89522]) / 4.0), rel=1e-12)
 
     def test_repudiation_clamp(self):
-        th = Thresholds(0.05, 0.15)
-        assert p_repudiation_raw(th, 2) > 1.0
+        assert _repudiation(0.05, 0.15, 2) > 1.0
         # the chain clamps what the raw bound leaves above 1, and only that
         chain = paper_scale_chain([2, 100, 89522])
         assert (chain.p_repudiation_raw[0, :2] > 1.0).all()
         assert chain.p_repudiation[0].tolist() == [1.0, 1.0, chain.p_repudiation_raw[0, 2]]
 
     def test_repudiation_decays_with_length(self):
-        th = Thresholds(0.05, 0.15)
-        values = [p_repudiation_raw(th, L) for L in (100, 1000, 10000)]
+        values = [_repudiation(0.05, 0.15, L) for L in (100, 1000, 10000)]
         assert values[0] > values[1] > values[2]
 
     def test_epsilon_f_dominated_by_eps_when_margin_large(self):
         # huge entropy margin: the 2^-x term underflows to zero
-        val = epsilon_f(1e-5, 50000, 20000.0, 0.02, 0.1, 1e-10)
+        val = _forge_term(1e-5, 50000, _entropy_rate(20000.0, 50000, 0.02), 0.1, 1e-10)
         assert val == pytest.approx(1e-10 / 1e-5, rel=1e-9)
 
     def test_epsilon_f_blows_up_without_margin(self):
         # h(s_upsilon) exceeds the entropy rate: forging unbounded
-        val = epsilon_f(1e-5, 50000, 100.0, 0.02, 0.4, 1e-10)
+        val = _forge_term(1e-5, 50000, _entropy_rate(100.0, 50000, 0.02), 0.4, 1e-10)
         assert val == math.inf
         assert p_forge_raw(1e-5, val, 1e-5) == math.inf
         # in the chain, an unbounded forging term clamps to 1
@@ -171,8 +174,9 @@ class TestProbabilityBounds:
         assert chain.p_forge_raw[0, 1] < 1.0
 
     def test_epsilon_f_rejects_negative_eps(self):
-        with pytest.raises(ValueError, match="eps must be non-negative"):
-            epsilon_f(1e-5, 50000, 20000.0, 0.02, 0.1, -1e-3)
+        # eps enters through the target, which refuses it outside (0, 1)
+        with pytest.raises(ValueError, match="eps must lie strictly inside"):
+            SecurityTarget(EpsilonBudget(eps_pe=1e-6), 1e-5, -1e-3, 1e-4)
 
     def test_forge_floor(self):
         assert p_forge_raw(1e-5, 0.0, 1e-5) == pytest.approx(1.1e-4)
@@ -295,14 +299,9 @@ def reference_bisection(cbl, pc, ch, budget, k_test=None, cap=None):
 def nan_calls():
     """(function, arguments, message) with one argument NaN, by function and argument."""
     pc, ch, cbl, _ = paper_scale_setup()
-    th = Thresholds(0.05, 0.15)
     return {
         "solve_p_e-s_z1": (solve_p_e, (math.nan, 100.0, 0.1), "single-photon count"),
         "solve_p_e-L": (solve_p_e, (100.0, math.nan, 0.1), "block length"),
-        "p_repudiation_raw-L": (p_repudiation_raw, (th, math.nan), "block length"),
-        "epsilon_f-L": (epsilon_f, (1e-5, math.nan, 2e4, 0.02, 0.1, 1e-10), "block length"),
-        "epsilon_f-alpha": (epsilon_f, (math.nan, 5e4, 2e4, 0.02, 0.1, 1e-10), "alpha"),
-        "epsilon_f-eps": (epsilon_f, (1e-5, 5e4, 2e4, 0.02, 0.1, math.nan), "eps"),
         "signature_time_and_rate-L": (signature_time_and_rate, (math.nan, cbl, pc, ch),
                                       "block length"),
     }
