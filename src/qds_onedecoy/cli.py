@@ -121,16 +121,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         counts_by_link = model_links(pc, ch)
     report = block_report(counts_by_link, pc, ch, config.target)
-    L = report.L
     text = format_report(report, distance_km=args.distance, budget=config.target.budget)
 
     # end-to-end messaging demo at the solved block length; bit-level keys
-    # when the pulse budget is desk scale and the report's pool and both
-    # links' sampled pools can afford both message-value blocks, synthetic
-    # keys at the model error rate otherwise
-    pool = min(c.n_total("Z") for c in counts_by_link.values())
-    bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES and pool >= 2 * L + report.k_test
-    session = ProtocolSession(pc, ch, L, seed=seed, k_test=report.k_test, synthetic=not bit_mode)
+    # when the pulse budget is desk scale and both links' drawn pools can
+    # afford the test sample and both blocks, synthetic keys otherwise
+    session = ProtocolSession(pc, ch, report.L, seed=seed, k_test=report.k_test)
     session.run_distribution(fallback=True)
     bob, charlie = session.run_messaging(args.message_bit, report.thresholds)
     text += f"demo_mode: {'bit-level' if session.bit_mode else 'synthetic'}\n"

@@ -16,9 +16,8 @@ are reproducible end to end, transcript included.  A message keeps its
 payload and is digested only when the transcript is read; the key and
 position arrays a payload refers to are read-only from when it is sent.
 A forwarded half's split is drawn only when read, by messaging for the
-signed value or by a reader of the transcript; its positions are
-read-only from then, and messaging lends the signed value's to the
-transcript, so a reader draws only the unsigned value's splits.
+signed value and by a reader of the transcript for its payload; the
+positions a payload lists are read-only from then.
 """
 
 from __future__ import annotations
@@ -203,15 +202,11 @@ def _split(seed: int, L: int, m: int, recipient: str) -> np.ndarray:
     return _forward_half(rng_stream(seed, recipient, "symmetrize", str(m)), L)
 
 
-def _sent_half(
-    seed: int, L: int, m: int, recipient: str, lent: dict[tuple[int, str], np.ndarray]
-) -> dict[str, object]:
-    """The payload of a recipient's forwarded half: its positions, read-only,
-    as messaging lent them to ``lent`` or drawn now."""
-    positions = lent.pop((m, recipient), None)
-    if positions is None:
-        positions, _ = _positions(_split(seed, L, m, recipient))
-        positions.flags.writeable = False  # sent, digested when read
+def _sent_half(seed: int, L: int, m: int, recipient: str) -> dict[str, object]:
+    """The payload of a recipient's forwarded half: its positions, drawn now
+    and read-only."""
+    positions, _ = _positions(_split(seed, L, m, recipient))
+    positions.flags.writeable = False  # sent, digested when read
     return {"m": m, "positions": positions}
 
 
@@ -339,7 +334,6 @@ class ProtocolSession:
         *,
         seed: int = 0,
         k_test: int | None = None,
-        synthetic: bool | None = None,
     ) -> None:
         if L < 2 or L % 2 != 0:
             raise ValueError(f"block length must be an even integer >= 2, got {L}")
@@ -348,16 +342,13 @@ class ProtocolSession:
         self.L = int(L)
         self.seed = int(seed)
         self.k_test = k_test_for(L, k_test)
-        self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES if synthetic is None else not synthetic
+        self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES
         self._distribution_started = False
         self.transcript: list[ClassicalMessage] = []
         self.kgp_results: dict[str, KgpResult] = {}
-        self._signing_keys: dict[tuple[int, str], np.ndarray] = {}
-        # each recipient's bits, both blocks in message-value order
-        self._recipient_bits: tuple[np.ndarray, ...] = ()
+        # each link's recipient (tx) and signer (rx) bits, both blocks in message-value order
+        self._blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._consumed: set[int] = set()
-        # forwarded positions messaging found, by (value, sender), until sent
-        self._lent: dict[tuple[int, str], np.ndarray] = {}
 
     # -- classical channel -------------------------------------------------
 
@@ -375,9 +366,8 @@ class ProtocolSession:
 
     # -- distribution stage ------------------------------------------------
 
-    def _link_blocks(self, link: str, recipient: str) -> np.ndarray:
-        """Fill Alice's signing keys for both message values on one link
-        and return the recipient's bits, both blocks in message-value order."""
+    def _link_blocks(self, link: str, recipient: str) -> tuple[np.ndarray, np.ndarray]:
+        """One link's recipient and signer bits, both blocks in message-value order."""
         need = 2 * self.L
         if self.bit_mode:
             kgp = self.kgp_results[link]
@@ -404,9 +394,7 @@ class ProtocolSession:
             self._send("basis_announce", recipient, "alice", {"link": link, "synthetic": True})
         # signed keys are digested when the transcript is read: keep them as sent
         tx.flags.writeable = rx.flags.writeable = False
-        for m in (0, 1):
-            self._signing_keys[(m, link)] = rx[m * self.L:(m + 1) * self.L]
-        return tx
+        return tx, rx
 
     def run_distribution(self, fallback: bool = False) -> None:
         """Fill the key blocks of both message values and send each
@@ -417,9 +405,7 @@ class ProtocolSession:
         pool cannot supply the test sample and both blocks, this raises
         ``ProtocolError``, or with ``fallback`` draws synthetic blocks.
         No split is drawn here: each forwarded half is sent as a
-        ``partial`` of ``_sent_half`` and the session's ``_lent`` dict,
-        neither of which holds the session, and ``run_messaging`` draws
-        the signed value's splits itself and lends their positions.
+        ``partial`` of ``_sent_half``, which does not hold the session.
         """
         if self._distribution_started:
             raise ProtocolError("distribution already ran on this session")
@@ -432,12 +418,12 @@ class ProtocolSession:
                 if not fallback:
                     raise
                 self.bit_mode = False
-        self._recipient_bits = (self._link_blocks("bob_alice", "bob"),
-                                self._link_blocks("charlie_alice", "charlie"))
+        self._blocks = {link: self._link_blocks(link, recipient)
+                        for link, recipient in zip(LINKS, ("bob", "charlie"))}
         for m in (0, 1):
             for sender, receiver in (("bob", "charlie"), ("charlie", "bob")):
                 self._send("symmetrization_forward", sender, receiver,
-                           partial(_sent_half, self.seed, self.L, m, sender, self._lent))
+                           partial(_sent_half, self.seed, self.L, m, sender))
 
     # -- messaging stage ---------------------------------------------------
 
@@ -445,14 +431,15 @@ class ProtocolSession:
         """Alice declares her measured key per link for one message value."""
         if message_bit not in (0, 1):
             raise ValueError(f"message bit must be 0 or 1, got {message_bit}")
-        if not self._recipient_bits:
+        if not self._blocks:
             raise ProtocolError("cannot sign before distribution has completed")
         if message_bit in self._consumed:
             raise ProtocolError(
                 f"the key block for message bit {message_bit} was already consumed"
             )
         self._consumed.add(message_bit)
-        keys = {link: self._signing_keys[(message_bit, link)] for link in LINKS}
+        block = slice(message_bit * self.L, (message_bit + 1) * self.L)
+        keys = {link: rx[block] for link, (_, rx) in self._blocks.items()}
         self._send("signature", "alice", "bob", {"m": message_bit, "keys": dict(keys)})
         return keys
 
@@ -468,13 +455,10 @@ class ProtocolSession:
         keys = self.sign(message_bit)
         declaration = self.transcript[-1]  # the signature message just sent
         block = slice(message_bit * self.L, (message_bit + 1) * self.L)
-        bob_bits, charlie_bits = (bits[block] for bits in self._recipient_bits)
-        bob_sym, charlie_sym = symmetrize(bob_bits, charlie_bits, *(
-            _split(self.seed, self.L, message_bit, r) for r in ("bob", "charlie")))
-        # each received half is the other's sent one: lend it to the transcript
-        for sender, (_, received) in (("charlie", bob_sym), ("bob", charlie_sym)):
-            received.positions.flags.writeable = False
-            self._lent[(message_bit, sender)] = received.positions
+        bob_sym, charlie_sym = symmetrize(
+            *(tx[block] for tx, _ in self._blocks.values()),
+            *(_split(self.seed, self.L, message_bit, r) for r in ("bob", "charlie")),
+        )
         bob = verify(keys, bob_sym, th.s_alpha)
         if not bob[0]:
             self._send("reject", "bob", "alice", {"m": message_bit})

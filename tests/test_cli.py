@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qds_onedecoy import cli, optimizer, security
+from qds_onedecoy import cli, optimizer, protocol, security
 from qds_onedecoy.cli import build_parser, main
 from qds_onedecoy.channel import sample_statistics
 from qds_onedecoy.files import CONFIG_ENV_VAR, read_config, read_counts
@@ -221,6 +221,14 @@ class TestSimulate:
         assert parsed["demo_mode"] == "synthetic"
         assert parsed["demo_bob_accept"] == "true"
 
+    def test_device_scale_samples_no_link(self, capsys, monkeypatch):
+        # above the desk bound no link is run at the bit level, not even to be refused
+        calls = []
+        monkeypatch.setattr(protocol, "run_kgp", lambda *args, **kwargs: calls.append(args))
+        assert main(["simulate", "--config", DEVICE_CFG, "--distance", "103"]) == 0
+        assert _parse_report(capsys.readouterr().out)["demo_mode"] == "synthetic"
+        assert calls == []
+
     def test_sampled_counts_reproducible(self, capsys):
         rc = main(["simulate", "--config", DESK_CFG, "--distance", "5",
                    "--sampled", "--seed", "3"])
@@ -246,15 +254,19 @@ class TestSimulate:
             rates[distance] = float(parsed["rate_bits_per_s"])
         assert rates["0"] > 10.0 * rates["103"]
 
-    def test_short_sampled_pool_falls_back_to_synthetic(self, capsys):
+    @pytest.mark.parametrize("distance, synthetic", [("63.412", 29), ("63.5", 37)],
+                             ids=["63.412km", "63.5km"])
+    def test_short_sampled_pool_falls_back_to_synthetic(self, capsys, distance, synthetic):
         # at 63.412 km two solved blocks and the test sample need about the
         # whole expected pool, so for most seeds a link's sampled pool is
-        # short: the demo then runs on synthetic keys instead of exiting 3
+        # short: the demo then runs on synthetic keys instead of exiting 3.
+        # At 63.5 km the expected pool itself is short, yet a few seeds draw
+        # pools that hold both blocks: only the drawn pools decide
         config = read_config(DESK_CFG)
-        pc, ch = config.pulse_config(), config.channel(63.412)
+        pc, ch = config.pulse_config(), config.channel(float(distance))
         modes = []
         for seed in range(40):
-            assert main(["simulate", "--config", DESK_CFG, "--distance", "63.412",
+            assert main(["simulate", "--config", DESK_CFG, "--distance", distance,
                          "--seed", str(seed)]) == 0
             parsed = _parse_report(capsys.readouterr().out)
             need = 2 * int(parsed["block_length"]) + int(parsed["test_sample"])
@@ -265,9 +277,9 @@ class TestSimulate:
             assert parsed["demo_mode"] == ("synthetic" if short else "bit-level"), seed
             assert parsed["demo_bob_accept"] == parsed["demo_charlie_accept"] == "true"
             modes.append(parsed["demo_mode"])
-        assert modes.count("synthetic") == 29
+        assert modes.count("synthetic") == synthetic
         # demo-sign has no synthetic keys: a short pool still ends it
-        assert main(["demo-sign", "--config", DESK_CFG, "--distance", "63.412",
+        assert main(["demo-sign", "--config", DESK_CFG, "--distance", distance,
                      "--seed", "0"]) == 3
         assert "cannot supply" in capsys.readouterr().err
 

@@ -46,6 +46,9 @@ from qds_onedecoy.stat_math import binary_entropy_inverse
 DESK_PC = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8, n_pulses=2e6)
 DESK_CH = ChannelParams(distance_km=2.0)
 QUIET_CH = ChannelParams(distance_km=2.0, dark_count_rate_hz=0.0, misalignment=0.0)
+# above the desk bound, so sessions draw synthetic keys; a power-of-two factor
+# scales every expected cell exactly, so the keys are DESK_PC's, bit for bit
+SYNTHETIC_PC = dataclasses.replace(DESK_PC, n_pulses=64 * DESK_PC.n_pulses)
 
 
 class TestRngStream:
@@ -343,8 +346,7 @@ class TestSession:
         # synthetic keys well above both thresholds: the model error rate
         # is a weighted mean of the misalignment and 1/2, so at least 0.30
         session = ProtocolSession(
-            DESK_PC, dataclasses.replace(DESK_CH, misalignment=0.30), L=2000, seed=4,
-            synthetic=True,
+            SYNTHETIC_PC, dataclasses.replace(DESK_CH, misalignment=0.30), L=2000, seed=4
         )
         session.run_distribution()
         bob, charlie = session.run_messaging(1, self.relaxed_thresholds())
@@ -367,7 +369,7 @@ class TestSession:
         ch = dataclasses.replace(DESK_CH, misalignment=th.s_upsilon + 0.01)
         rejects = 0
         for seed in range(100):
-            session = ProtocolSession(DESK_PC, ch, L=2000, seed=seed, synthetic=True)
+            session = ProtocolSession(SYNTHETIC_PC, ch, L=2000, seed=seed)
             session.run_distribution()
             bob, _ = session.run_messaging(1, th)
             rejects += not bob[0]
@@ -483,7 +485,8 @@ class TestSession:
     @pytest.mark.parametrize("synthetic", [False, True], ids=["bit-level", "synthetic"])
     def test_sent_arrays_are_read_only(self, synthetic):
         # a digest read later must be of the payload as it was sent
-        session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2, synthetic=synthetic)
+        session = ProtocolSession(SYNTHETIC_PC if synthetic else DESK_PC, DESK_CH, L=1000, seed=2)
+        assert session.bit_mode is not synthetic
         session.run_distribution()
         keys = session.sign(0)
         sent = [m.payload["positions"] for m in session.transcript
@@ -533,8 +536,8 @@ class TestSession:
         assert len(forwarded) == 4
         for _ in range(2):
             assert all(len(m.payload["positions"]) == 500 for m in forwarded)
-            # messaging lent the signed value's positions: only the unsigned value's are drawn
-            assert len(calls) == 4
+            # the first read draws all four splits, and a second read none
+            assert len(calls) == 6
         after = forwarded_digests(session)
 
         early = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
@@ -543,7 +546,7 @@ class TestSession:
         early.run_messaging(1, self.relaxed_thresholds())
         assert before == after
 
-    def test_messaging_lends_the_signed_halves(self, monkeypatch):
+    def test_a_read_draws_each_half_once(self, monkeypatch):
         drawn, built = [], []
         real_split, real_symmetrize = protocol._split, protocol.symmetrize
         monkeypatch.setattr(protocol, "_split", lambda *args: drawn.append(args[2:]) or real_split(*args))
@@ -553,16 +556,19 @@ class TestSession:
         session.run_distribution()
         session.run_messaging(1, self.relaxed_thresholds())
         assert drawn == [(1, "bob"), (1, "charlie")]
-        session.export_transcript(io.StringIO())
-        assert drawn[2:] == [(0, "bob"), (0, "charlie")]
+        for _ in range(2):
+            session.export_transcript(io.StringIO())
+            # every forwarded half, once, in transcript order
+            assert drawn[2:] == [(0, "bob"), (0, "charlie"), (1, "bob"), (1, "charlie")]
         (_, bob_received), (_, charlie_received) = built[0]
         sent = {(m.payload["m"], m.sender): m.payload["positions"] for m in session.transcript
                 if m.kind == "symmetrization_forward"}
-        # the very arrays symmetrize found, read-only, and no longer held apart from the payload
-        assert sent[(1, "bob")] is charlie_received.positions
-        assert sent[(1, "charlie")] is bob_received.positions
-        assert not sent[(1, "bob")].flags.writeable and not sent[(1, "charlie")].flags.writeable
-        assert session._lent == {}
+        # the signed value's payloads list the halves symmetrize found, read-only
+        for positions, half in [(sent[(1, "bob")], charlie_received),
+                                (sent[(1, "charlie")], bob_received)]:
+            assert positions.dtype == half.positions.dtype
+            assert np.array_equal(positions, half.positions)
+            assert not positions.flags.writeable
 
     @pytest.mark.parametrize("exported", [False, True], ids=["unread", "exported"])
     def test_dropped_session_is_freed_by_reference_counting(self, exported):
@@ -589,7 +595,7 @@ class TestSession:
     ], ids=["below", "on", "above", "between"])
     def test_chunked_flips_are_the_one_shot_flips(self, twice_L):
         L = twice_L // 2
-        session = ProtocolSession(DESK_PC, DESK_CH, L=L, seed=7, synthetic=True)
+        session = ProtocolSession(SYNTHETIC_PC, DESK_CH, L=L, seed=7)
         session.run_distribution()
         counts = expected_statistics(DESK_PC, DESK_CH)
         qber = counts.m_total("Z") / counts.n_total("Z")
