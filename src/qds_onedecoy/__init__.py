@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "files": ("Config", "FileFormatError", "read_config", "read_counts"),
     "finite_key": (
-        "EpsilonBudget", "EstimationError", "FiniteKeyEstimates", "block_scale", "estimate_counts",
+        "EpsilonBudget", "FiniteKeyEstimates", "block_scale", "estimate_counts",
     ),
     "optimizer": ("SearchSpace", "evaluate", "optimize"),
     "protocol": (

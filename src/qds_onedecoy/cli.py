@@ -18,14 +18,15 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 
 import numpy as np
 
 from .channel import DESK_SCALE_MAX_PULSES, LINKS, model_links, sample_statistics
 from .files import (
+    CONFIG_ENV_VAR,
     FileFormatError,
-    default_config_path,
     format_report,
     read_config,
     read_counts,
@@ -48,8 +49,8 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace):
-    path = args.config or default_config_path()
-    if path is None:
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    if not path:
         raise FileFormatError(
             "no configuration: pass --config or set the QDS_CONFIG environment variable"
         )
@@ -77,14 +78,6 @@ def _channel(config, args: argparse.Namespace):
         return config.channel(args.distance)
     except ValueError as exc:
         raise FileFormatError(f"--distance: {exc}") from exc
-
-
-def optimize(*args, **kwargs):
-    """``optimizer.optimize``; only ``rate-curve`` loads the optimizer, as
-    only ``simulate`` and ``demo-sign`` load the protocol and OpenSSL."""
-    from .optimizer import optimize
-
-    return optimize(*args, **kwargs)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -145,7 +138,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_rate_curve(args: argparse.Namespace) -> int:
-    from .optimizer import SearchSpace
+    from .optimizer import SearchSpace, optimize
 
     config = _load_config(args)
     flags = {"--from": args.km_from, "--to": args.km_to, "--step": args.km_step}

@@ -12,7 +12,6 @@ import contextlib
 import csv
 import io
 import math
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
@@ -35,7 +34,6 @@ __all__ = [
     "CONFIG_ENV_VAR",
     "read_counts",
     "read_config",
-    "default_config_path",
     "format_report",
     "write_rate_curve",
 ]
@@ -237,11 +235,6 @@ def read_config(path: str) -> Config:
         )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-
-
-def default_config_path() -> str | None:
-    """Config path from the environment, used when --config is omitted."""
-    return os.environ.get(CONFIG_ENV_VAR) or None
 
 
 def format_report(report: SecurityReport, distance_km: float, budget: EpsilonBudget) -> str:

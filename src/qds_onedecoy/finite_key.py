@@ -30,7 +30,6 @@ __all__ = [
     "BOUND_APPLICATIONS",
     "EpsilonBudget",
     "FiniteKeyEstimates",
-    "EstimationError",
     "phase_error_upper",
     "observed_error_upper",
     "estimate_counts",
@@ -53,10 +52,6 @@ BOUND_APPLICATIONS = (
     "basis_transfer",
     "test_sample",
 )
-
-
-class EstimationError(ValueError):
-    """Raised when an estimator is asked for a bound it cannot produce."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def _decoy(pc: PulseConfig | _Decoy) -> _Decoy:
     if isinstance(pc, _Decoy):
         return pc
     if not np.minimum.reduce(pc.nu, axis=None) > 0.0:
-        raise EstimationError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
+        raise ValueError(f"single-photon bound needs a decoy intensity nu > 0, got {pc.nu}")
     mu, nu, p_nu = pc.mu, pc.nu, 1.0 - pc.p_mu
     mu2, nu2, gap = mu**2, nu**2, mu - nu
     # the two terms of tau_n = (p_mu e^-mu mu^n + (1 - p_mu) e^-nu nu^n) / n!, the
@@ -185,9 +180,9 @@ def phase_error_upper(
     the penalty well-defined.
     """
     if not np.minimum.reduce(s_x1, axis=None) > 0.0:
-        raise EstimationError("phase error bound requires s_x1 > 0 (no X statistics)")
+        raise ValueError("phase error bound requires s_x1 > 0 (no X statistics)")
     if not np.minimum.reduce(s_z1, axis=None) > 0.0:
-        raise EstimationError("phase error bound requires s_z1 > 0")
+        raise ValueError("phase error bound requires s_z1 > 0")
     # a sample below about 1e-308 overflows to inf, clamped to 1/2 like any rate past 1
     with np.errstate(over="ignore"):
         ratio = np.maximum(0.0, v_x1) / s_x1

@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelParams, ObservedCounts, PulseConfig, model_links
-from .finite_key import _Decoy, _decoy
+from .channel import ChannelParams, PulseConfig, model_links
 from .security import (
     SecurityReport,
     SecurityTarget,
@@ -133,26 +132,21 @@ def evaluate(
     come back pruned.  README, "How the block length is solved", gives the
     design.
     """
-    stack = PulseConfig.stack(points, n_pulses=n_pulses)
-    counts_by_link = model_links(stack, ch)
-    factors, y = _decoy(stack), _sifted_yield(counts_by_link, stack).ravel()
     rate = np.full(len(points), np.nan)
     length = np.zeros(len(points), dtype=np.int64)
 
     def solve(rows: np.ndarray, incumbent: float) -> None:
-        links, decoy, yields = counts_by_link, factors, y
-        if len(rows) < len(points):
-            # the model is elementwise, so a row of the batch's counts and
-            # factors is that setting's; the model's links share one counts object
-            cells = next(iter(counts_by_link.values())).cells[..., rows, :]
-            links = dict.fromkeys(counts_by_link, ObservedCounts.from_cells(cells))
-            decoy, yields = _Decoy(*(f[rows] for f in factors)), y[rows]
+        # the model is elementwise, so each setting's counts are those it
+        # gets modelled alone
+        stack = PulseConfig.stack(points[rows], n_pulses=n_pulses)
+        links = model_links(stack, ch)
+        yields = _sifted_yield(links, stack).ravel()
         cap = race = None
         if incumbent == -math.inf:
             race = yields, ch.clock_hz
         elif incumbent > 0.0:
             cap = longest_block_at_rate(incumbent, yields, ch.clock_hz)
-        L, code, _ = min_signature_length(links, decoy, target, cap=cap, race=race)
+        L, code, _ = min_signature_length(links, stack, target, cap=cap, race=race)
         # rate the solved settings only, as the others may have no yield
         exact = code == Verdicts.SOLVED
         rate[rows[code == Verdicts.PRUNED]] = -math.inf
@@ -327,20 +321,19 @@ def optimize(
     so settings that cannot win are pruned, not solved exactly.  The best
     setting comes with its full report, from one ``block_report``.
     """
-    # every batch evaluated and its lengths; the winner, which has an
-    # exact rate and so its L, is evaluated once
-    solved: list[tuple[np.ndarray, np.ndarray]] = []
+    # the L of every point evaluated, by its ``_POINT`` bytes; the winner,
+    # which has an exact rate and so its L, is evaluated once
+    lengths: dict[bytes, int] = {}
 
     def objective(points: np.ndarray, incumbent: float) -> np.ndarray:
         rate, L = evaluate(points, ch, target, n_pulses, incumbent)
-        solved.append((points, L))
+        lengths.update(zip(points.view(_POINT)[:, 0].tolist(), L.tolist()))
         return rate
 
     best, _, evaluations, n_feasible, pruned = maximize(space, objective)
     pc = report = None
     if best is not None:
         pc = PulseConfig(n_pulses=n_pulses, **best)
-        points, lengths = map(np.concatenate, zip(*solved))
-        [at] = (points == [best[name] for name in PARAM_NAMES]).all(axis=1).nonzero()[0]
-        report = block_report(model_links(pc, ch), pc, ch, target, int(lengths[at]))
+        L = lengths[np.array([best[name] for name in PARAM_NAMES]).tobytes()]
+        report = block_report(model_links(pc, ch), pc, ch, target, L)
     return OptimizeResult(pc, report, evaluations, n_feasible, pruned)

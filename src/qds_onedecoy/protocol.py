@@ -44,7 +44,6 @@ from .security import Infeasible, Thresholds, k_test_for
 from .stat_math import binary_entropy
 
 __all__ = [
-    "LINKS",
     "ProtocolError",
     "ClassicalMessage",
     "HalfKey",
@@ -481,10 +480,16 @@ def _check_attack(trials: int, L: int) -> None:
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_length(L)
+
+
+def _check_length(L: int) -> None:
     if L < 2 or L % 2 != 0:
         raise ValueError(f"block length must be an even integer >= 2, got {L}")
     if L > 2**52:
         raise ValueError(f"block length must be at most 2**52, the pool cap, got {L}")
+    if not isinstance(L, (int, np.integer)):
+        raise ValueError(f"block length must be an integer, got {L!r}")
 
 
 def attack_repudiation(
@@ -538,11 +543,11 @@ def exact_forge_success(L: int, s_upsilon: float) -> float:
     arithmetic and correctly rounded.  With n = L/2 and a tail
     of j <= a n terms, a < 1/2, sum C(n, j) <= 2^(n h(a)); when that puts
     the tail below 2^-1100 it rounds to 0.0, which is returned unsummed.
-    A non-finite s_upsilon or s_upsilon * L/2 raises ValueError.
+    L follows the attacks' rule, and a non-finite s_upsilon or
+    s_upsilon * L/2 raises ValueError.
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"block length must be an even integer >= 2, got {L}")
-    half = L // 2
+    _check_length(L)
+    half = int(L) // 2
     if not math.isfinite(s_upsilon * half):
         raise ValueError(
             f"s_upsilon must be finite, got {s_upsilon} (s_upsilon * L/2 = {s_upsilon * half})"

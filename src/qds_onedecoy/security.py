@@ -534,7 +534,7 @@ def _spread(lo: np.ndarray, hi: np.ndarray, width: int, ratio: int) -> np.ndarra
 
 def min_signature_length(
     counts_by_link: Mapping[str, ObservedCounts],
-    pc: PulseConfig | _Decoy,
+    pc: PulseConfig,
     target: SecurityTarget,
     cap: np.ndarray | None = None,
     race: tuple[np.ndarray, float] | None = None,
@@ -542,15 +542,14 @@ def min_signature_length(
     """Smallest even block length meeting ``target.target_psec``, for every setting.
 
     ``pc`` is one config, or a ``PulseConfig.stack`` whose batch axes each
-    link's counts carry, or its ``finite_key._decoy`` factors.  A length
-    is feasible when ``block_report`` certifies it under the same
-    ``target``, test-sample rule included, with p_sec <= target_psec; the
-    search relies on feasibility being monotone in L.  Returns
-    ``Verdicts`` with one entry per setting, so one hopeless setting does
-    not stop the batch, and each round's chain, whose lanes hold the
-    floats a chain call at that length alone gives.  Without ``race``, a
-    setting gets the verdict it gets solved alone.  A target below the
-    estimation floor raises ``InfeasibleTarget``.
+    link's counts carry.  A length is feasible when ``block_report``
+    certifies it under the same ``target``, test-sample rule included,
+    with p_sec <= target_psec; the search relies on feasibility being
+    monotone in L.  Returns ``Verdicts`` with one entry per setting, so
+    one hopeless setting does not stop the batch, and each round's chain,
+    whose lanes hold the floats a chain call at that length alone gives.
+    Without ``race``, a setting gets the verdict it gets solved alone.  A
+    target below the estimation floor raises ``InfeasibleTarget``.
 
     ``cap`` gives one length per setting, and no cap is a cap at the pool:
     a setting feasible at its pool whose L exceeds its cap is ``PRUNED``

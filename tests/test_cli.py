@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from qds_onedecoy import cli, optimizer, protocol, security
 from qds_onedecoy.cli import build_parser, main
-from qds_onedecoy.channel import sample_statistics
+from qds_onedecoy.channel import LINKS, sample_statistics
 from qds_onedecoy.files import CONFIG_ENV_VAR, read_config, read_counts
-from qds_onedecoy.protocol import LINKS, rng_stream
+from qds_onedecoy.protocol import rng_stream
 
 DATA = pathlib.Path(__file__).parent / "data"
 DEVICE_CFG = str(DATA / "device.cfg")
@@ -91,10 +91,14 @@ class TestEstimate:
         assert rc == 2
         assert "wavelength_nm" in capsys.readouterr().err
 
-    def test_no_config_anywhere_is_exit_2(self, capsys):
-        rc = main(["estimate", "--counts", MODEL_103])
-        assert rc == 2
-        assert "QDS_CONFIG" in capsys.readouterr().err
+    def test_no_config_anywhere_is_exit_2(self, capsys, monkeypatch):
+        # unset, then empty: an empty QDS_CONFIG names no configuration either
+        for env in (None, ""):
+            if env is not None:
+                monkeypatch.setenv(CONFIG_ENV_VAR, env)
+            rc = main(["estimate", "--counts", MODEL_103])
+            assert rc == 2
+            assert "QDS_CONFIG" in capsys.readouterr().err
 
     def test_env_var_config_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv(CONFIG_ENV_VAR, DEVICE_CFG)
@@ -404,7 +408,7 @@ class TestRateCurve:
     def test_row_limit_counts_the_distances_swept(self, capsys, monkeypatch, limit, to, rc):
         # to 1.3, np.arange gives four distances, of which three are swept
         monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", limit)
-        monkeypatch.setattr(cli, "optimize", lambda *args: optimizer.OptimizeResult(
+        monkeypatch.setattr(optimizer, "optimize", lambda *args: optimizer.OptimizeResult(
             None, None, evaluations=0, n_feasible=0, pruned=0))
         assert main(["rate-curve", "--config", DEVICE_CFG, "--from", "1", "--to", to,
                      "--step", "0.1"]) == rc
@@ -442,7 +446,7 @@ class TestRateCurve:
         def no_search(*args, **kwargs):
             raise AssertionError("optimize ran before --out was opened")
 
-        monkeypatch.setattr(cli, "optimize", no_search)
+        monkeypatch.setattr(optimizer, "optimize", no_search)
         rc = main(["rate-curve", "--config", DEVICE_CFG, "--out", str(tmp_path / "no" / "c.csv")])
         assert rc == 2
         assert capsys.readouterr().out == ""

@@ -9,10 +9,8 @@ import pytest
 from qds_onedecoy.channel import ObservedCounts
 from qds_onedecoy.files import (
     _CONFIG_KEYS,
-    CONFIG_ENV_VAR,
     Config,
     FileFormatError,
-    default_config_path,
     format_report,
     read_config,
     read_counts,
@@ -244,12 +242,6 @@ class TestConfig:
         path.write_text(CONFIG_TEXT)
         config = read_config(str(path))
         assert config.pulse_config(n_pulses=5e11).n_pulses == 5e11
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-        assert default_config_path() is None
-        monkeypatch.setenv(CONFIG_ENV_VAR, "/tmp/x.cfg")
-        assert default_config_path() == "/tmp/x.cfg"
 
 
 def report_103km():

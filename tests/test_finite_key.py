@@ -17,7 +17,6 @@ from qds_onedecoy.channel import BASES, ChannelParams, ObservedCounts, PulseConf
 from qds_onedecoy.finite_key import (
     BOUND_APPLICATIONS,
     EpsilonBudget,
-    EstimationError,
     block_scale,
     estimate_counts,
     observed_error_upper,
@@ -204,7 +203,7 @@ class TestSinglePhotonLower:
     def test_requires_real_decoy(self):
         pc = make_pc(nu=0.0)
         counts = make_counts(n_z_mu=100.0)
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError, match="needs a decoy intensity nu > 0"):
             estimate_counts(counts, pc, EpsilonBudget(eps_pe=0.5))
 
 
@@ -235,9 +234,9 @@ class TestSinglePhotonErrorUpper:
 
 class TestPhaseErrorUpper:
     def test_requires_positive_samples(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError, match="requires s_x1 > 0"):
             phase_error_upper(0.0, 1.0, 100.0, 1e-5)
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError, match="requires s_z1 > 0"):
             phase_error_upper(100.0, 1.0, 0.0, 1e-5)
 
     def test_zero_errors_floor_at_one_phantom(self):

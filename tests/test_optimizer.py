@@ -22,6 +22,7 @@ from qds_onedecoy.optimizer import (
     DESCENT_ROUNDS,
     PARAM_NAMES,
     SCAN_POINTS,
+    SEED_POINTS,
     SearchSpace,
     evaluate,
     maximize,
@@ -33,6 +34,7 @@ from qds_onedecoy.security import (
     Verdicts,
     block_report,
     min_signature_length,
+    signature_time_and_rate,
 )
 from strategies import settings_in_space
 
@@ -673,6 +675,33 @@ class TestEvaluate:
         kept = ~slower
         assert rate[kept].tobytes() == exact[kept].tobytes()
         assert (L[kept] == exact_L[kept]).all() and (L[slower] == 0).all()
+
+    @pytest.mark.parametrize("km", [0.0, 103.0, 280.0])
+    def test_a_grid_call_races_its_seed_against_the_rest(self, km):
+        # the grid-3 call of a search: more than SEED_POINTS settings, taken
+        # at once, so a strided seed is solved first and races the rest
+        axes = [np.linspace(*SearchSpace().bounds(name), 3) for name in PARAM_NAMES]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
+        points = points[points[:, 1] < points[:, 0]]
+        assert len(points) > SEED_POINTS
+        ch = DEVICE.channel(km)
+        rate, L = device_evaluate(points, ch, incumbent=-math.inf)
+        # each setting's uncapped, unraced solve, and its rate at that L
+        stack = PulseConfig.stack(points, n_pulses=DEVICE.source.n_pulses)
+        links = model_links(stack, ch)
+        verdicts = min_signature_length(links, stack, DEVICE.target)
+        solved = verdicts.code == Verdicts.SOLVED
+        _, alone = signature_time_and_rate(np.where(solved, verdicts.L, 2)[:, None], links,
+                                           stack, ch)
+        alone = np.where(solved, alone.ravel(), np.nan)
+        pruned, exact = np.isneginf(rate), np.isfinite(rate)
+        assert pruned.any() and exact.any()
+        assert (np.isnan(rate) == ~solved).all()
+        assert rate[exact].tobytes() == alone[exact].tobytes()
+        assert (L[exact] == verdicts.L[exact]).all() and (L[~exact] == 0).all()
+        best = np.nanmax(alone)
+        assert np.nanmax(rate) == best
+        assert (alone[pruned] < best).all()
 
 
 class TestOptimize:

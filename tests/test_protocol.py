@@ -23,11 +23,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qds_onedecoy import protocol
-from qds_onedecoy.channel import ChannelParams, PulseConfig, expected_statistics
+from qds_onedecoy.channel import LINKS, ChannelParams, PulseConfig, expected_statistics
 from qds_onedecoy.files import read_config
 from qds_onedecoy.finite_key import EpsilonBudget
 from qds_onedecoy.protocol import (
-    LINKS,
     HalfKey,
     ProtocolError,
     ProtocolSession,
@@ -833,6 +832,20 @@ class TestAttacks:
         th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
         assert attack_forge(np.int64(100), 2000, th) == attack_forge(100, 2000, th)
         assert isinstance(attack_repudiation(np.int64(100), 2000, th, 0.1), float)
+
+    def test_exact_forge_takes_a_numpy_integer_length(self):
+        # a numpy L once overflowed the int64 binomial terms to inf
+        assert exact_forge_success(np.int64(200), 0.45) == exact_forge_success(200, 0.45)
+        assert exact_forge_success(200, 0.45) == 0.13562651203691736
+
+    @pytest.mark.parametrize("L, match", [
+        (200.0, "block length must be an integer"),
+        (np.float64(200.0), "block length must be an integer"),
+        (2**52 + 2, "block length must be at most 2\\*\\*52"),
+    ], ids=["float", "numpy-float", "past-cap"])
+    def test_exact_forge_follows_the_attacks_length_rule(self, L, match):
+        with pytest.raises(ValueError, match=match):
+            exact_forge_success(L, 0.45)
 
     @pytest.mark.parametrize("s_u", [math.inf, -math.inf, math.nan, 1e308, -1e308])
     def test_exact_forge_rejects_non_finite_threshold(self, s_u):
