@@ -11,7 +11,6 @@ or as one sampled realisation.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -92,24 +91,15 @@ class PulseConfig:
             raise ValueError(_PULSE_RULES[int(np.argmin(ok[:, row]))].format(**values))
 
     @classmethod
-    def stack(
-        cls, rows: "Sequence[PulseConfig | Mapping[str, float]] | np.ndarray", **shared: float
-    ) -> "PulseConfig":
+    def stack(cls, rows: np.ndarray, **shared: float) -> "PulseConfig":
         """One config whose fields are (len(rows), 1) arrays, for the batched models.
 
-        Row i takes its fields from ``rows[i]``, a config or a mapping of
-        field names, except the fields given in ``shared``, which every row
-        takes; the trailing axis broadcasts over block lengths.  ``rows``
-        may also be a 2-D float array, whose columns are the leading fields
-        in order.  The stack is validated once, as arrays: a bad row raises
-        the error a config of that row alone would.
+        Row i of the 2-D array ``rows`` holds the leading fields in order;
+        the fields given in ``shared`` every row takes.  The trailing axis
+        broadcasts over block lengths.  The stack is validated once, as
+        arrays: a bad row raises the error a config of that row alone would.
         """
-        if isinstance(rows, np.ndarray):
-            columns = dict(zip(_PULSE_FIELDS, rows.T))
-        else:
-            rows = [vars(row) if isinstance(row, PulseConfig) else row for row in rows]
-            columns = {name: [row[name] for row in rows]
-                       for name in _PULSE_FIELDS if name not in shared}
+        columns = dict(zip(_PULSE_FIELDS, rows.T))
         # the fields are views of one array, which is what gets checked
         x = np.empty((len(_PULSE_FIELDS), len(rows), 1))
         stacked = object.__new__(cls)
@@ -247,9 +237,6 @@ class ObservedCounts:
         if not isinstance(other, ObservedCounts):
             return NotImplemented
         return bool(np.array_equal(self.cells, other.cells))
-
-    def __hash__(self) -> int:
-        return hash(self.cells.tobytes())
 
     def __repr__(self) -> str:
         if self.cells.ndim > 3:

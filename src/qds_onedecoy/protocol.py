@@ -40,7 +40,7 @@ from .channel import (
     expected_statistics,
     sample_statistics,
 )
-from .security import Infeasible, Thresholds, k_test_for
+from .security import Infeasible, Thresholds, _check_length, k_test_for
 from .stat_math import binary_entropy
 
 __all__ = [
@@ -334,13 +334,11 @@ class ProtocolSession:
         seed: int = 0,
         k_test: int | None = None,
     ) -> None:
-        if L < 2 or L % 2 != 0:
-            raise ValueError(f"block length must be an even integer >= 2, got {L}")
         self.pc = pc
         self.ch = ch
-        self.L = int(L)
+        self.L = _check_length(L)
         self.seed = int(seed)
-        self.k_test = k_test_for(L, k_test)
+        self.k_test = k_test_for(self.L, k_test)
         self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES
         self._distribution_started = False
         self.transcript: list[ClassicalMessage] = []
@@ -483,15 +481,6 @@ def _check_attack(trials: int, L: int) -> None:
     _check_length(L)
 
 
-def _check_length(L: int) -> None:
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"block length must be an even integer >= 2, got {L}")
-    if L > 2**52:
-        raise ValueError(f"block length must be at most 2**52, the pool cap, got {L}")
-    if not isinstance(L, (int, np.integer)):
-        raise ValueError(f"block length must be an integer, got {L!r}")
-
-
 def attack_repudiation(
     trials: int, L: int, th: Thresholds, corruption_rate: float, seed: int = 0
 ) -> float:
@@ -546,8 +535,7 @@ def exact_forge_success(L: int, s_upsilon: float) -> float:
     L follows the attacks' rule, and a non-finite s_upsilon or
     s_upsilon * L/2 raises ValueError.
     """
-    _check_length(L)
-    half = int(L) // 2
+    half = _check_length(L) // 2
     if not math.isfinite(s_upsilon * half):
         raise ValueError(
             f"s_upsilon must be finite, got {s_upsilon} (s_upsilon * L/2 = {s_upsilon * half})"

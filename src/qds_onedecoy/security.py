@@ -36,9 +36,6 @@ __all__ = [
     "SecurityReport",
     "solve_p_e",
     "thresholds_from_rates",
-    "p_robust",
-    "p_forge_raw",
-    "p_sec",
     "merge_block_estimates",
     "block_report",
     "k_test_for",
@@ -109,7 +106,7 @@ class Verdicts(NamedTuple):
 
     L: np.ndarray
     code: np.ndarray
-    rounds: Sequence[tuple[np.ndarray, np.ndarray, _Chain]] = ()
+    rounds: Sequence[tuple[np.ndarray, np.ndarray, _Chain]]
 
     SOLVED, PRUNED, EMPTY_POOL, SAMPLE_PAST_POOL, UNREACHED = range(5)
 
@@ -131,9 +128,7 @@ class Verdicts(NamedTuple):
 
     def _cause(self, i: int) -> str:
         """Why unreached setting ``i`` falls short at its pool, read from the
-        lane the first round probed there (column 0); "" without rounds."""
-        if not self.rounds:
-            return ""
+        lane the first round probed there (column 0)."""
         rows, _, chain = self.rounds[0]
         view = chain.item(rows.searchsorted(i), 0)
         if cause := _estimates_cause(view["estimates"]):
@@ -178,6 +173,18 @@ def k_test_for(L: int | np.ndarray, k_test: int | None = None) -> int | np.ndarr
     return int(k) if np.ndim(k) == 0 else k
 
 
+def _check_length(L: int) -> int:
+    """``L`` as an ``int``, when it is a block length any entry point takes:
+    an ``int`` or numpy integer, even, in [2, 2**52]."""
+    if L < 2 or L % 2 != 0:
+        raise ValueError(f"block length must be an even integer >= 2, got {L}")
+    if L > 2**52:
+        raise ValueError(f"block length must be at most 2**52, the pool cap, got {L}")
+    if not isinstance(L, (int, np.integer)):
+        raise ValueError(f"block length must be an integer, got {L!r}")
+    return int(L)
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Verification thresholds: s_alpha for the direct recipient (the
@@ -187,12 +194,7 @@ class Thresholds:
     s_upsilon: float
 
     def __post_init__(self) -> None:
-        a, u = self.s_alpha, self.s_upsilon
-        if not (
-            np.minimum.reduce(a, axis=None) > 0.0
-            and np.minimum.reduce(u - a, axis=None) > 0.0
-            and np.maximum.reduce(u, axis=None) < 0.5
-        ):
+        if not 0.0 < self.s_alpha < self.s_upsilon < 0.5:
             raise ValueError(
                 "thresholds must satisfy 0 < s_alpha < s_upsilon < 1/2, got "
                 f"s_alpha={self.s_alpha}, s_upsilon={self.s_upsilon}"
@@ -258,11 +260,9 @@ def _tolerable_error(rate: float | np.ndarray) -> float | np.ndarray:
     return binary_entropy_inverse(np.minimum(1.0, np.maximum(0.0, rate)))
 
 
-def thresholds_from_rates(
-    e_upper: float | np.ndarray, p_e: float | np.ndarray
-) -> Thresholds:
+def thresholds_from_rates(e_upper: float, p_e: float) -> Thresholds:
     """Place the two thresholds at even thirds between E_upper and p_E."""
-    if not np.minimum.reduce(p_e - e_upper, axis=None) > 0.0:
+    if not p_e > e_upper:
         raise Infeasible(
             f"no threshold margin: tolerable error rate {p_e} does not exceed "
             f"the observed error bound {e_upper}"
@@ -276,11 +276,6 @@ def _thresholds(
     """(s_alpha, s_upsilon) of ``thresholds_from_rates``, unchecked."""
     gap = p_e - e_upper
     return e_upper + gap / 3.0, e_upper + 2.0 * gap / 3.0
-
-
-def p_robust(eps_pe: float) -> float:
-    """Probability that an honest run aborts: both test-sample bounds failing."""
-    return min(1.0, 2.0 * eps_pe)
 
 
 def _repudiation(
@@ -309,20 +304,6 @@ def _forge_term(
     # finite but huge term divides out to inf
     with np.errstate(over="ignore"):
         return ((np.exp2(-exponent) + eps) / alpha)[()]
-
-
-def p_forge_raw(
-    alpha: float, eps_forge: float | np.ndarray, eps_pe: float
-) -> float | np.ndarray:
-    """Unclamped forging bound alpha + eps_F + 10 eps_PE (one eps_PE per bound)."""
-    return alpha + eps_forge + len(BOUND_APPLICATIONS) * eps_pe
-
-
-def p_sec(
-    robust: float | np.ndarray, repudiation: float | np.ndarray, forge: float | np.ndarray
-) -> float | np.ndarray:
-    """Overall security level: the worst of the three failure bounds."""
-    return np.maximum(np.maximum(robust, repudiation), forge)
 
 
 def merge_block_estimates(per_link: FiniteKeyEstimates) -> FiniteKeyEstimates:
@@ -405,6 +386,12 @@ def _bound_chain(
     a block is not ``certified`` (saturated, or no margin between the error
     bound and the tolerable rate) the thresholds and failure terms are
     computed from placeholder rates and mean nothing.
+
+    The last three terms: an honest run aborts when both test-sample bounds
+    fail, p_robust = min(1, 2 eps_PE); the unclamped forging bound is
+    p_forge_raw = alpha + eps_F + 10 eps_PE, one eps_PE per entry of
+    ``BOUND_APPLICATIONS``; and p_sec is the worst of the three clamped
+    failure bounds.
     """
     budget, k = target.budget, k_test_for(L, target.k_test)
     pool = counts.n_total("Z")
@@ -418,15 +405,15 @@ def _bound_chain(
     s_alpha, s_upsilon = _thresholds(
         np.where(certified, e_upper, 0.0), np.where(certified, p_e, 0.25)
     )
-    robust = p_robust(budget.eps_pe)
+    robust = min(1.0, 2.0 * budget.eps_pe)
     rep_raw = _repudiation(s_alpha, s_upsilon, L)
     rep = np.minimum(1.0, rep_raw)
     eps_forge = _forge_term(target.alpha, L, rate, s_upsilon, target.eps)
-    forge_raw = p_forge_raw(target.alpha, eps_forge, budget.eps_pe)
+    forge_raw = target.alpha + eps_forge + len(BOUND_APPLICATIONS) * budget.eps_pe
     forge = np.minimum(1.0, forge_raw)
     return _Chain(
         est, e_upper, p_e, certified, s_alpha, s_upsilon, robust, rep_raw, rep, eps_forge,
-        forge_raw, forge, p_sec(robust, rep, forge),
+        forge_raw, forge, np.maximum(np.maximum(robust, rep), forge),
     )
 
 
@@ -457,7 +444,8 @@ def block_report(
     L: int | None = None,
 ) -> SecurityReport:
     """Full security report at block length ``L``, or at the smallest L
-    meeting ``target`` when L is None.
+    meeting ``target`` when L is None.  A given L must be an even integer
+    in [2, 2**52], as every entry point's block length must.
 
     The bound chain the solver searches, evaluated at one L, with the
     test sample ``k_test_for(L, target.k_test)``.  Raises ``Infeasible``
@@ -473,8 +461,7 @@ def block_report(
             raise error
         L, view = int(solved.L[0]), solved._item(0)
     else:
-        if L < 2 or L % 2 != 0:
-            raise ValueError(f"block length must be an even integer >= 2, got {L}")
+        L = _check_length(L)
         for link, counts in counts_by_link.items():
             pool = counts.n_total("Z")
             if L > pool:

@@ -1,5 +1,8 @@
 """Hypothesis strategies shared by the test modules."""
 
+from dataclasses import astuple
+
+import numpy as np
 from hypothesis import strategies as st
 
 from qds_onedecoy.channel import PulseConfig
@@ -15,3 +18,8 @@ settings_in_space = st.builds(
     st.floats(*SPACE.mu), st.floats(0.0, 0.999), st.floats(*SPACE.p_mu),
     st.floats(*SPACE.p_z_tx), st.floats(*SPACE.p_z_rx),
 )
+
+
+def stack_of(pcs):
+    """``PulseConfig.stack`` of the configs ``pcs``, one row each."""
+    return PulseConfig.stack(np.array([astuple(pc) for pc in pcs]))

@@ -124,6 +124,14 @@ class TestEstimate:
         observed = cell.m_total("Z") / cell.n_total("Z")
         assert float(parsed["e_upper"]) == pytest.approx(observed, rel=1e-4)
 
+    def test_block_past_the_pool_is_exit_3(self, capsys):
+        rc = main(["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103,
+                   "--block-length", str(10**12)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "infeasible: link 'bob_alice': block length 1000000000000 exceeds the sifted "
+            "pool 3930240342\n")
+
     def test_counts_inconsistent_with_config_is_exit_3(self, capsys):
         # measured tables need the source settings that produced them; with
         # a mismatched decoy fraction the single-photon bracket goes negative
@@ -299,6 +307,15 @@ class TestDemoSign:
         assert parsed["charlie_accept"] == "true"
         assert "kgp_bob_alice" in parsed and "kgp_charlie_alice" in parsed
         assert float(parsed["s_alpha"]) < float(parsed["s_upsilon"])
+
+    def test_bob_rejecting_aborts_before_charlie_rules(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "verify", lambda *args: calls.append(args) or (False, 0, 0))
+        assert main(["demo-sign", "--config", DESK_CFG, "--distance", "5"]) == 0
+        parsed = _parse_report(capsys.readouterr().out)
+        assert parsed["bob_accept"] == "false"
+        assert parsed["charlie_accept"] == "none (aborted)"
+        assert len(calls) == 1 and "charlie_mismatches" not in parsed
 
     def test_device_scale_refused(self, capsys):
         rc = main(["demo-sign", "--config", DEVICE_CFG, "--distance", "5"])
@@ -498,6 +515,7 @@ def _scaled_cells(text: str, factor: float) -> str:
 BAD_FILES = {
     "mu_below_nu.cfg": DEVICE_TEXT.replace("mu = 0.6", "mu = 0.1", 1),
     "inf_pulses.cfg": DEVICE_TEXT.replace("n_pulses = 2e12", "n_pulses = inf"),
+    "no_equals.cfg": "mu 0.6\n" + DEVICE_TEXT,
     "nan_distance.csv": MODEL_TEXT.replace("# distance_km=103.0", "# distance_km=nan"),
     "nan_cell.csv": MODEL_TEXT.replace("3214787465.832061", "nan", 1),
     "mu_preamble.csv": MODEL_TEXT.replace("link,", "# mu=0.5\nlink,", 1),
@@ -539,6 +557,8 @@ class TestBadValues:
          "mu_below_nu.cfg: intensities must satisfy 0 <= nu < mu"),
         (["estimate", "--config", "{tmp}/inf_pulses.cfg", "--counts", MODEL_103],
          "'n_pulses'"),
+        (["estimate", "--config", "{tmp}/no_equals.cfg", "--counts", MODEL_103],
+         "{tmp}/no_equals.cfg:1: expected 'key = value', got 'mu 0.6'"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/nan_distance.csv"],
          "'distance_km' is not a finite number"),
         (["estimate", "--config", DEVICE_CFG, "--counts", "{tmp}/nan_cell.csv"],
@@ -563,6 +583,10 @@ class TestBadValues:
          "--block-length: block length must be an even integer >= 2, got -4"),
         (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103, "--block-length", "0"],
          "--block-length: block length must be an even integer >= 2, got 0"),
+        # no pool exceeds 2**52, so the length alone is refused, before any pool is read
+        (["estimate", "--config", DEVICE_CFG, "--counts", MODEL_103, "--block-length",
+          str(2**53 + 2)], "--block-length: block length must be at most 2**52, the pool cap, "
+         f"got {2**53 + 2}"),
         (["rate-curve", "--config", DESK_CFG, "--from", "nan"], "--from"),
         (["rate-curve", "--config", DESK_CFG, "--to", "inf"], "--to"),
         (["rate-curve", "--config", DESK_CFG, "--step=-inf"], "--step must be finite"),
@@ -650,12 +674,12 @@ class TestBadValues:
           "--transcript", "{tmp}/no/dir/t.jsonl"],
          "No such file or directory: '{tmp}/no/dir/t.jsonl'"),
     ], ids=[
-        "config-mu-below-nu", "config-inf-pulses", "counts-nan-distance", "counts-nan-cell",
+        "config-mu-below-nu", "config-inf-pulses", "config-no-equals", "counts-nan-distance", "counts-nan-cell",
         "counts-unknown-preamble-key", "counts-repeated-preamble-key",
         "simulate-nan-distance", "demo-sign-inf-distance", "simulate-negative-distance",
         "demo-sign-negative-distance", "simulate-inf-distance", "curve-negative-from",
         "estimate-odd-block-length", "estimate-negative-block-length",
-        "estimate-zero-block-length", "curve-nan-from", "curve-inf-to",
+        "estimate-zero-block-length", "estimate-block-length-past-cap", "curve-nan-from", "curve-inf-to",
         "curve-minus-inf-step", "config-negative-eps", "config-zero-alpha",
         "config-target-above-one", "config-zero-k-test", "config-negative-seed",
         "simulate-negative-seed", "demo-sign-negative-seed",

@@ -326,6 +326,15 @@ class TestSession:
     def relaxed_thresholds(self):
         return Thresholds(s_alpha=0.05, s_upsilon=0.15)
 
+    @pytest.mark.parametrize("L, match", [
+        (2000.0, "block length must be an integer, got 2000.0"),
+        (2001, "block length must be an even integer >= 2, got 2001"),
+        (2**52 + 2, "block length must be at most 2\\*\\*52"),
+    ], ids=["float", "odd", "past-cap"])
+    def test_block_length_follows_the_attacks_rule(self, L, match):
+        with pytest.raises(ValueError, match=match):
+            ProtocolSession(DESK_PC, DESK_CH, L)
+
     def test_honest_run_accepts_at_both_hops(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=2000, seed=11)
         session.run_distribution()

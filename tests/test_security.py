@@ -46,14 +46,11 @@ from qds_onedecoy.security import (
     longest_block_at_rate,
     merge_block_estimates,
     min_signature_length,
-    p_forge_raw,
-    p_robust,
-    p_sec,
     signature_time_and_rate,
     solve_p_e,
     thresholds_from_rates,
 )
-from strategies import settings_in_space
+from strategies import settings_in_space, stack_of
 
 # (s_alpha, s_upsilon) working points with their implied
 # (error bound, tolerable rate) pair, all to four decimals
@@ -134,8 +131,9 @@ class TestSolvePE:
 
 class TestProbabilityBounds:
     def test_robust(self):
-        assert p_robust(1e-5) == 2e-5
-        assert p_robust(0.9) == 1.0
+        # both test-sample bounds failing, clamped to 1
+        assert paper_scale_chain([89522], eps_pe=1e-5).p_robust == 2e-5
+        assert paper_scale_chain([89522], eps_pe=0.9).p_robust == 1.0
 
     def test_repudiation_formula(self):
         expected = 2.0 * math.exp(-(0.1**2) * 2000 / 4.0)
@@ -166,7 +164,6 @@ class TestProbabilityBounds:
         # h(s_upsilon) exceeds the entropy rate: forging unbounded
         val = _forge_term(1e-5, 50000, _entropy_rate(100.0, 50000, 0.02), 0.4, 1e-10)
         assert val == math.inf
-        assert p_forge_raw(1e-5, val, 1e-5) == math.inf
         # in the chain, an unbounded forging term clamps to 1
         chain = paper_scale_chain([5000, 89522])
         assert chain.epsilon_forge[0, 0] == math.inf
@@ -179,10 +176,15 @@ class TestProbabilityBounds:
             SecurityTarget(EpsilonBudget(eps_pe=1e-6), 1e-5, -1e-3, 1e-4)
 
     def test_forge_floor(self):
-        assert p_forge_raw(1e-5, 0.0, 1e-5) == pytest.approx(1.1e-4)
+        # alpha + eps_F + one eps_pe per bound application, lane by lane
+        chain = paper_scale_chain([5000, 89522, 10**6])
+        assert chain.p_forge_raw.tolist() == (1e-5 + chain.epsilon_forge + 10 * 5e-6).tolist()
+        assert (chain.p_forge_raw >= 1e-5 + 10 * 5e-6).all()
 
     def test_p_sec_is_worst_case(self):
-        assert p_sec(1e-5, 3e-5, 2e-5) == 3e-5
+        chain = paper_scale_chain([2, 5000, 89522, 10**6])
+        terms = list(zip(chain.p_repudiation[0].tolist(), chain.p_forge[0].tolist()))
+        assert chain.p_sec[0].tolist() == [max(chain.p_robust, *t) for t in terms]
 
 
 class TestMerge:
@@ -221,9 +223,9 @@ def target_for(budget, k_test=None, target_psec=1e-4):
     return SecurityTarget(budget, 1e-5, 1e-10, target_psec, k_test)
 
 
-def paper_scale_chain(lengths):
+def paper_scale_chain(lengths, eps_pe=5e-6):
     """The bound chain of ``paper_scale_setup`` at each of ``lengths``."""
-    pc, _, cbl, budget = paper_scale_setup()
+    pc, _, cbl, budget = paper_scale_setup(eps_pe=eps_pe)
     return _bound_chain(_stack_links(cbl), pc, target_for(budget), np.array(lengths)[None, :])
 
 
@@ -401,7 +403,7 @@ class TestLockstepSolver:
             np.stack([c.cells for c in alone_counts], axis=3)[..., None]
         )
         together = solve_all(
-            {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs),
+            {"bob_alice": counts, "charlie_alice": counts}, stack_of(pcs),
             target_for(budget, k_test),
         )
         alone = [
@@ -482,7 +484,7 @@ def uncapped_batch():
         for pc, km in zip(pcs, [0.0, 120.0, 260.0, 330.0])
     ]
     counts = ObservedCounts.from_cells(np.stack(cells, axis=3)[..., None])
-    return {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs)
+    return {"bob_alice": counts, "charlie_alice": counts}, stack_of(pcs)
 
 
 #: (settings, lengths, sum of lengths) of every chain call one solve of
@@ -523,7 +525,7 @@ def capped_batch():
     counts = ObservedCounts.from_cells(np.stack(cells, axis=3)[..., None])
     caps = np.array([30001, 90000, 300000, 0, 10**15, 122924, 114389, 70001, 100000,
                      200000, 2000000, 1000])
-    return {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs), caps
+    return {"bob_alice": counts, "charlie_alice": counts}, stack_of(pcs), caps
 
 
 class TestCappedSolver:
@@ -549,10 +551,10 @@ class TestCappedSolver:
         if not caps:
             return
         # one batch of the same setting, one cap per row
-        counts = expected_statistics(PulseConfig.stack([pc] * len(caps)), ch)
+        counts = expected_statistics(stack_of([pc] * len(caps)), ch)
         capped = solve_all(
             {"bob_alice": counts, "charlie_alice": counts},
-            PulseConfig.stack([pc] * len(caps)), target_for(budget, k_test), cap=np.array(caps),
+            stack_of([pc] * len(caps)), target_for(budget, k_test), cap=np.array(caps),
         )
         for cap, got in zip(caps, capped):
             if isinstance(L, Infeasible):
@@ -680,7 +682,7 @@ class TestSolverOracle:
         channels = [ChannelParams(distance_km=km) for _, km in points]
         alone = [expected_statistics(pc, ch) for pc, ch in zip(pcs, channels)]
         counts = ObservedCounts.from_cells(np.stack([c.cells for c in alone], axis=3)[..., None])
-        cbl, stack = {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack(pcs)
+        cbl, stack = {"bob_alice": counts, "charlie_alice": counts}, stack_of(pcs)
         # each setting's counts as the chain sees them, to tell its rows apart
         keys = [_stack_links(cbl).cells[..., j, :].tobytes() for j in range(len(pcs))]
         chain = security._bound_chain
@@ -748,7 +750,7 @@ class TestTinyPools:
 
         monkeypatch.setattr(security, "_bound_chain", spy)
         solved = solve_all(
-            {"bob_alice": counts, "charlie_alice": counts}, PulseConfig.stack([pc] * len(alone)),
+            {"bob_alice": counts, "charlie_alice": counts}, stack_of([pc] * len(alone)),
             target_for(budget), cap=None if cap is None else np.full(len(alone), cap),
         )
         assert calls
@@ -868,6 +870,16 @@ class TestSignatureTime:
             signature_time_and_rate(100, {"bob_alice": cbl["bob_alice"], "x": dead}, pc, ch)
 
 
+def model_103km_report(L):
+    """``block_report`` at ``L`` of the device configuration on ``model_103km.csv``."""
+    from qds_onedecoy.files import read_config, read_counts
+
+    config = read_config(str(GOLDEN_DATA / "device.cfg"))
+    cbl, km, n_pulses = read_counts(str(GOLDEN_DATA / "model_103km.csv"))
+    return block_report(cbl, config.pulse_config(n_pulses=n_pulses), config.channel(km),
+                        config.target, L)
+
+
 class TestBlockReport:
     def test_report_is_consistent(self):
         pc, ch, cbl, budget = paper_scale_setup()
@@ -917,6 +929,15 @@ class TestBlockReport:
         pc, ch, cbl, budget = paper_scale_setup()
         with pytest.raises(ValueError):
             block_report(cbl, pc, ch, target_for(budget), 1001)
+
+    def test_rejects_a_float_length(self):
+        with pytest.raises(ValueError, match=r"block length must be an integer, got 89522\.0$"):
+            model_103km_report(89522.0)
+
+    def test_numpy_integer_length_gives_the_int_report(self):
+        report = model_103km_report(np.int64(89522))
+        assert type(report.L) is int
+        assert report == model_103km_report(89522)
 
     def test_report_is_the_chain_at_one_length(self):
         pc, ch, cbl, budget = paper_scale_setup()
@@ -1012,7 +1033,8 @@ def bound_chain_record():
         config = read_config(str(GOLDEN_DATA / name))
         n_pulses = config.source.n_pulses
         rows = [vars(config.source), *GOLDEN_SETTINGS]
-        stack = PulseConfig.stack(rows, n_pulses=n_pulses)
+        stack = PulseConfig.stack(np.array([[row[k] for k in GOLDEN_SETTINGS[0]] for row in rows]),
+                                  n_pulses=n_pulses)
         for km in distances:
             ch = config.channel(km)
             cbl = model_links(stack, ch)
