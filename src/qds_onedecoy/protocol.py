@@ -12,9 +12,10 @@ Key material is handled at the bit level when the pulse budget is small
 enough to materialise strings ("desk scale"); larger configurations run
 the messaging stage on synthetic keys drawn at the model error rate.
 All randomness is derived from named substreams of one seed, so runs
-are reproducible end to end, transcript included.  A message keeps its
-payload and is digested only when the transcript is read; the key and
-position arrays a payload refers to are read-only from when it is sent.
+are reproducible end to end, transcript included.  A session holds its
+key blocks and symmetrised halves packed, eight bits a byte.  A message
+keeps its payload and is digested only when the transcript is read; the
+packed keys a declaration unpacks are read-only from when it is sent.
 A forwarded half's split is drawn only when read, by messaging for the
 signed value and by a reader of the transcript for its payload; the
 positions a payload lists are read-only from then.
@@ -62,6 +63,10 @@ __all__ = [
 #: and a half's positions found, this many at a time.
 _CHUNK = 1 << 16
 
+#: The number of set bits in each byte value, for popcounts of packed bits
+#: on every numpy (``np.bitwise_count`` needs numpy 2).
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
 
 class ProtocolError(Infeasible):
     """A party was driven outside the allowed protocol flow, distribution
@@ -98,10 +103,12 @@ class ClassicalMessage:
 
 @dataclass(frozen=True)
 class HalfKey:
-    """Half of a symmetrised key: positions within one link's block."""
+    """Half of a symmetrised key within one link's block, packed: ``mask``
+    sets the positions it covers, and ``bits`` is the whole block it reads
+    them from."""
 
     link: str
-    positions: np.ndarray
+    mask: np.ndarray
     bits: np.ndarray
 
 
@@ -188,6 +195,28 @@ def run_kgp(
     return KgpResult(counts=counts, tx_pool=tx_pool, rx_pool=rx_pool, test_errors=test_errors)
 
 
+def _popcount(packed: np.ndarray) -> int:
+    """The number of bits set in a packed uint8 array."""
+    return int(_POPCOUNT[packed].sum())
+
+
+def _padding(L: int) -> int:
+    """The bits of an L-bit block's last packed byte that lie past the block."""
+    return (1 << (-L % 8)) - 1
+
+
+def _rows(bits: np.ndarray, L: int) -> np.ndarray:
+    """The first 2L of ``bits``, packed, one read-only row per message value."""
+    rows = np.packbits(bits[:2 * L].reshape(2, L), axis=1)
+    rows.flags.writeable = False  # signed keys are digested when the transcript is read
+    return rows
+
+
+def _declared(m: int, keys: dict[str, np.ndarray], L: int) -> dict[str, object]:
+    """The payload of a declaration: the message value and each link's key, unpacked."""
+    return {"m": m, "keys": {link: np.unpackbits(row, count=L) for link, row in keys.items()}}
+
+
 def _forward_half(rng: np.random.Generator, L: int) -> np.ndarray:
     """The half of an L-bit block a recipient forwards, drawn from ``rng``,
     as a bool mask."""
@@ -197,119 +226,117 @@ def _forward_half(rng: np.random.Generator, L: int) -> np.ndarray:
 
 
 def _split(seed: int, L: int, m: int, recipient: str) -> np.ndarray:
-    """The half a recipient forwards of message value ``m``'s block."""
-    return _forward_half(rng_stream(seed, recipient, "symmetrize", str(m)), L)
+    """The half a recipient forwards of message value ``m``'s block, packed."""
+    return np.packbits(_forward_half(rng_stream(seed, recipient, "symmetrize", str(m)), L))
 
 
 def _sent_half(seed: int, L: int, m: int, recipient: str) -> dict[str, object]:
     """The payload of a recipient's forwarded half: its positions, drawn now
     and read-only."""
-    positions, _ = _positions(_split(seed, L, m, recipient))
+    positions = _positions(_split(seed, L, m, recipient))
     positions.flags.writeable = False  # sent, digested when read
     return {"m": m, "positions": positions}
 
 
-def _positions(
-    mask: np.ndarray, bits: np.ndarray | None = None, kept: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The positions ``mask`` sets (clears, when ``kept``), ascending, in the
-    smallest unsigned type that holds its last position, and ``bits`` at
-    them when given.  They are found a chunk at a time, so neither they nor
-    the mask's complement are ever held whole as native integers or bools."""
-    n = len(mask)
-    count = np.count_nonzero(mask)
-    positions = np.empty(n - count if kept else count, np.min_scalar_type(n - 1))
-    picked = None if bits is None else np.empty(len(positions), bits.dtype)
-    at = 0
-    for start in range(0, n, _CHUNK):
-        part = mask[start:start + _CHUNK]
-        found = np.flatnonzero(~part if kept else part)
+def _positions(mask: np.ndarray) -> np.ndarray:
+    """The positions a packed ``mask`` sets, ascending, in the smallest
+    unsigned type that holds the last position its bytes can pack (the
+    type that holds L - 1, as every bound of a type is a multiple of 8).
+    They are found a chunk at a time, so neither they nor the unpacked
+    mask are ever held whole as native integers or bools."""
+    positions = np.empty(_popcount(mask), np.min_scalar_type(8 * len(mask) - 1))
+    at, step = 0, _CHUNK // 8
+    for start in range(0, len(mask), step):
+        found = np.flatnonzero(np.unpackbits(mask[start:start + step]))
         end = at + len(found)
-        if picked is not None:
-            picked[at:end] = bits[start:start + _CHUNK][found]
-        found += start
+        found += 8 * start
         positions[at:end] = found
         at = end
-    return positions, picked
+    return positions
+
+
+def _check_half(mask: np.ndarray, L: int) -> None:
+    """Raise unless ``mask`` packs half of an L-bit block, with zero padding."""
+    if (mask.dtype != np.uint8 or mask.shape != ((L + 7) // 8,)
+            or _popcount(mask) != L // 2 or np.any(mask[-1:] & _padding(L))):
+        raise ProtocolError(
+            f"each half must mark {L // 2} positions of its {L}-bit block, none past it"
+        )
 
 
 def symmetrize(
+    L: int,
     bob_bits: np.ndarray,
     charlie_bits: np.ndarray,
     bob_forward: np.ndarray,
     charlie_forward: np.ndarray,
 ) -> tuple[tuple[HalfKey, HalfKey], tuple[HalfKey, HalfKey]]:
-    """Exchange the forwarded halves between the two recipients' blocks.
+    """Exchange the forwarded halves between the two recipients' L-bit
+    blocks, all four arguments packed as ``np.packbits`` packs them.
 
     Each recipient forwards the half of his positions that his mask
-    (``_forward_half``) marks and keeps the complement, so Alice cannot
-    know which copy of a given position will be checked where.  Returns
-    Bob's and Charlie's symmetrised keys, each the (own, received) pair of
-    halves he holds, with positions as ``_positions`` gives them.
+    (``_split``) marks and keeps the complement, so Alice cannot know
+    which copy of a given position will be checked where.  Returns Bob's
+    and Charlie's symmetrised keys, each the (own, received) pair of
+    halves he holds.  A kept half's mask is the complement of the
+    forwarded one, padding cleared; a received half's is the other
+    recipient's forwarded mask.  Every half shares its block, uncopied.
     """
-    L = len(bob_bits)
-    if len(charlie_bits) != L:
-        raise ProtocolError(
-            f"blocks must have equal length, got {L} and {len(charlie_bits)}"
-        )
     if L < 2 or L % 2 != 0:
         raise ProtocolError(f"block length must be an even integer >= 2, got {L}")
+    if not len(bob_bits) == len(charlie_bits) == (L + 7) // 8:
+        raise ProtocolError(
+            f"blocks must pack {L} bits each, got {len(bob_bits)} and "
+            f"{len(charlie_bits)} bytes"
+        )
     for mask in (bob_forward, charlie_forward):
-        if mask.dtype != bool or len(mask) != L or np.count_nonzero(mask) != L // 2:
-            raise ProtocolError("each forwarding mask must mark half of its block")
+        _check_half(mask, L)
 
-    def half(link: str, bits: np.ndarray, mask: np.ndarray, kept: bool = False) -> HalfKey:
-        return HalfKey(link, *_positions(mask, bits, kept))
+    def kept(forward: np.ndarray) -> np.ndarray:
+        mask = ~forward
+        mask[-1] &= 0xFF ^ _padding(L)
+        return mask
 
     bob_sym = (
-        half("bob_alice", bob_bits, bob_forward, kept=True),
-        half("charlie_alice", charlie_bits, charlie_forward),
+        HalfKey("bob_alice", kept(bob_forward), bob_bits),
+        HalfKey("charlie_alice", charlie_forward, charlie_bits),
     )
     charlie_sym = (
-        half("charlie_alice", charlie_bits, charlie_forward, kept=True),
-        half("bob_alice", bob_bits, bob_forward),
+        HalfKey("charlie_alice", kept(charlie_forward), charlie_bits),
+        HalfKey("bob_alice", bob_forward, bob_bits),
     )
     return bob_sym, charlie_sym
 
 
-def _count_mismatches(keys: dict[str, np.ndarray], half: HalfKey) -> int:
-    """Mismatches between a held half-key and the declared key it came from."""
+def _count_mismatches(keys: dict[str, np.ndarray], half: HalfKey) -> tuple[int, int]:
+    """Mismatches between a held half-key and the declared key it came
+    from, and the number of positions the half covers."""
     if half.link not in keys:
         raise ProtocolError(f"declaration carries no key for link {half.link!r}")
-    key = keys[half.link]
-    pos = half.positions
-    if len(pos) != len(half.bits):
-        raise ProtocolError("positions and bits disagree in length")
-    if pos.dtype.kind not in "iu":
-        raise ProtocolError(f"positions must be integers, got dtype {pos.dtype}")
-    if len(pos) and (pos.min() < 0 or pos.max() >= len(key)):
-        raise ProtocolError(
-            f"positions fall outside the declared block of length {len(key)}"
-        )
-    # compact positions are cast once, as indexing by them casts on every
-    # lookup; mismatches are counted before the distinctness mask is made,
-    # so the cast, the lookup and the mask are never all held at once
-    pos = pos.astype(np.intp, copy=False)
-    mismatches = int(np.count_nonzero(key[pos] != half.bits))
-    seen = np.zeros(len(key), dtype=bool)
-    seen[pos] = True
-    if np.count_nonzero(seen) != len(pos):
-        raise ProtocolError("positions must be distinct")
-    return mismatches
+    key, mask = keys[half.link], half.mask
+    if not (key.dtype == half.bits.dtype == mask.dtype == np.uint8
+            and key.shape == half.bits.shape == mask.shape):
+        raise ProtocolError("a half, its block and the declared key must pack equal lengths")
+    covered = _popcount(mask)
+    _check_half(mask, 2 * covered)
+    return _popcount((key ^ half.bits) & mask), covered
 
 
 def verify(
     keys: dict[str, np.ndarray], sym: tuple[HalfKey, HalfKey], threshold: float
 ) -> tuple[bool, int, int]:
-    """Check a declaration, the signer's key per link, against a
+    """Check a declaration, the signer's packed key per link, against a
     symmetrised (own, received) key at one threshold.
 
-    Both halves must show strictly fewer than threshold * L/2 mismatches.
-    Returns (accepted, own-half mismatches, received-half mismatches).
+    Each half covers L/2 positions of an L-bit block, and both must show
+    strictly fewer than threshold * L/2 mismatches.  Returns (accepted,
+    own-half mismatches, received-half mismatches).
     """
-    own = _count_mismatches(keys, sym[0])
-    received = _count_mismatches(keys, sym[1])
-    limit = threshold * len(next(iter(keys.values()))) / 2.0
+    (own, covered), (received, other) = (_count_mismatches(keys, half) for half in sym)
+    if covered != other:
+        raise ProtocolError(f"halves must cover equal positions, got {covered} and {other}")
+    L = 2 * covered
+    limit = threshold * L / 2.0
     return (own < limit) and (received < limit), own, received
 
 
@@ -343,7 +370,7 @@ class ProtocolSession:
         self._distribution_started = False
         self.transcript: list[ClassicalMessage] = []
         self.kgp_results: dict[str, KgpResult] = {}
-        # each link's recipient (tx) and signer (rx) bits, both blocks in message-value order
+        # each link's recipient (tx) and signer (rx) bits, packed, a row per message value
         self._blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._consumed: set[int] = set()
 
@@ -364,8 +391,7 @@ class ProtocolSession:
     # -- distribution stage ------------------------------------------------
 
     def _link_blocks(self, link: str, recipient: str) -> tuple[np.ndarray, np.ndarray]:
-        """One link's recipient and signer bits, both blocks in message-value order."""
-        need = 2 * self.L
+        """One link's recipient and signer bits, packed, one row per message value."""
         if self.bit_mode:
             kgp = self.kgp_results[link]
             self._send("basis_announce", recipient, "alice", {"link": link, "n": len(kgp.tx_pool)})
@@ -376,22 +402,20 @@ class ProtocolSession:
                 "alice",
                 {"link": link, "k": self.k_test, "errors": kgp.test_errors},
             )
-            tx, rx = kgp.tx_pool, kgp.rx_pool
-        else:
-            counts = expected_statistics(self.pc, self.ch)
-            n = counts.n_total("Z")
-            qber = counts.m_total("Z") / n if n > 0 else 0.0
-            rng = rng_stream(self.seed, link, "synthetic")
-            tx = rng.integers(0, 2, size=need, dtype=np.uint8)
-            rx = tx.copy()
-            # chunk by chunk, the draws one call would make, without a float per bit
-            for start in range(0, need, _CHUNK):
-                part = rx[start:start + _CHUNK]
-                part ^= rng.random(len(part)) < qber
-            self._send("basis_announce", recipient, "alice", {"link": link, "synthetic": True})
-        # signed keys are digested when the transcript is read: keep them as sent
-        tx.flags.writeable = rx.flags.writeable = False
-        return tx, rx
+            return _rows(kgp.tx_pool, self.L), _rows(kgp.rx_pool, self.L)
+        counts = expected_statistics(self.pc, self.ch)
+        n = counts.n_total("Z")
+        qber = counts.m_total("Z") / n if n > 0 else 0.0
+        rng = rng_stream(self.seed, link, "synthetic")
+        bits = rng.integers(0, 2, size=2 * self.L, dtype=np.uint8)
+        tx = _rows(bits, self.L)
+        # chunk by chunk, the draws one call would make, without a float per
+        # bit; the recipient's bits become the signer's in place
+        for start in range(0, len(bits), _CHUNK):
+            part = bits[start:start + _CHUNK]
+            part ^= rng.random(len(part)) < qber
+        self._send("basis_announce", recipient, "alice", {"link": link, "synthetic": True})
+        return tx, _rows(bits, self.L)
 
     def run_distribution(self, fallback: bool = False) -> None:
         """Fill the key blocks of both message values and send each
@@ -425,7 +449,8 @@ class ProtocolSession:
     # -- messaging stage ---------------------------------------------------
 
     def sign(self, message_bit: int) -> dict[str, np.ndarray]:
-        """Alice declares her measured key per link for one message value."""
+        """Alice declares her measured key per link for one message value,
+        packed; the declaration's payload lists it unpacked when read."""
         if message_bit not in (0, 1):
             raise ValueError(f"message bit must be 0 or 1, got {message_bit}")
         if not self._blocks:
@@ -435,9 +460,8 @@ class ProtocolSession:
                 f"the key block for message bit {message_bit} was already consumed"
             )
         self._consumed.add(message_bit)
-        block = slice(message_bit * self.L, (message_bit + 1) * self.L)
-        keys = {link: rx[block] for link, (_, rx) in self._blocks.items()}
-        self._send("signature", "alice", "bob", {"m": message_bit, "keys": dict(keys)})
+        keys = {link: rx[message_bit] for link, (_, rx) in self._blocks.items()}
+        self._send("signature", "alice", "bob", partial(_declared, message_bit, keys, self.L))
         return keys
 
     def run_messaging(
@@ -451,9 +475,9 @@ class ProtocolSession:
         """
         keys = self.sign(message_bit)
         declaration = self.transcript[-1]  # the signature message just sent
-        block = slice(message_bit * self.L, (message_bit + 1) * self.L)
         bob_sym, charlie_sym = symmetrize(
-            *(tx[block] for tx, _ in self._blocks.values()),
+            self.L,
+            *(tx[message_bit] for tx, _ in self._blocks.values()),
             *(_split(self.seed, self.L, message_bit, r) for r in ("bob", "charlie")),
         )
         bob = verify(keys, bob_sym, th.s_alpha)

@@ -119,35 +119,59 @@ class TestRunKgp:
             run_kgp("bob_alice", big, DESK_CH, seed=1, k_test=100)
 
 
+def packed_mask(positions, L):
+    """A packed mask of ``positions`` in an L-bit block."""
+    mask = np.zeros(L, np.uint8)
+    mask[list(positions)] = 1
+    return np.packbits(mask)
+
+
+def covered(half, L):
+    """The positions a half's mask covers in its L-bit block."""
+    return np.flatnonzero(np.unpackbits(half.mask, count=L))
+
+
+def symmetrized(seed, L):
+    """Two drawn L-bit blocks, unpacked, and their symmetrised halves."""
+    bob_bits = rng_stream(seed, "b").integers(0, 2, L, dtype=np.uint8)
+    charlie_bits = rng_stream(seed, "c").integers(0, 2, L, dtype=np.uint8)
+    sym = symmetrize(
+        L, np.packbits(bob_bits), np.packbits(charlie_bits),
+        *(np.packbits(_forward_half(rng_stream(seed, r), L)) for r in ("rb", "rc")),
+    )
+    return bob_bits, charlie_bits, sym
+
+
 class TestSymmetrize:
     def test_halves_partition_each_block(self):
-        L = 64
-        bob_bits = rng_stream(1, "b").integers(0, 2, L, dtype=np.uint8)
-        charlie_bits = rng_stream(1, "c").integers(0, 2, L, dtype=np.uint8)
-        (bob_own, bob_recv), (charlie_own, charlie_recv) = symmetrize(
-            bob_bits, charlie_bits,
-            _forward_half(rng_stream(1, "rb"), L), _forward_half(rng_stream(1, "rc"), L),
-        )
+        # 62 bits pack in 8 bytes, the last with 2 bits of padding
+        L = 62
+        _, _, ((bob_own, bob_recv), (charlie_own, charlie_recv)) = symmetrized(1, L)
         # Bob's kept positions and the ones he forwarded partition his block
-        merged = np.sort(np.concatenate([bob_own.positions, charlie_recv.positions]))
+        merged = np.sort(np.concatenate([covered(bob_own, L), covered(charlie_recv, L)]))
         assert (merged == np.arange(L)).all()
-        merged_c = np.sort(np.concatenate([charlie_own.positions, bob_recv.positions]))
+        merged_c = np.sort(np.concatenate([covered(charlie_own, L), covered(bob_recv, L)]))
         assert (merged_c == np.arange(L)).all()
-        assert len(bob_own.positions) == L // 2
-        for half in (bob_own, charlie_own):
-            assert half.positions.dtype == np.min_scalar_type(L - 1)
-            assert (np.diff(half.positions) > 0).all()
+        for half in (bob_own, bob_recv, charlie_own, charlie_recv):
+            assert half.mask.dtype == np.uint8 and half.mask.shape == (8,)
+            assert len(covered(half, L)) == L // 2
+            assert not np.unpackbits(half.mask)[L:].any()
 
     def test_bits_travel_with_positions(self):
-        L = 32
+        # each received half reads the other recipient's block, shared, not copied
+        L = 30
         bob_bits = np.arange(L, dtype=np.uint8) % 2
         charlie_bits = (np.arange(L, dtype=np.uint8) + 1) % 2
-        (_, bob_recv), (_, charlie_recv) = symmetrize(
-            bob_bits, charlie_bits,
-            _forward_half(rng_stream(2, "rb"), L), _forward_half(rng_stream(2, "rc"), L),
+        bob_row, charlie_row = np.packbits(bob_bits), np.packbits(charlie_bits)
+        (bob_own, bob_recv), (charlie_own, charlie_recv) = symmetrize(
+            L, bob_row, charlie_row,
+            *(np.packbits(_forward_half(rng_stream(2, r), L)) for r in ("rb", "rc")),
         )
-        assert (bob_recv.bits == charlie_bits[bob_recv.positions]).all()
-        assert (charlie_recv.bits == bob_bits[charlie_recv.positions]).all()
+        assert bob_recv.bits is charlie_own.bits is charlie_row
+        assert charlie_recv.bits is bob_own.bits is bob_row
+        for half, bits in [(bob_recv, charlie_bits), (charlie_recv, bob_bits)]:
+            positions = covered(half, L)
+            assert (np.unpackbits(half.bits, count=L)[positions] == bits[positions]).all()
 
     @pytest.mark.parametrize("L", [2, 4, 10**4 - 2, 10**4, 10**4 + 2, 2 * 10**5])
     def test_mask_split_equals_sorted_split(self, L):
@@ -157,45 +181,54 @@ class TestSymmetrize:
             mask[forward] = False
             return np.flatnonzero(mask), forward
 
-        bob_bits = rng_stream(L, "b").integers(0, 2, L, dtype=np.uint8)
-        charlie_bits = rng_stream(L, "c").integers(0, 2, L, dtype=np.uint8)
-        (bob_own, bob_recv), (charlie_own, charlie_recv) = symmetrize(
-            bob_bits, charlie_bits,
-            _forward_half(rng_stream(L, "rb"), L), _forward_half(rng_stream(L, "rc"), L),
-        )
+        bob_bits, charlie_bits, sym = symmetrized(L, L)
+        (bob_own, bob_recv), (charlie_own, charlie_recv) = sym
         bob_keep, bob_forward = sorted_split(rng_stream(L, "rb"), L)
         charlie_keep, charlie_forward = sorted_split(rng_stream(L, "rc"), L)
         for half, positions, bits in [
             (bob_own, bob_keep, bob_bits), (bob_recv, charlie_forward, charlie_bits),
             (charlie_own, charlie_keep, charlie_bits), (charlie_recv, bob_forward, bob_bits),
         ]:
-            assert half.positions.dtype == np.min_scalar_type(L - 1)
-            assert np.array_equal(half.positions, positions)
-            assert np.array_equal(half.bits, bits[positions])
+            assert np.array_equal(covered(half, L), positions)
+            assert np.array_equal(np.unpackbits(half.bits, count=L)[positions], bits[positions])
 
     def test_rejects_mismatched_or_odd_lengths(self):
-        with pytest.raises(ProtocolError):
-            symmetrize(np.zeros(4, np.uint8), np.zeros(6, np.uint8),
-                       _forward_half(rng_stream(0, "a"), 4), _forward_half(rng_stream(0, "b"), 6))
-        with pytest.raises(ProtocolError):
-            symmetrize(np.zeros(5, np.uint8), np.zeros(5, np.uint8),
-                       _forward_half(rng_stream(0, "a"), 5), _forward_half(rng_stream(0, "b"), 5))
+        def packed_blocks(*lengths):
+            return [np.packbits(np.zeros(n, np.uint8)) for n in lengths]
+
+        forward = [np.packbits(_forward_half(rng_stream(0, r), 16)) for r in ("a", "b")]
+        with pytest.raises(ProtocolError, match="blocks must pack 16 bits"):
+            symmetrize(16, *packed_blocks(16, 8), *forward)
+        with pytest.raises(ProtocolError, match="even integer"):
+            symmetrize(5, *packed_blocks(5, 5),
+                       *(np.packbits(_forward_half(rng_stream(0, r), 5)) for r in ("a", "b")))
+
+    def test_mask_with_padding_bits_set_raises(self):
+        # 3 of 6 positions, one of them past the block, in the padding
+        blocks = [np.packbits(np.zeros(6, np.uint8))] * 2
+        good, bad = packed_mask([0, 1, 2], 6), packed_mask([0, 1, 6], 8)
+        symmetrize(6, *blocks, good, good)
+        with pytest.raises(ProtocolError, match="none past it"):
+            symmetrize(6, *blocks, good, bad)
+        with pytest.raises(ProtocolError, match="none past it"):
+            mismatches(crafted_keys(6), HalfKey("bob_alice", bad, blocks[0]))
 
 
 def crafted_keys(L=100):
     return {
-        "bob_alice": np.zeros(L, dtype=np.uint8),
-        "charlie_alice": np.zeros(L, dtype=np.uint8),
+        "bob_alice": np.packbits(np.zeros(L, dtype=np.uint8)),
+        "charlie_alice": np.packbits(np.zeros(L, dtype=np.uint8)),
     }
 
 
 def crafted_sym(L=100, own_mismatches=0):
     half = L // 2
-    own_bits = np.zeros(half, dtype=np.uint8)
+    own_bits = np.zeros(L, dtype=np.uint8)
     own_bits[:own_mismatches] = 1
     return (
-        HalfKey("bob_alice", np.arange(half), own_bits),
-        HalfKey("charlie_alice", np.arange(half, L), np.zeros(half, dtype=np.uint8)),
+        HalfKey("bob_alice", packed_mask(range(half), L), np.packbits(own_bits)),
+        HalfKey("charlie_alice", packed_mask(range(half, L), L),
+                np.packbits(np.zeros(L, dtype=np.uint8))),
     )
 
 
@@ -225,43 +258,65 @@ class TestVerify:
         assert not verify(keys, crafted_sym(100, 0), threshold=0.0)[0]
 
     def test_count_mismatches_validates_positions(self):
-        keys = crafted_keys(10)
-        with pytest.raises(ProtocolError):
-            mismatches(keys, HalfKey("bob_alice", np.array([0, 0]), np.zeros(2, np.uint8)))
-        with pytest.raises(ProtocolError):
-            mismatches(keys, HalfKey("bob_alice", np.array([3, 12]), np.zeros(2, np.uint8)))
-        with pytest.raises(ProtocolError):
-            mismatches(keys, HalfKey("elsewhere", np.array([0]), np.zeros(1, np.uint8)))
+        keys, block = crafted_keys(10), np.packbits(np.zeros(10, np.uint8))
+        for mask, bits in [
+            (packed_mask(range(5), 24), block),  # a mask of more bytes than the block
+            (packed_mask(range(5), 10), np.packbits(np.zeros(24, np.uint8))),  # bits, too
+            (packed_mask(range(5), 10), np.zeros(2, np.int64)),  # bits of another dtype
+        ]:
+            with pytest.raises(ProtocolError, match="equal lengths"):
+                mismatches(keys, HalfKey("bob_alice", mask, bits))
+        assert mismatches(keys, HalfKey("bob_alice", packed_mask(range(5), 10), block)) == 0
 
+    def test_declaration_without_the_halfs_link_raises(self):
+        half = HalfKey("elsewhere", packed_mask(range(5), 10), np.packbits(np.zeros(10, np.uint8)))
+        with pytest.raises(ProtocolError, match="no key for link 'elsewhere'"):
+            mismatches(crafted_keys(10), half)
+
+    # each id names the fault of a position list whose packed form is checked:
+    # signed ("negative") or float bytes, a position at L, and one position
+    # more than the other half holds
     @pytest.mark.parametrize(
-        "positions",
+        "mask",
         [
-            np.array([0, -1, 2]),
-            np.array([0, 10]),
-            np.array([1, 2, 3, 3]),
-            np.array([0.0, 1.0, 2.0]),
+            packed_mask(range(5), 10).view(np.int8),
+            packed_mask([0, 1, 2, 3, 10], 16),
+            packed_mask(range(6), 10),
+            packed_mask(range(5), 10).astype(np.float64),
         ],
         ids=["negative", "equal-to-length", "duplicate-at-end", "float"],
     )
-    def test_bad_positions_raise_protocol_error(self, positions):
-        half = HalfKey("bob_alice", positions, np.zeros(len(positions), np.uint8))
+    def test_bad_positions_raise_protocol_error(self, mask):
+        block = np.packbits(np.zeros(10, np.uint8))
+        own = HalfKey("bob_alice", packed_mask(range(5), 10), block)
         with pytest.raises(ProtocolError):
-            mismatches(crafted_keys(10), half)
+            verify(crafted_keys(10), (own, HalfKey("charlie_alice", mask, block)), 0.5)
 
     def test_empty_half_has_no_mismatches(self):
-        half = HalfKey("bob_alice", np.array([], dtype=np.intp), np.array([], np.uint8))
-        assert mismatches(crafted_keys(10), half) == 0
+        half = HalfKey("bob_alice", np.array([], np.uint8), np.array([], np.uint8))
+        assert mismatches(crafted_keys(0), half) == 0
 
-    @given(st.lists(st.integers(0, 39), max_size=60))
-    @settings(max_examples=200)
-    def test_distinctness_verdict_matches_unique(self, values):
-        pos = np.array(values, dtype=np.intp)
-        half = HalfKey("bob_alice", pos, np.ones(len(pos), np.uint8))
-        if len(np.unique(pos)) != len(pos):
-            with pytest.raises(ProtocolError, match="distinct"):
-                mismatches(crafted_keys(40), half)
-        else:
-            assert mismatches(crafted_keys(40), half) == len(pos)
+    def test_popcount_table_counts_each_byte(self):
+        assert protocol._POPCOUNT.dtype == np.uint8
+        assert protocol._POPCOUNT.tolist() == [bin(i).count("1") for i in range(256)]
+
+    # L % 8 is 2, 6 or 10 % 8, so every block packs with padding
+    @given(k=st.integers(0, 40), r=st.sampled_from([2, 6, 10]),
+           seed=st.integers(0, 2**32 - 1), threshold=st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_packed_verify_matches_a_naive_count(self, k, r, seed, threshold):
+        L = 16 * k + r
+        rng = np.random.default_rng(seed)
+        keys = {link: rng.integers(0, 2, L, dtype=np.uint8) for link in LINKS}
+        blocks = {link: rng.integers(0, 2, L, dtype=np.uint8) for link in LINKS}
+        positions = [rng.choice(L, size=L // 2, replace=False) for _ in LINKS]
+        sym = tuple(HalfKey(link, packed_mask(pos, L), np.packbits(blocks[link]))
+                    for link, pos in zip(LINKS, positions))
+        own, received = (sum(int(keys[link][i] != blocks[link][i]) for i in pos)
+                         for link, pos in zip(LINKS, positions))
+        limit = threshold * L / 2.0
+        packed = {link: np.packbits(bits) for link, bits in keys.items()}
+        assert verify(packed, sym, threshold) == (own < limit and received < limit, own, received)
 
 
 def tolisted(value):
@@ -499,12 +554,25 @@ class TestSession:
         keys = session.sign(0)
         sent = [m.payload["positions"] for m in session.transcript
                 if m.kind == "symmetrization_forward"]
+        # the packed keys the declaration unpacks when it is read
         sent += list(keys.values())
-        sent += [r.rx_pool for r in session.kgp_results.values()]
-        assert len(sent) == (6 if synthetic else 8)
+        assert len(sent) == 6
         for array in sent:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+    def test_signature_lists_the_signed_pool_bits(self):
+        # 1002 % 8 = 2, so each packed row ends in a padded byte
+        L = 1002
+        session = ProtocolSession(DESK_PC, DESK_CH, L=L, seed=2)
+        session.run_distribution()
+        assert session.bit_mode
+        keys = session.sign(1)
+        payload = session.transcript[-1].payload
+        assert payload["m"] == 1
+        for link, kgp in session.kgp_results.items():
+            assert keys[link].shape == ((L + 7) // 8,)
+            assert np.array_equal(payload["keys"][link], kgp.rx_pool[L:2 * L])
 
     def test_only_the_signed_value_is_symmetrised(self, monkeypatch):
         built = []
@@ -521,8 +589,8 @@ class TestSession:
             (_, bob_received), (_, charlie_received) = built[-1]
             for positions, half in [(sent[(bit, "bob")], charlie_received),
                                     (sent[(bit, "charlie")], bob_received)]:
-                assert positions.dtype == half.positions.dtype == np.min_scalar_type(1000 - 1)
-                assert np.array_equal(positions, half.positions)
+                assert positions.dtype == np.min_scalar_type(1000 - 1)
+                assert np.array_equal(positions, covered(half, 1000))
 
     def test_splits_are_drawn_when_read(self, monkeypatch):
         calls = []
@@ -574,8 +642,8 @@ class TestSession:
         # the signed value's payloads list the halves symmetrize found, read-only
         for positions, half in [(sent[(1, "bob")], charlie_received),
                                 (sent[(1, "charlie")], bob_received)]:
-            assert positions.dtype == half.positions.dtype
-            assert np.array_equal(positions, half.positions)
+            assert positions.dtype == np.min_scalar_type(1000 - 1)
+            assert np.array_equal(positions, covered(half, 1000))
             assert not positions.flags.writeable
 
     @pytest.mark.parametrize("exported", [False, True], ids=["unread", "exported"])
@@ -615,11 +683,13 @@ class TestSession:
             assert flips.any()
             rx = tx ^ flips
             for m in (0, 1):
-                assert np.array_equal(keys[m][link], rx[m * L:(m + 1) * L])
+                assert np.array_equal(np.unpackbits(keys[m][link], count=L), rx[m * L:(m + 1) * L])
 
     def test_footprint_per_block_bit(self):
         # a synthetic session at L = 2e5 holds the keys and the recipients'
-        # bits, 8 bytes per block bit; no split is drawn before messaging
+        # bits packed, 1 byte per block bit; no split is drawn before
+        # messaging, where `_forward_half`'s draw of 12 bytes per block bit
+        # sets the peak
         config = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
         pc, ch, L = config.pulse_config(), config.channel(10.0), 200_000
         # lazy imports and first-call caches stay out of the count
@@ -639,9 +709,9 @@ class TestSession:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert held <= 10 * L
-        assert distribution_peak <= 14 * L
-        assert peak <= 28 * L
+        assert held <= 1.5 * L
+        assert distribution_peak <= 8 * L
+        assert peak <= 15 * L
 
     def test_transcript_sequence_is_strictly_increasing(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)
