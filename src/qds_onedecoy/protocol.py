@@ -41,7 +41,7 @@ from .channel import (
     expected_statistics,
     sample_statistics,
 )
-from .security import Infeasible, Thresholds, _check_length, k_test_for
+from .security import Infeasible, Thresholds, _check_integer, _check_length, k_test_for
 from .stat_math import binary_entropy
 
 __all__ = [
@@ -103,13 +103,25 @@ class ClassicalMessage:
 
 @dataclass(frozen=True)
 class HalfKey:
-    """Half of a symmetrised key within one link's block, packed: ``mask``
-    sets the positions it covers, and ``bits`` is the whole block it reads
-    them from."""
+    """Half of a symmetrised key within one link's L-bit block, packed:
+    ``mask`` sets the L/2 positions it covers, and ``bits`` is the whole
+    block it reads them from.  Checked once, when built."""
 
     link: str
+    L: int
     mask: np.ndarray
     bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        L, mask, n = self.L, self.mask, (self.L + 7) // 8
+        if not (isinstance(L, (int, np.integer)) and L % 2 == 0
+                and mask.dtype == self.bits.dtype == np.uint8
+                and mask.shape == self.bits.shape == (n,)
+                and _popcount(mask) == L // 2 and not np.any(mask[-1:] & _padding(L))):
+            raise ProtocolError(
+                f"a half of an even L-bit block, L = {L}, packs its mask and block "
+                f"in {n} uint8 bytes each, the mask marking L/2 positions, none past it"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,8 +139,9 @@ class KgpResult:
 
 
 def rng_stream(seed: int, *labels: str) -> np.random.Generator:
-    """Independent, reproducible generator for one (seed, purpose) pair."""
-    words = [int(seed)] + [
+    """Independent, reproducible generator for one (seed, purpose) pair;
+    the seed is an ``int`` or numpy integer of at least 0."""
+    words = [_check_integer("seed", seed, 0)] + [
         int.from_bytes(hashlib.sha256(label.encode()).digest()[:4], "big")
         for label in labels
     ]
@@ -167,8 +180,7 @@ def run_kgp(
             f"bit-level key generation supports at most {DESK_SCALE_MAX_PULSES:.0e} "
             f"pulses, got {pc.n_pulses:.3g}; use the synthetic messaging path"
         )
-    if k_test < 1:
-        raise ValueError(f"test sample size must be at least 1, got {k_test}")
+    _check_integer("k_test", k_test)
     rng = rng_stream(seed, link, "kgp")
     counts = sample_statistics(pc, ch, rng)
     n_pool = int(counts.n_total("Z"))
@@ -255,15 +267,6 @@ def _positions(mask: np.ndarray) -> np.ndarray:
     return positions
 
 
-def _check_half(mask: np.ndarray, L: int) -> None:
-    """Raise unless ``mask`` packs half of an L-bit block, with zero padding."""
-    if (mask.dtype != np.uint8 or mask.shape != ((L + 7) // 8,)
-            or _popcount(mask) != L // 2 or np.any(mask[-1:] & _padding(L))):
-        raise ProtocolError(
-            f"each half must mark {L // 2} positions of its {L}-bit block, none past it"
-        )
-
-
 def symmetrize(
     L: int,
     bob_bits: np.ndarray,
@@ -278,48 +281,20 @@ def symmetrize(
     (``_split``) marks and keeps the complement, so Alice cannot know
     which copy of a given position will be checked where.  Returns Bob's
     and Charlie's symmetrised keys, each the (own, received) pair of
-    halves he holds.  A kept half's mask is the complement of the
-    forwarded one, padding cleared; a received half's is the other
-    recipient's forwarded mask.  Every half shares its block, uncopied.
+    halves he holds.  A received half's mask is the other recipient's
+    forwarded one, checked as the half is built; a kept half's is its
+    complement, padding cleared.  Every half shares its block, uncopied.
     """
-    if L < 2 or L % 2 != 0:
-        raise ProtocolError(f"block length must be an even integer >= 2, got {L}")
-    if not len(bob_bits) == len(charlie_bits) == (L + 7) // 8:
-        raise ProtocolError(
-            f"blocks must pack {L} bits each, got {len(bob_bits)} and "
-            f"{len(charlie_bits)} bytes"
-        )
-    for mask in (bob_forward, charlie_forward):
-        _check_half(mask, L)
+    L = _check_length(L)
+    charlie_recv = HalfKey("bob_alice", L, bob_forward, bob_bits)
+    bob_recv = HalfKey("charlie_alice", L, charlie_forward, charlie_bits)
 
-    def kept(forward: np.ndarray) -> np.ndarray:
-        mask = ~forward
+    def kept(forwarded: HalfKey) -> HalfKey:
+        mask = ~forwarded.mask
         mask[-1] &= 0xFF ^ _padding(L)
-        return mask
+        return HalfKey(forwarded.link, L, mask, forwarded.bits)
 
-    bob_sym = (
-        HalfKey("bob_alice", kept(bob_forward), bob_bits),
-        HalfKey("charlie_alice", charlie_forward, charlie_bits),
-    )
-    charlie_sym = (
-        HalfKey("charlie_alice", kept(charlie_forward), charlie_bits),
-        HalfKey("bob_alice", bob_forward, bob_bits),
-    )
-    return bob_sym, charlie_sym
-
-
-def _count_mismatches(keys: dict[str, np.ndarray], half: HalfKey) -> tuple[int, int]:
-    """Mismatches between a held half-key and the declared key it came
-    from, and the number of positions the half covers."""
-    if half.link not in keys:
-        raise ProtocolError(f"declaration carries no key for link {half.link!r}")
-    key, mask = keys[half.link], half.mask
-    if not (key.dtype == half.bits.dtype == mask.dtype == np.uint8
-            and key.shape == half.bits.shape == mask.shape):
-        raise ProtocolError("a half, its block and the declared key must pack equal lengths")
-    covered = _popcount(mask)
-    _check_half(mask, 2 * covered)
-    return _popcount((key ^ half.bits) & mask), covered
+    return (kept(charlie_recv), bob_recv), (kept(bob_recv), charlie_recv)
 
 
 def verify(
@@ -328,14 +303,22 @@ def verify(
     """Check a declaration, the signer's packed key per link, against a
     symmetrised (own, received) key at one threshold.
 
-    Each half covers L/2 positions of an L-bit block, and both must show
+    Both halves split L-bit blocks, L/2 positions each, and both must show
     strictly fewer than threshold * L/2 mismatches.  Returns (accepted,
     own-half mismatches, received-half mismatches).
     """
-    (own, covered), (received, other) = (_count_mismatches(keys, half) for half in sym)
-    if covered != other:
-        raise ProtocolError(f"halves must cover equal positions, got {covered} and {other}")
-    L = 2 * covered
+    L = sym[0].L
+    if sym[1].L != L:
+        raise ProtocolError(f"halves must split equal blocks, got L = {L} and {sym[1].L}")
+    counts = []
+    for half in sym:
+        if half.link not in keys:
+            raise ProtocolError(f"declaration carries no key for link {half.link!r}")
+        key = keys[half.link]
+        if key.dtype != np.uint8 or key.shape != half.bits.shape:
+            raise ProtocolError(f"the declared key must pack {half.L} bits as its half's block does")
+        counts.append(_popcount((key ^ half.bits) & half.mask))
+    own, received = counts
     limit = threshold * L / 2.0
     return (own < limit) and (received < limit), own, received
 
@@ -364,7 +347,7 @@ class ProtocolSession:
         self.pc = pc
         self.ch = ch
         self.L = _check_length(L)
-        self.seed = int(seed)
+        self.seed = _check_integer("seed", seed, 0)
         self.k_test = k_test_for(self.L, k_test)
         self.bit_mode = pc.n_pulses <= DESK_SCALE_MAX_PULSES
         self._distribution_started = False
@@ -498,10 +481,7 @@ class ProtocolSession:
 
 
 def _check_attack(trials: int, L: int) -> None:
-    if not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_integer("trials", trials)
     _check_length(L)
 
 

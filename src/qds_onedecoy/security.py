@@ -72,8 +72,8 @@ class SecurityTarget:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {value:g}")
-        if self.k_test is not None and self.k_test < 1:
-            raise ValueError(f"k_test must be at least 1, got {self.k_test}")
+        if self.k_test is not None:
+            _check_integer("k_test", self.k_test)
 
 
 class Infeasible(Exception):
@@ -166,9 +166,7 @@ def k_test_for(L: int | np.ndarray, k_test: int | None = None) -> int | np.ndarr
     An array of lengths gives an array of (float) sizes.
     """
     if k_test is not None:
-        if k_test < 1:
-            raise ValueError(f"test sample size must be at least 1, got {k_test}")
-        return k_test
+        return _check_integer("k_test", k_test)
     k = np.maximum(1.0, np.rint(DEFAULT_TEST_FRACTION * L))
     return int(k) if np.ndim(k) == 0 else k
 
@@ -183,6 +181,16 @@ def _check_length(L: int) -> int:
     if not isinstance(L, (int, np.integer)):
         raise ValueError(f"block length must be an integer, got {L!r}")
     return int(L)
+
+
+def _check_integer(name: str, value: int, least: int = 1) -> int:
+    """``value`` as an ``int``, when it is an ``int`` or numpy integer of at
+    least ``least``: a test-sample size, a seed or a trial count."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

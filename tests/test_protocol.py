@@ -63,6 +63,26 @@ class TestRngStream:
         assert not (a == b).all()
         assert not (a == c).all()
 
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        a = rng_stream(np.int64(7), "bob_alice", "kgp").integers(0, 1000, 8)
+        assert (a == rng_stream(7, "bob_alice", "kgp").integers(0, 1000, 8)).all()
+
+    # a fractional seed would run as its integer part, and a negative one
+    # fail later in numpy without naming the seed
+    @pytest.mark.parametrize("seed, match", [
+        (math.nan, "seed must be an integer, got nan"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be at least 0, got -1"),
+    ], ids=["nan", "fractional", "negative"])
+    def test_every_seed_follows_one_rule(self, seed, match):
+        th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
+        for run in (lambda: rng_stream(seed, "kgp"),
+                    lambda: ProtocolSession(DESK_PC, DESK_CH, 2000, seed=seed),
+                    lambda: attack_forge(100, 2000, th, seed=seed),
+                    lambda: attack_repudiation(100, 2000, th, 0.1, seed=seed)):
+            with pytest.raises(ValueError, match=match):
+                run()
+
 
 class TestRunKgp:
     def test_deterministic(self):
@@ -111,6 +131,18 @@ class TestRunKgp:
     def test_aborts_when_pool_too_small(self):
         with pytest.raises(ProtocolError, match="cannot supply"):
             run_kgp("bob_alice", DESK_PC, DESK_CH, seed=1, k_test=100, min_pool=10**9)
+
+    @pytest.mark.parametrize("k_test, match", [
+        (math.nan, "k_test must be an integer, got nan"),
+        (1.5, "k_test must be an integer, got 1.5"),
+        (-1, "k_test must be at least 1, got -1"),
+    ], ids=["nan", "fractional", "negative"])
+    def test_every_test_sample_follows_one_rule(self, k_test, match):
+        with pytest.raises(ValueError, match=match):
+            run_kgp("bob_alice", DESK_PC, DESK_CH, seed=1, k_test=k_test)
+        # a fractional size used to reach numpy's sampling and fail there
+        with pytest.raises(ValueError, match=match):
+            ProtocolSession(DESK_PC, DESK_CH, 2000, k_test=k_test)
 
     def test_rejects_aggregate_scale(self):
         big = PulseConfig(mu=0.6, nu=0.2, p_mu=0.6, p_z_tx=0.8, p_z_rx=0.8,
@@ -197,9 +229,10 @@ class TestSymmetrize:
             return [np.packbits(np.zeros(n, np.uint8)) for n in lengths]
 
         forward = [np.packbits(_forward_half(rng_stream(0, r), 16)) for r in ("a", "b")]
-        with pytest.raises(ProtocolError, match="blocks must pack 16 bits"):
+        with pytest.raises(ProtocolError, match="L = 16, packs its mask and block in 2 uint8"):
             symmetrize(16, *packed_blocks(16, 8), *forward)
-        with pytest.raises(ProtocolError, match="even integer"):
+        # an odd length fails the rule every entry point applies
+        with pytest.raises(ValueError, match="even integer"):
             symmetrize(5, *packed_blocks(5, 5),
                        *(np.packbits(_forward_half(rng_stream(0, r), 5)) for r in ("a", "b")))
 
@@ -211,7 +244,43 @@ class TestSymmetrize:
         with pytest.raises(ProtocolError, match="none past it"):
             symmetrize(6, *blocks, good, bad)
         with pytest.raises(ProtocolError, match="none past it"):
-            mismatches(crafted_keys(6), HalfKey("bob_alice", bad, blocks[0]))
+            HalfKey("bob_alice", 6, bad, blocks[0])
+
+    def test_block_length_follows_the_one_rule(self):
+        L = 10
+        blocks = [np.packbits(np.zeros(L, np.uint8))] * 2
+        forward = [np.packbits(_forward_half(rng_stream(0, r), L)) for r in ("a", "b")]
+        with pytest.raises(ValueError, match="block length must be an integer, got 10.0"):
+            symmetrize(10.0, *blocks, *forward)
+        for ints, numpys in zip(*(symmetrize(length, *blocks, *forward)
+                                  for length in (L, np.int64(L)))):
+            for a, b in zip(ints, numpys):
+                assert type(a.L) is type(b.L) is int and a.L == b.L == L
+                assert a.link == b.link and np.array_equal(a.mask, b.mask)
+                assert a.bits is b.bits
+
+
+class TestHalfKey:
+    """A half checks its length, dtypes, shapes, count and padding once,
+    when it is built."""
+
+    # L = 10 packs in 2 bytes, the last with 6 bits of padding.  The other
+    # faults (other dtypes or byte lengths, a bit too many, a padding bit)
+    # are TestVerify's bad positions and validated positions
+    @pytest.mark.parametrize("L, mask, bits", [
+        (9, packed_mask(range(4), 9), np.zeros(2, np.uint8)),
+        (10.0, packed_mask(range(5), 10), np.zeros(2, np.uint8)),
+        (10, packed_mask(range(5), 10), np.zeros(3, np.uint8)),
+        (10, packed_mask(range(5), 10).reshape(1, 2), np.zeros((1, 2), np.uint8)),
+        (10, packed_mask(range(4), 10), np.zeros(2, np.uint8)),
+    ], ids=["odd-L", "float-L", "long-block", "2-D", "too-few"])
+    def test_rejects_each_fault_when_built(self, L, mask, bits):
+        with pytest.raises(ProtocolError, match="none past it"):
+            HalfKey("bob_alice", L, mask, bits)
+
+    def test_a_well_formed_half_builds(self):
+        half = HalfKey("bob_alice", np.int64(10), packed_mask(range(5), 10), np.zeros(2, np.uint8))
+        assert half.L == 10
 
 
 def crafted_keys(L=100):
@@ -226,8 +295,8 @@ def crafted_sym(L=100, own_mismatches=0):
     own_bits = np.zeros(L, dtype=np.uint8)
     own_bits[:own_mismatches] = 1
     return (
-        HalfKey("bob_alice", packed_mask(range(half), L), np.packbits(own_bits)),
-        HalfKey("charlie_alice", packed_mask(range(half, L), L),
+        HalfKey("bob_alice", L, packed_mask(range(half), L), np.packbits(own_bits)),
+        HalfKey("charlie_alice", L, packed_mask(range(half, L), L),
                 np.packbits(np.zeros(L, dtype=np.uint8))),
     )
 
@@ -264,14 +333,25 @@ class TestVerify:
             (packed_mask(range(5), 10), np.packbits(np.zeros(24, np.uint8))),  # bits, too
             (packed_mask(range(5), 10), np.zeros(2, np.int64)),  # bits of another dtype
         ]:
-            with pytest.raises(ProtocolError, match="equal lengths"):
-                mismatches(keys, HalfKey("bob_alice", mask, bits))
-        assert mismatches(keys, HalfKey("bob_alice", packed_mask(range(5), 10), block)) == 0
+            with pytest.raises(ProtocolError, match="2 uint8 bytes each"):
+                HalfKey("bob_alice", 10, mask, bits)
+        half = HalfKey("bob_alice", 10, packed_mask(range(5), 10), block)
+        assert mismatches(keys, half) == 0
+        # a declared key of another length or dtype than the half's block
+        for key in (np.packbits(np.zeros(24, np.uint8)), np.zeros(2, np.int64)):
+            with pytest.raises(ProtocolError, match="declared key must pack 10 bits"):
+                mismatches({**keys, "bob_alice": key}, half)
 
     def test_declaration_without_the_halfs_link_raises(self):
-        half = HalfKey("elsewhere", packed_mask(range(5), 10), np.packbits(np.zeros(10, np.uint8)))
+        half = HalfKey("elsewhere", 10, packed_mask(range(5), 10),
+                       np.packbits(np.zeros(10, np.uint8)))
         with pytest.raises(ProtocolError, match="no key for link 'elsewhere'"):
             mismatches(crafted_keys(10), half)
+
+    def test_halves_of_different_lengths_raise(self):
+        (own, _), (_, received) = crafted_sym(100), crafted_sym(102)
+        with pytest.raises(ProtocolError, match="equal blocks, got L = 100 and 102"):
+            verify(crafted_keys(100), (own, received), 0.5)
 
     # each id names the fault of a position list whose packed form is checked:
     # signed ("negative") or float bytes, a position at L, and one position
@@ -288,12 +368,12 @@ class TestVerify:
     )
     def test_bad_positions_raise_protocol_error(self, mask):
         block = np.packbits(np.zeros(10, np.uint8))
-        own = HalfKey("bob_alice", packed_mask(range(5), 10), block)
+        HalfKey("bob_alice", 10, packed_mask(range(5), 10), block)
         with pytest.raises(ProtocolError):
-            verify(crafted_keys(10), (own, HalfKey("charlie_alice", mask, block)), 0.5)
+            HalfKey("charlie_alice", 10, mask, block)
 
     def test_empty_half_has_no_mismatches(self):
-        half = HalfKey("bob_alice", np.array([], np.uint8), np.array([], np.uint8))
+        half = HalfKey("bob_alice", 0, np.array([], np.uint8), np.array([], np.uint8))
         assert mismatches(crafted_keys(0), half) == 0
 
     def test_popcount_table_counts_each_byte(self):
@@ -310,7 +390,7 @@ class TestVerify:
         keys = {link: rng.integers(0, 2, L, dtype=np.uint8) for link in LINKS}
         blocks = {link: rng.integers(0, 2, L, dtype=np.uint8) for link in LINKS}
         positions = [rng.choice(L, size=L // 2, replace=False) for _ in LINKS]
-        sym = tuple(HalfKey(link, packed_mask(pos, L), np.packbits(blocks[link]))
+        sym = tuple(HalfKey(link, L, packed_mask(pos, L), np.packbits(blocks[link]))
                     for link, pos in zip(LINKS, positions))
         own, received = (sum(int(keys[link][i] != blocks[link][i]) for i in pos)
                          for link, pos in zip(LINKS, positions))
@@ -712,6 +792,19 @@ class TestSession:
         assert held <= 1.5 * L
         assert distribution_peak <= 8 * L
         assert peak <= 15 * L
+
+    def test_each_half_is_counted_once(self, monkeypatch):
+        # at 103 km (L = 89,522) both recipients verify: the four halves are
+        # each counted once when built and once more for their mismatches
+        config = read_config(str(pathlib.Path(__file__).parent / "data" / "device.cfg"))
+        session = ProtocolSession(config.pulse_config(), config.channel(103.0), 89522, seed=5)
+        session.run_distribution()
+        passes = []
+        real = protocol._popcount
+        monkeypatch.setattr(protocol, "_popcount", lambda packed: passes.append(1) or real(packed))
+        bob, charlie = session.run_messaging(0, Thresholds(s_alpha=0.0627773, s_upsilon=0.0838137))
+        assert bob[0] and charlie[0]
+        assert len(passes) == 8
 
     def test_transcript_sequence_is_strictly_increasing(self):
         session = ProtocolSession(DESK_PC, DESK_CH, L=1000, seed=2)

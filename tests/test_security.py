@@ -962,8 +962,10 @@ class TestKTestFor:
 
     def test_explicit_size_wins_and_is_checked(self):
         assert k_test_for(89522, 3000) == 3000
-        with pytest.raises(ValueError):
-            k_test_for(89522, 0)
+        assert k_test_for(89522, np.int64(3000)) == 3000
+        for bad in (0, -1, math.nan, 1.5):
+            with pytest.raises(ValueError, match="k_test must be"):
+                k_test_for(89522, bad)
 
 
 class TestSecurityTarget:
@@ -977,6 +979,9 @@ class TestSecurityTarget:
         ("eps", 1.0, "eps must lie strictly inside (0, 1), got 1"),
         ("target_psec", 5.0, "target_psec must lie strictly inside (0, 1), got 5"),
         ("k_test", 0, "k_test must be at least 1, got 0"),
+        ("k_test", -1, "k_test must be at least 1, got -1"),
+        ("k_test", math.nan, "k_test must be an integer, got nan"),
+        ("k_test", 1.5, "k_test must be an integer, got 1.5"),
     ])
     def test_rejects_out_of_range(self, name, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
