@@ -109,22 +109,6 @@ class PulseConfig:
         stacked._check(x)
         return stacked
 
-    def intensity(self, name: str) -> tuple[float, float]:
-        """Return (photon number, emission probability) for 'mu' or 'nu'."""
-        if name == "mu":
-            return self.mu, self.p_mu
-        if name == "nu":
-            return self.nu, 1.0 - self.p_mu
-        raise ValueError(f"unknown intensity {name!r}, expected 'mu' or 'nu'")
-
-    def basis_probability(self, basis: str) -> tuple[float, float]:
-        """Return (transmit, receive) selection probabilities for a basis."""
-        if basis == "Z":
-            return self.p_z_tx, self.p_z_rx
-        if basis == "X":
-            return 1.0 - self.p_z_tx, 1.0 - self.p_z_rx
-        raise ValueError(f"unknown basis {basis!r}, expected 'Z' or 'X'")
-
 
 #: The field names of ``PulseConfig``, in order.
 _PULSE_FIELDS = tuple(f.name for f in fields(PulseConfig))
@@ -134,7 +118,7 @@ _PULSE_RULES = (
     "intensities must satisfy 0 <= nu < mu, got mu={mu}, nu={nu}",
     "signal intensity must lie in (0, 1], got {mu}",
     *(f"{name} must lie strictly inside (0, 1), got {{{name}}}"
-      for name in ("p_mu", "p_z_tx", "p_z_rx")),
+      for name in _PULSE_FIELDS[2:5]),
     "the decoy bounds need p_mu >= 1e-100 and nu = 0 or nu >= 1e-100, got p_mu={p_mu}, nu={nu}",
     "n_pulses must be at least 1, got {n_pulses}",
     "n_pulses must be at most 2**52, got {n_pulses}",
@@ -186,9 +170,6 @@ _CELL_NAMES = tuple(
     for intensity in INTENSITIES
     for kind in "nm"
 )
-#: Index of a basis in ``ObservedCounts.cells``.
-_BASIS_INDEX = {"Z": 0, "X": 1}
-_INTENSITY_INDEX = {"mu": 0, "nu": 1}
 
 
 class ObservedCounts:
@@ -245,10 +226,10 @@ class ObservedCounts:
         return f"ObservedCounts({values})"
 
     def n(self, basis: str, intensity: str) -> float | np.ndarray:
-        return self.cells[_BASIS_INDEX[basis], _INTENSITY_INDEX[intensity], 0]
+        return self.cells[BASES.index(basis), INTENSITIES.index(intensity), 0]
 
     def m(self, basis: str, intensity: str) -> float | np.ndarray:
-        return self.cells[_BASIS_INDEX[basis], _INTENSITY_INDEX[intensity], 1]
+        return self.cells[BASES.index(basis), INTENSITIES.index(intensity), 1]
 
     def n_total(self, basis: str) -> float | np.ndarray:
         return self.n(basis, "mu") + self.n(basis, "nu")
@@ -296,8 +277,8 @@ def gain_and_error(
 def _cell_factors(pc: PulseConfig, ch: ChannelParams) -> tuple[np.ndarray, ...]:
     """p_int, p_tx, p_rx, gain and error rate, broadcasting to (basis, intensity, ...batch)."""
     # each factor its own contiguous array: strided views slow every product
-    lam, p_int = map(np.array, zip(*map(pc.intensity, INTENSITIES)))
-    p_tx, p_rx = (np.array(p)[:, None] for p in zip(*map(pc.basis_probability, BASES)))
+    lam, p_int = np.array([pc.mu, pc.nu]), np.array([pc.p_mu, 1.0 - pc.p_mu])
+    p_tx, p_rx = (np.array([p, 1.0 - p])[:, None] for p in (pc.p_z_tx, pc.p_z_rx))
     gain, err = gain_and_error(lam, ch)
     return p_int, p_tx, p_rx, gain, err
 
@@ -331,7 +312,7 @@ def sample_statistics(
     already-constructed generator so that protocol code can interleave
     this sampling with its own randomness.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_live = int(round(pc.n_pulses * ch.duty_cycle))
     p_int, p_tx, p_rx, gain, err = _cell_factors(pc, ch)
     select = p_int * p_tx * p_rx

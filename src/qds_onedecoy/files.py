@@ -22,7 +22,7 @@ from .channel import (
     _CELL_NAMES, BASES, INTENSITIES, LINKS, ChannelParams, ObservedCounts, PulseConfig,
 )
 from .finite_key import BOUND_APPLICATIONS, EpsilonBudget
-from .security import SecurityTarget
+from .security import SecurityTarget, _check_integer
 
 if TYPE_CHECKING:
     from .optimizer import OptimizeResult
@@ -167,8 +167,7 @@ class Config:
                 f"nu must be positive: the decoy-state bounds need a decoy intensity, "
                 f"got {self.source.nu:g}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_integer("seed", self.seed, 0)
 
     def pulse_config(self, n_pulses: float | None = None) -> PulseConfig:
         return self.source if n_pulses is None else replace(self.source, n_pulses=n_pulses)

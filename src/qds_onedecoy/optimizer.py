@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,7 @@ from .security import (
     SecurityReport,
     SecurityTarget,
     Verdicts,
+    _check_integer,
     _sifted_yield,
     _signing_time,
     block_report,
@@ -37,7 +38,8 @@ __all__ = [
     "optimize",
 ]
 
-PARAM_NAMES = ("mu", "nu", "p_mu", "p_z_tx", "p_z_rx")
+#: ``PulseConfig``'s fields but ``n_pulses``, which ``evaluate`` gives every point.
+PARAM_NAMES = tuple(f.name for f in fields(PulseConfig) if f.name != "n_pulses")
 #: Largest ``SearchSpace.grid_points``: the grid pass solves grid_points**5
 #: settings in one batch, 10**5 at this bound.
 _MAX_GRID_POINTS = 10
@@ -69,13 +71,10 @@ class SearchSpace:
                     raise ValueError(
                         f"{name} bounds must lie strictly inside (0, 1), got ({lo}, {hi})"
                     )
-        if not 2 <= self.grid_points <= _MAX_GRID_POINTS:
+        if _check_integer("grid_points", self.grid_points, 2) > _MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_points must lie in [2, {_MAX_GRID_POINTS}], got {self.grid_points}"
             )
-
-    def bounds(self, name: str) -> tuple[float, float]:
-        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def maximize(
     is never abandoned, and ties prefer smaller mu, then smaller nu, then
     larger p_mu.  README, "How the block length is solved", gives the design.
     """
-    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
+    lows, highs = np.array([getattr(space, name) for name in PARAM_NAMES]).T
     # the value of each evaluated point and the points taken, by their
     # coordinate bytes (``_POINT``), and the best point, None before any
     values: dict[bytes, float] = {}
@@ -246,7 +245,7 @@ def maximize(
         found = [values[key] for key in taken]
         return len(found), sum(not math.isnan(v) for v in found), found.count(-math.inf)
 
-    axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
+    axes = [np.linspace(*getattr(space, name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     [keys] = lattice(grid[None])
     fetch(keys)

@@ -184,12 +184,13 @@ def _check_length(L: int) -> int:
 
 
 def _check_integer(name: str, value: int, least: int = 1) -> int:
-    """``value`` as an ``int``, when it is an ``int`` or numpy integer of at
-    least ``least``: a test-sample size, a seed or a trial count."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an ``int``, when it is an ``int`` or numpy integer (not a
+    bool) of at least ``least``: a test-sample size, seed, trial count or grid size."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+        floor = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {floor}, got {value}")
     return int(value)
 
 

@@ -208,8 +208,12 @@ def test_criterion_5_estimator_coverage():
             probs[-1] += 1.0 - probs.sum()
             return probs
 
-        probs = {name: photon_probs(pc.intensity(name)[0])
-                 for name in ("mu", "nu")}
+        # each cell's settings, read from the config's fields
+        lams = {"mu": pc.mu, "nu": pc.nu}
+        p_ints = {"mu": pc.p_mu, "nu": 1.0 - pc.p_mu}
+        p_bases = {"Z": (pc.p_z_tx, pc.p_z_rx),
+                   "X": (1.0 - pc.p_z_tx, 1.0 - pc.p_z_rx)}
+        probs = {name: photon_probs(lams[name]) for name in ("mu", "nu")}
         rng = np.random.default_rng(20260823)
         trials = 1000
         covered = 0
@@ -217,9 +221,9 @@ def test_criterion_5_estimator_coverage():
             cells = {}
             true_s1_z = 0
             for basis in ("Z", "X"):
-                p_tx, p_rx = pc.basis_probability(basis)
+                p_tx, p_rx = p_bases[basis]
                 for intensity in ("mu", "nu"):
-                    _, p_int = pc.intensity(intensity)
+                    p_int = p_ints[intensity]
                     pulses = int(pc.n_pulses * ch.duty_cycle
                                  * p_int * p_tx * p_rx)
                     by_photon = rng.multinomial(pulses, probs[intensity])

@@ -222,6 +222,20 @@ class TestObservedCounts:
                                              rf"{INTENSITIES[cell % 2]}\) must satisfy"):
             ObservedCounts(*cells)
 
+    def test_repr_names_every_cell_of_one_table(self):
+        counts = ObservedCounts(*range(8, 0, -1))
+        assert repr(counts) == ("ObservedCounts(n_z_mu=8, m_z_mu=7, n_z_nu=6, m_z_nu=5, "
+                                "n_x_mu=4, m_x_mu=3, n_x_nu=2, m_x_nu=1)")
+
+    def test_repr_of_a_batch_gives_its_shape(self):
+        counts = ObservedCounts.from_cells(np.ones((2, 2, 2, 3, 1)))
+        assert repr(counts) == "ObservedCounts(batch of shape (3, 1))"
+
+    def test_not_equal_to_other_objects(self):
+        counts = ObservedCounts(*range(8, 0, -1))
+        assert counts.__eq__(counts.cells) is NotImplemented
+        assert counts != counts.cells.tolist()
+
 
 class TestSampleStatistics:
     def test_deterministic_under_seed(self):
@@ -229,6 +243,14 @@ class TestSampleStatistics:
         ch = ChannelParams(distance_km=10.0, **TYPICAL)
         assert sample_statistics(pc, ch, 42) == sample_statistics(pc, ch, 42)
         assert sample_statistics(pc, ch, 42) != sample_statistics(pc, ch, 43)
+
+    def test_generator_draws_as_its_seed(self):
+        pc = make_pc(n_pulses=1e6)
+        ch = ChannelParams(distance_km=10.0, **TYPICAL)
+        rng = np.random.default_rng(42)
+        assert sample_statistics(pc, ch, rng) == sample_statistics(pc, ch, 42)
+        # the generator given is the one drawn from: its next draws follow on
+        assert sample_statistics(pc, ch, rng) != sample_statistics(pc, ch, 42)
 
     def test_integer_valued(self):
         pc = make_pc(n_pulses=1e6)
@@ -274,14 +296,6 @@ class TestValidation:
     def test_pulse_config_accepts_zero_decoy(self):
         pc = make_pc(nu=0.0)
         assert pc.nu == 0.0
-
-    def test_intensity_lookup(self):
-        pc = make_pc()
-        assert pc.intensity("mu") == (0.5, 0.7)
-        lam, p = pc.intensity("nu")
-        assert lam == 0.2 and p == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            pc.intensity("xi")
 
     def test_channel_params_validation(self):
         with pytest.raises(ValueError):

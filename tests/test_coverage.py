@@ -36,10 +36,13 @@ def test_long_haul_coverage_with_vacuous_trials():
     trials = 2000
     cells = np.zeros((2, 2, 2, trials))
     true_s1_z = np.zeros(trials, dtype=np.int64)
+    # each cell's settings, read from the config's fields
+    cell_intensities = {"mu": (pc.mu, pc.p_mu), "nu": (pc.nu, 1.0 - pc.p_mu)}
+    cell_bases = {"Z": (pc.p_z_tx, pc.p_z_rx), "X": (1.0 - pc.p_z_tx, 1.0 - pc.p_z_rx)}
     for b, basis in enumerate(BASES):
-        p_tx, p_rx = pc.basis_probability(basis)
+        p_tx, p_rx = cell_bases[basis]
         for i, intensity in enumerate(INTENSITIES):
-            lam, p_int = pc.intensity(intensity)
+            lam, p_int = cell_intensities[intensity]
             probs = np.array([math.exp(-lam) * lam**n / math.factorial(n) for n in ns])
             probs[-1] += 1.0 - probs.sum()
             pulses = int(pc.n_pulses * ch.duty_cycle * p_int * p_tx * p_rx)

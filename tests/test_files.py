@@ -1,5 +1,6 @@
 """Interchange-format tests: counts tables, configs, report text."""
 
+import dataclasses
 import io
 import pathlib
 import re
@@ -236,6 +237,18 @@ class TestConfig:
         named = f"value for '{key}' is not an integer: '{value}'"
         with pytest.raises(FileFormatError, match=re.escape(named)):
             read_config(str(path))
+
+    @pytest.mark.parametrize("seed, match", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be non-negative, got -1"),
+    ])
+    def test_config_built_in_code_checks_its_seed(self, tmp_path, seed, match):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT)
+        config = read_config(str(path))
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(config, seed=seed)
 
     def test_n_pulses_override(self, tmp_path):
         path = tmp_path / "run.cfg"

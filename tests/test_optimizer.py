@@ -75,7 +75,7 @@ def reference_maximize(space, objective):
     cache = {}
     evaluations = n_feasible = 0
     best_params, best_value, best_key = None, -math.inf, None
-    lows, highs = zip(*map(space.bounds, PARAM_NAMES))
+    lows, highs = zip(*(getattr(space, n) for n in PARAM_NAMES))
 
     def consider(candidates):
         nonlocal evaluations, n_feasible, best_params, best_value, best_key
@@ -103,13 +103,13 @@ def reference_maximize(space, objective):
             if value > best_value or (value == best_value and (best_key is None or key < best_key)):
                 best_params, best_value, best_key = dict(params), value, key
 
-    axes = [np.linspace(*space.bounds(n), space.grid_points) for n in PARAM_NAMES]
+    axes = [np.linspace(*getattr(space, n), space.grid_points) for n in PARAM_NAMES]
     consider([dict(zip(PARAM_NAMES, map(float, combo))) for combo in itertools.product(*axes)])
     if best_params is None:
         return None, -math.inf, evaluations, n_feasible
     for round_idx in range(DESCENT_ROUNDS):
         for name in PARAM_NAMES:
-            lo, hi = space.bounds(name)
+            lo, hi = getattr(space, name)
             radius = (hi - lo) / (space.grid_points - 1) / 2.0**round_idx
             center = best_params[name]
             consider([
@@ -124,7 +124,7 @@ def tuple_maximize(space, objective):
     """``maximize`` as written over per-point tuples, a dict of values and
     rank tuples: the oracle of the search over arrays, which must match it
     in every result and every objective call."""
-    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
+    lows, highs = np.array([getattr(space, name) for name in PARAM_NAMES]).T
     values, taken = {}, set()
     best, best_value = None, -math.inf
 
@@ -171,7 +171,7 @@ def tuple_maximize(space, objective):
         found = [values[row] for row in taken]
         return len(found), sum(not math.isnan(v) for v in found), found.count(-math.inf)
 
-    axes = [np.linspace(*space.bounds(name), space.grid_points) for name in PARAM_NAMES]
+    axes = [np.linspace(*getattr(space, name), space.grid_points) for name in PARAM_NAMES]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     [rows] = lattice(grid[None])
     fetch(rows)
@@ -210,7 +210,7 @@ def rough_objectives(draw):
     NaN or -inf on a share of the points picked by their bytes, and, when
     pruning, -inf for every value below the incumbent."""
     space = draw(search_spaces())
-    lows, highs = np.array([space.bounds(name) for name in PARAM_NAMES]).T
+    lows, highs = np.array([getattr(space, name) for name in PARAM_NAMES]).T
     peak = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)))
     levels = draw(st.sampled_from([1, 3, 20, 1000]))
     nan_every, inf_every = draw(st.sampled_from([0, 2, 5])), draw(st.sampled_from([0, 3, 7]))
@@ -240,7 +240,7 @@ class TestMaximize:
         best, value, evaluations, n_feasible, _ = maximize(space, concave_objective)
         assert best is not None
         for name in PARAM_NAMES:
-            lo, hi = space.bounds(name)
+            lo, hi = getattr(space, name)
             cell = (hi - lo) / (space.grid_points - 1)
             assert abs(best[name] - PEAK[name]) <= cell
         assert value <= 1.0
@@ -332,7 +332,7 @@ def objectives(draw):
     coordinates' last bits (points a rounding error apart would take
     different values, had they not been put on one lattice point)."""
     space = SearchSpace()
-    peak = {n: draw(st.floats(*space.bounds(n))) for n in PARAM_NAMES}
+    peak = {n: draw(st.floats(*getattr(space, n))) for n in PARAM_NAMES}
     weight = {n: draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])) for n in PARAM_NAMES}
     step = draw(st.sampled_from([0.0, 1e-3, 0.02]))
     jitter = draw(st.sampled_from([0.0, 1e-3]))
@@ -343,7 +343,7 @@ def objectives(draw):
     def value(params):
         if wall is not None:
             name, share = wall
-            lo, hi = space.bounds(name)
+            lo, hi = getattr(space, name)
             if params[name] > lo + share * (hi - lo):
                 return None
         v = 1.0 - sum(weight[n] * (params[n] - peak[n]) ** 2 for n in PARAM_NAMES)
@@ -368,7 +368,7 @@ def coupled(space, start=0.1, shift=-0.9, jitter=0.0):
     coordinate shifts the optimum along the next: in box units u, concave
     around u_0 = start and each u_j+1 = 0.5 + shift * (u_j - 0.5), plus
     ``jitter`` times the coordinates' last bits."""
-    bounds = [space.bounds(name) for name in PARAM_NAMES]
+    bounds = [getattr(space, name) for name in PARAM_NAMES]
 
     def value(params):
         u = [(params[name] - lo) / (hi - lo) for name, (lo, hi) in zip(PARAM_NAMES, bounds)]
@@ -433,7 +433,7 @@ class TestSpeculation:
         space = SearchSpace(grid_points=3)
         for seed in range(100):
             rng = random.Random(seed)
-            peak = {n: rng.uniform(*space.bounds(n)) for n in PARAM_NAMES}
+            peak = {n: rng.uniform(*getattr(space, n)) for n in PARAM_NAMES}
 
             def value(params):
                 return 1.0 - sum((params[n] - peak[n]) ** 2 + 1e-3 * low_bits(params[n])
@@ -613,8 +613,14 @@ class TestSearchSpaceValidation:
 
     def test_bounds_the_grid(self):
         assert SearchSpace(grid_points=10).grid_points == 10
+        assert SearchSpace(grid_points=np.int64(3)) == SearchSpace(grid_points=3)
         with pytest.raises(ValueError, match=r"grid_points must lie in \[2, 10\], got 11"):
             SearchSpace(grid_points=11)
+
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    def test_grid_points_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=f"grid_points must be an integer, got {value!r}"):
+            SearchSpace(grid_points=value)
 
 
 DESK_CH = ChannelParams(distance_km=5.0)
@@ -680,7 +686,7 @@ class TestEvaluate:
     def test_a_grid_call_races_its_seed_against_the_rest(self, km):
         # the grid-3 call of a search: more than SEED_POINTS settings, taken
         # at once, so a strided seed is solved first and races the rest
-        axes = [np.linspace(*SearchSpace().bounds(name), 3) for name in PARAM_NAMES]
+        axes = [np.linspace(*getattr(SearchSpace(), name), 3) for name in PARAM_NAMES]
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
         points = points[points[:, 1] < points[:, 0]]
         assert len(points) > SEED_POINTS
@@ -751,7 +757,7 @@ class TestOptimize:
         found = optimize(space, DEVICE.channel(103.0), DEVICE.target, DEVICE.source.n_pulses)
         assert found.report is not None
         for name, column in zip(PARAM_NAMES, np.concatenate(seen).T):
-            lo, hi = space.bounds(name)
+            lo, hi = getattr(space, name)
             assert ((lo <= column) & (column <= hi)).all(), name
 
 

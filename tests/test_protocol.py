@@ -72,8 +72,9 @@ class TestRngStream:
     @pytest.mark.parametrize("seed, match", [
         (math.nan, "seed must be an integer, got nan"),
         (1.5, "seed must be an integer, got 1.5"),
-        (-1, "seed must be at least 0, got -1"),
-    ], ids=["nan", "fractional", "negative"])
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be non-negative, got -1"),
+    ], ids=["nan", "fractional", "bool", "negative"])
     def test_every_seed_follows_one_rule(self, seed, match):
         th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
         for run in (lambda: rng_stream(seed, "kgp"),
@@ -529,6 +530,14 @@ class TestSession:
         session = ProtocolSession(DESK_PC, QUIET_CH, L=500, seed=9)
         with pytest.raises(ProtocolError):
             session.sign(0)
+
+    def test_sign_takes_a_message_bit(self):
+        session = ProtocolSession(DESK_PC, QUIET_CH, L=500, seed=9)
+        session.run_distribution()
+        with pytest.raises(ValueError, match="message bit must be 0 or 1, got 2"):
+            session.sign(2)
+        # the refused bit consumes no block
+        assert set(session.sign(0)) == set(LINKS)
 
     def test_distribution_runs_once(self):
         session = ProtocolSession(DESK_PC, QUIET_CH, L=500, seed=9)
@@ -990,9 +999,11 @@ class TestAttacks:
         (1.5, 2000, "trials must be an integer"),
         (100.0, 2000, "trials must be an integer"),
         ("100", 2000, "trials must be an integer"),
+        (True, 2000, "trials must be an integer, got True"),
         (100, 1e300, "block length must be at most 2\\*\\*52"),
         (100, 2**52 + 2, "block length must be at most 2\\*\\*52"),
-    ], ids=["fractional-trials", "float-trials", "text-trials", "L-1e300", "L-past-cap"])
+    ], ids=["fractional-trials", "float-trials", "text-trials", "bool-trials", "L-1e300",
+            "L-past-cap"])
     def test_attacks_reject_bad_sizes(self, attack, trials, L, match):
         th = Thresholds(s_alpha=0.05, s_upsilon=0.15)
         run = {"forge": lambda: attack_forge(trials, L, th),

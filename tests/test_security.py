@@ -322,6 +322,11 @@ class TestMinSignatureLength:
         with pytest.raises(InfeasibleTarget):
             solve_one(cbl, pc, budget, target_psec=1e-6)
 
+    def test_rejects_no_links(self):
+        pc, _, _, budget = paper_scale_setup()
+        with pytest.raises(ValueError, match="at least one link is required"):
+            min_signature_length({}, pc, target_for(budget))
+
     def test_solved_length_is_minimal_and_even(self):
         pc, ch, cbl, budget = paper_scale_setup()
         L = solve_one(cbl, pc, budget)
@@ -925,6 +930,12 @@ class TestBlockReport:
             block_report(cbl, pc, ch, target)
         assert type(raised.value) is type(error) and str(raised.value) == str(error)
 
+    @pytest.mark.parametrize("L", [None, 89522])
+    def test_rejects_no_links(self, L):
+        pc, ch, _, budget = paper_scale_setup()
+        with pytest.raises(ValueError, match="at least one link is required"):
+            block_report({}, pc, ch, target_for(budget), L)
+
     def test_rejects_odd_length(self):
         pc, ch, cbl, budget = paper_scale_setup()
         with pytest.raises(ValueError):
@@ -982,6 +993,7 @@ class TestSecurityTarget:
         ("k_test", -1, "k_test must be at least 1, got -1"),
         ("k_test", math.nan, "k_test must be an integer, got nan"),
         ("k_test", 1.5, "k_test must be an integer, got 1.5"),
+        ("k_test", True, "k_test must be an integer, got True"),
     ])
     def test_rejects_out_of_range(self, name, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):

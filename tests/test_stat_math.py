@@ -174,6 +174,9 @@ class TestSerfling:
             serfling_error_upper(0.01, 1, 10, 1e-5)
         with pytest.raises(ValueError):
             serfling_error_upper(1.2, 1000, 10, 1e-5)
+        for eps_pe in (0.0, 1.5):
+            with pytest.raises(ValueError, match="failure probability must lie in"):
+                serfling_error_upper(0.01, 1000, 10, eps_pe)
 
 
 class TestGammaCorrection:
